@@ -8,7 +8,7 @@ from .errors import ConfigError, ConvergenceError, GuidewaveError, SolveError
 from .evolve import EnergyRecord, WaveState, energy, run
 from .fit import DecayFit, fit_exponential, fit_power, predict_exponent
 from .heat import HeatSolution, heat_apply, heat_weighted_norm
-from .transverse import TransverseBasis, eigenpair
+from .transverse import transverse_eigenvalues
 
 __all__ = [
     "__version__",
@@ -18,5 +18,5 @@ __all__ = [
     "EnergyRecord", "WaveState", "energy", "run",
     "DecayFit", "fit_exponential", "fit_power", "predict_exponent",
     "HeatSolution", "heat_apply", "heat_weighted_norm",
-    "TransverseBasis", "eigenpair",
+    "transverse_eigenvalues",
 ]

@@ -38,7 +38,6 @@ class DampingCfg:
     kind: str = "constant"
     rho: float = 2.0
     r: float = 5.0
-    c0: float = 0.5
     level: float = 1.0
 
 

@@ -58,20 +58,19 @@ class DampingProfile:
 
     kinds:
       constant       a = level everywhere
-      longrange(rho) a = 1 - (1/2)<x>^(-rho); tends to 1, floor c0 = 1/2
+      longrange(rho) a = 1 - (1/2)<x>^(-rho); tends to 1, floor 1/2
       hole(r, rho)   a = 0 on |x| <= r, C1 ramp of width 2, longrange envelope
     """
 
     kind: str
     rho: float
     r: float
-    c0: float
     level: float
     samples: np.ndarray = field(repr=False)
 
     @classmethod
     def build(cls, grid: Grid1D, kind: str, rho: float = 2.0, r: float = 5.0,
-              c0: float = 0.5, level: float = 1.0) -> "DampingProfile":
+              level: float = 1.0) -> "DampingProfile":
         x = grid.xs
         if kind == "constant":
             a = np.full(grid.N, float(level))
@@ -86,7 +85,7 @@ class DampingProfile:
             a = ramp * (1.0 - 0.5 * japanese_bracket(x) ** (-rho))
         else:
             raise ValueError(f"unknown damping kind {kind!r}")
-        return cls(kind=kind, rho=rho, r=r, c0=c0, level=level, samples=a)
+        return cls(kind=kind, rho=rho, r=r, level=level, samples=a)
 
     def hypothesis_constants(self, grid: Grid1D) -> dict[str, float]:
         """Empirical constants of the absorption hypothesis on this grid.
@@ -100,12 +99,6 @@ class DampingProfile:
         da = np.gradient(self.samples, grid.h)
         c_1 = float(np.max(np.abs(da) * w ** (self.rho + 1.0)))
         return {"C0": c_0, "C1": c_1}
-
-    def effective_radius(self) -> float:
-        """Radius outside which a >= c0 for the shipped profiles."""
-        if self.kind == "hole":
-            return self.r + HOLE_EDGE_WIDTH
-        return 0.0
 
 
 @dataclass(frozen=True)
@@ -164,17 +157,12 @@ class BandedLaplacian:
         return len(self.diags) - 1
 
     def apply(self, u: np.ndarray) -> np.ndarray:
+        """D2 along the last axis, so a (K, N) mode block is one call."""
         out = self.diags[0] * u
         for m in range(1, len(self.diags)):
-            out[:-m] += self.diags[m] * u[m:]
-            out[m:] += self.diags[m] * u[:-m]
+            out[..., :-m] += self.diags[m] * u[..., m:]
+            out[..., m:] += self.diags[m] * u[..., :-m]
         return out
-
-    def quadratic_form(self, u: np.ndarray, h_weight: bool = True) -> float:
-        """<-D2 u, u> (nonnegative), optionally with the h quadrature weight."""
-        q = -float(np.real(np.vdot(u, self.apply(u))))
-        q = max(q, 0.0)
-        return q * self.grid.h if h_weight else q
 
     def as_dense(self) -> np.ndarray:
         n = self.grid.N
@@ -185,12 +173,10 @@ class BandedLaplacian:
         return a
 
 
-def laplacian_1d(grid: Grid1D, order: int = 4, end_bc: str = "dirichlet_cap") -> BandedLaplacian:
-    """Banded discrete d^2/dx^2 on the interior nodes."""
+def laplacian_1d(grid: Grid1D, order: int = 4) -> BandedLaplacian:
+    """Banded discrete d^2/dx^2 on the interior nodes, homogeneous cap at +-X."""
     if order not in _D2_STENCILS:
         raise ValueError(f"stencil order must be 2 or 4, got {order}")
-    if end_bc != "dirichlet_cap":
-        raise ValueError(f"only the homogeneous cap is supported, got {end_bc!r}")
     coeffs = _D2_STENCILS[order]
     h2 = grid.h ** 2
     diags = tuple(np.full(grid.N - m, c / h2) for m, c in enumerate(coeffs))
@@ -198,14 +184,14 @@ def laplacian_1d(grid: Grid1D, order: int = 4, end_bc: str = "dirichlet_cap") ->
 
 
 def gradient_1d(u: np.ndarray, grid: Grid1D, order: int = 4) -> np.ndarray:
-    """Centered first derivative with zero extension at the cap."""
+    """Centered first derivative along the last axis, zero extension at the cap."""
     if order not in _D1_STENCILS:
         raise ValueError(f"stencil order must be 2 or 4, got {order}")
     out = np.zeros_like(np.asarray(u, dtype=np.result_type(u, float)))
     for m, c in enumerate(_D1_STENCILS[order], start=1):
         cm = c / grid.h
-        out[:-m] += cm * u[m:]
-        out[m:] -= cm * u[:-m]
+        out[..., :-m] += cm * u[..., m:]
+        out[..., m:] -= cm * u[..., :-m]
     return out
 
 

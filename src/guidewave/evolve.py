@@ -10,7 +10,9 @@ E = sum_k h (<(-D2 + lam_k + m^2) u_k, u_k> + ||v_k||^2),
 
     E(t_{n+1}) - E(t_n) + 2 dt sum_k h <a v_{mid,k}, v_{mid,k}> = 0
 
-up to roundoff, which makes dissipation bookkeeping a hard invariant.
+up to roundoff, which makes dissipation bookkeeping a hard invariant.  The
+modes do not couple, so every operation acts on the whole (K, N) block of
+mode coefficients at once.
 """
 
 from __future__ import annotations
@@ -20,9 +22,10 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import cholesky_banded, cho_solve_banded
+from scipy.linalg import LinAlgError, cholesky_banded, cho_solve_banded
 
-from .discretize import DampingProfile, Grid1D, gradient_1d, laplacian_1d, weight
+from .discretize import (BandedLaplacian, DampingProfile, Grid1D, gradient_1d,
+                         laplacian_1d, weight)
 from .errors import SolveError
 
 WAVE_NEUMANN = "wave_neumann"
@@ -72,12 +75,31 @@ class EnergyRecord:
                 self.dtu_w, self.E_p0, self.E_p0perp, self.dissipation_cum)
 
 
+def _stacked_cholesky(lap: BandedLaplacian, diag: np.ndarray, scale: float) -> np.ndarray:
+    """Upper banded Cholesky factor of the K uncoupled blocks diag_k + scale (-D2).
+
+    The (K, N) blocks are stacked into one banded matrix of order K N.  Bands
+    that would cross a block boundary stay zero, so the blocks do not couple
+    and one factorization serves every mode.
+    """
+    k_count, n = diag.shape
+    hb = lap.halfbw
+    ab = np.zeros((hb + 1, k_count, n))
+    ab[hb] = diag
+    for m in range(1, hb + 1):
+        ab[hb - m, :, m:] = -scale * lap.diags[m]
+    try:
+        return cholesky_banded(ab.reshape(hb + 1, k_count * n), lower=False)
+    except (LinAlgError, ValueError) as exc:
+        raise SolveError(f"banded Cholesky factorization of {k_count} modes failed: {exc}") from exc
+
+
 class Stepper:
     """Prefactored implicit-midpoint stepper for a fixed dt.
 
     The per-mode midpoint matrix (1 + tau a) + tau^2 (-D2 + lam_k + m^2) is
-    symmetric positive definite and banded; it is Cholesky-factored once and
-    reused every step.
+    symmetric positive definite and banded; the K of them are Cholesky-factored
+    once as one stacked matrix and reused every step.
     """
 
     def __init__(self, grid: Grid1D, lambdas: np.ndarray, damping: DampingProfile,
@@ -94,27 +116,16 @@ class Stepper:
         self.a = a
         self.mass = float(mass)
         self.lambdas = np.asarray(lambdas, dtype=float)
+        self.lam_eff = (self.lambdas + self.mass ** 2)[:, None]
         self.lap = laplacian_1d(grid, order=order)
         self.order = order
-        self._factors = [self._factor(lam + self.mass ** 2) for lam in self.lambdas]
-
-    def _factor(self, lam_eff: float):
-        hb = self.lap.halfbw
-        n = self.grid.N
         t2 = self.tau ** 2
-        ab = np.zeros((hb + 1, n))
-        ab[hb, :] = 1.0 + self.tau * self.a + t2 * (lam_eff - self.lap.diags[0])
-        for m in range(1, hb + 1):
-            ab[hb - m, m:] = -t2 * self.lap.diags[m]
-        try:
-            return cholesky_banded(ab, lower=False)
-        except Exception as exc:
-            raise SolveError(f"midpoint factorization failed for lam={lam_eff}, dt={self.dt}: {exc}") from exc
+        self._factor = _stacked_cholesky(
+            self.lap, 1.0 + self.tau * a + t2 * (self.lam_eff - self.lap.diags[0]), t2)
 
-    def _apply_p(self, k: int, u: np.ndarray) -> np.ndarray:
-        """(-D2 + lam_k + m^2) u."""
-        lam_eff = self.lambdas[k] + self.mass ** 2
-        return -self.lap.apply(u) + lam_eff * u
+    def _apply_p(self, u: np.ndarray) -> np.ndarray:
+        """(-D2 + lam_k + m^2) u_k for every mode k."""
+        return -self.lap.apply(u) + self.lam_eff * u
 
     def step(self, state: WaveState):
         """Advance one dt.  Returns (new_state, dissipation_increment)."""
@@ -122,35 +133,22 @@ class Stepper:
         if k_count != len(self.lambdas):
             raise ValueError(f"state has {k_count} modes, stepper was built for {len(self.lambdas)}")
         tau = self.tau
-        new_u = np.empty_like(state.modes)
-        new_v = np.empty_like(state.vmodes)
-        diss = 0.0
-        for k in range(k_count):
-            u = state.modes[k]
-            v = state.vmodes[k]
-            rhs = v - tau * (self.a * v) - tau ** 2 * self._apply_p(k, v) - 2.0 * tau * self._apply_p(k, u)
-            try:
-                vp = cho_solve_banded((self._factors[k], False), rhs)
-            except Exception as exc:
-                raise SolveError(f"midpoint solve failed for mode {k} at dt={self.dt}: {exc}") from exc
-            up = u + tau * (v + vp)
-            vm = 0.5 * (v + vp)
-            diss += 2.0 * self.dt * self.grid.h * float(np.sum(self.a * np.abs(vm) ** 2))
-            new_u[k] = up
-            new_v[k] = vp
-        return replace(state, t=state.t + self.dt, modes=new_u, vmodes=new_v), diss
+        u, v = state.modes, state.vmodes
+        rhs = v - tau * (self.a * v) - tau ** 2 * self._apply_p(v) - 2.0 * tau * self._apply_p(u)
+        try:
+            vp = cho_solve_banded((self._factor, False), rhs.ravel()).reshape(v.shape)
+        except (LinAlgError, ValueError) as exc:
+            raise SolveError(f"midpoint solve failed at dt={self.dt}: {exc}") from exc
+        vm = 0.5 * (v + vp)
+        diss = 2.0 * self.dt * self.grid.h * float(np.sum(self.a * vm ** 2))
+        return replace(state, t=state.t + self.dt, modes=u + tau * (v + vp), vmodes=vp), diss
 
     def mode_energies(self, state: WaveState) -> np.ndarray:
         """Form energy per mode: h(<(-D2+lam)u,u> + ||v||^2)."""
         h = self.grid.h
-        out = np.empty(state.modes.shape[0])
-        for k in range(state.modes.shape[0]):
-            u = state.modes[k]
-            v = state.vmodes[k]
-            lam_eff = self.lambdas[k] + self.mass ** 2
-            q = self.lap.quadratic_form(u) + lam_eff * h * float(np.sum(np.abs(u) ** 2))
-            out[k] = q + h * float(np.sum(np.abs(v) ** 2))
-        return out
+        u, v = state.modes, state.vmodes
+        grad = np.maximum(-np.sum(u * self.lap.apply(u), axis=-1), 0.0)
+        return h * (grad + np.sum(self.lam_eff * u ** 2 + v ** 2, axis=-1))
 
 
 def smooth_initial_data(modes: np.ndarray, vmodes: np.ndarray, grid: Grid1D,
@@ -158,31 +156,23 @@ def smooth_initial_data(modes: np.ndarray, vmodes: np.ndarray, grid: Grid1D,
                         k_applications: int, order: int = 4, mass: float = 0.0):
     """Apply the resolvent at z = i repeatedly to emulate extra regularity.
 
-    One application maps (u, v) to (u', v') with
-    u' = (-D2 + lam + a + 1)^{-1} [(a+1) u + v],  v' = u' - u,
-    which is the resolvent of the evolution generator at z = i up to a global
-    phase (irrelevant for energies).  Data stays real.
+    Each application maps u to u' = (-D2 + lam + a + 1)^{-1} [(a+1) u + v],
+    the displacement part of the resolvent of the evolution generator at z = i
+    up to a global phase (irrelevant for energies), and sets the velocity to
+    zero, so v enters through the first application only.  Data stays real.
     """
     if k_applications < 0:
         raise ValueError(f"need k >= 0 applications, got {k_applications}")
     lap = laplacian_1d(grid, order=order)
     a = damping.samples
-    hb = lap.halfbw
-    out_u = np.array(modes, dtype=float, copy=True)
-    out_v = np.array(vmodes, dtype=float, copy=True)
-    for k in range(out_u.shape[0]):
-        lam_eff = float(lambdas[k]) + mass ** 2
-        ab = np.zeros((hb + 1, grid.N))
-        ab[hb, :] = lam_eff + a + 1.0 - lap.diags[0]
-        for m in range(1, hb + 1):
-            ab[hb - m, m:] = -lap.diags[m]
-        cb = cholesky_banded(ab, lower=False)
-        for _ in range(k_applications):
-            u, v = out_u[k], out_v[k]
-            up = cho_solve_banded((cb, False), (a + 1.0) * u + v)
-            out_u[k] = up
-            out_v[k] = up - u
-    return out_u, out_v
+    u = np.array(modes, dtype=float, copy=True)
+    v = np.array(vmodes, dtype=float, copy=True)
+    lam_eff = np.asarray(lambdas, dtype=float)[:, None] + mass ** 2
+    factor = _stacked_cholesky(lap, lam_eff + a + 1.0 - lap.diags[0], 1.0)
+    for _ in range(k_applications):
+        u = cho_solve_banded((factor, False), ((a + 1.0) * u + v).ravel()).reshape(u.shape)
+        v = np.zeros_like(u)
+    return u, v
 
 
 def energy(state: WaveState, grid: Grid1D, stepper: Stepper, delta1: float = 0.0,
@@ -202,25 +192,17 @@ def energy(state: WaveState, grid: Grid1D, stepper: Stepper, delta1: float = 0.0
     per_mode = stepper.mode_energies(state)
     e_total = float(np.sum(per_mode))
 
-    full_window = R >= grid.X - 0.5 * h
-    mask = None if full_window else (np.abs(grid.xs) <= R)
-    w = weight(grid, -delta1) if delta1 != 0.0 else np.ones(grid.N)
-
-    e_local = 0.0
-    grad_w_sq = 0.0
-    dtu_w_sq = 0.0
-    for k in range(state.modes.shape[0]):
-        u = state.modes[k]
-        v = state.vmodes[k]
-        lam_eff = stepper.lambdas[k] + stepper.mass ** 2
-        du = gradient_1d(u, grid, order=stepper.order)
-        dens = np.abs(du) ** 2 + lam_eff * np.abs(u) ** 2 + np.abs(v) ** 2
-        if not full_window:
-            e_local += h * float(np.sum(dens[mask]))
-        grad_w_sq += h * float(np.sum(w ** 2 * (np.abs(du) ** 2 + lam_eff * np.abs(u) ** 2)))
-        dtu_w_sq += h * float(np.sum(w ** 2 * np.abs(v) ** 2))
-    if full_window:
+    u, v = state.modes, state.vmodes
+    du = gradient_1d(u, grid, order=stepper.order)
+    grad_dens = du ** 2 + stepper.lam_eff * u ** 2
+    w2 = weight(grid, -delta1) ** 2 if delta1 != 0.0 else np.ones(grid.N)
+    grad_w_sq = h * float(np.sum(w2 * grad_dens))
+    dtu_w_sq = h * float(np.sum(w2 * v ** 2))
+    if R >= grid.X - 0.5 * h:
         e_local = e_total
+    else:
+        mask = np.abs(grid.xs) <= R
+        e_local = h * float(np.sum((grad_dens + v ** 2)[:, mask]))
 
     if state.flavor == WAVE_NEUMANN:
         e_p0 = float(per_mode[0])

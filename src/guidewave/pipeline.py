@@ -27,7 +27,7 @@ from .fit import compare_models, fit_exponential, fit_power, predict_exponent
 from .heat import HeatSolution, compare, p0_heat_data
 from .resolvent import (EnergyNormResolvent, norm_scan, pure_laplacian_control,
                         semiclassical_scan, spectral_gap_probe, theta_probe)
-from .transverse import DIRICHLET, NEUMANN, TransverseBasis
+from .transverse import DIRICHLET, NEUMANN, transverse_eigenvalues
 
 
 def max_threads() -> int:
@@ -120,18 +120,15 @@ def build_grid(cfg: ExperimentConfig) -> Grid1D:
 
 def build_damping(cfg: ExperimentConfig, grid: Grid1D) -> DampingProfile:
     d = cfg.damping
-    return DampingProfile.build(grid, kind=d.kind, rho=d.rho, r=d.r, c0=d.c0, level=d.level)
+    return DampingProfile.build(grid, kind=d.kind, rho=d.rho, r=d.r, level=d.level)
 
 
 def build_basis(cfg: ExperimentConfig):
-    """Transverse basis, mode eigenvalues and the mode-0 normalization factor."""
-    if cfg.flavor == WAVE_NEUMANN:
-        basis = TransverseBasis.build(NEUMANN, L=cfg.domain.L, K=cfg.domain.K)
-        return basis, basis.lambdas, math.sqrt(cfg.domain.L)
-    if cfg.flavor == WAVE_DIRICHLET:
-        basis = TransverseBasis.build(DIRICHLET, L=cfg.domain.L, K=cfg.domain.K)
-        return basis, basis.lambdas, math.sqrt(cfg.domain.L)
-    return None, np.array([0.0]), 1.0
+    """Transverse mode eigenvalues and the mode-0 normalization factor."""
+    if cfg.flavor in (WAVE_NEUMANN, WAVE_DIRICHLET):
+        bc = NEUMANN if cfg.flavor == WAVE_NEUMANN else DIRICHLET
+        return transverse_eigenvalues(bc, L=cfg.domain.L, K=cfg.domain.K), math.sqrt(cfg.domain.L)
+    return np.array([0.0]), 1.0
 
 
 def build_envelope(cfg: ExperimentConfig, grid: Grid1D) -> np.ndarray:
@@ -168,6 +165,31 @@ def _informative(cfg: ExperimentConfig) -> bool:
     return cfg.damping.kind == "hole" or cfg.flavor == WAVE_DIRICHLET
 
 
+def _predicted(track: str, cfg: ExperimentConfig, k: int = 1) -> float | None:
+    """Predicted exponent of a decay track, or None where the weights rule it out."""
+    try:
+        return predict_exponent(track, cfg.weight_spec(), k=k, d=1, rho=_rho_for_fit(cfg))
+    except ValueError:
+        return None
+
+
+def _fit_record(series: str, f, verdict: str, **extra) -> dict:
+    return {"series": series, "model": f.model, "exponent": f.exponent, "stderr": f.stderr,
+            "predicted": f.predicted, "verdict": verdict, "window": list(f.window),
+            "curvature": f.curvature, **extra}
+
+
+def _fit_entry(cfg: ExperimentConfig, series: str, model: str, t, y,
+               predicted: float | None = None) -> dict:
+    """Fit one series over the config's window; a failed fit is recorded, not raised."""
+    try:
+        f = (fit_power if model == "power" else fit_exponential)(
+            t, y, window=tuple(cfg.fit_window), predicted=predicted)
+    except ValueError as exc:
+        return {"series": series, "model": model, "error": str(exc)}
+    return _fit_record(series, f, "informative" if _informative(cfg) else f.verdict())
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -175,7 +197,7 @@ def _informative(cfg: ExperimentConfig) -> bool:
 def cmd_evolve(cfg: ExperimentConfig, out_base: str, keep_snapshots: bool = False) -> dict:
     grid = build_grid(cfg)
     damping = build_damping(cfg, grid)
-    _, lambdas, _ = build_basis(cfg)
+    lambdas, _ = build_basis(cfg)
     state0 = build_initial_state(cfg, grid, lambdas, damping)
     result = run(state0, grid, lambdas, damping, dt=cfg.time.dt, t_end=cfg.time.t_end,
                  order=cfg.grid.order, t0=cfg.time.t0, sample_ratio=cfg.time.sample_ratio,
@@ -183,48 +205,23 @@ def cmd_evolve(cfg: ExperimentConfig, out_base: str, keep_snapshots: bool = Fals
                  keep_snapshots=keep_snapshots)
     series = result.series()
 
-    window = tuple(cfg.fit_window)
-    informative = _informative(cfg)
-    spec = cfg.weight_spec()
-    rho = _rho_for_fit(cfg)
-    fits = []
-
-    def add_fit(series_name, y, model, track=None, k=1, fit_window=window):
-        predicted = None
-        if track is not None:
-            try:
-                predicted = predict_exponent(track, spec, k=k, d=1, rho=rho)
-            except ValueError:
-                predicted = None
-        try:
-            f = (fit_power if model == "power" else fit_exponential)(
-                series["t"], y, window=fit_window, predicted=predicted)
-        except ValueError as exc:
-            fits.append({"series": series_name, "model": model, "error": str(exc)})
-            return
-        fits.append({"series": series_name, "model": model, "exponent": f.exponent,
-                     "stderr": f.stderr, "predicted": predicted,
-                     "verdict": "informative" if informative else f.verdict(),
-                     "window": list(f.window), "curvature": f.curvature})
-
+    t = series["t"]
     if cfg.flavor == WAVE_DIRICHLET:
-        add_fit("state_norm", np.sqrt(series["E_total"]), "power",
-                track="dirichlet_highfreq", k=max(cfg.init.smoothing_k, 1))
+        fits = [_fit_entry(cfg, "state_norm", "power", t, np.sqrt(series["E_total"]),
+                           _predicted("dirichlet_highfreq", cfg, k=max(cfg.init.smoothing_k, 1)))]
     elif cfg.flavor == KLEIN_GORDON:
-        add_fit("E_total", series["E_total"], "exponential")
+        fits = [_fit_entry(cfg, "E_total", "exponential", t, series["E_total"])]
     else:
-        add_fit("grad_w", series["grad_w"], "power", track="energy_decay_grad")
-        add_fit("dtu_w", series["dtu_w"], "power", track="energy_decay_dt")
+        fits = [_fit_entry(cfg, "grad_w", "power", t, series["grad_w"],
+                           _predicted("energy_decay_grad", cfg)),
+                _fit_entry(cfg, "dtu_w", "power", t, series["dtu_w"],
+                           _predicted("energy_decay_dt", cfg))]
         if cfg.flavor == WAVE_NEUMANN and np.any(series["E_p0perp"] > 0):
             p0_window = (cfg.time.t0 * 2, min(60.0, cfg.time.t_end))
             try:
-                cm = compare_models(series["t"], series["E_p0perp"], window=p0_window)
-                ex = cm["exponential"]
-                fits.append({"series": "E_p0perp", "model": "exponential",
-                             "exponent": ex.exponent, "stderr": ex.stderr,
-                             "predicted": None, "verdict": "informative",
-                             "window": list(ex.window), "curvature": ex.curvature,
-                             "better_model": cm["better"]})
+                cm = compare_models(t, series["E_p0perp"], window=p0_window)
+                fits.append(_fit_record("E_p0perp", cm["exponential"], "informative",
+                                        better_model=cm["better"]))
             except ValueError as exc:
                 fits.append({"series": "E_p0perp", "model": "exponential", "error": str(exc)})
 
@@ -248,32 +245,17 @@ def cmd_heat_compare(cfg: ExperimentConfig, out_base: str) -> dict:
         raise ConfigError(f"flavor: heat comparison needs wave_neumann or wave_euclidean, got {cfg.flavor!r}")
     evolved = cmd_evolve(cfg, out_base, keep_snapshots=True)
     grid, damping, lambdas = evolved["grid"], evolved["damping"], evolved["lambdas"]
-    _, _, yfactor = build_basis(cfg)
+    _, yfactor = build_basis(cfg)
     state0 = evolved["result"].snapshots[0]
     w0 = p0_heat_data(state0.modes, state0.vmodes, damping.samples, yfactor)
     heat = HeatSolution(grid=grid, w0=w0)
     table = compare(evolved["result"].snapshots, heat, grid, lambdas, yfactor,
                     delta1=cfg.weights["delta1"], order=cfg.grid.order)
 
-    spec = cfg.weight_spec()
-    rho = _rho_for_fit(cfg)
-    fits = []
     zero_heat = float(np.max(np.abs(w0))) == 0.0
-    for name, track in (("norm_grad_diff", "heat_compare_grad_diff"),
-                        ("norm_dt_diff", "heat_compare_dt_diff")):
-        try:
-            predicted = predict_exponent(track, spec, d=1, rho=rho)
-        except ValueError:
-            predicted = None
-        try:
-            f = fit_power(table["t"], table[name], window=tuple(cfg.fit_window),
-                          predicted=predicted)
-            fits.append({"series": name, "model": "power", "exponent": f.exponent,
-                         "stderr": f.stderr, "predicted": predicted,
-                         "verdict": "informative" if _informative(cfg) else f.verdict(),
-                         "window": list(f.window), "curvature": f.curvature})
-        except ValueError as exc:
-            fits.append({"series": name, "model": "power", "error": str(exc)})
+    fits = [_fit_entry(cfg, name, "power", table["t"], table[name], _predicted(track, cfg))
+            for name, track in (("norm_grad_diff", "heat_compare_grad_diff"),
+                                ("norm_dt_diff", "heat_compare_dt_diff"))]
 
     finite = np.isfinite(table["ratio_dt"])
     payload = {"command": "heat-compare", "fits": fits, "zero_heat_data": zero_heat,
@@ -300,12 +282,12 @@ def _fit_loglog_slope(xs, ys):
 def cmd_resolvent(cfg: ExperimentConfig, out_base: str) -> dict:
     grid = build_grid(cfg)
     damping = build_damping(cfg, grid)
-    _, lambdas, _ = build_basis(cfg)
+    lambdas, _ = build_basis(cfg)
     kind = cfg.scan.kind
-    outdir = os.path.join(out_base, config_hash(cfg))
+    zs = parse_scan_z(cfg.scan.z_list)
+    payload = {"command": "resolvent-scan", "kind": kind}
 
     if kind == "theta":
-        zs = parse_scan_z(cfg.scan.z_list)
         rows = theta_probe(zs, damping, grid, lambdas,
                            delta1=cfg.weights["delta1"], delta2=cfg.weights["delta2"],
                            order=cfg.grid.order)
@@ -313,34 +295,27 @@ def cmd_resolvent(cfg: ExperimentConfig, out_base: str) -> dict:
         for j in (1, 2, 3, 4):
             cols[f"theta{j}"] = [r[f"theta{j}"] for r in rows]
         cols["structure_residual"] = [r["structure_residual"] for r in rows]
-        variation = {f"theta{j}": (max(c) / min(c) if min(c := cols[f"theta{j}"]) > 0 else math.inf)
-                     for j in (1, 2, 3, 4)}
-        payload = {"command": "resolvent-scan", "kind": kind, "variation": variation,
-                   "max_structure_residual": max(cols["structure_residual"])}
-        atomic_write(os.path.join(outdir, "scan.csv"), format_csv(cols, _header(cfg)))
-        atomic_write(os.path.join(outdir, "scan.json"), _json_report(cfg, payload))
-        atomic_write(os.path.join(outdir, "config.json"), canonical_json(cfg) + "\n")
-        return {"outdir": outdir, "rows": rows, "payload": payload}
+        payload["variation"] = {
+            f"theta{j}": (max(c) / min(c) if min(c := cols[f"theta{j}"]) > 0 else math.inf)
+            for j in (1, 2, 3, 4)}
+        payload["max_structure_residual"] = max(cols["structure_residual"])
+        result = {"rows": rows}
 
-    if kind == "gap":
-        taus = [abs(complex(z)) for z in parse_scan_z(cfg.scan.z_list)]
-        probes = spectral_gap_probe(taus, cfg.scan.gamma, damping, grid, lambdas,
-                                    order=cfg.grid.order,
+    elif kind == "gap":
+        probes = spectral_gap_probe([abs(z) for z in zs], cfg.scan.gamma, damping, grid,
+                                    lambdas, order=cfg.grid.order,
                                     rng=np.random.default_rng(cfg.seed))
         cols = {"tau": [p.tau for p in probes], "re_z": [p.z.real for p in probes],
                 "im_z": [p.z.imag for p in probes],
                 "spectrum_free": [1.0 if p.spectrum_free else 0.0 for p in probes],
                 "norm_est": [p.norm_est for p in probes],
                 "bound_constant": [p.bound_constant for p in probes]}
-        payload = {"command": "resolvent-scan", "kind": kind, "gamma": cfg.scan.gamma,
-                   "empirical_C": max(c for c in cols["bound_constant"] if math.isfinite(c))}
-        atomic_write(os.path.join(outdir, "scan.csv"), format_csv(cols, _header(cfg)))
-        atomic_write(os.path.join(outdir, "scan.json"), _json_report(cfg, payload))
-        atomic_write(os.path.join(outdir, "config.json"), canonical_json(cfg) + "\n")
-        return {"outdir": outdir, "probes": probes, "payload": payload}
+        payload["gamma"] = cfg.scan.gamma
+        payload["empirical_C"] = max(c for c in cols["bound_constant"] if math.isfinite(c))
+        result = {"probes": probes}
 
-    if kind == "realaxis":
-        taus = [complex(z).real for z in parse_scan_z(cfg.scan.z_list)]
+    elif kind == "realaxis":
+        taus = [z.real for z in zs]
         helpers = [EnergyNormResolvent(grid, lam, damping, order=cfg.grid.order)
                    for lam in lambdas]
 
@@ -350,52 +325,51 @@ def cmd_resolvent(cfg: ExperimentConfig, out_base: str) -> dict:
 
         with ThreadPoolExecutor(max_workers=max_threads()) as pool:
             norms = list(pool.map(work, range(len(taus))))
-        brackets = [(1.0 + t * t) for t in taus]
-        c_emp = max(n / b for n, b in zip(norms, brackets))
+        constants = [n / (1.0 + t * t) for n, t in zip(norms, taus)]
         cols = {"re_z": taus, "im_z": [0.0] * len(taus),
                 "beta1": [0.0] * len(taus), "beta2": [0.0] * len(taus),
-                "norm_est": norms, "bound_constant": [n / b for n, b in zip(norms, brackets)]}
-        payload = {"command": "resolvent-scan", "kind": kind, "empirical_C": c_emp,
-                   "all_finite": bool(np.all(np.isfinite(norms)))}
-        atomic_write(os.path.join(outdir, "scan.csv"), format_csv(cols, _header(cfg)))
-        atomic_write(os.path.join(outdir, "scan.json"), _json_report(cfg, payload))
-        atomic_write(os.path.join(outdir, "config.json"), canonical_json(cfg) + "\n")
-        return {"outdir": outdir, "norms": norms, "payload": payload}
+                "norm_est": norms, "bound_constant": constants}
+        payload["empirical_C"] = max(constants)
+        payload["all_finite"] = bool(np.all(np.isfinite(norms)))
+        result = {"norms": norms}
 
-    # default: high/intermediate frequency norm scan, max over modes per point
-    zs = parse_scan_z(cfg.scan.z_list)
-    select = np.random.default_rng(cfg.seed).random(len(zs)) < 0.1
+    else:
+        # high/intermediate frequency norm scan, max over modes per point
+        select = np.random.default_rng(cfg.seed).random(len(zs)) < 0.1
 
-    def work(i):
-        rng = np.random.default_rng([cfg.seed, i])
-        return norm_scan([zs[i]], cfg.scan.beta1, cfg.scan.beta2, damping, grid, lambdas,
-                         order=cfg.grid.order, rng=rng,
-                         oracle_fraction=1.0 if select[i] else 0.0,
-                         truncation_guard=cfg.scan.truncation_guard)[0]
+        def work(i):
+            rng = np.random.default_rng([cfg.seed, i])
+            return norm_scan([zs[i]], cfg.scan.beta1, cfg.scan.beta2, damping, grid, lambdas,
+                             order=cfg.grid.order, rng=rng,
+                             oracle_fraction=1.0 if select[i] else 0.0,
+                             truncation_guard=cfg.scan.truncation_guard)[0]
 
-    with ThreadPoolExecutor(max_workers=max_threads()) as pool:
-        points = list(pool.map(work, range(len(zs))))
+        with ThreadPoolExecutor(max_workers=max_threads()) as pool:
+            points = list(pool.map(work, range(len(zs))))
 
-    cols = {"re_z": [p.z.real for p in points], "im_z": [p.z.imag for p in points],
-            "beta1": [float(p.beta1) for p in points], "beta2": [float(p.beta2) for p in points],
-            "norm_est": [p.norm_est for p in points],
-            "method": [0.0 if p.method == "power_iteration" else 1.0 for p in points],
-            "flag": [1.0 if p.flag == "truncation-limited" else 0.0 for p in points],
-            "k_argmax": [float(p.k_argmax) for p in points]}
-    ok = [p for p in points if p.flag != "truncation-limited" and abs(p.z.real) > 0]
-    payload = {"command": "resolvent-scan", "kind": kind,
-               "n_points": len(points),
-               "n_truncation_limited": sum(p.flag == "truncation-limited" for p in points)}
-    if len(ok) >= 2:
-        payload["slope"] = _fit_loglog_slope([abs(p.z.real) for p in ok],
-                                             [p.norm_est for p in ok])
-        power = 1 + cfg.scan.beta1 + cfg.scan.beta2
-        payload["bound_power"] = power
-        payload["bound_constant"] = max(p.norm_est / abs(p.z.real) ** power for p in ok)
+        cols = {"re_z": [p.z.real for p in points], "im_z": [p.z.imag for p in points],
+                "beta1": [float(p.beta1) for p in points],
+                "beta2": [float(p.beta2) for p in points],
+                "norm_est": [p.norm_est for p in points],
+                "method": [0.0 if p.method == "power_iteration" else 1.0 for p in points],
+                "flag": [1.0 if p.flag == "truncation-limited" else 0.0 for p in points],
+                "k_argmax": [float(p.k_argmax) for p in points]}
+        ok = [p for p in points if p.flag != "truncation-limited" and abs(p.z.real) > 0]
+        payload["n_points"] = len(points)
+        payload["n_truncation_limited"] = sum(p.flag == "truncation-limited" for p in points)
+        if len(ok) >= 2:
+            payload["slope"] = _fit_loglog_slope([abs(p.z.real) for p in ok],
+                                                 [p.norm_est for p in ok])
+            power = 1 + cfg.scan.beta1 + cfg.scan.beta2
+            payload["bound_power"] = power
+            payload["bound_constant"] = max(p.norm_est / abs(p.z.real) ** power for p in ok)
+        result = {"points": points}
+
+    outdir = os.path.join(out_base, config_hash(cfg))
     atomic_write(os.path.join(outdir, "scan.csv"), format_csv(cols, _header(cfg)))
     atomic_write(os.path.join(outdir, "scan.json"), _json_report(cfg, payload))
     atomic_write(os.path.join(outdir, "config.json"), canonical_json(cfg) + "\n")
-    return {"outdir": outdir, "points": points, "payload": payload}
+    return {"outdir": outdir, "payload": payload, **result}
 
 
 def cmd_semiclassical(cfg: ExperimentConfig, out_base: str) -> dict:

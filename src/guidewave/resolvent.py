@@ -16,14 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.fft import dst
 from scipy.linalg import svdvals
-from scipy.sparse.linalg import LinearOperator, svds
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, svds
 
 from .discretize import (DampingProfile, Grid1D, ShiftedOperator, _D1_STENCILS,
                          laplacian_1d, mode_operator, weight)
 from .errors import ConvergenceError, SolveError
 
 POWER_ITERATION = "power_iteration"
-DENSE_SVD = "dense_svd"
 
 
 @dataclass(frozen=True)
@@ -82,18 +81,16 @@ def iterative_norm(apply_op, apply_adjoint, n: int, rng: np.random.Generator,
 
     Lanczos (ARPACK) on the normal operator; plain power iteration stagnates
     when the top singular values cluster (constant damping leaves ~ tau X / pi
-    near-degenerate modes), so it is kept only as the fallback.
+    near-degenerate modes), so it is kept only as the fallback when ARPACK
+    itself fails.  Errors raised by the operator propagate.
     """
-    if n < 8:
-        mat = np.column_stack([apply_op(col) for col in np.eye(n, dtype=complex)])
-        return float(svdvals(mat)[0]), 0.0, 0
     op = LinearOperator((n, n), matvec=lambda x: apply_op(np.ravel(x)),
                         rmatvec=lambda x: apply_adjoint(np.ravel(x)), dtype=complex)
     v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     try:
         sigma = svds(op, k=1, v0=v0, tol=tol, maxiter=60, return_singular_vectors=False)
         return float(sigma[0]), tol, -1
-    except Exception:
+    except (ArpackNoConvergence, ArpackError):
         return power_iteration_norm(apply_op, apply_adjoint, n, rng)
 
 
@@ -115,12 +112,6 @@ class SobolevScaler:
     def dense(self, beta: float) -> np.ndarray:
         basis = dst(np.eye(self.grid.N), type=1, norm="ortho", axis=0)
         return basis.T @ ((1.0 + self.nu[:, None]) ** (beta / 2.0) * basis)
-
-
-def rn_solve(z: complex, damping: DampingProfile, lam: float, grid: Grid1D,
-             rhs: np.ndarray, order: int = 4) -> np.ndarray:
-    """Solve (-d^2/dx^2 + lam - i z a - z^2) u = rhs on one mode."""
-    return mode_operator(grid, lam, damping, z, order=order).solve(rhs)
 
 
 def _mode_sobolev_norm(op: ShiftedOperator, scaler: SobolevScaler, beta1: int, beta2: int,
@@ -147,8 +138,7 @@ def dense_sobolev_norm(op: ShiftedOperator, scaler: SobolevScaler, beta1: int, b
 
 def norm_scan(z_list, beta1: int, beta2: int, damping: DampingProfile, grid: Grid1D,
               lambdas, order: int = 4, mass: float = 0.0,
-              rng: np.random.Generator | None = None,
-              method: str = POWER_ITERATION, oracle_fraction: float = 0.1,
+              rng: np.random.Generator | None = None, oracle_fraction: float = 0.1,
               truncation_guard: bool = False, guard_rtol: float = 0.05) -> list[ScanPoint]:
     """Resolvent norms over the guide: max over transverse modes per z.
 
@@ -162,13 +152,12 @@ def norm_scan(z_list, beta1: int, beta2: int, damping: DampingProfile, grid: Gri
     rng = rng or np.random.default_rng(0)
     lambdas = np.asarray(lambdas, dtype=float)
     scaler = SobolevScaler(grid)
-    use_oracle = method == DENSE_SVD
     oracle_grid_ok = grid.N <= 1024
 
     if truncation_guard:
         grid2 = grid.refine(1.5)
         damping2 = DampingProfile.build(grid2, kind=damping.kind, rho=damping.rho,
-                                        r=damping.r, c0=damping.c0, level=damping.level)
+                                        r=damping.r, level=damping.level)
         scaler2 = SobolevScaler(grid2)
 
     points = []
@@ -179,10 +168,7 @@ def norm_scan(z_list, beta1: int, beta2: int, damping: DampingProfile, grid: Gri
         fading = 0
         for k, lam in enumerate(lambdas):
             op = mode_operator(grid, lam, damping, z, order=order, mass=mass)
-            if use_oracle:
-                sigma, res = dense_sobolev_norm(op, scaler, beta1, beta2), 0.0
-            else:
-                sigma, res, _ = _mode_sobolev_norm(op, scaler, beta1, beta2, rng)
+            sigma, res, _ = _mode_sobolev_norm(op, scaler, beta1, beta2, rng)
             if sigma > best:
                 best, best_k, best_res = sigma, k, res
             # the elliptic tail lam_k >> tau^2 decays monotonically; stop once
@@ -194,7 +180,7 @@ def norm_scan(z_list, beta1: int, beta2: int, damping: DampingProfile, grid: Gri
             else:
                 fading = 0
         flag = "ok"
-        if not use_oracle and oracle_grid_ok and rng.random() < oracle_fraction:
+        if oracle_grid_ok and rng.random() < oracle_fraction:
             op = mode_operator(grid, lambdas[best_k], damping, z, order=order, mass=mass)
             sigma_svd = dense_sobolev_norm(op, scaler, beta1, beta2)
             if abs(best - sigma_svd) > 0.01 * sigma_svd:
@@ -203,14 +189,12 @@ def norm_scan(z_list, beta1: int, beta2: int, damping: DampingProfile, grid: Gri
             flag = "validated"
         if truncation_guard:
             op2 = mode_operator(grid2, lambdas[best_k], damping2, z, order=order, mass=mass)
-            if use_oracle and grid2.N <= 1400:
-                sigma2 = dense_sobolev_norm(op2, scaler2, beta1, beta2)
-            else:
-                sigma2, _, _ = _mode_sobolev_norm(op2, scaler2, beta1, beta2, rng)
+            sigma2, _, _ = _mode_sobolev_norm(op2, scaler2, beta1, beta2, rng)
             if abs(sigma2 - best) > guard_rtol * best:
                 flag = "truncation-limited"
         points.append(ScanPoint(z=z, beta1=beta1, beta2=beta2, norm_est=best,
-                                method=method, residual=best_res, flag=flag, k_argmax=best_k))
+                                method=POWER_ITERATION, residual=best_res, flag=flag,
+                                k_argmax=best_k))
     return points
 
 
@@ -247,24 +231,6 @@ class WaveBlockResolvent:
         w1 = (zb - 1j * a) * rf + g + (zb * zb - 1j * zb * a) * rg
         w2 = rf + zb * rg
         return w1, w2
-
-
-def wave_resolvent_apply(z: complex, f: np.ndarray, g: np.ndarray, damping: DampingProfile,
-                         lam: float, grid: Grid1D, order: int = 4) -> tuple[np.ndarray, np.ndarray]:
-    """One-shot block-resolvent application (see WaveBlockResolvent)."""
-    return WaveBlockResolvent(z, damping, lam, grid, order=order).apply(f, g)
-
-
-def wave_apply(f: np.ndarray, g: np.ndarray, damping: DampingProfile, lam: float,
-               grid: Grid1D, order: int = 4) -> tuple[np.ndarray, np.ndarray]:
-    """The first-order operator itself: (f, g) -> (g, (-D2 + lam) f - i a g).
-
-    This is the matrix acting on the pair (u, i du/dt); its lower-left block
-    is minus the Laplacian.
-    """
-    lap = laplacian_1d(grid, order=order)
-    out2 = -lap.apply(np.asarray(f, dtype=complex)) + lam * f - 1j * damping.samples * g
-    return np.asarray(g, dtype=complex), out2
 
 
 class EnergyNormResolvent:
@@ -503,16 +469,3 @@ def pure_laplacian_control(h_list, X: float = 200.0) -> list[dict]:
         norm = 1.0 / dist if dist > 0 else math.inf
         out.append({"h": h, "norm": norm, "h_norm": h * norm})
     return out
-
-
-def resolvent_identity_residual(z1: complex, z2: complex, damping: DampingProfile,
-                                lam: float, grid: Grid1D, f: np.ndarray,
-                                order: int = 4) -> float:
-    """|| [R(z1) - R(z2) - (z1 - z2) R(z1)(ia + z1 + z2) R(z2)] f || / ||f||."""
-    op1 = mode_operator(grid, lam, damping, z1, order=order)
-    op2 = mode_operator(grid, lam, damping, z2, order=order)
-    a = damping.samples
-    r2f = op2.solve(np.asarray(f, dtype=complex))
-    lhs = op1.solve(np.asarray(f, dtype=complex)) - r2f
-    rhs = (z1 - z2) * op1.solve((1j * a + z1 + z2) * r2f)
-    return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(f))

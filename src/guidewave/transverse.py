@@ -1,16 +1,16 @@
-"""Analytic transverse eigenbasis on the cross-section (0, L).
+"""Closed-form transverse eigenvalues of the cross-section (0, L).
 
 The cross-section Laplacian with Neumann or Dirichlet condition on an
-interval has closed-form eigenpairs (cosines resp. sines).  This module
-samples them on a uniform quadrature grid, provides the mode transform
-u(x, y) <-> u_k(x) and the cross-section mean projection P0 together with
-its complement.
+interval has eigenvalues lambda_k = (k pi / L)^2, with k = 0, 1, ... for
+Neumann (k = 0 is the constant mode) and k = 1, 2, ... for Dirichlet.  The
+eigenfunctions never need sampling: data is given directly as mode
+coefficients, and the mode-0 coefficient carries the sqrt(L) normalization
+of the constant eigenfunction.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,103 +18,16 @@ NEUMANN = "neumann"
 DIRICHLET = "dirichlet"
 
 
-def eigenpair(bc: str, L: float, k: int):
-    """Return (lambda_k, phi_k) for the interval Laplacian on (0, L).
-
-    phi_k is a callable sample rule, normalized to unit L2(0, L) norm.
-    Neumann admits k >= 0 (k = 0 is the constant mode, lambda = 0);
-    Dirichlet requires k >= 1.
-    """
+def transverse_eigenvalues(bc: str, L: float = math.pi, K: int = 16) -> np.ndarray:
+    """The K lowest eigenvalues (k pi / L)^2 of the interval Laplacian on (0, L)."""
     if L <= 0:
         raise ValueError(f"interval length must be positive, got L={L}")
+    if K < 1:
+        raise ValueError(f"need at least one mode, got K={K}")
     if bc == NEUMANN:
-        if k < 0:
-            raise ValueError(f"Neumann mode index must be >= 0, got k={k}")
-        lam = (k * math.pi / L) ** 2
-        if k == 0:
-            return 0.0, lambda y: np.full_like(np.asarray(y, dtype=float), 1.0 / math.sqrt(L))
-        c = math.sqrt(2.0 / L)
-        return lam, lambda y, _k=k: c * np.cos(_k * math.pi * np.asarray(y, dtype=float) / L)
-    if bc == DIRICHLET:
-        if k < 1:
-            raise ValueError(f"Dirichlet mode index must be >= 1, got k={k}")
-        lam = (k * math.pi / L) ** 2
-        c = math.sqrt(2.0 / L)
-        return lam, lambda y, _k=k: c * np.sin(_k * math.pi * np.asarray(y, dtype=float) / L)
-    raise ValueError(f"unknown boundary condition {bc!r}")
-
-
-@dataclass(frozen=True)
-class TransverseBasis:
-    """Sampled orthonormal eigenbasis of the cross-section Laplacian.
-
-    ``phi`` holds the K eigenfunctions sampled on ``ygrid`` (shape K x Ny);
-    ``yweights`` are composite-trapezoid weights, endpoints halved.  All
-    fields are immutable; operations are pure.
-    """
-
-    bc: str
-    L: float
-    K: int
-    lambdas: np.ndarray
-    ygrid: np.ndarray
-    yweights: np.ndarray
-    phi: np.ndarray = field(repr=False)
-
-    @classmethod
-    def build(cls, bc: str, L: float = math.pi, K: int = 16, ny: int | None = None) -> "TransverseBasis":
-        if K < 1:
-            raise ValueError(f"need at least one mode, got K={K}")
-        if ny is None:
-            ny = max(8 * K, 64)
-        if ny < 8 * K:
-            raise ValueError(f"quadrature needs ny >= 8K = {8 * K}, got ny={ny}")
-        ygrid = np.linspace(0.0, L, ny)
-        w = np.full(ny, L / (ny - 1))
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        ks = range(K) if bc == NEUMANN else range(1, K + 1)
-        lams = []
-        rows = []
-        for k in ks:
-            lam, rule = eigenpair(bc, L, k)
-            lams.append(lam)
-            rows.append(rule(ygrid))
-        return cls(bc=bc, L=L, K=K, lambdas=np.array(lams), ygrid=ygrid,
-                   yweights=w, phi=np.array(rows))
-
-    def gram(self) -> np.ndarray:
-        """Quadrature Gram matrix of the sampled eigenfunctions."""
-        return (self.phi * self.yweights) @ self.phi.T
-
-    def to_modes(self, u: np.ndarray) -> np.ndarray:
-        """Mode coefficients u_k(x) of samples u with shape (nx, Ny).
-
-        Returns shape (K, nx).  The y-grid of u must match the basis grid.
-        """
-        u = np.asarray(u)
-        if u.ndim != 2 or u.shape[1] != self.ygrid.size:
-            raise ValueError(
-                f"expected samples of shape (nx, {self.ygrid.size}), got {u.shape}")
-        return (self.phi * self.yweights) @ u.T
-
-    def from_modes(self, coeffs: np.ndarray) -> np.ndarray:
-        """Reconstruct samples (nx, Ny) from mode coefficients (K, nx)."""
-        coeffs = np.asarray(coeffs)
-        if coeffs.ndim != 2 or coeffs.shape[0] != self.K:
-            raise ValueError(f"expected coefficients of shape ({self.K}, nx), got {coeffs.shape}")
-        return coeffs.T @ self.phi
-
-    def project_p0(self, u: np.ndarray) -> np.ndarray:
-        """Cross-section mean x -> (1/L) \\int u(x, y) dy (Neumann only)."""
-        if self.bc != NEUMANN:
-            raise ValueError("the mean projection is only meaningful for the Neumann basis")
-        u = np.asarray(u)
-        if u.ndim != 2 or u.shape[1] != self.ygrid.size:
-            raise ValueError(
-                f"expected samples of shape (nx, {self.ygrid.size}), got {u.shape}")
-        return (u * self.yweights).sum(axis=1) / self.L
-
-    def project_p0_perp(self, u: np.ndarray) -> np.ndarray:
-        """u minus its cross-section mean, the mean extended constantly in y."""
-        return np.asarray(u) - self.project_p0(u)[:, None]
+        ks = range(K)
+    elif bc == DIRICHLET:
+        ks = range(1, K + 1)
+    else:
+        raise ValueError(f"unknown boundary condition {bc!r}")
+    return np.array([(k * math.pi / L) ** 2 for k in ks])

@@ -10,9 +10,39 @@ from guidewave.errors import SolveError
 from guidewave.resolvent import (EnergyNormResolvent, HeatModelResolvent, SobolevScaler,
                                  WaveBlockResolvent, dense_sobolev_norm, iterative_norm,
                                  norm_scan, power_iteration_norm, pure_laplacian_control,
-                                 resolvent_identity_residual, rn_solve, semiclassical_scan,
-                                 spectral_gap_probe, theta_probe, wave_apply,
-                                 wave_resolvent_apply)
+                                 semiclassical_scan, spectral_gap_probe, theta_probe)
+
+
+def rn_solve(z, damping, lam, grid, rhs, order=4):
+    """Solve (-d^2/dx^2 + lam - i z a - z^2) u = rhs on one mode."""
+    return mode_operator(grid, lam, damping, z, order=order).solve(rhs)
+
+
+def wave_resolvent_apply(z, f, g, damping, lam, grid, order=4):
+    """One-shot block-resolvent application (see WaveBlockResolvent)."""
+    return WaveBlockResolvent(z, damping, lam, grid, order=order).apply(f, g)
+
+
+def wave_apply(f, g, damping, lam, grid, order=4):
+    """The first-order operator itself: (f, g) -> (g, (-D2 + lam) f - i a g).
+
+    This is the matrix acting on the pair (u, i du/dt); its lower-left block
+    is minus the Laplacian.
+    """
+    lap = laplacian_1d(grid, order=order)
+    out2 = -lap.apply(np.asarray(f, dtype=complex)) + lam * f - 1j * damping.samples * g
+    return np.asarray(g, dtype=complex), out2
+
+
+def resolvent_identity_residual(z1, z2, damping, lam, grid, f, order=4):
+    """|| [R(z1) - R(z2) - (z1 - z2) R(z1)(ia + z1 + z2) R(z2)] f || / ||f||."""
+    op1 = mode_operator(grid, lam, damping, z1, order=order)
+    op2 = mode_operator(grid, lam, damping, z2, order=order)
+    a = damping.samples
+    r2f = op2.solve(np.asarray(f, dtype=complex))
+    lhs = op1.solve(np.asarray(f, dtype=complex)) - r2f
+    rhs = (z1 - z2) * op1.solve((1j * a + z1 + z2) * r2f)
+    return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(f))
 
 
 class TestRnSolve:
@@ -62,12 +92,13 @@ class TestNormScan:
         assert pts[0].flag == "validated"
 
     def test_dense_method_matches_iterative(self):
+        # the dense-SVD oracle, applied to the scanned mode, agrees with the scan
         g = Grid1D(X=40.0, N=256)
         a = DampingProfile.build(g, "longrange", rho=2.0)
         it = norm_scan([1.5], 1, 0, a, g, [0.0], rng=np.random.default_rng(4),
                        oracle_fraction=0.0)[0]
-        dn = norm_scan([1.5], 1, 0, a, g, [0.0], method="dense_svd")[0]
-        assert it.norm_est == pytest.approx(dn.norm_est, rel=0.01)
+        dense = dense_sobolev_norm(mode_operator(g, 0.0, a, 1.5), SobolevScaler(g), 1, 0)
+        assert it.norm_est == pytest.approx(dense, rel=0.01)
 
     def test_truncation_guard_flags_unstable_points(self):
         # undamped probe at the bottom of the spectrum: the norm is
@@ -259,6 +290,34 @@ class TestEstimators:
                     g.N, rng)
                 oracle = dense_sobolev_norm(op, scaler, b1, b2)
                 assert sigma == pytest.approx(oracle, rel=0.01)
+
+    def test_operator_errors_propagate(self, rng):
+        # a solver failure inside the operator must not be retried by the
+        # power-iteration fallback, even when a retry would succeed
+        mat = np.diag(np.linspace(1.0, 2.0, 64)).astype(complex)
+        calls = []
+
+        def flaky(x):
+            calls.append(1)
+            if len(calls) == 1:
+                raise SolveError("near-singular solve")
+            return mat @ x
+
+        with pytest.raises(SolveError):
+            iterative_norm(flaky, flaky, 64, rng)
+
+    def test_arpack_failure_falls_back(self, rng, monkeypatch):
+        import guidewave.resolvent as resolvent
+        from scipy.sparse.linalg import ArpackNoConvergence
+
+        def no_convergence(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", [], [])
+
+        monkeypatch.setattr(resolvent, "svds", no_convergence)
+        mat = np.diag(np.linspace(1.0, 2.0, 64)).astype(complex)
+        mat[0, 0] = 5.0
+        sigma, _, _ = iterative_norm(lambda x: mat @ x, lambda x: mat @ x, 64, rng)
+        assert sigma == pytest.approx(5.0, rel=1e-6)
 
     def test_sobolev_scaler_inverts(self, rng):
         g = Grid1D(X=40.0, N=256)

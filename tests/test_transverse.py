@@ -2,115 +2,53 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from guidewave.transverse import DIRICHLET, NEUMANN, TransverseBasis, eigenpair
+from guidewave.transverse import DIRICHLET, NEUMANN, transverse_eigenvalues
+
+
+def _interval_laplacian_eigs(bc, L, n):
+    """Eigenvalues of the second-order FD Laplacian on (0, L), n unknowns.
+
+    Dirichlet: vertex-centred nodes, zero end values.  Neumann: cell-centred
+    nodes with mirrored ghosts, so the end rows lose one diagonal unit.
+    """
+    h = L / (n + 1) if bc == DIRICHLET else L / n
+    mat = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    if bc == NEUMANN:
+        mat[0, 0] = mat[-1, -1] = 1.0
+    return np.linalg.eigvalsh(mat) / h ** 2
+
+
+@pytest.mark.parametrize("bc", [NEUMANN, DIRICHLET])
+def test_lambdas_match_interval_laplacian(bc):
+    L, K = 2.5, 6
+    lams = transverse_eigenvalues(bc, L=L, K=K)
+    fd = _interval_laplacian_eigs(bc, L, 800)[:K]
+    assert np.allclose(lams, fd, rtol=1e-4, atol=1e-8)
 
 
 def test_neumann_mode0_is_constant():
-    lam, phi = eigenpair(NEUMANN, math.pi, 0)
-    assert lam == 0.0
-    ys = np.linspace(0, math.pi, 7)
-    assert np.allclose(phi(ys), 1.0 / math.sqrt(math.pi))
+    # the constant cross-section mode carries the zero eigenvalue, for any L
+    for L in (math.pi, 0.3, 12.0):
+        lams = transverse_eigenvalues(NEUMANN, L=L, K=67)
+        assert lams[0] == 0.0
+        assert np.all(lams[1:] > 0.0)
 
 
 def test_neumann_mode2():
-    lam, phi = eigenpair(NEUMANN, math.pi, 2)
-    assert lam == pytest.approx(4.0)
-    y = np.array([0.5])
-    assert phi(y)[0] == pytest.approx(math.sqrt(2 / math.pi) * math.cos(1.0), rel=1e-14)
+    assert transverse_eigenvalues(NEUMANN, K=4).tolist() == [0.0, 1.0, 4.0, 9.0]
+    assert transverse_eigenvalues(NEUMANN, L=2.0, K=3)[2] == math.pi ** 2
 
 
 def test_dirichlet_mode1():
-    lam, phi = eigenpair(DIRICHLET, math.pi, 1)
-    assert lam == pytest.approx(1.0)
-    y = np.array([0.7])
-    assert phi(y)[0] == pytest.approx(math.sqrt(2 / math.pi) * math.sin(0.7), rel=1e-14)
+    assert transverse_eigenvalues(DIRICHLET, K=4).tolist() == [1.0, 4.0, 9.0, 16.0]
+    assert transverse_eigenvalues(DIRICHLET, L=2.0, K=1)[0] == (math.pi / 2.0) ** 2
 
 
-def test_eigenpair_rejects_bad_indices():
+def test_lambdas_reject_bad_arguments():
     with pytest.raises(ValueError):
-        eigenpair(DIRICHLET, math.pi, 0)
+        transverse_eigenvalues(NEUMANN, L=-1.0, K=4)
     with pytest.raises(ValueError):
-        eigenpair(NEUMANN, math.pi, -1)
+        transverse_eigenvalues(DIRICHLET, K=0)
     with pytest.raises(ValueError):
-        eigenpair(NEUMANN, -1.0, 0)
-    with pytest.raises(ValueError):
-        eigenpair("robin", math.pi, 0)
-
-
-@settings(max_examples=12, deadline=None)
-@given(bc=st.sampled_from([NEUMANN, DIRICHLET]), K=st.integers(min_value=1, max_value=64))
-def test_gram_matrix_is_identity(bc, K):
-    basis = TransverseBasis.build(bc, K=K)
-    dev = np.max(np.abs(basis.gram() - np.eye(K)))
-    assert dev <= 1e-10
-
-
-def test_quadrature_floor_enforced():
-    with pytest.raises(ValueError):
-        TransverseBasis.build(NEUMANN, K=16, ny=64)
-
-
-def test_p0_of_y_independent_function():
-    basis = TransverseBasis.build(NEUMANN, K=4)
-    f = np.linspace(-1, 1, 11)
-    u = np.repeat(f[:, None], basis.ygrid.size, axis=1)
-    assert np.allclose(basis.project_p0(u), f, atol=1e-13)
-
-
-def test_p0_kills_cos():
-    basis = TransverseBasis.build(NEUMANN, K=4)
-    u = np.repeat(np.cos(basis.ygrid)[None, :], 9, axis=0)
-    assert np.max(np.abs(basis.project_p0(u))) <= 1e-12
-
-
-def test_p0_orthogonal_split(rng):
-    basis = TransverseBasis.build(NEUMANN, K=6)
-    u = rng.standard_normal((30, basis.ygrid.size))
-    p0 = basis.project_p0(u)
-    perp = basis.project_p0_perp(u)
-    full = float(np.sum(basis.yweights * u ** 2))
-    split = basis.L * float(np.sum(p0 ** 2)) + float(np.sum(basis.yweights * perp ** 2))
-    assert abs(full - split) <= 1e-10 * full
-
-
-def test_p0_rejects_dirichlet():
-    basis = TransverseBasis.build(DIRICHLET, K=4)
-    with pytest.raises(ValueError):
-        basis.project_p0(np.zeros((3, basis.ygrid.size)))
-
-
-def test_modes_pick_out_basis_vector():
-    basis = TransverseBasis.build(NEUMANN, K=6)
-    g = np.sin(np.linspace(0, 1, 17))
-    u = np.outer(g, basis.phi[3])
-    coeffs = basis.to_modes(u)
-    assert np.allclose(coeffs[3], g, atol=1e-12)
-    others = np.delete(coeffs, 3, axis=0)
-    assert np.max(np.abs(others)) <= 1e-12
-    assert np.max(np.abs(basis.to_modes(np.zeros_like(u)))) == 0.0
-
-
-def test_roundtrip_reproduces_truncation(rng):
-    basis = TransverseBasis.build(NEUMANN, K=32)
-    xs = np.linspace(-2, 2, 25)
-    u = (np.outer(np.exp(-xs ** 2), np.cos(3 * basis.ygrid))
-         + 0.4 * np.outer(xs, np.cos(9 * basis.ygrid))
-         + 0.1 * np.outer(np.cos(xs), np.ones_like(basis.ygrid)))
-    coeffs = basis.to_modes(u)
-    trunc = basis.from_modes(coeffs)
-    # Parseval against the direct quadrature norm of the truncated field
-    lhs = float(np.sum(np.abs(coeffs) ** 2))
-    rhs = float(np.sum(basis.yweights * np.abs(trunc) ** 2))
-    assert abs(lhs - rhs) <= 1e-10 * max(rhs, 1e-30)
-    assert np.allclose(basis.to_modes(trunc), coeffs, atol=1e-12)
-
-
-def test_modes_grid_mismatch():
-    basis = TransverseBasis.build(NEUMANN, K=4)
-    with pytest.raises(ValueError):
-        basis.to_modes(np.zeros((5, basis.ygrid.size + 1)))
-    with pytest.raises(ValueError):
-        basis.from_modes(np.zeros((5, 7)))
+        transverse_eigenvalues("robin", K=4)
