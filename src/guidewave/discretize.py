@@ -197,9 +197,10 @@ def gradient_1d(u: np.ndarray, grid: Grid1D, order: int = 4) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ShiftedOperator:
-    """Discrete -d^2/dx^2 + lam - i z a(x) - z^2 acting on one mode.
+    """Discrete -d^2/dx^2 + diag acting on one mode.
 
-    Complex symmetric banded matrix.  The sparse LU factorization is computed
+    ``mode_operator`` sets diag = lam - i z a(x) - z^2; the heat model of the
+    theta probe uses diag = -i z.  Complex symmetric banded matrix.  The sparse LU factorization is computed
     on the first solve and cached; the adjoint solve reuses it with the
     conjugate-transpose triangular sweeps.
     """

@@ -290,7 +290,7 @@ def cmd_resolvent(cfg: ExperimentConfig, out_base: str) -> dict:
     if kind == "theta":
         rows = theta_probe(zs, damping, grid, lambdas,
                            delta1=cfg.weights["delta1"], delta2=cfg.weights["delta2"],
-                           order=cfg.grid.order)
+                           order=cfg.grid.order, rng=np.random.default_rng(cfg.seed))
         cols = {"re_z": [r["z"].real for r in rows], "im_z": [r["z"].imag for r in rows]}
         for j in (1, 2, 3, 4):
             cols[f"theta{j}"] = [r[f"theta{j}"] for r in rows]

@@ -1,27 +1,30 @@
 """Complex-shifted solves, operator-norm scans, and low/high frequency probes.
 
-Operator norms between Sobolev pairs are computed by power iteration on
-T^*T, with the Sobolev scalings (1 - d^2/dx^2)^(+-beta/2) realized
-spectrally in the sine basis of the truncation box; a dense SVD oracle
-validates subsamples.  The block resolvent of the first-order wave operator
-and its adjoint are applied through the mode resolvent R(z) and the
-reflection identity R(z)^* = R(-conj(z)).
+Every operator norm is the top singular value of a matrix-free operator,
+computed by Lanczos (ARPACK) on T^*T from a seeded start vector, with power
+iteration as the fallback when ARPACK itself fails.  Sobolev scalings
+(1 - d^2/dx^2)^(+-beta/2) are realized spectrally in the sine basis of the
+truncation box; a dense-SVD oracle cross-checks a seeded subsample of scan
+points.  The block resolvent of the first-order wave operator and its
+adjoint are applied through the mode resolvent R(z) and the reflection
+identity R(z)^* = R(-conj(z)).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import dst
 from scipy.linalg import svdvals
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, svds
 
-from .discretize import (DampingProfile, Grid1D, ShiftedOperator, _D1_STENCILS,
+from .discretize import (DampingProfile, Grid1D, ShiftedOperator, gradient_1d,
                          laplacian_1d, mode_operator, weight)
 from .errors import ConvergenceError, SolveError
 
+LANCZOS = "lanczos"
 POWER_ITERATION = "power_iteration"
 
 
@@ -75,23 +78,29 @@ def power_iteration_norm(apply_op, apply_adjoint, n: int, rng: np.random.Generat
         f"power iteration did not converge in {maxit} steps (last rel change {res:.2e})")
 
 
-def iterative_norm(apply_op, apply_adjoint, n: int, rng: np.random.Generator,
-                   tol: float = 1e-7) -> tuple[float, float, int]:
+def iterative_norm(apply_op, apply_adjoint, n: int | tuple[int, int], rng: np.random.Generator,
+                   tol: float = 1e-7) -> tuple[float, float, str]:
     """Largest singular value, matrix-free, with a seeded start vector.
 
-    Lanczos (ARPACK) on the normal operator; plain power iteration stagnates
-    when the top singular values cluster (constant damping leaves ~ tau X / pi
-    near-degenerate modes), so it is kept only as the fallback when ARPACK
-    itself fails.  Errors raised by the operator propagate.
+    ``n`` is the dimension of a square T or the (rows, cols) shape of a
+    rectangular one.  Lanczos (ARPACK) on the normal operator; plain power
+    iteration stagnates when the top singular values cluster (constant
+    damping leaves ~ tau X / pi near-degenerate modes), so it is kept only as
+    the fallback when ARPACK itself fails.  Errors raised by the operator
+    propagate.  Returns (sigma, residual, method), where method is
+    ``LANCZOS`` or ``POWER_ITERATION``.
     """
-    op = LinearOperator((n, n), matvec=lambda x: apply_op(np.ravel(x)),
+    rows, cols = (n, n) if np.isscalar(n) else n
+    op = LinearOperator((rows, cols), matvec=lambda x: apply_op(np.ravel(x)),
                         rmatvec=lambda x: apply_adjoint(np.ravel(x)), dtype=complex)
-    v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    m = min(rows, cols)
+    v0 = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     try:
         sigma = svds(op, k=1, v0=v0, tol=tol, maxiter=60, return_singular_vectors=False)
-        return float(sigma[0]), tol, -1
+        return float(sigma[0]), tol, LANCZOS
     except (ArpackNoConvergence, ArpackError):
-        return power_iteration_norm(apply_op, apply_adjoint, n, rng)
+        sigma, res, _ = power_iteration_norm(apply_op, apply_adjoint, cols, rng)
+        return sigma, res, POWER_ITERATION
 
 
 class SobolevScaler:
@@ -163,14 +172,14 @@ def norm_scan(z_list, beta1: int, beta2: int, damping: DampingProfile, grid: Gri
     points = []
     for z in z_list:
         z = complex(z)
-        best, best_k, best_res = 0.0, 0, 0.0
+        best, best_k, best_res, best_method = 0.0, 0, 0.0, LANCZOS
         tau_sq = z.real ** 2
         fading = 0
         for k, lam in enumerate(lambdas):
             op = mode_operator(grid, lam, damping, z, order=order, mass=mass)
-            sigma, res, _ = _mode_sobolev_norm(op, scaler, beta1, beta2, rng)
+            sigma, res, method = _mode_sobolev_norm(op, scaler, beta1, beta2, rng)
             if sigma > best:
-                best, best_k, best_res = sigma, k, res
+                best, best_k, best_res, best_method = sigma, k, res, method
             # the elliptic tail lam_k >> tau^2 decays monotonically; stop once
             # clearly past the crossing regime and well below the running max
             if lam + mass * mass > tau_sq + 25.0 and sigma < 0.3 * best:
@@ -185,7 +194,7 @@ def norm_scan(z_list, beta1: int, beta2: int, damping: DampingProfile, grid: Gri
             sigma_svd = dense_sobolev_norm(op, scaler, beta1, beta2)
             if abs(best - sigma_svd) > 0.01 * sigma_svd:
                 raise ConvergenceError(
-                    f"power iteration disagrees with dense SVD at z={z}: {best} vs {sigma_svd}")
+                    f"{best_method} disagrees with dense SVD at z={z}: {best} vs {sigma_svd}")
             flag = "validated"
         if truncation_guard:
             op2 = mode_operator(grid2, lambdas[best_k], damping2, z, order=order, mass=mass)
@@ -193,7 +202,7 @@ def norm_scan(z_list, beta1: int, beta2: int, damping: DampingProfile, grid: Gri
             if abs(sigma2 - best) > guard_rtol * best:
                 flag = "truncation-limited"
         points.append(ScanPoint(z=z, beta1=beta1, beta2=beta2, norm_est=best,
-                                method=POWER_ITERATION, residual=best_res, flag=flag,
+                                method=best_method, residual=best_res, flag=flag,
                                 k_argmax=best_k))
     return points
 
@@ -339,91 +348,107 @@ def spectral_gap_probe(taus, gamma: float, damping: DampingProfile, grid: Grid1D
 # low-frequency comparison with the heat-model resolvent
 
 
-def _dense_gradient(grid: Grid1D, order: int = 4) -> np.ndarray:
-    n = grid.N
-    g = np.zeros((n, n))
-    for m, c in enumerate(_D1_STENCILS[order], start=1):
-        cm = c / grid.h
-        g += cm * np.diag(np.ones(n - m), m) - cm * np.diag(np.ones(n - m), -m)
-    return g
+def heat_model_operator(grid: Grid1D, z: complex, order: int = 4) -> ShiftedOperator:
+    """The banded heat-model operator -D2 - i z on mode 0: diagonal -i z, a = 1."""
+    z = complex(z)
+    return ShiftedOperator(grid=grid, lap=laplacian_1d(grid, order=order), lam=0.0, z=z,
+                           a=np.ones(grid.N), diag=np.full(grid.N, -1j * z))
 
 
-@dataclass(frozen=True)
-class HeatModelResolvent:
-    """Dense mode-0 blocks of the heat-model resolvent at z.
+def theta_blocks(z: complex, a: np.ndarray) -> dict[int, tuple]:
+    """(p, c, q) per block of (A - z)^{-1} - R_Heat(z) on one mode.
 
-    Row 2 equals z times row 1 by construction; ``structure_residual``
-    measures the identity on the assembled matrices.
+    Block j acts as t_j x = R(p_j x) + c_j x - H(q_j x), with R the mode
+    resolvent and H = (-D2 - i z)^{-1}; the heat part is present on mode 0
+    only.  Row 2 of the heat model is z times row 1: q_3 = z q_1, q_4 = z q_2.
     """
+    return {1: (1j * a + z, 0.0, 1j * a), 2: (1.0, 0.0, 1.0),
+            3: (1j * z * a + z * z, 1.0, 1j * z * a), 4: (z, 0.0, z)}
 
-    z: complex
-    h11: np.ndarray = field(repr=False)
-    h12: np.ndarray = field(repr=False)
-    h21: np.ndarray = field(repr=False)
-    h22: np.ndarray = field(repr=False)
 
-    @classmethod
-    def build(cls, z: complex, damping: DampingProfile, grid: Grid1D, order: int = 4) -> "HeatModelResolvent":
-        lap = laplacian_1d(grid, order=order).as_dense()
-        hres = np.linalg.inv(-lap - 1j * z * np.eye(grid.N))
-        a = damping.samples
-        h11 = 1j * hres * a[None, :]
-        h12 = hres
-        h21 = 1j * z * hres * a[None, :]
-        h22 = z * hres
-        return cls(z=z, h11=h11, h12=h12, h21=h21, h22=h22)
+def heat_structure_residual(heat: ShiftedOperator, blocks: dict, x: np.ndarray) -> float:
+    """max |row 2 - z row 1| / max |row 2| of the heat-model blocks, applied to x."""
+    num = den = 0.0
+    for top, bottom in ((1, 3), (2, 4)):
+        row1 = heat.solve(blocks[top][2] * x)
+        row2 = heat.solve(blocks[bottom][2] * x)
+        num = max(num, float(np.max(np.abs(row2 - heat.z * row1))))
+        den = max(den, float(np.max(np.abs(row2))))
+    return num / max(den, 1e-300)
 
-    def structure_residual(self) -> float:
-        num = max(float(np.max(np.abs(self.h21 - self.z * self.h11))),
-                  float(np.max(np.abs(self.h22 - self.z * self.h12))))
-        den = max(float(np.max(np.abs(self.h21))), float(np.max(np.abs(self.h22))), 1e-300)
-        return num / den
+
+def _difference_block(op: ShiftedOperator, heat: ShiftedOperator | None, p, c, q):
+    """t x = R(p x) + c x - H(q x) and its adjoint conj(p) R^* y + conj(c) y - conj(q) H^* y."""
+    def apply(x):
+        y = op.solve(p * x) + c * x
+        return y if heat is None else y - heat.solve(q * x)
+
+    def adjoint(y):
+        x = np.conj(p) * op.solve_adjoint(y) + np.conj(c) * y
+        return x if heat is None else x - np.conj(q) * heat.solve_adjoint(y)
+
+    return apply, adjoint
 
 
 def theta_probe(z_list, damping: DampingProfile, grid: Grid1D, lambdas,
-                delta1: float, delta2: float, order: int = 4, modes=None) -> list[dict]:
-    """Weighted norms of the blocks of (A - z)^{-1} - R_Heat(z).
+                delta1: float, delta2: float, order: int = 4, modes=None,
+                rng: np.random.Generator | None = None) -> list[dict]:
+    """Weighted norms of the blocks of (A - z)^{-1} - R_Heat(z), matrix-free.
 
-    Blocks 1 and 2 are measured with the full gradient (the transverse part
-    contributes sqrt(lam_k) per mode); blocks 3 and 4 without.  The norm over
-    the guide is the max over the probed modes; the heat part lives on mode 0
-    only.  Requires Im z > 0 and |z| <= 1.
+    Each block is applied as banded mode and heat-model solves between the
+    diagonal weights wl = <x>^-delta1, wr = <x>^-delta2 (see ``theta_blocks``).
+    Blocks 1 and 2 are measured with the full gradient, as the stacked
+    (2N, N) operator [wl G t wr ; sqrt(lam_k) wl t wr] with the centred
+    stencil G (G^* = -G); blocks 3 and 4 as wl t wr.  Each norm is a seeded
+    Lanczos estimate, and the norm over the guide is the max over the probed
+    modes.  ``structure_residual`` checks row 2 = z row 1 of the heat-model
+    blocks on a seeded probe vector.  Requires Im z > 0 and |z| <= 1.
     """
+    rng = rng or np.random.default_rng(0)
     lambdas = np.asarray(lambdas, dtype=float)
     if modes is None:
         modes = range(min(3, len(lambdas)))
-    wl = np.diag(weight(grid, -delta1))
-    wr = np.diag(weight(grid, -delta2))
-    gmat = _dense_gradient(grid, order)
-    a = damping.samples
-    eye = np.eye(grid.N)
+    n = grid.N
+    wl = weight(grid, -delta1)
+    wr = weight(grid, -delta2)
     out = []
     for z in z_list:
         z = complex(z)
         if z.imag <= 0 or abs(z) > 1 + 1e-12:
             raise ValueError(f"theta probe needs Im z > 0 and |z| <= 1, got z={z}")
-        heat = HeatModelResolvent.build(z, damping, grid, order=order)
+        heat = heat_model_operator(grid, z, order=order)
+        blocks = theta_blocks(z, damping.samples)
+        probe = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        residual = heat_structure_residual(heat, blocks, probe)
         norms = {1: 0.0, 2: 0.0, 3: 0.0, 4: 0.0}
         for k in modes:
-            lam = lambdas[k]
-            rmat = np.linalg.inv(mode_operator(grid, lam, damping, z, order=order).dense())
-            b11 = rmat * (1j * a + z)[None, :]
-            b12 = rmat
-            b21 = eye + rmat * (1j * z * a + z * z)[None, :]
-            b22 = z * rmat
-            if k == 0:
-                t1, t2, t3, t4 = b11 - heat.h11, b12 - heat.h12, b21 - heat.h21, b22 - heat.h22
-            else:
-                t1, t2, t3, t4 = b11, b12, b21, b22
-            for j, t in ((1, t1), (2, t2)):
-                stacked = np.vstack([wl @ gmat @ t @ wr,
-                                     math.sqrt(lam) * (wl @ t @ wr)])
-                norms[j] = max(norms[j], float(svdvals(stacked)[0]))
-            for j, t in ((3, t3), (4, t4)):
-                norms[j] = max(norms[j], float(svdvals(wl @ t @ wr)[0]))
+            lam = float(lambdas[k])
+            op = mode_operator(grid, lam, damping, z, order=order)
+            for j, (p, c, q) in blocks.items():
+                t, t_adj = _difference_block(op, heat if k == 0 else None, p, c, q)
+                apply_op, apply_adj, shape = _weighted(t, t_adj, wl, wr, grid, order,
+                                                       math.sqrt(lam) if j <= 2 else None)
+                sigma, _, _ = iterative_norm(apply_op, apply_adj, shape, rng)
+                norms[j] = max(norms[j], sigma)
         out.append({"z": z, "theta1": norms[1], "theta2": norms[2], "theta3": norms[3],
-                    "theta4": norms[4], "structure_residual": heat.structure_residual()})
+                    "theta4": norms[4], "structure_residual": residual})
     return out
+
+
+def _weighted(t, t_adj, wl, wr, grid: Grid1D, order: int, root_lam: float | None = None):
+    """wl t wr, or [wl G t wr ; root_lam wl t wr] (G^* = -G): apply, adjoint, shape."""
+    n = grid.N
+    if root_lam is None:
+        return (lambda x: wl * t(wr * x)), (lambda y: wr * t_adj(wl * y)), n
+
+    def apply(x):
+        u = t(wr * x)
+        return np.concatenate([wl * gradient_1d(u, grid, order=order), root_lam * wl * u])
+
+    def adjoint(y):
+        return wr * t_adj(-gradient_1d(wl * y[:n], grid, order=order) + root_lam * wl * y[n:])
+
+    return apply, adjoint, (2 * n, n)
 
 
 # ---------------------------------------------------------------------------

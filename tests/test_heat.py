@@ -9,6 +9,20 @@ from guidewave.heat import (HeatSolution, compare, heat_apply, heat_kernel,
                             heat_weighted_norm, p0_heat_data)
 
 
+def dense_weighted_norm(t, beta, s, s1, s2, kappa):
+    """Assembled weighted kernel on the default window and a full SVD (test oracle)."""
+    derivative = {0: "none", 1: "dx", "lap": "lap"}[beta]
+    xw = max(10.0 * math.sqrt(t), 10.0)
+    n = int(min(1600, max(256, round(2.0 * xw / 0.1))))
+    xs = np.linspace(-xw, xw, n)
+    hw = xs[1] - xs[0]
+    wl = (1.0 + xs ** 2) ** (-(kappa * s1 + s) / 2.0)
+    wr = (1.0 + xs ** 2) ** (-(kappa * s2 + s) / 2.0)
+    kern = heat_kernel(t, xs[:, None] - xs[None, :], derivative)
+    mat = (wl[:, None] * kern * wr[None, :]) * hw
+    return float(np.linalg.svd(mat, compute_uv=False)[0])
+
+
 class TestKernelPropagator:
     def test_gaussian_closed_form(self):
         g = Grid1D(X=30.0, N=1200)
@@ -93,6 +107,17 @@ class TestWeightedNorm:
         ys = [heat_weighted_norm(t, "lap", 0.0, 0.5, 0.5, 1.2) for t in ts]
         slope = np.polyfit(np.log(ts), np.log(ys), 1)[0]
         assert slope == pytest.approx(-1.254, abs=0.03)
+
+    @pytest.mark.parametrize("beta, s, s1, s2, kappa", [
+        (0, 0.0, 0.1, 0.4, 1.5),      # s1 != s2: the weighted kernel is not normal
+        (1, 1.0, 0.0, 0.0, 1.2),      # the ACCEPT-06a weights
+        (1, 0.5, 0.0, 0.5, 1.2),
+        ("lap", 0.0, 0.5, 0.5, 4.0),  # the ACCEPT-06b weights
+    ])
+    def test_matches_dense_svd_oracle(self, beta, s, s1, s2, kappa):
+        for t in (1.0, 10.0, 100.0):
+            want = dense_weighted_norm(t, beta, s, s1, s2, kappa)
+            assert heat_weighted_norm(t, beta, s, s1, s2, kappa) == pytest.approx(want, rel=1e-12)
 
     def test_monotone_in_weight_exponent(self):
         base = heat_weighted_norm(4.0, 0, 0.0, 0.1, 0.1, 1.5)

@@ -1,16 +1,21 @@
 import cmath
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 from scipy.linalg import svdvals
+from scipy.sparse.linalg import ArpackNoConvergence
 
-from guidewave.discretize import DampingProfile, Grid1D, laplacian_1d, mode_operator
+from guidewave.discretize import (_D1_STENCILS, DampingProfile, Grid1D, laplacian_1d,
+                                  mode_operator, weight)
 from guidewave.errors import SolveError
-from guidewave.resolvent import (EnergyNormResolvent, HeatModelResolvent, SobolevScaler,
-                                 WaveBlockResolvent, dense_sobolev_norm, iterative_norm,
-                                 norm_scan, power_iteration_norm, pure_laplacian_control,
-                                 semiclassical_scan, spectral_gap_probe, theta_probe)
+from guidewave.resolvent import (LANCZOS, POWER_ITERATION, EnergyNormResolvent, SobolevScaler,
+                                 WaveBlockResolvent, dense_sobolev_norm, heat_model_operator,
+                                 heat_structure_residual, iterative_norm, norm_scan,
+                                 power_iteration_norm, pure_laplacian_control,
+                                 semiclassical_scan, spectral_gap_probe, theta_blocks,
+                                 theta_probe)
 
 
 def rn_solve(z, damping, lam, grid, rhs, order=4):
@@ -43,6 +48,67 @@ def resolvent_identity_residual(z1, z2, damping, lam, grid, f, order=4):
     lhs = op1.solve(np.asarray(f, dtype=complex)) - r2f
     rhs = (z1 - z2) * op1.solve((1j * a + z1 + z2) * r2f)
     return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(f))
+
+
+def _dense_gradient(grid, order=4):
+    n = grid.N
+    g = np.zeros((n, n))
+    for m, c in enumerate(_D1_STENCILS[order], start=1):
+        cm = c / grid.h
+        g += cm * np.diag(np.ones(n - m), m) - cm * np.diag(np.ones(n - m), -m)
+    return g
+
+
+@dataclass(frozen=True)
+class HeatModelResolvent:
+    """Dense mode-0 blocks of the heat-model resolvent at z (test oracle)."""
+
+    z: complex
+    h11: np.ndarray = field(repr=False)
+    h12: np.ndarray = field(repr=False)
+    h21: np.ndarray = field(repr=False)
+    h22: np.ndarray = field(repr=False)
+
+    @classmethod
+    def build(cls, z, damping, grid, order=4):
+        lap = laplacian_1d(grid, order=order).as_dense()
+        hres = np.linalg.inv(-lap - 1j * z * np.eye(grid.N))
+        a = damping.samples
+        return cls(z=z, h11=1j * hres * a[None, :], h12=hres,
+                   h21=1j * z * hres * a[None, :], h22=z * hres)
+
+    def structure_residual(self):
+        num = max(float(np.max(np.abs(self.h21 - self.z * self.h11))),
+                  float(np.max(np.abs(self.h22 - self.z * self.h12))))
+        den = max(float(np.max(np.abs(self.h21))), float(np.max(np.abs(self.h22))), 1e-300)
+        return num / den
+
+
+def dense_theta_probe(z_list, damping, grid, lambdas, delta1, delta2, order=4):
+    """Assembled blocks of (A - z)^{-1} - R_Heat(z) and full SVDs (test oracle)."""
+    wl = np.diag(weight(grid, -delta1))
+    wr = np.diag(weight(grid, -delta2))
+    gmat = _dense_gradient(grid, order)
+    a = damping.samples
+    eye = np.eye(grid.N)
+    out = []
+    for z in z_list:
+        heat = HeatModelResolvent.build(z, damping, grid, order=order)
+        assert heat.structure_residual() <= 1e-12
+        norms = {1: 0.0, 2: 0.0, 3: 0.0, 4: 0.0}
+        for k, lam in enumerate(lambdas):
+            rmat = np.linalg.inv(mode_operator(grid, lam, damping, z, order=order).dense())
+            blocks = [rmat * (1j * a + z)[None, :], rmat,
+                      eye + rmat * (1j * z * a + z * z)[None, :], z * rmat]
+            if k == 0:
+                blocks = [b - h for b, h in zip(blocks, (heat.h11, heat.h12, heat.h21, heat.h22))]
+            for j, t in ((1, blocks[0]), (2, blocks[1])):
+                stacked = np.vstack([wl @ gmat @ t @ wr, math.sqrt(lam) * (wl @ t @ wr)])
+                norms[j] = max(norms[j], float(svdvals(stacked)[0]))
+            for j, t in ((3, blocks[2]), (4, blocks[3])):
+                norms[j] = max(norms[j], float(svdvals(wl @ t @ wr)[0]))
+        out.append(norms)
+    return out
 
 
 class TestRnSolve:
@@ -120,6 +186,23 @@ class TestNormScan:
     def test_rejects_bad_sobolev_indices(self, grid40, damping_const):
         with pytest.raises(ValueError):
             norm_scan([1.0], 2, 0, damping_const, grid40, [0.0])
+
+    def test_method_label_lanczos(self, grid40, damping_const):
+        pts = norm_scan([2.0], 0, 0, damping_const, grid40, [0.0, 1.0],
+                        rng=np.random.default_rng(11), oracle_fraction=0.0)
+        assert pts[0].method == LANCZOS
+
+    def test_method_label_power_iteration_on_fallback(self, grid40, damping_const,
+                                                      monkeypatch):
+        import guidewave.resolvent as resolvent
+
+        def no_convergence(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", [], [])
+
+        monkeypatch.setattr(resolvent, "svds", no_convergence)
+        pts = norm_scan([2.0], 0, 0, damping_const, grid40, [0.0, 1.0],
+                        rng=np.random.default_rng(11), oracle_fraction=0.0)
+        assert pts[0].method == POWER_ITERATION
 
 
 class TestBlockResolvent:
@@ -204,9 +287,37 @@ def test_heat_resolvent_norm_on_rays():
 
 
 class TestHeatModelResolvent:
-    def test_row_structure(self, damping_const, grid40):
-        heat = HeatModelResolvent.build(0.1j, damping_const, grid40)
-        assert heat.structure_residual() <= 1e-12
+    def test_row_structure(self, damping_const, grid40, rng):
+        # row 2 of the heat-model blocks is z times row 1, on a probe vector
+        heat = heat_model_operator(grid40, 0.1j)
+        x = rng.standard_normal(grid40.N) + 1j * rng.standard_normal(grid40.N)
+        blocks = theta_blocks(0.1j, damping_const.samples)
+        assert heat_structure_residual(heat, blocks, x) <= 1e-12
+
+    def test_heat_blocks_match_dense_oracle(self, grid40, rng):
+        a = DampingProfile.build(grid40, "hole", r=5.0, rho=2.0)
+        z = 0.3 + 0.4j
+        dense = HeatModelResolvent.build(z, a, grid40)
+        heat = heat_model_operator(grid40, z)
+        x = rng.standard_normal(grid40.N) + 1j * rng.standard_normal(grid40.N)
+        for j, h in zip((1, 2, 3, 4), (dense.h11, dense.h12, dense.h21, dense.h22)):
+            want = h @ x
+            got = heat.solve(theta_blocks(z, a.samples)[j][2] * x)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("kind", ["constant", "longrange", "hole"])
+    def test_theta_probe_matches_dense_oracle(self, kind):
+        g = Grid1D(X=40.0, N=192)
+        a = DampingProfile.build(g, kind, r=5.0, rho=2.0)
+        zs = [0.1j, 0.01j, 0.3 + 0.4j]
+        lambdas = [0.0, 1.0, 4.0]
+        rows = theta_probe(zs, a, g, lambdas, delta1=1.05, delta2=0.6,
+                           rng=np.random.default_rng(12))
+        oracle = dense_theta_probe(zs, a, g, lambdas, delta1=1.05, delta2=0.6)
+        for row, want in zip(rows, oracle):
+            for j in (1, 2, 3, 4):
+                assert row[f"theta{j}"] == pytest.approx(want[j], rel=1e-10)
+            assert row["structure_residual"] <= 1e-12
 
     def test_theta_probe_blocks_bounded(self):
         g = Grid1D(X=100.0, N=512)
@@ -318,6 +429,37 @@ class TestEstimators:
         mat[0, 0] = 5.0
         sigma, _, _ = iterative_norm(lambda x: mat @ x, lambda x: mat @ x, 64, rng)
         assert sigma == pytest.approx(5.0, rel=1e-6)
+
+    def test_rectangular_matches_svdvals(self, rng):
+        n = 48
+        mat = rng.standard_normal((2 * n, n)) + 1j * rng.standard_normal((2 * n, n))
+        sigma, _, method = iterative_norm(lambda x: mat @ x, lambda y: mat.conj().T @ y,
+                                          (2 * n, n), rng)
+        assert method == LANCZOS
+        assert sigma == pytest.approx(svdvals(mat)[0], rel=1e-12)
+
+    def test_rectangular_operator_errors_propagate(self, rng):
+        mat = np.vstack([np.eye(32), np.diag(np.linspace(1.0, 2.0, 32))]).astype(complex)
+
+        def failing(x):
+            raise SolveError("near-singular solve")
+
+        with pytest.raises(SolveError):
+            iterative_norm(failing, lambda y: mat.conj().T @ y, (64, 32), rng)
+
+    def test_rectangular_arpack_failure_falls_back(self, rng, monkeypatch):
+        import guidewave.resolvent as resolvent
+
+        def no_convergence(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", [], [])
+
+        monkeypatch.setattr(resolvent, "svds", no_convergence)
+        mat = np.vstack([np.eye(32), np.diag(np.linspace(1.0, 2.0, 32))]).astype(complex)
+        mat[0, 0] = 5.0
+        sigma, _, method = iterative_norm(lambda x: mat @ x, lambda y: mat.conj().T @ y,
+                                          (64, 32), rng)
+        assert method == POWER_ITERATION
+        assert sigma == pytest.approx(svdvals(mat)[0], rel=1e-6)
 
     def test_sobolev_scaler_inverts(self, rng):
         g = Grid1D(X=40.0, N=256)
