@@ -153,6 +153,9 @@ def validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"grid.order: must be 2 or 4, got {cfg.grid.order}")
     if cfg.damping.kind not in DAMPING_KINDS:
         raise ConfigError(f"damping.kind: {cfg.damping.kind!r} not one of {DAMPING_KINDS}")
+    if cfg.damping.kind != "constant" and cfg.damping.level != 1.0:
+        raise ConfigError(f"damping.level: used by kind 'constant' only, got "
+                          f"{cfg.damping.level} for kind {cfg.damping.kind!r}")
     if cfg.damping.kind == "longrange" and cfg.damping.rho <= 0:
         raise ConfigError(f"damping.rho: must be positive, got {cfg.damping.rho}")
     if cfg.init.family not in INIT_FAMILIES:

@@ -60,6 +60,9 @@ class DampingProfile:
       constant       a = level everywhere
       longrange(rho) a = 1 - (1/2)<x>^(-rho); tends to 1, floor 1/2
       hole(r, rho)   a = 0 on |x| <= r, C1 ramp of width 2, longrange envelope
+
+    ``level`` is used by ``constant`` only; the other kinds reject any level
+    but the default 1.
     """
 
     kind: str
@@ -74,6 +77,9 @@ class DampingProfile:
         x = grid.xs
         if kind == "constant":
             a = np.full(grid.N, float(level))
+        elif level != 1.0 and kind in ("longrange", "hole"):
+            raise ValueError(f"damping level applies to kind 'constant' only, "
+                             f"got level={level} for kind {kind!r}")
         elif kind == "longrange":
             if rho <= 0:
                 raise ValueError(f"longrange decay rate must be positive, got rho={rho}")

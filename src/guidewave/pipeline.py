@@ -335,13 +335,10 @@ def cmd_resolvent(cfg: ExperimentConfig, out_base: str) -> dict:
 
     else:
         # high/intermediate frequency norm scan, max over modes per point
-        select = np.random.default_rng(cfg.seed).random(len(zs)) < 0.1
-
         def work(i):
             rng = np.random.default_rng([cfg.seed, i])
             return norm_scan([zs[i]], cfg.scan.beta1, cfg.scan.beta2, damping, grid, lambdas,
                              order=cfg.grid.order, rng=rng,
-                             oracle_fraction=1.0 if select[i] else 0.0,
                              truncation_guard=cfg.scan.truncation_guard)[0]
 
         with ThreadPoolExecutor(max_workers=max_threads()) as pool:

@@ -28,8 +28,9 @@ from guidewave.evolve import Stepper, WaveState, gaussian_envelope
 from guidewave.fit import fit_power
 from guidewave.heat import heat_weighted_norm
 from guidewave.pipeline import cmd_evolve, cmd_heat_compare, cmd_resolvent, cmd_semiclassical
-from guidewave.resolvent import (SobolevScaler, dense_sobolev_norm, iterative_norm,
-                                 norm_scan)
+from guidewave.resolvent import norm_scan
+
+from dense_oracles import dense_sobolev_norm
 
 CONFIG_DIR = resources.files(guidewave.configs)
 
@@ -180,8 +181,7 @@ def test_criterion_08_intermediate_frequencies():
                      ("hole", {"r": 5.0, "rho": 2.0})):
         dp = DampingProfile.build(g, kind, **kw)
         pts = norm_scan([0.25, 0.5, 1.0, 2.0], 0, 0, dp, g, lambdas,
-                        rng=np.random.default_rng(3), oracle_fraction=0.0,
-                        truncation_guard=True)
+                        rng=np.random.default_rng(3), truncation_guard=True)
         finite = all(np.isfinite(p.norm_est) for p in pts)
         stable = all(p.flag != "truncation-limited" for p in pts)
         ok = ok and finite and stable
@@ -263,20 +263,15 @@ def test_criterion_13_oracle_equivalence(rng=None):
     err = np.linalg.norm(np.concatenate([s.modes[0], s.vmodes[0]]) - w_exact) \
         / np.linalg.norm(w_exact)
 
-    # iterative norms vs dense SVD on a validation subsample
+    # scan norms vs the dense-SVD test oracle on a validation subsample
     gv = Grid1D(X=40.0, N=384)
-    scaler = SobolevScaler(gv)
     sample_rng = np.random.default_rng(13)
     worst = 0.0
     for kind in ("constant", "hole"):
         dp = DampingProfile.build(gv, kind, r=5.0, rho=2.0)
         for z, b1, b2 in ((4.0, 0, 0), (8.0, 1, 1), (0.5, 1, 0)):
-            op = mode_operator(gv, 1.0, dp, z)
-            sigma, _, _ = iterative_norm(
-                lambda x: scaler.apply(op.solve(scaler.apply(x, b2)), b1),
-                lambda x: scaler.apply(op.solve_adjoint(scaler.apply(x, b1)), b2),
-                gv.N, sample_rng)
-            oracle = dense_sobolev_norm(op, scaler, b1, b2)
+            sigma = norm_scan([z], b1, b2, dp, gv, [1.0], rng=sample_rng)[0].norm_est
+            oracle = dense_sobolev_norm(mode_operator(gv, 1.0, dp, z), b1, b2)
             worst = max(worst, abs(sigma - oracle) / oracle)
     ok = err <= 1e-6 and worst <= 0.01
     assert report(13, "oracle-equivalence", ok,

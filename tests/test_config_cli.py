@@ -61,6 +61,7 @@ class TestConfig:
         ("time", {"dt": -0.1}, "time.dt"),
         ("scan", {"kind": "rainbow"}, "scan.kind"),
         ("fit_window", [0.5, 10.0], "fit_window"),
+        ("damping", {"kind": "hole", "level": 0.5}, "damping.level"),
     ])
     def test_validation_reports_field_path(self, path, value, fragment):
         data = json.loads(json.dumps(TINY))

@@ -113,6 +113,13 @@ class TestDamping:
         with pytest.raises(ValueError):
             DampingProfile.build(grid40, "checkerboard")
 
+    @pytest.mark.parametrize("kind", ["longrange", "hole"])
+    def test_level_rejected_outside_constant(self, grid40, kind):
+        # only the constant profile reads level; elsewhere it would be ignored
+        with pytest.raises(ValueError, match="level"):
+            DampingProfile.build(grid40, kind, level=0.5)
+        assert DampingProfile.build(grid40, kind, level=1.0).level == 1.0
+
 
 class TestModeOperator:
     def test_substitution_z_eq_i(self, grid40, damping_const):

@@ -11,11 +11,13 @@ from guidewave.discretize import (_D1_STENCILS, DampingProfile, Grid1D, laplacia
                                   mode_operator, weight)
 from guidewave.errors import SolveError
 from guidewave.resolvent import (LANCZOS, POWER_ITERATION, EnergyNormResolvent, SobolevScaler,
-                                 WaveBlockResolvent, dense_sobolev_norm, heat_model_operator,
+                                 WaveBlockResolvent, _mode_sobolev_norm, heat_model_operator,
                                  heat_structure_residual, iterative_norm, norm_scan,
                                  power_iteration_norm, pure_laplacian_control,
                                  semiclassical_scan, spectral_gap_probe, theta_blocks,
                                  theta_probe)
+
+from dense_oracles import dense_energy_norm, dense_sobolev_norm, sqrt_energy_matrix
 
 
 def rn_solve(z, damping, lam, grid, rhs, order=4):
@@ -143,28 +145,44 @@ class TestNormScan:
         a = DampingProfile.build(g, "constant")
         lambdas = np.array([0.0, 1.0, 4.0, 9.0])
         taus = [2.0, 4.0, 8.0]
-        pts = norm_scan(taus, 0, 0, a, g, lambdas, rng=np.random.default_rng(2),
-                        oracle_fraction=0.0)
+        pts = norm_scan(taus, 0, 0, a, g, lambdas, rng=np.random.default_rng(2))
         slope = np.polyfit(np.log(taus), np.log([p.norm_est for p in pts]), 1)[0]
         assert slope == pytest.approx(-1.0, abs=0.1)
         for p in pts:
             assert p.norm_est == pytest.approx(1.0 / abs(p.z.real), rel=0.02)
 
-    def test_oracle_validation_subsample(self):
+    def test_scan_matches_dense_oracle(self):
+        # the scan's max over modes agrees with the dense-SVD oracle of the
+        # mode that attains it
         g = Grid1D(X=40.0, N=256)
         a = DampingProfile.build(g, "hole", r=5.0, rho=2.0)
-        pts = norm_scan([2.0], 1, 1, a, g, [0.0, 1.0], rng=np.random.default_rng(3),
-                        oracle_fraction=1.0)
-        assert pts[0].flag == "validated"
+        lambdas = [0.0, 1.0]
+        pt = norm_scan([2.0], 1, 1, a, g, lambdas, rng=np.random.default_rng(3))[0]
+        assert pt.flag == "ok"
+        dense = dense_sobolev_norm(mode_operator(g, lambdas[pt.k_argmax], a, 2.0), 1, 1)
+        assert pt.norm_est == pytest.approx(dense, rel=0.01)
 
     def test_dense_method_matches_iterative(self):
         # the dense-SVD oracle, applied to the scanned mode, agrees with the scan
         g = Grid1D(X=40.0, N=256)
         a = DampingProfile.build(g, "longrange", rho=2.0)
-        it = norm_scan([1.5], 1, 0, a, g, [0.0], rng=np.random.default_rng(4),
-                       oracle_fraction=0.0)[0]
-        dense = dense_sobolev_norm(mode_operator(g, 0.0, a, 1.5), SobolevScaler(g), 1, 0)
+        it = norm_scan([1.5], 1, 0, a, g, [0.0], rng=np.random.default_rng(4))[0]
+        dense = dense_sobolev_norm(mode_operator(g, 0.0, a, 1.5), 1, 0)
         assert it.norm_est == pytest.approx(dense, rel=0.01)
+
+    @pytest.mark.parametrize("kind", ["constant", "hole"])
+    def test_coefficient_space_norm_matches_dense_oracle(self, kind):
+        # ||S_b1 R S_b2||, measured as ||D_b1 Q R Q D_b2|| in sine coefficients
+        g = Grid1D(X=20.0, N=160)
+        a = DampingProfile.build(g, kind, r=5.0, rho=2.0)
+        scaler = SobolevScaler(g)
+        rng = np.random.default_rng(14)
+        for z in (8.0, -3.0, 0.5 + 0.3j):
+            op = mode_operator(g, 1.0, a, z)
+            for b1, b2 in ((0, 0), (1, 0), (0, 1), (1, 1)):
+                sigma, _, method = _mode_sobolev_norm(op, scaler, b1, b2, rng)
+                assert method == LANCZOS
+                assert sigma == pytest.approx(dense_sobolev_norm(op, b1, b2), rel=1e-10)
 
     def test_truncation_guard_flags_unstable_points(self):
         # undamped probe at the bottom of the spectrum: the norm is
@@ -172,15 +190,14 @@ class TestNormScan:
         g = Grid1D(X=20.0, N=128)
         a0 = DampingProfile.build(g, "constant", level=0.0)
         pts = norm_scan([0.05j], 0, 0, a0, g, [0.0], rng=np.random.default_rng(5),
-                        oracle_fraction=0.0, truncation_guard=True)
+                        truncation_guard=True)
         assert pts[0].flag == "truncation-limited"
 
     def test_klein_gordon_real_line_bounded(self):
         g = Grid1D(X=40.0, N=1024)
         a = DampingProfile.build(g, "constant")
         zs = [t for t in np.linspace(-32.0, 32.0, 17) if abs(t) > 1e-9] + [1e-6]
-        pts = norm_scan(zs, 0, 0, a, g, [0.0], mass=1.0,
-                        rng=np.random.default_rng(6), oracle_fraction=0.0)
+        pts = norm_scan(zs, 0, 0, a, g, [0.0], mass=1.0, rng=np.random.default_rng(6))
         assert max(p.norm_est for p in pts) <= 1.05
 
     def test_rejects_bad_sobolev_indices(self, grid40, damping_const):
@@ -189,7 +206,7 @@ class TestNormScan:
 
     def test_method_label_lanczos(self, grid40, damping_const):
         pts = norm_scan([2.0], 0, 0, damping_const, grid40, [0.0, 1.0],
-                        rng=np.random.default_rng(11), oracle_fraction=0.0)
+                        rng=np.random.default_rng(11))
         assert pts[0].method == LANCZOS
 
     def test_method_label_power_iteration_on_fallback(self, grid40, damping_const,
@@ -201,7 +218,7 @@ class TestNormScan:
 
         monkeypatch.setattr(resolvent, "svds", no_convergence)
         pts = norm_scan([2.0], 0, 0, damping_const, grid40, [0.0, 1.0],
-                        rng=np.random.default_rng(11), oracle_fraction=0.0)
+                        rng=np.random.default_rng(11))
         assert pts[0].method == POWER_ITERATION
 
 
@@ -240,12 +257,9 @@ class TestBlockResolvent:
         # triangle-inequality recomputation from component norms at real tau
         tau = 2.0
         lam = 1.0
-        n = grid40.N
         dense_r = np.linalg.inv(mode_operator(grid40, lam, damping_const, tau).dense())
         helper = EnergyNormResolvent(grid40, lam, damping_const, order=4)
-        p = -laplacian_1d(grid40, order=4).as_dense() + lam * np.eye(n)
-        sqrt_p = helper._vecs @ (np.diag(helper._sqrt) @ helper._vecs.T)
-        inv_sqrt_p = helper._vecs @ (np.diag(1.0 / helper._sqrt) @ helper._vecs.T)
+        sqrt_p = sqrt_energy_matrix(grid40, lam, order=4)
         norm = lambda m: float(svdvals(m)[0])
         grad_r_grad = norm(sqrt_p @ dense_r @ sqrt_p)
         grad_r = norm(sqrt_p @ dense_r)
@@ -255,6 +269,25 @@ class TestBlockResolvent:
                  + r_grad + tau * r_plain)
         measured = helper.op_norm(tau, np.random.default_rng(7))
         assert measured <= bound * (1 + 1e-6)
+
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("kind", ["constant", "hole"])
+    def test_energy_norm_matches_dense_oracle(self, order, kind):
+        # banded-Cholesky similarity against the eigh-scaled dense block SVD;
+        # lam = 0 is Neumann mode 0
+        g = Grid1D(X=20.0, N=160)
+        a = DampingProfile.build(g, kind, r=5.0, rho=2.0)
+        rng = np.random.default_rng(15)
+        for lam in (0.0, 1.0, 4.0):
+            helper = EnergyNormResolvent(g, lam, a, order=order)
+            for tau in (0.0, -3.0, 0.5, 8.0):
+                want = dense_energy_norm(g, lam, a, tau, order=order)
+                assert helper.op_norm(tau, rng) == pytest.approx(want, rel=1e-10)
+
+    def test_energy_norm_rejects_indefinite(self, grid40, damping_const):
+        # -D2 - 1 has negative eigenvalues on this box: no Cholesky factor
+        with pytest.raises(SolveError):
+            EnergyNormResolvent(grid40, -1.0, damping_const, order=2)
 
     def test_solver_failure_reported(self):
         # undamped operator probed exactly at a cap eigenvalue is singular
@@ -395,11 +428,8 @@ class TestEstimators:
             a = DampingProfile.build(g, kind, r=5.0, rho=2.0)
             for z, b1, b2 in ((4.0, 0, 0), (4.0, 1, 1), (0.5, 0, 1)):
                 op = mode_operator(g, 1.0, a, z)
-                sigma, _, _ = iterative_norm(
-                    lambda x: scaler.apply(op.solve(scaler.apply(x, b2)), b1),
-                    lambda x: scaler.apply(op.solve_adjoint(scaler.apply(x, b1)), b2),
-                    g.N, rng)
-                oracle = dense_sobolev_norm(op, scaler, b1, b2)
+                sigma, _, _ = _mode_sobolev_norm(op, scaler, b1, b2, rng)
+                oracle = dense_sobolev_norm(op, b1, b2)
                 assert sigma == pytest.approx(oracle, rel=0.01)
 
     def test_operator_errors_propagate(self, rng):
@@ -462,8 +492,9 @@ class TestEstimators:
         assert sigma == pytest.approx(svdvals(mat)[0], rel=1e-6)
 
     def test_sobolev_scaler_inverts(self, rng):
+        # D^-1 Q (identity) Q D = I, since the orthonormal DST-I is its own inverse
         g = Grid1D(X=40.0, N=256)
         scaler = SobolevScaler(g)
         x = rng.standard_normal(g.N) + 1j * rng.standard_normal(g.N)
-        back = scaler.apply(scaler.apply(x, 1.0), -1.0)
+        back = scaler.apply(lambda u: u, x, -1.0, 1.0)
         assert np.linalg.norm(back - x) <= 1e-10 * np.linalg.norm(x)
