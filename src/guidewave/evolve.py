@@ -11,8 +11,10 @@ E = sum_k h (<(-D2 + lam_k + m^2) u_k, u_k> + ||v_k||^2),
     E(t_{n+1}) - E(t_n) + 2 dt sum_k h <a v_{mid,k}, v_{mid,k}> = 0
 
 up to roundoff, which makes dissipation bookkeeping a hard invariant.  The
-modes do not couple, so every operation acts on the whole (K, N) block of
-mode coefficients at once.
+modes do not couple, so every operation acts on a whole block of mode
+coefficients at once, and a mode with no data stays exactly zero: ``run``
+steps only the modes that carry data and lifts them back to the (K, N) block
+where energies are recorded.
 """
 
 from __future__ import annotations
@@ -94,6 +96,13 @@ def _stacked_cholesky(lap: BandedLaplacian, diag: np.ndarray, scale: float) -> n
         raise SolveError(f"banded Cholesky factorization of {k_count} modes failed: {exc}") from exc
 
 
+def form_energies(u: np.ndarray, v: np.ndarray, lap: BandedLaplacian,
+                  lam_eff: np.ndarray) -> np.ndarray:
+    """Form energy per mode: h(<(-D2 + lam_k + m^2) u_k, u_k> + ||v_k||^2)."""
+    grad = np.maximum(-np.sum(u * lap.apply(u), axis=-1), 0.0)
+    return lap.grid.h * (grad + np.sum(lam_eff * u ** 2 + v ** 2, axis=-1))
+
+
 class Stepper:
     """Prefactored implicit-midpoint stepper for a fixed dt.
 
@@ -118,7 +127,6 @@ class Stepper:
         self.lambdas = np.asarray(lambdas, dtype=float)
         self.lam_eff = (self.lambdas + self.mass ** 2)[:, None]
         self.lap = laplacian_1d(grid, order=order)
-        self.order = order
         t2 = self.tau ** 2
         self._factor = _stacked_cholesky(
             self.lap, 1.0 + self.tau * a + t2 * (self.lam_eff - self.lap.diags[0]), t2)
@@ -144,11 +152,8 @@ class Stepper:
         return replace(state, t=state.t + self.dt, modes=u + tau * (v + vp), vmodes=vp), diss
 
     def mode_energies(self, state: WaveState) -> np.ndarray:
-        """Form energy per mode: h(<(-D2+lam)u,u> + ||v||^2)."""
-        h = self.grid.h
-        u, v = state.modes, state.vmodes
-        grad = np.maximum(-np.sum(u * self.lap.apply(u), axis=-1), 0.0)
-        return h * (grad + np.sum(self.lam_eff * u ** 2 + v ** 2, axis=-1))
+        """Form energy of each of the stepper's modes."""
+        return form_energies(state.modes, state.vmodes, self.lap, self.lam_eff)
 
 
 def smooth_initial_data(modes: np.ndarray, vmodes: np.ndarray, grid: Grid1D,
@@ -175,13 +180,15 @@ def smooth_initial_data(modes: np.ndarray, vmodes: np.ndarray, grid: Grid1D,
     return u, v
 
 
-def energy(state: WaveState, grid: Grid1D, stepper: Stepper, delta1: float = 0.0,
-           R: float | None = None, dissipation_cum: float = 0.0) -> EnergyRecord:
-    """Assemble the energy record at the state's time.
+def energy(state: WaveState, grid: Grid1D, lambdas: np.ndarray, order: int = 4,
+           delta1: float = 0.0, R: float | None = None,
+           dissipation_cum: float = 0.0) -> EnergyRecord:
+    """Assemble the energy record of a (K, N) state at its time.
 
-    E_total is the form energy (the quantity obeying the exact discrete
-    dissipation law).  E_local windows a 4th-order FD-gradient sum to
-    |x| <= R; at the full window there are no excluded nodes and the local
+    ``lambdas`` are the K transverse eigenvalues; the mass comes from the
+    state.  E_total is the form energy (the quantity obeying the exact
+    discrete dissipation law).  E_local windows a 4th-order FD-gradient sum
+    to |x| <= R; at the full window there are no excluded nodes and the local
     energy coincides with E_total by construction.
     """
     if R is None:
@@ -189,12 +196,13 @@ def energy(state: WaveState, grid: Grid1D, stepper: Stepper, delta1: float = 0.0
     if R > grid.X:
         raise ValueError(f"local-energy radius R={R} exceeds the box X={grid.X}")
     h = grid.h
-    per_mode = stepper.mode_energies(state)
+    u, v = state.modes, state.vmodes
+    lam_eff = (np.asarray(lambdas, dtype=float) + float(state.mass) ** 2)[:, None]
+    per_mode = form_energies(u, v, laplacian_1d(grid, order=order), lam_eff)
     e_total = float(np.sum(per_mode))
 
-    u, v = state.modes, state.vmodes
-    du = gradient_1d(u, grid, order=stepper.order)
-    grad_dens = du ** 2 + stepper.lam_eff * u ** 2
+    du = gradient_1d(u, grid, order=order)
+    grad_dens = du ** 2 + lam_eff * u ** 2
     w2 = weight(grid, -delta1) ** 2 if delta1 != 0.0 else np.ones(grid.N)
     grad_w_sq = h * float(np.sum(w2 * grad_dens))
     dtu_w_sq = h * float(np.sum(w2 * v ** 2))
@@ -248,39 +256,67 @@ def run(state0: WaveState, grid: Grid1D, lambdas: np.ndarray, damping: DampingPr
         delta1: float = 0.0, R: float | None = None, keep_snapshots: bool = False) -> RunResult:
     """Evolve to t_end, sampling energies on a geometric schedule.
 
-    The cumulative discrete energy identity is tracked at every step; its
-    largest per-step and cumulative residuals are returned for assertion by
-    the caller.
+    Only the active modes, the rows of ``state0`` with any nonzero u or v,
+    are stepped: the others stay exactly zero, since a banded solve of a zero
+    right-hand side returns zeros.  At each schedule time the active rows are
+    lifted back into a (K, N) state with exact-zero inert rows, which the
+    energy record and the snapshot see.  The cumulative discrete energy
+    identity is tracked at every step; its largest per-step and cumulative
+    residuals are returned for assertion by the caller.
     """
-    stepper = Stepper(grid, lambdas, damping, dt, order=order, mass=state0.mass)
+    if dt <= 0:
+        raise ValueError(f"time step must be positive, got dt={dt}")
+    lambdas = np.asarray(lambdas, dtype=float)
+    if lambdas.shape != state0.modes.shape[:1]:
+        raise ValueError(f"state has {state0.modes.shape[0]} modes, got {lambdas.size} eigenvalues")
+    active = np.flatnonzero(np.any(state0.modes != 0, axis=1)
+                            | np.any(state0.vmodes != 0, axis=1))
+    state = replace(state0, modes=state0.modes[active], vmodes=state0.vmodes[active])
+    if active.size:
+        stepper = Stepper(grid, lambdas[active], damping, dt, order=order, mass=state0.mass)
+        advance = stepper.step
+        step_energy = lambda s: float(np.sum(stepper.mode_energies(s)))
+    else:   # no mode carries data: the zero state only advances in time
+        advance = lambda s: (replace(s, t=s.t + float(dt)), 0.0)
+        step_energy = lambda s: 0.0
+
+    def lift(sub: WaveState) -> WaveState:
+        modes = np.zeros_like(state0.modes)
+        vmodes = np.zeros_like(state0.vmodes)
+        modes[active], vmodes[active] = sub.modes, sub.vmodes
+        return replace(sub, modes=modes, vmodes=vmodes)
+
     schedule = geometric_schedule(t0, sample_ratio, t_end)
     t_start = time.perf_counter()
 
     diss_cum = 0.0
-    state = state0
-    records = [energy(state, grid, stepper, delta1=delta1, R=R, dissipation_cum=0.0)]
-    snapshots = [state] if keep_snapshots else []
-    e0 = records[0].E_total
+    records = [energy(state0, grid, lambdas, order=order, delta1=delta1, R=R)]
+    snapshots = [state0] if keep_snapshots else []
+    e0 = step_energy(state)     # identity baseline, summed like every e_now
     e_prev = e0
     max_step_res = 0.0
 
     n_steps = int(round(t_end / dt))
     next_idx = 0
+    full = state0
     for n in range(n_steps):
-        state, diss = stepper.step(state)
+        state, diss = advance(state)
         diss_cum += diss
-        e_now = float(np.sum(stepper.mode_energies(state)))
+        e_now = step_energy(state)
         max_step_res = max(max_step_res, abs(e_now - e_prev + diss))
         e_prev = e_now
         while next_idx < len(schedule) and state.t >= schedule[next_idx] - 1e-9:
-            records.append(energy(state, grid, stepper, delta1=delta1, R=R,
+            if full.t != state.t:   # several schedule times can share a step
+                full = lift(state)
+            records.append(energy(full, grid, lambdas, order=order, delta1=delta1, R=R,
                                   dissipation_cum=diss_cum))
             if keep_snapshots:
-                snapshots.append(state)
+                snapshots.append(full)
             next_idx += 1
 
     cum_res = abs(e_prev - e0 + diss_cum)
-    return RunResult(records=records, schedule=schedule, snapshots=snapshots, E0=e0,
+    return RunResult(records=records, schedule=schedule, snapshots=snapshots,
+                     E0=records[0].E_total,
                      identity_max_step_residual=max_step_res,
                      identity_cumulative_residual=cum_res,
                      wall_seconds=time.perf_counter() - t_start)

@@ -8,6 +8,7 @@ index-seeded generator, so results do not depend on scheduling.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -38,6 +39,12 @@ def max_threads() -> int:
         except ValueError as exc:
             raise ConfigError(f"GUIDEWAVE_THREADS must be an integer, got {env!r}") from exc
     return min(4, os.cpu_count() or 1)
+
+
+def pool_map(work, n: int, seed: int) -> list:
+    """[work(i, rng_i) for i < n] on the thread pool, rng_i seeded by (seed, i)."""
+    with ThreadPoolExecutor(max_workers=max_threads()) as pool:
+        return list(pool.map(lambda i: work(i, np.random.default_rng([seed, i])), range(n)))
 
 
 def atomic_write(path: str, text: str) -> None:
@@ -151,9 +158,7 @@ def build_initial_state(cfg: ExperimentConfig, grid: Grid1D, lambdas, damping: D
         modes, vmodes = smooth_initial_data(state.modes, state.vmodes, grid, lambdas,
                                             damping, cfg.init.smoothing_k,
                                             order=cfg.grid.order, mass=mass)
-        state = assemble_initial_state(grid, n_modes, np.zeros(grid.N), {}, {},
-                                       flavor=cfg.flavor, mass=mass)
-        state = type(state)(t=0.0, modes=modes, vmodes=vmodes, flavor=cfg.flavor, mass=mass)
+        state = dataclasses.replace(state, modes=modes, vmodes=vmodes)
     return state
 
 
@@ -319,12 +324,8 @@ def cmd_resolvent(cfg: ExperimentConfig, out_base: str) -> dict:
         helpers = [EnergyNormResolvent(grid, lam, damping, order=cfg.grid.order)
                    for lam in lambdas]
 
-        def work(i):
-            rng = np.random.default_rng([cfg.seed, i])
-            return max(h.op_norm(taus[i], rng) for h in helpers)
-
-        with ThreadPoolExecutor(max_workers=max_threads()) as pool:
-            norms = list(pool.map(work, range(len(taus))))
+        norms = pool_map(lambda i, rng: max(h.op_norm(taus[i], rng) for h in helpers),
+                         len(taus), cfg.seed)
         constants = [n / (1.0 + t * t) for n, t in zip(norms, taus)]
         cols = {"re_z": taus, "im_z": [0.0] * len(taus),
                 "beta1": [0.0] * len(taus), "beta2": [0.0] * len(taus),
@@ -335,14 +336,12 @@ def cmd_resolvent(cfg: ExperimentConfig, out_base: str) -> dict:
 
     else:
         # high/intermediate frequency norm scan, max over modes per point
-        def work(i):
-            rng = np.random.default_rng([cfg.seed, i])
+        def work(i, rng):
             return norm_scan([zs[i]], cfg.scan.beta1, cfg.scan.beta2, damping, grid, lambdas,
                              order=cfg.grid.order, rng=rng,
                              truncation_guard=cfg.scan.truncation_guard)[0]
 
-        with ThreadPoolExecutor(max_workers=max_threads()) as pool:
-            points = list(pool.map(work, range(len(zs))))
+        points = pool_map(work, len(zs), cfg.seed)
 
         cols = {"re_z": [p.z.real for p in points], "im_z": [p.z.imag for p in points],
                 "beta1": [float(p.beta1) for p in points],
@@ -376,12 +375,9 @@ def cmd_semiclassical(cfg: ExperimentConfig, out_base: str) -> dict:
     if not hs:
         raise ConfigError("scan.h_list: semiclassical scan needs at least one h")
 
-    def work(i):
-        rng = np.random.default_rng([cfg.seed, i])
-        return semiclassical_scan([hs[i]], damping, grid, order=cfg.grid.order, rng=rng)[0]
-
-    with ThreadPoolExecutor(max_workers=max_threads()) as pool:
-        rows = list(pool.map(work, range(len(hs))))
+    rows = pool_map(lambda i, rng: semiclassical_scan([hs[i]], damping, grid,
+                                                      order=cfg.grid.order, rng=rng)[0],
+                    len(hs), cfg.seed)
     control = pure_laplacian_control(hs, X=grid.X)
     hnorms = [r["h_norm"] for r in rows]
     payload = {"command": "semiclassical", "points": rows, "control": control,

@@ -202,8 +202,9 @@ def norm_scan(z_list, beta1: int, beta2: int, damping: DampingProfile, grid: Gri
 class WaveBlockResolvent:
     """(A - z)^{-1} on one mode via the block formula, with cached factors.
 
-    u = R(z)[(ia + z) f + g],  v = f + R(z)[(i z a + z^2) f + z g];
-    the adjoint uses the reflection identity R(z)^* = R(-conj(z)).
+    u = R(z)[(ia + z) f + g],  v = f + R(z)[(i z a + z^2) f + z g] = f + z u,
+    so one mode solve per application; the adjoint is likewise one solve,
+    w2 = R(z)^* (f + conj(z) g),  w1 = (conj(z) - ia) w2 + g.
     """
 
     def __init__(self, z: complex, damping: DampingProfile, lam: float, grid: Grid1D,
@@ -217,17 +218,13 @@ class WaveBlockResolvent:
         f = np.asarray(f, dtype=complex)
         g = np.asarray(g, dtype=complex)
         u = self.op.solve((1j * a + z) * f + g)
-        v = f + self.op.solve((1j * z * a + z * z) * f + z * g)
-        return u, v
+        return u, f + z * u
 
     def apply_adjoint(self, f: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         zb = np.conj(self.z)
-        a = self.a
-        rf = self.op.solve_adjoint(np.asarray(f, dtype=complex))
-        rg = self.op.solve_adjoint(np.asarray(g, dtype=complex))
-        w1 = (zb - 1j * a) * rf + g + (zb * zb - 1j * zb * a) * rg
-        w2 = rf + zb * rg
-        return w1, w2
+        g = np.asarray(g, dtype=complex)
+        w2 = self.op.solve_adjoint(np.asarray(f, dtype=complex) + zb * g)
+        return (zb - 1j * self.a) * w2 + g, w2
 
 
 class EnergyNormResolvent:

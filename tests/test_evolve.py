@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from guidewave.discretize import DampingProfile, Grid1D, laplacian_1d
-from guidewave.evolve import (Stepper, WaveState, assemble_initial_state, energy,
-                              gaussian_envelope, geometric_schedule, powerlaw_envelope,
-                              run, smooth_initial_data)
+from guidewave.evolve import (FLAVORS, KLEIN_GORDON, EnergyRecord, Stepper, WaveState,
+                              assemble_initial_state, energy, gaussian_envelope,
+                              geometric_schedule, powerlaw_envelope, run,
+                              smooth_initial_data)
 
 
 def reference_step(stepper, state):
@@ -57,6 +58,77 @@ def test_stacked_step_matches_per_mode_reference(k_count, n, kind, level, order,
         e_new = stepper.mode_energies(new).sum()
         assert abs(e_new - e_old + diss) <= 1e-12 * e_old
         state = new
+
+
+def reference_run(state0, grid, lambdas, damping, dt, t_end, order, t0, sample_ratio,
+                  delta1, R):
+    """``run`` without the active-row selection: every step acts on all K modes."""
+    stepper = Stepper(grid, lambdas, damping, dt, order=order, mass=state0.mass)
+    schedule = geometric_schedule(t0, sample_ratio, t_end)
+    state, diss_cum, max_res, idx = state0, 0.0, 0.0, 0
+    records = [energy(state0, grid, lambdas, order=order, delta1=delta1, R=R)]
+    snapshots = [state0]
+    e0 = e_prev = float(np.sum(stepper.mode_energies(state0)))
+    for _ in range(int(round(t_end / dt))):
+        state, diss = stepper.step(state)
+        diss_cum += diss
+        e_now = float(np.sum(stepper.mode_energies(state)))
+        max_res = max(max_res, abs(e_now - e_prev + diss))
+        e_prev = e_now
+        while idx < len(schedule) and state.t >= schedule[idx] - 1e-9:
+            records.append(energy(state, grid, lambdas, order=order, delta1=delta1, R=R,
+                                  dissipation_cum=diss_cum))
+            snapshots.append(state)
+            idx += 1
+    return records, snapshots, max_res, abs(e_prev - e0 + diss_cum)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k_count=st.integers(1, 5), n=st.integers(16, 40), flavor=st.sampled_from(FLAVORS),
+       kind=st.sampled_from(["constant", "longrange", "hole"]), level=st.floats(0.0, 2.0),
+       order=st.sampled_from([2, 4]), dt=st.floats(0.05, 0.5),
+       delta1=st.sampled_from([0.0, 0.5]), half_window=st.booleans(),
+       data=st.data())
+def test_active_row_run_matches_full_block_reference(k_count, n, flavor, kind, level, order,
+                                                     dt, delta1, half_window, data):
+    # data on any subset of the modes: non-prefix, mode 0 inert, or none at all
+    rows = st.sets(st.integers(0, k_count - 1))
+    u_rows, v_rows = data.draw(rows, label="u rows"), data.draw(rows, label="v rows")
+    seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    g = Grid1D(X=10.0, N=n)
+    a = DampingProfile.build(g, kind, rho=1.5, r=3.0,
+                             level=level if kind == "constant" else 1.0)
+    lambdas = np.sort(rng.uniform(0.0, 20.0, k_count))
+    modes, vmodes = np.zeros((k_count, n)), np.zeros((k_count, n))
+    modes[sorted(u_rows)] = rng.standard_normal((len(u_rows), n))
+    vmodes[sorted(v_rows)] = rng.standard_normal((len(v_rows), n))
+    state0 = WaveState(t=0.0, modes=modes, vmodes=vmodes, flavor=flavor,
+                       mass=1.3 if flavor == KLEIN_GORDON else 0.0)
+    kw = dict(dt=dt, t_end=12 * dt, order=order, t0=dt, sample_ratio=1.3, delta1=delta1,
+              R=g.X / 2 if half_window else None)
+
+    result = run(state0, g, lambdas, a, keep_snapshots=True, **kw)
+    records, snapshots, max_res, cum_res = reference_run(state0, g, lambdas, a, **kw)
+
+    series = result.series()
+    for name in EnergyRecord.COLUMNS:
+        ref = np.array([getattr(r, name) for r in records])
+        np.testing.assert_allclose(series[name], ref, rtol=1e-14,
+                                   atol=1e-14 * float(np.max(np.abs(ref))), err_msg=name)
+    scale = 1e-14 * max(result.E0, 1e-300)
+    assert result.identity_max_step_residual == pytest.approx(max_res, rel=1e-14, abs=scale)
+    assert result.identity_cumulative_residual == pytest.approx(cum_res, rel=1e-14, abs=scale)
+
+    inert = sorted(set(range(k_count)) - u_rows - v_rows)
+    assert len(result.snapshots) == len(snapshots)
+    for got, ref in zip(result.snapshots, snapshots):
+        assert got.t == ref.t
+        for mine, theirs in ((got.modes, ref.modes), (got.vmodes, ref.vmodes)):
+            assert mine.shape == (k_count, n)
+            assert not np.any(mine[inert])
+            np.testing.assert_allclose(mine, theirs, rtol=1e-14,
+                                       atol=1e-14 * float(np.max(np.abs(theirs), initial=0.0)))
 
 
 def make_state(grid, n_modes=2, u0=None, u1=None, **kw):
@@ -160,36 +232,33 @@ def test_discrete_companion_roots_to_second_order():
 
 
 class TestEnergyRecord:
-    def test_zero_state(self, grid40, damping_const):
+    def test_zero_state(self, grid40):
         lambdas = np.array([0.0, 1.0])
         state = WaveState(t=0.0, modes=np.zeros((2, grid40.N)), vmodes=np.zeros((2, grid40.N)))
-        stepper = Stepper(grid40, lambdas, damping_const, dt=0.1)
-        rec = energy(state, grid40, stepper)
+        rec = energy(state, grid40, lambdas)
         assert rec.E_total == 0.0 and rec.E_local == 0.0 and rec.grad_w == 0.0
 
-    def test_mode1_energy_identity(self, grid40, damping_const):
+    def test_mode1_energy_identity(self, grid40):
         # u = phi_1 (x) g, v = 0, L = pi: E = ||g'||^2 + ||g||^2
         lambdas = np.array([0.0, 1.0])
         g = gaussian_envelope(grid40, sigma=2.0)
         state = WaveState(t=0.0, modes=np.stack([np.zeros(grid40.N), g]),
                           vmodes=np.zeros((2, grid40.N)))
-        stepper = Stepper(grid40, lambdas, damping_const, dt=0.1)
-        rec = energy(state, grid40, stepper)
+        rec = energy(state, grid40, lambdas)
         dg = -grid40.xs / 4.0 * g
         expected = grid40.h * (np.sum(dg ** 2) + np.sum(g ** 2))
         assert rec.E_total == pytest.approx(expected, rel=1e-6)
 
-    def test_full_window_local_equals_total(self, grid40, damping_const, rng):
+    def test_full_window_local_equals_total(self, grid40, rng):
         lambdas = np.array([0.0, 1.0])
         state = WaveState(t=0.0, modes=rng.standard_normal((2, grid40.N)),
                           vmodes=rng.standard_normal((2, grid40.N)))
-        stepper = Stepper(grid40, lambdas, damping_const, dt=0.1)
-        rec = energy(state, grid40, stepper, R=grid40.X)
+        rec = energy(state, grid40, lambdas, R=grid40.X)
         assert rec.E_local == rec.E_total
-        rec_half = energy(state, grid40, stepper, R=grid40.X / 2)
+        rec_half = energy(state, grid40, lambdas, R=grid40.X / 2)
         assert 0.0 < rec_half.E_local < rec.E_total
         with pytest.raises(ValueError):
-            energy(state, grid40, stepper, R=2 * grid40.X)
+            energy(state, grid40, lambdas, R=2 * grid40.X)
 
 
 def test_mode0_data_keeps_p0perp_zero(grid40, damping_const):
@@ -217,10 +286,18 @@ def test_smoothing_stays_real_and_damps_gradients(grid40, damping_const, rng):
     m, v = smooth_initial_data(state.modes, state.vmodes, grid40, lambdas,
                                damping_const, 2)
     assert m.dtype == np.float64 and v.dtype == np.float64
-    stepper = Stepper(grid40, lambdas, damping_const, dt=0.1)
-    raw = energy(state, grid40, stepper).E_total
-    smoothed = energy(WaveState(t=0.0, modes=m, vmodes=v), grid40, stepper).E_total
+    raw = energy(state, grid40, lambdas).E_total
+    smoothed = energy(WaveState(t=0.0, modes=m, vmodes=v), grid40, lambdas).E_total
     assert smoothed < 0.1 * raw
+
+
+def test_run_validates_inputs_without_data(grid40, damping_const):
+    # data on no mode builds no stepper, yet the run still checks its inputs
+    state = make_state(grid40, n_modes=2, u0={}, u1={})
+    with pytest.raises(ValueError, match="time step"):
+        run(state, grid40, np.array([0.0, 1.0]), damping_const, dt=0.0, t_end=1.0)
+    with pytest.raises(ValueError, match="eigenvalues"):
+        run(state, grid40, np.array([0.0]), damping_const, dt=0.1, t_end=1.0)
 
 
 def test_geometric_schedule():

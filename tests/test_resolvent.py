@@ -7,8 +7,8 @@ import pytest
 from scipy.linalg import svdvals
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from guidewave.discretize import (_D1_STENCILS, DampingProfile, Grid1D, laplacian_1d,
-                                  mode_operator, weight)
+from guidewave.discretize import (_D1_STENCILS, DampingProfile, Grid1D, ShiftedOperator,
+                                  laplacian_1d, mode_operator, weight)
 from guidewave.errors import SolveError
 from guidewave.resolvent import (LANCZOS, POWER_ITERATION, EnergyNormResolvent, SobolevScaler,
                                  WaveBlockResolvent, _mode_sobolev_norm, heat_model_operator,
@@ -252,6 +252,20 @@ class TestBlockResolvent:
         lhs = np.vdot(g1, u) + np.vdot(g2, v)
         rhs = np.vdot(w1, f1) + np.vdot(w2, f2)
         assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
+
+    def test_one_mode_solve_per_application(self, grid40, damping_const, rng, monkeypatch):
+        block = WaveBlockResolvent(1.3 + 0.4j, damping_const, 2.0, grid40)
+        calls = {"solve": 0, "solve_adjoint": 0}
+        for name in calls:
+            def counted(op, f, rtol=1e-10, _solve=getattr(ShiftedOperator, name), _name=name):
+                calls[_name] += 1
+                return _solve(op, f, rtol)
+            monkeypatch.setattr(ShiftedOperator, name, counted)
+        f, g = rng.standard_normal((2, grid40.N))
+        block.apply(f, g)
+        assert calls == {"solve": 1, "solve_adjoint": 0}
+        block.apply_adjoint(f, g)
+        assert calls == {"solve": 1, "solve_adjoint": 1}
 
     def test_energy_norm_consistent_with_component_bound(self, grid40, damping_const, rng):
         # triangle-inequality recomputation from component norms at real tau
