@@ -6,9 +6,12 @@ iteration as the fallback when ARPACK itself fails.  Sobolev scalings
 (1 - d^2/dx^2)^(+-beta/2) are diagonal in the sine basis of the truncation
 box; since the orthonormal DST-I is its own inverse, a scan measures the mode
 solve in scaled sine coefficients, one transform per scaled side of each
-application.  The energy norm of the first-order operator is realized by the
-banded Cholesky factor of -D2 + lam, O(N) per application, with no transform.
-The dense oracles for these norms live in the tests.  The block resolvent of
+application.  A norm scan takes the max over transverse modes and skips every
+mode whose certified bound (``mode_norm_bound``) is already below the running
+max, which cuts the elliptic tail lam_k > tau^2 without a heuristic.  The
+energy norm of the first-order operator is realized by the banded Cholesky
+factor of -D2 + lam, O(N) per application, with no transform.  The dense
+oracles for these norms live in the tests.  The block resolvent of
 the first-order wave operator and its adjoint are applied through the mode
 resolvent R(z) and the reflection identity R(z)^* = R(-conj(z)).
 """
@@ -42,6 +45,8 @@ class ScanPoint:
     residual: float
     flag: str = "ok"
     k_argmax: int = 0
+    tail_bound: float = 0.0
+    modes_scanned: int = 0
 
     def __post_init__(self):
         if self.norm_est <= 0:
@@ -82,12 +87,18 @@ def power_iteration_norm(apply_op, apply_adjoint, n: int, rng: np.random.Generat
         f"power iteration did not converge in {maxit} steps (last rel change {res:.2e})")
 
 
+def _start_vector(rng: np.random.Generator, m: int) -> np.ndarray:
+    """Seeded complex Lanczos start vector: m real parts, then m imaginary parts."""
+    return rng.standard_normal(m) + 1j * rng.standard_normal(m)
+
+
 def iterative_norm(apply_op, apply_adjoint, n: int | tuple[int, int], rng: np.random.Generator,
-                   tol: float = 1e-7) -> tuple[float, float, str]:
+                   tol: float = 1e-7, v0: np.ndarray | None = None) -> tuple[float, float, str]:
     """Largest singular value, matrix-free, with a seeded start vector.
 
     ``n`` is the dimension of a square T or the (rows, cols) shape of a
-    rectangular one.  Lanczos (ARPACK) on the normal operator; plain power
+    rectangular one.  The start vector ``v0`` is drawn from ``rng`` unless
+    given.  Lanczos (ARPACK) on the normal operator; plain power
     iteration stagnates when the top singular values cluster (constant
     damping leaves ~ tau X / pi near-degenerate modes), so it is kept only as
     the fallback when ARPACK itself fails.  Errors raised by the operator
@@ -97,8 +108,8 @@ def iterative_norm(apply_op, apply_adjoint, n: int | tuple[int, int], rng: np.ra
     rows, cols = (n, n) if np.isscalar(n) else n
     op = LinearOperator((rows, cols), matvec=lambda x: apply_op(np.ravel(x)),
                         rmatvec=lambda x: apply_adjoint(np.ravel(x)), dtype=complex)
-    m = min(rows, cols)
-    v0 = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    if v0 is None:
+        v0 = _start_vector(rng, min(rows, cols))
     try:
         sigma = svds(op, k=1, v0=v0, tol=tol, maxiter=60, return_singular_vectors=False)
         return float(sigma[0]), tol, LANCZOS
@@ -132,15 +143,44 @@ class SobolevScaler:
         return y
 
 
+def sobolev_constant_sq(grid: Grid1D, order: int = 4) -> float:
+    """K^2 >= ||S_1 M^{-1/2}||^2 with M = 1 - D2, from the stencil's sine symbol.
+
+    For the 3- and 5-point stencils -D2 is the sine-diagonal Q diag(s/h^2) Q,
+    s(theta) = -(c_0 + 2 sum_m c_m cos(m theta)) at theta_m = m pi/(N+1), plus a
+    PSD term at the box ends (zero for order 2, (e_1 e_1^T + e_N e_N^T)/(12 h^2)
+    for order 4).  So M >= Q (1 + s/h^2) Q, and K^2 = max_m (1 + nu_m)/(1 + s_m/h^2),
+    widened by 1e-12 for rounding, bounds the generalized eigenvalues of (S_1^2, M).
+    """
+    lap = laplacian_1d(grid, order=order)
+    theta = np.arange(1, grid.N + 1) * math.pi / (grid.N + 1)
+    symbol = -lap.diags[0][0] - 2.0 * sum(d[0] * np.cos(m * theta)  # s(theta_m) / h^2
+                                          for m, d in enumerate(lap.diags) if m)
+    nu = SobolevScaler(grid).nu
+    return (1.0 + 1e-12) * float(np.max((1.0 + nu) / (1.0 + symbol)))
+
+
+def mode_norm_bound(c: float, beta_sum: int, k_sq: float) -> float:
+    """Certified ||S_b1 R S_b2|| <= K^s / (m^(s/2) c^(1 - s/2)), s = b1 + b2, m = min(1, c).
+
+    ``c`` is a lower bound of the Hermitian part of the mode operator; with
+    c <= 0 there is no bound and the result is inf.  See ``norm_scan``.
+    """
+    if c <= 0.0:
+        return math.inf
+    m = min(1.0, c)
+    return k_sq ** (beta_sum / 2.0) / (m ** (beta_sum / 2.0) * c ** (1.0 - beta_sum / 2.0))
+
+
 def _mode_sobolev_norm(op: ShiftedOperator, scaler: SobolevScaler, beta1: int, beta2: int,
-                       rng: np.random.Generator, tol: float = 1e-6):
+                       rng: np.random.Generator, tol: float = 1e-6, v0: np.ndarray | None = None):
     """||S_beta1 R S_beta2|| of the mode solve R; no transform when both betas are 0."""
     tol = min(tol, 1e-7)
     if not (beta1 or beta2):
-        return iterative_norm(op.solve, op.solve_adjoint, op.grid.N, rng, tol=tol)
+        return iterative_norm(op.solve, op.solve_adjoint, op.grid.N, rng, tol=tol, v0=v0)
     return iterative_norm(lambda c: scaler.apply(op.solve, c, beta1, beta2),
                           lambda c: scaler.apply(op.solve_adjoint, c, beta2, beta1),
-                          op.grid.N, rng, tol=tol)
+                          op.grid.N, rng, tol=tol, v0=v0)
 
 
 def norm_scan(z_list, beta1: int, beta2: int, damping: DampingProfile, grid: Grid1D,
@@ -148,6 +188,24 @@ def norm_scan(z_list, beta1: int, beta2: int, damping: DampingProfile, grid: Gri
               rng: np.random.Generator | None = None,
               truncation_guard: bool = False, guard_rtol: float = 0.05) -> list[ScanPoint]:
     """Resolvent norms over the guide: max over transverse modes per z.
+
+    A mode is skipped, with no solve, when a proven upper bound of its norm is
+    already below the running max.  The mode operator is
+    A = -D2 + lam + mass^2 - i z a - z^2, and its Hermitian part is
+    -D2 + lam + mass^2 - Re z^2 + Im z a >= c I, with
+    c = lam + mass^2 - Re z^2 + min_x(Im z a), since -D2 >= 0.  For c > 0 and
+    m = min(1, c) it is also >= m M, M = 1 - D2.  With u = R f,
+    m ||M^{1/2} u||^2 <= Re <A u, u> <= ||f|| ||u|| and ||u|| <= ||f|| / c,
+    so ||R|| <= 1/c, ||M^{1/2} R|| = ||R M^{1/2}|| <= (m c)^{-1/2} and
+    ||M^{1/2} R M^{1/2}|| <= 1/m; one side's S_1 costs at most
+    K = ||S_1 M^{-1/2}|| (``sobolev_constant_sq``).  Hence
+    ||S_b1 R S_b2|| <= K^s / (m^(s/2) c^(1 - s/2)), s = b1 + b2, for real and
+    complex z alike (``mode_norm_bound``); a mode with c <= 0 is always scanned.
+    The Lanczos estimate never exceeds the true norm, so a skipped mode cannot
+    raise the max.  Every mode draws its start vector, scanned or not, so the
+    result equals that of a scan of every mode in the given order, bit for
+    bit.  ``tail_bound`` is the largest bound among the skipped modes (0 when
+    none is skipped) and ``modes_scanned`` counts the Lanczos runs.
 
     With ``truncation_guard`` every point is recomputed on a 1.5X box and
     flagged "truncation-limited" when the norm moves by more than 5%.
@@ -157,6 +215,7 @@ def norm_scan(z_list, beta1: int, beta2: int, damping: DampingProfile, grid: Gri
     rng = rng or np.random.default_rng(0)
     lambdas = np.asarray(lambdas, dtype=float)
     scaler = SobolevScaler(grid)
+    k_sq = sobolev_constant_sq(grid, order)
 
     if truncation_guard:
         grid2 = grid.refine(1.5)
@@ -168,21 +227,19 @@ def norm_scan(z_list, beta1: int, beta2: int, damping: DampingProfile, grid: Gri
     for z in z_list:
         z = complex(z)
         best, best_k, best_res, best_method = 0.0, 0, 0.0, LANCZOS
-        tau_sq = z.real ** 2
-        fading = 0
+        shift = mass * mass - (z * z).real + float(np.min(z.imag * damping.samples))
+        tail, scanned = 0.0, 0
         for k, lam in enumerate(lambdas):
+            v0 = _start_vector(rng, grid.N)
+            bound = mode_norm_bound(lam + shift, beta1 + beta2, k_sq)
+            if bound < best:
+                tail = max(tail, bound)
+                continue
             op = mode_operator(grid, lam, damping, z, order=order, mass=mass)
-            sigma, res, method = _mode_sobolev_norm(op, scaler, beta1, beta2, rng)
+            sigma, res, method = _mode_sobolev_norm(op, scaler, beta1, beta2, rng, v0=v0)
+            scanned += 1
             if sigma > best:
                 best, best_k, best_res, best_method = sigma, k, res, method
-            # the elliptic tail lam_k >> tau^2 decays monotonically; stop once
-            # clearly past the crossing regime and well below the running max
-            if lam + mass * mass > tau_sq + 25.0 and sigma < 0.3 * best:
-                fading += 1
-                if fading >= 3:
-                    break
-            else:
-                fading = 0
         flag = "ok"
         if truncation_guard:
             op2 = mode_operator(grid2, lambdas[best_k], damping2, z, order=order, mass=mass)
@@ -191,7 +248,7 @@ def norm_scan(z_list, beta1: int, beta2: int, damping: DampingProfile, grid: Gri
                 flag = "truncation-limited"
         points.append(ScanPoint(z=z, beta1=beta1, beta2=beta2, norm_est=best,
                                 method=best_method, residual=best_res, flag=flag,
-                                k_argmax=best_k))
+                                k_argmax=best_k, tail_bound=tail, modes_scanned=scanned))
     return points
 
 

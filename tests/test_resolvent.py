@@ -4,7 +4,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
-from scipy.linalg import svdvals
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import eigh, svdvals
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from guidewave.discretize import (_D1_STENCILS, DampingProfile, Grid1D, ShiftedOperator,
@@ -12,12 +14,33 @@ from guidewave.discretize import (_D1_STENCILS, DampingProfile, Grid1D, ShiftedO
 from guidewave.errors import SolveError
 from guidewave.resolvent import (LANCZOS, POWER_ITERATION, EnergyNormResolvent, SobolevScaler,
                                  WaveBlockResolvent, _mode_sobolev_norm, heat_model_operator,
-                                 heat_structure_residual, iterative_norm, norm_scan,
-                                 power_iteration_norm, pure_laplacian_control,
-                                 semiclassical_scan, spectral_gap_probe, theta_blocks,
-                                 theta_probe)
+                                 heat_structure_residual, iterative_norm, mode_norm_bound,
+                                 norm_scan, power_iteration_norm, pure_laplacian_control,
+                                 semiclassical_scan, sobolev_constant_sq, spectral_gap_probe,
+                                 theta_blocks, theta_probe)
 
-from dense_oracles import dense_energy_norm, dense_sobolev_norm, sqrt_energy_matrix
+from dense_oracles import (dense_energy_norm, dense_sobolev_norm, sobolev_matrix,
+                           sqrt_energy_matrix)
+
+DAMPING_KINDS = ["constant", "longrange", "hole"]
+BETA_PAIRS = [(0, 0), (1, 0), (0, 1), (1, 1)]
+
+
+@st.composite
+def mode_cases(draw, n_z=1):
+    """A small grid, stencil order, damping kind and mass, ``n_z`` shifts z (real,
+    upper or lower half-plane) and a mode eigenvalue lam giving every z the
+    coercivity constant c = lam + mass^2 - Re z^2 + min(Im z a) >= c_min > 0."""
+    g = Grid1D(X=draw(st.floats(2.0, 20.0)), N=draw(st.integers(16, 40)))
+    a = DampingProfile.build(g, draw(st.sampled_from(DAMPING_KINDS)), r=2.0, rho=2.0)
+    half_plane = st.sampled_from([0.0, 1.0, -1.0])
+    zs = [complex(draw(st.floats(-6.0, 6.0)), draw(half_plane) * draw(st.floats(0.05, 1.0)))
+          for _ in range(n_z)]
+    mass = draw(st.sampled_from([0.0, 1.0]))
+    c_min = math.exp(draw(st.floats(math.log(0.01), math.log(50.0))))
+    lam = c_min - mass * mass + max((z * z).real - float(np.min(z.imag * a.samples))
+                                    for z in zs)
+    return g, a, draw(st.sampled_from([2, 4])), mass, zs, lam, c_min
 
 
 def rn_solve(z, damping, lam, grid, rhs, order=4):
@@ -222,6 +245,66 @@ class TestNormScan:
         assert pts[0].method == POWER_ITERATION
 
 
+def exhaustive_scan(zs, beta1, beta2, damping, grid, lambdas, rng):
+    """(norm, argmax) per z from a Lanczos run on every mode, in the given order."""
+    scaler = SobolevScaler(grid)
+    out = []
+    for z in zs:
+        sigmas = [_mode_sobolev_norm(mode_operator(grid, lam, damping, z), scaler,
+                                     beta1, beta2, rng)[0] for lam in lambdas]
+        out.append((max(sigmas), int(np.argmax(sigmas))))
+    return out
+
+
+class TestCertifiedTailBound:
+    @settings(max_examples=60, deadline=None)
+    @given(case=mode_cases())
+    def test_bound_dominates_dense_norm(self, case):
+        g, a, order, mass, (z,), lam, c = case
+        op = mode_operator(g, lam, a, z, order=order, mass=mass)
+        k_sq = sobolev_constant_sq(g, order)
+        for b1, b2 in BETA_PAIRS:
+            assert dense_sobolev_norm(op, b1, b2) <= mode_norm_bound(c, b1 + b2, k_sq)
+
+    def test_no_bound_without_coercivity(self):
+        assert mode_norm_bound(0.0, 2, 2.0) == math.inf
+        assert mode_norm_bound(-3.0, 0, 2.0) == math.inf
+
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("x, n", [(2.0, 16), (10.0, 33), (40.0, 64)])
+    def test_symbol_constant_dominates_generalized_eigenvalue(self, order, x, n):
+        # K^2 >= max eig of S_1^2 v = mu (1 - D2) v, tight (to the 1e-12 margin) for order 2
+        g = Grid1D(X=x, N=n)
+        s1 = sobolev_matrix(g, 1.0)
+        top = eigh(s1 @ s1, np.eye(n) - laplacian_1d(g, order=order).as_dense(),
+                   eigvals_only=True)[-1]
+        k_sq = sobolev_constant_sq(g, order)
+        assert top <= k_sq
+        if order == 2:
+            assert k_sq == pytest.approx(top, rel=1e-11)
+
+    @pytest.mark.parametrize("betas, zs, shuffle", [
+        ((0, 0), [4.0, 6.0], False),
+        ((1, 1), [4.0, 6.0], False),
+        ((1, 1), [4.0], True),
+        ((0, 0), [4.0 + 0.5j], True),
+    ])
+    def test_scan_equals_exhaustive_loop(self, betas, zs, shuffle):
+        # the skipped modes change neither the max, nor its mode, nor the random
+        # draws of the modes that are scanned
+        g = Grid1D(X=20.0, N=256)
+        a = DampingProfile.build(g, "hole", r=5.0, rho=2.0)
+        lambdas = np.arange(12, dtype=float) ** 2
+        if shuffle:  # elliptic modes skipped before propagating ones are scanned
+            lambdas = lambdas[[3, 10, 11, 0, 8, 1, 2, 9, 4, 5, 6, 7]]
+        pts = norm_scan(zs, *betas, a, g, lambdas, rng=np.random.default_rng(22))
+        want = exhaustive_scan(zs, *betas, a, g, lambdas, np.random.default_rng(22))
+        for pt, (norm, k) in zip(pts, want):
+            assert (pt.norm_est, pt.k_argmax) == (norm, k)
+            assert pt.modes_scanned < len(lambdas)
+            assert 0.0 < pt.tail_bound < pt.norm_est
+
+
 class TestBlockResolvent:
     def test_zero_maps_to_zero(self, grid40, damping_const):
         u, v = wave_resolvent_apply(1j, np.zeros(grid40.N), np.zeros(grid40.N),
@@ -314,11 +397,38 @@ class TestBlockResolvent:
             op.solve(f)
 
 
-def test_resolvent_identity(grid40, rng):
-    a = DampingProfile.build(grid40, "longrange", rho=2.0)
-    f = rng.standard_normal(grid40.N) + 1j * rng.standard_normal(grid40.N)
-    res = resolvent_identity_residual(0.4 + 0.5j, -0.3 + 0.2j, a, 1.0, grid40, f)
+@settings(max_examples=40, deadline=None)
+@given(case=mode_cases(n_z=2), seed=st.integers(0, 2**32 - 1))
+def test_resolvent_identity(case, seed):
+    # R(z1) - R(z2) = R(z1) (A(z2) - A(z1)) R(z2), A(z2) - A(z1) = (z1 - z2)(ia + z1 + z2)
+    g, a, order, mass, (z1, z2), lam, _ = case
+    f = [1.0, 1j] @ np.random.default_rng(seed).standard_normal((2, g.N))
+    res = resolvent_identity_residual(z1, z2, a, lam + mass * mass, g, f, order=order)
     assert res <= 1e-8
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=mode_cases(), seed=st.integers(0, 2**32 - 1))
+def test_adjoint_reflection(case, seed):
+    # R(z)^* = R(-conj z): the adjoint solve equals the solve at the reflected shift
+    g, a, order, mass, (z,), lam, _ = case
+    f = [1.0, 1j] @ np.random.default_rng(seed).standard_normal((2, g.N))
+    adj = mode_operator(g, lam, a, z, order=order, mass=mass).solve_adjoint(f)
+    refl = mode_operator(g, lam, a, -np.conj(z), order=order, mass=mass).solve(f)
+    assert np.linalg.norm(adj - refl) <= 1e-10 * np.linalg.norm(refl)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=mode_cases(), seed=st.integers(0, 2**32 - 1))
+def test_banded_solve_matches_dense(case, seed):
+    g, a, order, mass, (z,), lam, _ = case
+    f = [1.0, 1j] @ np.random.default_rng(seed).standard_normal((2, g.N))
+    op = mode_operator(g, lam, a, z, order=order, mass=mass)
+    dense = -laplacian_1d(g, order=order).as_dense() + np.diag(
+        lam + mass * mass - 1j * z * a.samples - z * z)
+    for got, mat in ((op.solve(f), dense), (op.solve_adjoint(f), dense.conj().T)):
+        want = np.linalg.solve(mat, f)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
 def test_heat_resolvent_norm_on_rays():
