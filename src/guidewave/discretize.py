@@ -149,9 +149,9 @@ _D1_STENCILS = {2: [1.0 / 2.0], 4: [2.0 / 3.0, -1.0 / 12.0]}
 class BandedLaplacian:
     """Symmetric negative-semidefinite stencil for d^2/dx^2, cap at +-X.
 
-    ``diags[m]`` is the m-th superdiagonal (length N - m); values beyond the
-    cap are taken as zero, which truncates the Toeplitz stencil and keeps it
-    symmetric and <= 0.
+    ``diags[m]`` is the m-th superdiagonal (length N - m), constant along its
+    length: the stencil is Toeplitz.  Values beyond the cap are taken as zero,
+    which truncates the stencil and keeps it symmetric and <= 0.
     """
 
     grid: Grid1D
@@ -163,11 +163,16 @@ class BandedLaplacian:
         return len(self.diags) - 1
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        """D2 along the last axis, so a (K, N) mode block is one call."""
-        out = self.diags[0] * u
+        """D2 along the last axis, so a (K, N) mode block is one call.
+
+        Each diagonal is constant, so it multiplies as its scalar coefficient,
+        which gives the same bits as the elementwise product.
+        """
+        out = self.diags[0][0] * u
         for m in range(1, len(self.diags)):
-            out[..., :-m] += self.diags[m] * u[..., m:]
-            out[..., m:] += self.diags[m] * u[..., :-m]
+            c = self.diags[m][0]
+            out[..., :-m] += c * u[..., m:]
+            out[..., m:] += c * u[..., :-m]
         return out
 
     def as_dense(self) -> np.ndarray:

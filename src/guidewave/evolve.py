@@ -15,6 +15,10 @@ modes do not couple, so every operation acts on a whole block of mode
 coefficients at once, and a mode with no data stays exactly zero: ``run``
 steps only the modes that carry data and lifts them back to the (K, N) block
 where energies are recorded.
+
+A step together with its identity check applies P = -D2 + lam_k + m^2 twice:
+to v_n in the midpoint right-hand side, and to u_{n+1} in the check's form
+energy, whose P u_{n+1} the next step reuses as its P u.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky_banded, cho_solve_banded
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, get_lapack_funcs
 
 from .discretize import (BandedLaplacian, DampingProfile, Grid1D, gradient_1d,
                          laplacian_1d, weight)
@@ -106,9 +110,20 @@ def form_energies(u: np.ndarray, v: np.ndarray, lap: BandedLaplacian,
 class Stepper:
     """Prefactored implicit-midpoint stepper for a fixed dt.
 
-    The per-mode midpoint matrix (1 + tau a) + tau^2 (-D2 + lam_k + m^2) is
-    symmetric positive definite and banded; the K of them are Cholesky-factored
-    once as one stacked matrix and reused every step.
+    The per-mode midpoint matrix (1 + tau a) + tau^2 P, P = -D2 + lam_k + m^2,
+    is symmetric positive definite and banded; the K of them are
+    Cholesky-factored once as one stacked matrix, and every step solves with
+    that factor by one LAPACK ``pbtrs`` call.
+
+    A step applies P to v_n, and to u_n unless ``mode_energies`` already did
+    for this very array: the identity check's P u_{n+1} is the next step's
+    P u, so a step plus its check costs two applications of P, and the step's
+    bits do not depend on whether the check ran.  State arrays are treated as
+    immutable.  The factor is checked once, when it is built; instead of a
+    per-step finiteness check of the data, a non-finite dissipation raises
+    ``SolveError``.  That is the same test: a non-finite entry of u or v
+    spreads through its mode's triangular sweeps into v_mid, and a v_mid^2
+    stays non-finite even where a = 0, since 0 * inf is NaN.
     """
 
     def __init__(self, grid: Grid1D, lambdas: np.ndarray, damping: DampingProfile,
@@ -130,10 +145,12 @@ class Stepper:
         t2 = self.tau ** 2
         self._factor = _stacked_cholesky(
             self.lap, 1.0 + self.tau * a + t2 * (self.lam_eff - self.lap.diags[0]), t2)
+        self._pbtrs, = get_lapack_funcs(("pbtrs",), (self._factor,))
+        self._pu = (None, None)     # (u, P u) of the last form energy
 
     def _apply_p(self, u: np.ndarray) -> np.ndarray:
-        """(-D2 + lam_k + m^2) u_k for every mode k."""
-        return -self.lap.apply(u) + self.lam_eff * u
+        """(-D2 + lam_k + m^2) u_k for every mode k; lam u - D2 u rounds as -D2 u + lam u."""
+        return self.lam_eff * u - self.lap.apply(u)
 
     def step(self, state: WaveState):
         """Advance one dt.  Returns (new_state, dissipation_increment)."""
@@ -142,18 +159,31 @@ class Stepper:
             raise ValueError(f"state has {k_count} modes, stepper was built for {len(self.lambdas)}")
         tau = self.tau
         u, v = state.modes, state.vmodes
-        rhs = v - tau * (self.a * v) - tau ** 2 * self._apply_p(v) - 2.0 * tau * self._apply_p(u)
-        try:
-            vp = cho_solve_banded((self._factor, False), rhs.ravel()).reshape(v.shape)
-        except (LinAlgError, ValueError) as exc:
-            raise SolveError(f"midpoint solve failed at dt={self.dt}: {exc}") from exc
-        vm = 0.5 * (v + vp)
-        diss = 2.0 * self.dt * self.grid.h * float(np.sum(self.a * vm ** 2))
-        return replace(state, t=state.t + self.dt, modes=u + tau * (v + vp), vmodes=vp), diss
+        pu = self._pu[1] if self._pu[0] is u else self._apply_p(u)
+        rhs = v - tau * (self.a * v)
+        rhs -= tau ** 2 * self._apply_p(v)
+        rhs -= 2.0 * tau * pu
+        vp, info = self._pbtrs(self._factor, rhs.ravel(), overwrite_b=True)
+        if info != 0:
+            raise SolveError(f"midpoint solve failed at dt={self.dt}: pbtrs info={info}")
+        vp = vp.reshape(v.shape)
+        vsum = v + vp
+        up = u + tau * vsum
+        vsum *= 0.5     # v_mid
+        diss = 2.0 * self.dt * self.grid.h * float(np.sum(self.a * vsum ** 2))
+        if not math.isfinite(diss):
+            raise SolveError(f"midpoint step at dt={self.dt} left non-finite values")
+        return replace(state, t=state.t + self.dt, modes=up, vmodes=vp), diss
 
     def mode_energies(self, state: WaveState) -> np.ndarray:
-        """Form energy of each of the stepper's modes."""
-        return form_energies(state.modes, state.vmodes, self.lap, self.lam_eff)
+        """Form energy h(<u_k, P u_k> + <v_k, v_k>) of each of the stepper's modes.
+
+        Keeps P u for the next ``step`` of this state.
+        """
+        u, v = state.modes, state.vmodes
+        pu = self._apply_p(u)
+        self._pu = (u, pu)
+        return self.grid.h * (np.vecdot(u, pu) + np.vecdot(v, v))
 
 
 def smooth_initial_data(modes: np.ndarray, vmodes: np.ndarray, grid: Grid1D,

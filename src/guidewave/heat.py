@@ -4,8 +4,9 @@ The comparison solution solves dv/dt = v_xx on the line with initial data
 equal to the cross-section mean of (a u0 + u1), and is evaluated by direct
 quadrature against the Gaussian kernel and its derivatives.  The quadrature
 sums are Toeplitz matrix-vector products and are computed by exact linear
-(zero-padded) FFT convolution; the weighted kernel norms apply the same
-products inside a Lanczos operator-norm estimate.
+(zero-padded) FFT convolution at a fast FFT length; the weighted kernel norms
+apply the same products, through ``matmul_toeplitz``, inside a Lanczos
+operator-norm estimate.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.linalg import matmul_toeplitz
 
 from .discretize import Grid1D, gradient_1d, weight
@@ -37,14 +39,25 @@ def heat_kernel(t: float, xi: np.ndarray, derivative: str = "none") -> np.ndarra
 
 
 def heat_apply(w0: np.ndarray, grid: Grid1D, t: float, derivative: str = "none") -> np.ndarray:
-    """Evaluate (d^beta e^{t Lap} w0) on the grid by kernel quadrature."""
+    """Evaluate (d^beta e^{t Lap} w0) on the grid by kernel quadrature.
+
+    The quadrature is the Toeplitz product with the kernel at the node
+    offsets, computed as a circular convolution at the fast FFT length
+    L = next_fast_len(2N - 1): the kernel at offsets 0..N-1 leads, at
+    offsets -(N-1)..-1 it closes the period, and the zero padding between
+    keeps the wrap-around out of the N results.
+    """
     w0 = np.asarray(w0, dtype=float)
-    if w0.shape != (grid.N,):
-        raise ValueError(f"expected data of shape ({grid.N},), got {w0.shape}")
+    n = grid.N
+    if w0.shape != (n,):
+        raise ValueError(f"expected data of shape ({n},), got {w0.shape}")
     d = grid.xs - grid.xs[0]
-    col = heat_kernel(t, d, derivative)
-    row = heat_kernel(t, -d, derivative)
-    return grid.h * matmul_toeplitz((col, row), w0)
+    length = next_fast_len(2 * n - 1, real=True)
+    kern = np.zeros(length)
+    kern[:n] = heat_kernel(t, d, derivative)
+    kern[length - n + 1:] = heat_kernel(t, -d[:0:-1], derivative)
+    conv = irfft(rfft(kern) * rfft(w0, n=length), n=length)
+    return grid.h * conv[:n]
 
 
 def p0_heat_data(modes0: np.ndarray, vmodes0: np.ndarray, a: np.ndarray,

@@ -1,17 +1,27 @@
-"""Dense test oracles for the matrix-free operator norms in guidewave.resolvent.
+"""Test oracles for the fast paths in guidewave.
 
-Each oracle assembles the operator as an N x N (or 2N x 2N) matrix from the
-discrete stencils and takes the top singular value of a full SVD, so it is
-only meant for moderate N.
+The norm oracles assemble the operator as an N x N (or 2N x 2N) matrix from
+the discrete stencils and take the top singular value of a full SVD, so they
+are only meant for moderate N.  The heat-quadrature oracle is scipy's
+general Toeplitz product.
 """
 
 import math
 
 import numpy as np
 from scipy.fft import dst
-from scipy.linalg import svdvals
+from scipy.linalg import matmul_toeplitz, svdvals
 
 from guidewave.discretize import laplacian_1d
+from guidewave.heat import heat_kernel
+
+
+def toeplitz_heat_apply(w0, grid, t, derivative="none"):
+    """Kernel quadrature h sum_j K(x_i - x_j) w0_j by ``matmul_toeplitz``."""
+    d = grid.xs - grid.xs[0]
+    col = heat_kernel(t, d, derivative)
+    row = heat_kernel(t, -d, derivative)
+    return grid.h * matmul_toeplitz((col, row), w0)
 
 
 def sobolev_matrix(grid, beta):

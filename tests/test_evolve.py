@@ -1,14 +1,16 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm
+from scipy.linalg import cho_solve_banded, expm
 
-from guidewave.discretize import DampingProfile, Grid1D, laplacian_1d
-from guidewave.evolve import (FLAVORS, KLEIN_GORDON, EnergyRecord, Stepper, WaveState,
-                              assemble_initial_state, energy, gaussian_envelope,
+from guidewave.discretize import BandedLaplacian, DampingProfile, Grid1D, laplacian_1d
+from guidewave.errors import SolveError
+from guidewave.evolve import (FLAVORS, KLEIN_GORDON, WAVE_NEUMANN, EnergyRecord, Stepper,
+                              WaveState, assemble_initial_state, energy, gaussian_envelope,
                               geometric_schedule, powerlaw_envelope, run,
                               smooth_initial_data)
 
@@ -129,6 +131,120 @@ def test_active_row_run_matches_full_block_reference(k_count, n, flavor, kind, l
             assert not np.any(mine[inert])
             np.testing.assert_allclose(mine, theirs, rtol=1e-14,
                                        atol=1e-14 * float(np.max(np.abs(theirs), initial=0.0)))
+
+
+def elementwise_d2(lap, u):
+    """D2 as a general banded product: elementwise with each stored diagonal."""
+    out = lap.diags[0] * u
+    for m in range(1, len(lap.diags)):
+        out[..., :-m] += lap.diags[m] * u[..., m:]
+        out[..., m:] += lap.diags[m] * u[..., :-m]
+    return out
+
+
+def one_line_step(stepper, state):
+    """The midpoint step as one expression: P applied to u and to v, and a
+    ``cho_solve_banded`` solve with its finiteness checks."""
+    tau, u, v = stepper.tau, state.modes, state.vmodes
+
+    def p(w):
+        return -elementwise_d2(stepper.lap, w) + stepper.lam_eff * w
+
+    rhs = v - tau * (stepper.a * v) - tau ** 2 * p(v) - 2.0 * tau * p(u)
+    vp = cho_solve_banded((stepper._factor, False), rhs.ravel()).reshape(v.shape)
+    vm = 0.5 * (v + vp)
+    diss = 2.0 * stepper.dt * stepper.grid.h * float(np.sum(stepper.a * vm ** 2))
+    return replace(state, t=state.t + stepper.dt, modes=u + tau * (v + vp), vmodes=vp), diss
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("kind", ["constant", "longrange", "hole"])
+@pytest.mark.parametrize("mass", [0.0, 1.0])
+def test_run_is_bit_identical_to_one_line_step(order, kind, mass, monkeypatch):
+    g = Grid1D(X=10.0, N=48)
+    a = DampingProfile.build(g, kind, rho=1.5, r=3.0)
+    lambdas = np.array([0.0, 1.0, 4.0])
+    rng = np.random.default_rng(order + 10 * int(mass))
+    state0 = WaveState(t=0.0, modes=rng.standard_normal((3, g.N)),
+                       vmodes=rng.standard_normal((3, g.N)),
+                       flavor=KLEIN_GORDON if mass else WAVE_NEUMANN, mass=mass)
+    dt, t_end, t0, ratio = 0.1, 3.0, 0.1, 1.3
+    n_steps = int(round(t_end / dt))
+
+    calls = []
+    apply = BandedLaplacian.apply
+
+    def counted_apply(self, u):
+        calls.append(u.shape)
+        return apply(self, u)
+
+    monkeypatch.setattr(BandedLaplacian, "apply", counted_apply)
+    result = run(state0, g, lambdas, a, dt=dt, t_end=t_end, order=order, t0=t0,
+                 sample_ratio=ratio, keep_snapshots=True)
+    monkeypatch.undo()
+    # P u_0 for the identity baseline, P v_n and P u_{n+1} per step, one per record
+    assert len(calls) == 1 + 2 * n_steps + len(result.records)
+
+    stepper = Stepper(g, lambdas, a, dt, order=order, mass=mass)
+    schedule = geometric_schedule(t0, ratio, t_end)
+    state, diss_cum, idx = state0, 0.0, 0
+    records, snapshots = [energy(state0, g, lambdas, order=order)], [state0]
+    for _ in range(n_steps):
+        state, diss = one_line_step(stepper, state)
+        diss_cum += diss
+        while idx < len(schedule) and state.t >= schedule[idx] - 1e-9:
+            records.append(energy(state, g, lambdas, order=order, dissipation_cum=diss_cum))
+            snapshots.append(state)
+            idx += 1
+
+    series = result.series()
+    for name in EnergyRecord.COLUMNS:
+        assert np.array_equal(series[name], [getattr(r, name) for r in records]), name
+    assert len(result.snapshots) == len(snapshots)
+    for got, ref in zip(result.snapshots, snapshots):
+        assert got.t == ref.t
+        assert np.array_equal(got.modes, ref.modes)
+        assert np.array_equal(got.vmodes, ref.vmodes)
+
+
+def test_step_bits_do_not_depend_on_the_energy_check():
+    g = Grid1D(X=10.0, N=48)
+    a = DampingProfile.build(g, "hole", rho=1.5, r=3.0)
+    lambdas = np.array([0.0, 2.0])
+    rng = np.random.default_rng(5)
+    checked = Stepper(g, lambdas, a, dt=0.2, mass=0.5)
+    unchecked = Stepper(g, lambdas, a, dt=0.2, mass=0.5)
+    other = WaveState(t=0.0, modes=rng.standard_normal((2, g.N)),
+                      vmodes=rng.standard_normal((2, g.N)))
+    state = WaveState(t=0.0, modes=rng.standard_normal((2, g.N)),
+                      vmodes=rng.standard_normal((2, g.N)))
+    for n in range(6):
+        # every other step, the last form energy was of another state
+        checked.mode_energies(state if n % 2 else other)
+        new, diss = checked.step(state)
+        ref, ref_diss = unchecked.step(state)
+        assert np.array_equal(new.modes, ref.modes)
+        assert np.array_equal(new.vmodes, ref.vmodes)
+        assert diss == ref_diss
+        state = new
+
+
+@pytest.mark.parametrize("level", [1.0, 0.0])
+@pytest.mark.parametrize("field", ["modes", "vmodes"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("checked", [False, True])
+def test_step_rejects_non_finite_data(level, field, bad, checked):
+    g = Grid1D(X=10.0, N=32)
+    a = DampingProfile.build(g, "constant", level=level)
+    stepper = Stepper(g, np.array([0.0, 1.0]), a, dt=0.1)
+    rng = np.random.default_rng(0)
+    data = {"modes": rng.standard_normal((2, g.N)), "vmodes": rng.standard_normal((2, g.N))}
+    data[field][1, 7] = bad
+    state = WaveState(t=0.0, **data)
+    with np.errstate(all="ignore"), pytest.raises(SolveError):
+        if checked:     # the step then takes P u from the form energy
+            stepper.mode_energies(state)
+        stepper.step(state)
 
 
 def make_state(grid, n_modes=2, u0=None, u1=None, **kw):

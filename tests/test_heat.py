@@ -8,6 +8,8 @@ from guidewave.evolve import WaveState
 from guidewave.heat import (HeatSolution, compare, heat_apply, heat_kernel,
                             heat_weighted_norm, p0_heat_data)
 
+from dense_oracles import toeplitz_heat_apply
+
 
 def dense_weighted_norm(t, beta, s, s1, s2, kappa):
     """Assembled weighted kernel on the default window and a full SVD (test oracle)."""
@@ -64,6 +66,18 @@ class TestKernelPropagator:
             return np.linalg.norm(fd - lap)
 
         assert resid(0.02) / resid(0.01) == pytest.approx(4.0, rel=0.05)
+
+    @pytest.mark.parametrize("n", [4096, 1001])
+    @pytest.mark.parametrize("derivative", ["none", "dx", "lap"])
+    def test_matches_toeplitz_oracle(self, n, derivative):
+        # 2N - 1 = 8191 is prime; the fast length must not change the quadrature
+        g = Grid1D(X=200.0, N=n)
+        rng = np.random.default_rng(n)
+        w0 = np.exp(-g.xs ** 2 / 32.0) * (1.0 + 0.3 * rng.standard_normal(n))
+        for t in (0.5, 10.0, 500.0):
+            ref = toeplitz_heat_apply(w0, g, t, derivative)
+            got = heat_apply(w0, g, t, derivative)
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), t
 
     def test_rejects_bad_arguments(self):
         g = Grid1D(X=10.0, N=64)
