@@ -3,7 +3,9 @@
 The unbounded axis is truncated to (-X, X) with a homogeneous cap at the
 ends; interior nodes carry the unknowns.  Shipped damping profiles keep the
 absorption effective in the outer part of the box so that outgoing energy is
-absorbed before it can reflect off the cap.
+absorbed before it can reflect off the cap.  ``BandedLaplacian`` holds the
+Toeplitz stencil of D2, and ``BandCholesky`` is the one band Cholesky factor
+of diag + s(-D2) that the stepper, the smoother and the energy norm share.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import LinAlgError, cholesky_banded, get_lapack_funcs, toeplitz
 from scipy.sparse import diags as sparse_diags
 from scipy.sparse.linalg import splu
 
@@ -149,49 +152,91 @@ _D1_STENCILS = {2: [1.0 / 2.0], 4: [2.0 / 3.0, -1.0 / 12.0]}
 class BandedLaplacian:
     """Symmetric negative-semidefinite stencil for d^2/dx^2, cap at +-X.
 
-    ``diags[m]`` is the m-th superdiagonal (length N - m), constant along its
-    length: the stencil is Toeplitz.  Values beyond the cap are taken as zero,
-    which truncates the stencil and keeps it symmetric and <= 0.
+    The stencil is Toeplitz: ``coeffs[m]`` is the value of the whole m-th
+    super- and subdiagonal.  Values beyond the cap are taken as zero, which
+    truncates the stencil and keeps it symmetric and <= 0.
     """
 
     grid: Grid1D
     order: int
-    diags: tuple[np.ndarray, ...]
+    coeffs: tuple[float, ...]
 
     @property
     def halfbw(self) -> int:
-        return len(self.diags) - 1
+        return len(self.coeffs) - 1
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        """D2 along the last axis, so a (K, N) mode block is one call.
-
-        Each diagonal is constant, so it multiplies as its scalar coefficient,
-        which gives the same bits as the elementwise product.
-        """
-        out = self.diags[0][0] * u
-        for m in range(1, len(self.diags)):
-            c = self.diags[m][0]
+        """D2 along the last axis, so a (K, N) mode block is one call."""
+        out = self.coeffs[0] * u
+        for m in range(1, len(self.coeffs)):
+            c = self.coeffs[m]
             out[..., :-m] += c * u[..., m:]
             out[..., m:] += c * u[..., :-m]
         return out
 
     def as_dense(self) -> np.ndarray:
-        n = self.grid.N
-        a = np.diag(self.diags[0])
-        for m in range(1, len(self.diags)):
-            a += np.diag(self.diags[m], m) + np.diag(self.diags[m], -m)
-        assert a.shape == (n, n)
-        return a
+        col = np.zeros(self.grid.N)
+        col[:len(self.coeffs)] = self.coeffs
+        return toeplitz(col)
 
 
 def laplacian_1d(grid: Grid1D, order: int = 4) -> BandedLaplacian:
     """Banded discrete d^2/dx^2 on the interior nodes, homogeneous cap at +-X."""
     if order not in _D2_STENCILS:
         raise ValueError(f"stencil order must be 2 or 4, got {order}")
-    coeffs = _D2_STENCILS[order]
     h2 = grid.h ** 2
-    diags = tuple(np.full(grid.N - m, c / h2) for m, c in enumerate(coeffs))
-    return BandedLaplacian(grid=grid, order=order, diags=diags)
+    return BandedLaplacian(grid=grid, order=order,
+                           coeffs=tuple(c / h2 for c in _D2_STENCILS[order]))
+
+
+class BandCholesky:
+    """Upper band Cholesky factor U of the SPD matrix diag + scale (-D2) = U^T U.
+
+    A (K, N) ``diag`` stacks K uncoupled blocks into one band matrix of order
+    K N; bands that would cross a block boundary stay zero.  ``ab`` holds U in
+    LAPACK upper band storage, as ``dtype``.  A matrix that is not positive
+    definite raises ``SolveError``.
+    """
+
+    def __init__(self, lap: BandedLaplacian, diag, scale: float = 1.0, dtype=float):
+        diag = np.asarray(diag, dtype=float)
+        hb = lap.halfbw
+        ab = np.zeros((hb + 1,) + diag.shape)
+        ab[hb] = diag
+        for m in range(1, hb + 1):
+            ab[hb - m, ..., m:] = -scale * lap.coeffs[m]
+        try:
+            chol = cholesky_banded(ab.reshape(hb + 1, -1), lower=False)
+        except (LinAlgError, ValueError) as exc:
+            raise SolveError(f"band Cholesky factorization failed: {exc}") from exc
+        self.ab = chol.astype(dtype, copy=False)
+        self._pbtrs, self._tbtrs = get_lapack_funcs(("pbtrs", "tbtrs"), (self.ab,))
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """(U^T U)^{-1} b by one LAPACK ``pbtrs``, b of diag's shape; may overwrite b."""
+        x, info = self._pbtrs(self.ab, b.reshape(-1), overwrite_b=True)
+        if info != 0:
+            raise SolveError(f"band Cholesky solve failed: pbtrs info={info}")
+        return x.reshape(b.shape)
+
+    def mul(self, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """U x, or U^T x with ``transpose``, for an x of length K N."""
+        u = self.ab
+        hb = u.shape[0] - 1
+        out = u[hb] * x
+        for m in range(1, hb + 1):
+            if transpose:
+                out[m:] += u[hb - m, m:] * x[:-m]
+            else:
+                out[:-m] += u[hb - m, m:] * x[m:]
+        return out
+
+    def solve_triangular(self, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """U^{-1} x, or U^{-T} x with ``transpose``, by one LAPACK ``tbtrs`` call."""
+        y, info = self._tbtrs(self.ab, x[:, None], uplo="U", trans="T" if transpose else "N")
+        if info != 0:
+            raise SolveError(f"triangular band solve failed: tbtrs info={info}")
+        return y[:, 0]
 
 
 def gradient_1d(u: np.ndarray, grid: Grid1D, order: int = 4) -> np.ndarray:
@@ -224,10 +269,6 @@ class ShiftedOperator:
     diag: np.ndarray = field(repr=False)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
-    @property
-    def halfbw(self) -> int:
-        return self.lap.halfbw
-
     def apply(self, u: np.ndarray) -> np.ndarray:
         out = -self.lap.apply(np.asarray(u, dtype=complex))
         out += self.diag * u
@@ -239,14 +280,11 @@ class ShiftedOperator:
     def _factor(self):
         fac = self._cache.get("lu")
         if fac is None:
-            offsets = range(-self.halfbw, self.halfbw + 1)
-            bands = []
-            for off in offsets:
-                m = abs(off)
-                band = np.full(self.grid.N - m, -self.lap.diags[m][0], dtype=complex) \
-                    if m else (self.diag - self.lap.diags[0]).astype(complex)
-                bands.append(band)
-            mat = sparse_diags(bands, list(offsets), format="csc")
+            offsets = list(range(-self.lap.halfbw, self.lap.halfbw + 1))
+            bands = [np.full(self.grid.N - abs(off), -self.lap.coeffs[abs(off)], dtype=complex)
+                     if off else (self.diag - self.lap.coeffs[0]).astype(complex)
+                     for off in offsets]
+            mat = sparse_diags(bands, offsets, format="csc")
             try:
                 fac = splu(mat)
             except Exception as exc:  # singular factorization
@@ -275,9 +313,6 @@ class ShiftedOperator:
         f = np.asarray(f, dtype=complex)
         u = self._factor().solve(f, trans="H")
         return self._checked(u, f, True, rtol)
-
-    def dense(self) -> np.ndarray:
-        return -self.lap.as_dense() + np.diag(self.diag)
 
 
 def mode_operator(grid: Grid1D, lam: float, damping: DampingProfile, z: complex,

@@ -18,7 +18,8 @@ where energies are recorded.
 
 A step together with its identity check applies P = -D2 + lam_k + m^2 twice:
 to v_n in the midpoint right-hand side, and to u_{n+1} in the check's form
-energy, whose P u_{n+1} the next step reuses as its P u.
+energy, whose P u_{n+1} the next step reuses as its P u.  The midpoint matrix
+and the smoothing resolvent use the band factor ``discretize.BandCholesky``.
 """
 
 from __future__ import annotations
@@ -28,9 +29,8 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, get_lapack_funcs
 
-from .discretize import (BandedLaplacian, DampingProfile, Grid1D, gradient_1d,
+from .discretize import (BandCholesky, DampingProfile, Grid1D, gradient_1d,
                          laplacian_1d, weight)
 from .errors import SolveError
 
@@ -76,44 +76,14 @@ class EnergyRecord:
     COLUMNS = ("t", "E_total", "E_local", "E_w", "grad_w", "dtu_w",
                "E_p0", "E_p0perp", "dissipation_cum")
 
-    def row(self) -> tuple[float, ...]:
-        return (self.t, self.E_total, self.E_local, self.E_w, self.grad_w,
-                self.dtu_w, self.E_p0, self.E_p0perp, self.dissipation_cum)
-
-
-def _stacked_cholesky(lap: BandedLaplacian, diag: np.ndarray, scale: float) -> np.ndarray:
-    """Upper banded Cholesky factor of the K uncoupled blocks diag_k + scale (-D2).
-
-    The (K, N) blocks are stacked into one banded matrix of order K N.  Bands
-    that would cross a block boundary stay zero, so the blocks do not couple
-    and one factorization serves every mode.
-    """
-    k_count, n = diag.shape
-    hb = lap.halfbw
-    ab = np.zeros((hb + 1, k_count, n))
-    ab[hb] = diag
-    for m in range(1, hb + 1):
-        ab[hb - m, :, m:] = -scale * lap.diags[m]
-    try:
-        return cholesky_banded(ab.reshape(hb + 1, k_count * n), lower=False)
-    except (LinAlgError, ValueError) as exc:
-        raise SolveError(f"banded Cholesky factorization of {k_count} modes failed: {exc}") from exc
-
-
-def form_energies(u: np.ndarray, v: np.ndarray, lap: BandedLaplacian,
-                  lam_eff: np.ndarray) -> np.ndarray:
-    """Form energy per mode: h(<(-D2 + lam_k + m^2) u_k, u_k> + ||v_k||^2)."""
-    grad = np.maximum(-np.sum(u * lap.apply(u), axis=-1), 0.0)
-    return lap.grid.h * (grad + np.sum(lam_eff * u ** 2 + v ** 2, axis=-1))
-
 
 class Stepper:
     """Prefactored implicit-midpoint stepper for a fixed dt.
 
     The per-mode midpoint matrix (1 + tau a) + tau^2 P, P = -D2 + lam_k + m^2,
     is symmetric positive definite and banded; the K of them are
-    Cholesky-factored once as one stacked matrix, and every step solves with
-    that factor by one LAPACK ``pbtrs`` call.
+    Cholesky-factored once as one stacked ``BandCholesky``, and every step
+    solves with that factor by one LAPACK call.
 
     A step applies P to v_n, and to u_n unless ``mode_energies`` already did
     for this very array: the identity check's P u_{n+1} is the next step's
@@ -143,9 +113,8 @@ class Stepper:
         self.lam_eff = (self.lambdas + self.mass ** 2)[:, None]
         self.lap = laplacian_1d(grid, order=order)
         t2 = self.tau ** 2
-        self._factor = _stacked_cholesky(
-            self.lap, 1.0 + self.tau * a + t2 * (self.lam_eff - self.lap.diags[0]), t2)
-        self._pbtrs, = get_lapack_funcs(("pbtrs",), (self._factor,))
+        self._factor = BandCholesky(
+            self.lap, 1.0 + self.tau * a + t2 * (self.lam_eff - self.lap.coeffs[0]), t2)
         self._pu = (None, None)     # (u, P u) of the last form energy
 
     def _apply_p(self, u: np.ndarray) -> np.ndarray:
@@ -163,10 +132,7 @@ class Stepper:
         rhs = v - tau * (self.a * v)
         rhs -= tau ** 2 * self._apply_p(v)
         rhs -= 2.0 * tau * pu
-        vp, info = self._pbtrs(self._factor, rhs.ravel(), overwrite_b=True)
-        if info != 0:
-            raise SolveError(f"midpoint solve failed at dt={self.dt}: pbtrs info={info}")
-        vp = vp.reshape(v.shape)
+        vp = self._factor.solve(rhs)
         vsum = v + vp
         up = u + tau * vsum
         vsum *= 0.5     # v_mid
@@ -203,9 +169,9 @@ def smooth_initial_data(modes: np.ndarray, vmodes: np.ndarray, grid: Grid1D,
     u = np.array(modes, dtype=float, copy=True)
     v = np.array(vmodes, dtype=float, copy=True)
     lam_eff = np.asarray(lambdas, dtype=float)[:, None] + mass ** 2
-    factor = _stacked_cholesky(lap, lam_eff + a + 1.0 - lap.diags[0], 1.0)
+    factor = BandCholesky(lap, lam_eff + a + 1.0 - lap.coeffs[0])
     for _ in range(k_applications):
-        u = cho_solve_banded((factor, False), ((a + 1.0) * u + v).ravel()).reshape(u.shape)
+        u = factor.solve((a + 1.0) * u + v)
         v = np.zeros_like(u)
     return u, v
 
@@ -228,7 +194,9 @@ def energy(state: WaveState, grid: Grid1D, lambdas: np.ndarray, order: int = 4,
     h = grid.h
     u, v = state.modes, state.vmodes
     lam_eff = (np.asarray(lambdas, dtype=float) + float(state.mass) ** 2)[:, None]
-    per_mode = form_energies(u, v, laplacian_1d(grid, order=order), lam_eff)
+    # form energy per mode: h(<(-D2 + lam_k + m^2) u_k, u_k> + ||v_k||^2)
+    grad = np.maximum(-np.sum(u * laplacian_1d(grid, order=order).apply(u), axis=-1), 0.0)
+    per_mode = h * (grad + np.sum(lam_eff * u ** 2 + v ** 2, axis=-1))
     e_total = float(np.sum(per_mode))
 
     du = gradient_1d(u, grid, order=order)

@@ -5,7 +5,7 @@ equal to the cross-section mean of (a u0 + u1), and is evaluated by direct
 quadrature against the Gaussian kernel and its derivatives.  The quadrature
 sums are Toeplitz matrix-vector products and are computed by exact linear
 (zero-padded) FFT convolution at a fast FFT length; the weighted kernel norms
-apply the same products, through ``matmul_toeplitz``, inside a Lanczos
+apply the same circulant embedding, with complex transforms, inside a Lanczos
 operator-norm estimate.
 """
 
@@ -15,8 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
-from scipy.linalg import matmul_toeplitz
+from scipy.fft import fft, ifft, irfft, next_fast_len, rfft
 
 from .discretize import Grid1D, gradient_1d, weight
 
@@ -38,24 +37,31 @@ def heat_kernel(t: float, xi: np.ndarray, derivative: str = "none") -> np.ndarra
     raise ValueError(f"unknown kernel derivative {derivative!r}")
 
 
+def _circulant_kernel(t: float, d: np.ndarray, derivative: str, length: int) -> np.ndarray:
+    """Column of a circulant of ``length`` >= 2N - 1 whose leading block is the
+    Toeplitz K(x_i - x_j), d = x - x_0: the kernel at offsets 0..N-1 leads, at
+    -(N-1)..-1 it closes the period, and the zeros between keep the wrap-around
+    of a circular convolution out of the N results."""
+    n = len(d)
+    kern = np.zeros(length)
+    kern[:n] = heat_kernel(t, d, derivative)
+    kern[length - n + 1:] = heat_kernel(t, -d[:0:-1], derivative)
+    return kern
+
+
 def heat_apply(w0: np.ndarray, grid: Grid1D, t: float, derivative: str = "none") -> np.ndarray:
     """Evaluate (d^beta e^{t Lap} w0) on the grid by kernel quadrature.
 
     The quadrature is the Toeplitz product with the kernel at the node
-    offsets, computed as a circular convolution at the fast FFT length
-    L = next_fast_len(2N - 1): the kernel at offsets 0..N-1 leads, at
-    offsets -(N-1)..-1 it closes the period, and the zero padding between
-    keeps the wrap-around out of the N results.
+    offsets, computed as a real circular convolution with the
+    ``_circulant_kernel`` at the fast FFT length L = next_fast_len(2N - 1).
     """
     w0 = np.asarray(w0, dtype=float)
     n = grid.N
     if w0.shape != (n,):
         raise ValueError(f"expected data of shape ({n},), got {w0.shape}")
-    d = grid.xs - grid.xs[0]
     length = next_fast_len(2 * n - 1, real=True)
-    kern = np.zeros(length)
-    kern[:n] = heat_kernel(t, d, derivative)
-    kern[length - n + 1:] = heat_kernel(t, -d[:0:-1], derivative)
+    kern = _circulant_kernel(t, grid.xs - grid.xs[0], derivative, length)
     conv = irfft(rfft(kern) * rfft(w0, n=length), n=length)
     return grid.h * conv[:n]
 
@@ -142,8 +148,10 @@ def heat_weighted_norm(t: float, beta: int | str, s: float, s1: float, s2: float
     beta in {0, 1} with s in [0, beta], or beta = "lap" with s = 0 (the
     second-derivative estimate, weights <x>^(-kappa s_j)).  The weighted
     kernel quadrature on a window of half-width >= 10 sqrt(t) is applied as
-    hw wl Toeplitz(col, row) wr by FFT convolution (adjoint Toeplitz(row,
-    col)), and its top singular value is a Lanczos estimate from a fixed
+    hw wl T wr, T the Toeplitz matrix K(x_i - x_j), by complex circular
+    convolution with the ``_circulant_kernel`` at next_fast_len(2n - 1); the
+    kernel is real, so the adjoint T^T convolves with the conjugate
+    transform.  The top singular value is a Lanczos estimate from a fixed
     seeded start vector.
     """
     if beta == "lap" or beta == 2:
@@ -177,15 +185,15 @@ def heat_weighted_norm(t: float, beta: int | str, s: float, s1: float, s2: float
 
     wl = (1.0 + xs ** 2) ** (-(kappa * s1 + s) / 2.0)
     wr = (1.0 + xs ** 2) ** (-(kappa * s2 + s) / 2.0)
-    d = xs - xs[0]
-    col = heat_kernel(t, d, derivative)
-    row = heat_kernel(t, -d, derivative)
+    length = next_fast_len(2 * n - 1)
+    kern_f = fft(_circulant_kernel(t, xs - xs[0], derivative, length))
+    kern_f_adj = np.conj(kern_f)
 
     def apply_op(x):
-        return hw * wl * matmul_toeplitz((col, row), wr * x)
+        return hw * wl * ifft(kern_f * fft(wr * x, n=length))[:n]
 
     def apply_adjoint(y):
-        return hw * wr * matmul_toeplitz((row, col), wl * y)
+        return hw * wr * ifft(kern_f_adj * fft(wl * y, n=length))[:n]
 
     # imported here so that importing the package does not load the resolvent
     # layer (ARPACK, DST) ahead of the modules that need it

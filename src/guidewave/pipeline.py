@@ -147,12 +147,17 @@ def build_envelope(cfg: ExperimentConfig, grid: Grid1D) -> np.ndarray:
     return powerlaw_envelope(grid, q=p.get("q", 0.5), amplitude=p.get("amplitude", 1.0))
 
 
+def build_mass(cfg: ExperimentConfig) -> float:
+    """The Klein-Gordon mass; the other flavors carry none."""
+    return cfg.mass if cfg.flavor == KLEIN_GORDON else 0.0
+
+
 def build_initial_state(cfg: ExperimentConfig, grid: Grid1D, lambdas, damping: DampingProfile):
     env = build_envelope(cfg, grid)
     n_modes = len(lambdas)
     u0 = {int(k): float(v) for k, v in cfg.init.u0_modes.items()}
     u1 = {int(k): float(v) for k, v in cfg.init.u1_modes.items()}
-    mass = cfg.mass if cfg.flavor == KLEIN_GORDON else 0.0
+    mass = build_mass(cfg)
     state = assemble_initial_state(grid, n_modes, env, u0, u1, flavor=cfg.flavor, mass=mass)
     if cfg.init.smoothing_k > 0:
         modes, vmodes = smooth_initial_data(state.modes, state.vmodes, grid, lambdas,
@@ -289,6 +294,9 @@ def cmd_resolvent(cfg: ExperimentConfig, out_base: str) -> dict:
     damping = build_damping(cfg, grid)
     lambdas, _ = build_basis(cfg)
     kind = cfg.scan.kind
+    mass = build_mass(cfg)
+    if mass and kind != "highfreq":
+        raise ConfigError(f"mass: scan kind {kind!r} has no mass term, got mass={mass}")
     zs = parse_scan_z(cfg.scan.z_list)
     payload = {"command": "resolvent-scan", "kind": kind}
 
@@ -338,7 +346,7 @@ def cmd_resolvent(cfg: ExperimentConfig, out_base: str) -> dict:
         # high/intermediate frequency norm scan, max over modes per point
         def work(i, rng):
             return norm_scan([zs[i]], cfg.scan.beta1, cfg.scan.beta2, damping, grid, lambdas,
-                             order=cfg.grid.order, rng=rng,
+                             order=cfg.grid.order, mass=mass, rng=rng,
                              truncation_guard=cfg.scan.truncation_guard)[0]
 
         points = pool_map(work, len(zs), cfg.seed)
@@ -372,6 +380,8 @@ def cmd_semiclassical(cfg: ExperimentConfig, out_base: str) -> dict:
     grid = build_grid(cfg)
     damping = build_damping(cfg, grid)
     hs = [float(h) for h in cfg.scan.h_list]
+    if build_mass(cfg):
+        raise ConfigError(f"mass: the semiclassical operator has no mass term, got mass={cfg.mass}")
     if not hs:
         raise ConfigError("scan.h_list: semiclassical scan needs at least one h")
 

@@ -9,8 +9,9 @@ solve in scaled sine coefficients, one transform per scaled side of each
 application.  A norm scan takes the max over transverse modes and skips every
 mode whose certified bound (``mode_norm_bound``) is already below the running
 max, which cuts the elliptic tail lam_k > tau^2 without a heuristic.  The
-energy norm of the first-order operator is realized by the banded Cholesky
-factor of -D2 + lam, O(N) per application, with no transform.  The dense
+energy norm of the first-order operator is realized by the band Cholesky
+factor of -D2 + lam that ``discretize.BandCholesky`` shares with the stepper,
+O(N) per application, with no transform.  The dense
 oracles for these norms live in the tests.  The block resolvent of
 the first-order wave operator and its adjoint are applied through the mode
 resolvent R(z) and the reflection identity R(z)^* = R(-conj(z)).
@@ -23,16 +24,19 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import dst
-from scipy.linalg import LinAlgError, cholesky_banded
-from scipy.linalg.lapack import ztbtrs
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, svds
 
-from .discretize import (DampingProfile, Grid1D, ShiftedOperator, gradient_1d,
-                         laplacian_1d, mode_operator, weight)
+from .discretize import (BandCholesky, DampingProfile, Grid1D, ShiftedOperator,
+                         gradient_1d, laplacian_1d, mode_operator, weight)
 from .errors import ConvergenceError, SolveError
 
 LANCZOS = "lanczos"
 POWER_ITERATION = "power_iteration"
+
+#: relative move of a norm on the 1.5X box that flags a point truncation-limited
+TRUNCATION_GUARD_RTOL = 0.05
+#: transverse modes the theta probe measures (the lowest ones)
+THETA_PROBE_MODES = 3
 
 
 @dataclass(frozen=True)
@@ -154,8 +158,8 @@ def sobolev_constant_sq(grid: Grid1D, order: int = 4) -> float:
     """
     lap = laplacian_1d(grid, order=order)
     theta = np.arange(1, grid.N + 1) * math.pi / (grid.N + 1)
-    symbol = -lap.diags[0][0] - 2.0 * sum(d[0] * np.cos(m * theta)  # s(theta_m) / h^2
-                                          for m, d in enumerate(lap.diags) if m)
+    symbol = -lap.coeffs[0] - 2.0 * sum(c * np.cos(m * theta)  # s(theta_m) / h^2
+                                        for m, c in enumerate(lap.coeffs) if m)
     nu = SobolevScaler(grid).nu
     return (1.0 + 1e-12) * float(np.max((1.0 + nu) / (1.0 + symbol)))
 
@@ -186,7 +190,7 @@ def _mode_sobolev_norm(op: ShiftedOperator, scaler: SobolevScaler, beta1: int, b
 def norm_scan(z_list, beta1: int, beta2: int, damping: DampingProfile, grid: Grid1D,
               lambdas, order: int = 4, mass: float = 0.0,
               rng: np.random.Generator | None = None,
-              truncation_guard: bool = False, guard_rtol: float = 0.05) -> list[ScanPoint]:
+              truncation_guard: bool = False) -> list[ScanPoint]:
     """Resolvent norms over the guide: max over transverse modes per z.
 
     A mode is skipped, with no solve, when a proven upper bound of its norm is
@@ -208,7 +212,8 @@ def norm_scan(z_list, beta1: int, beta2: int, damping: DampingProfile, grid: Gri
     none is skipped) and ``modes_scanned`` counts the Lanczos runs.
 
     With ``truncation_guard`` every point is recomputed on a 1.5X box and
-    flagged "truncation-limited" when the norm moves by more than 5%.
+    flagged "truncation-limited" when the norm moves by more than
+    ``TRUNCATION_GUARD_RTOL``.
     """
     if beta1 not in (0, 1) or beta2 not in (0, 1):
         raise ValueError(f"Sobolev indices must lie in {{0,1}}, got beta1={beta1}, beta2={beta2}")
@@ -244,7 +249,7 @@ def norm_scan(z_list, beta1: int, beta2: int, damping: DampingProfile, grid: Gri
         if truncation_guard:
             op2 = mode_operator(grid2, lambdas[best_k], damping2, z, order=order, mass=mass)
             sigma2, _, _ = _mode_sobolev_norm(op2, scaler2, beta1, beta2, rng)
-            if abs(sigma2 - best) > guard_rtol * best:
+            if abs(sigma2 - best) > TRUNCATION_GUARD_RTOL * best:
                 flag = "truncation-limited"
         points.append(ScanPoint(z=z, beta1=beta1, beta2=beta2, norm_est=best,
                                 method=best_method, residual=best_res, flag=flag,
@@ -288,12 +293,12 @@ class EnergyNormResolvent:
     """Per-mode resolvent measured in the energy norm (grad + L2).
 
     The energy norm of (u, v) is (||P^{1/2} u||^2 + ||v||^2)^{1/2} with
-    P = -D2 + lam.  P is factored once per mode by banded Cholesky, P = U^T U.
+    P = -D2 + lam.  P is factored once per mode by ``BandCholesky``, P = U^T U.
     Since U = W P^{1/2} with W orthogonal, diag(U, I) B diag(U^{-1}, I) has the
     norm of diag(P^{1/2}, I) B diag(P^{-1/2}, I) for the block resolvent B; it
-    is applied by banded products and triangular banded solves (the adjoint
-    through U^T and U^{-T}), O(N) per application for either stencil order.
-    A P that is not positive definite raises SolveError.
+    is applied by the factor's band products and triangular band solves (the
+    adjoint through U^T and U^{-T}), O(N) per application for either stencil
+    order.  A P that is not positive definite raises SolveError.
     """
 
     def __init__(self, grid: Grid1D, lam: float, damping: DampingProfile, order: int = 4):
@@ -302,46 +307,20 @@ class EnergyNormResolvent:
         self.damping = damping
         self.order = order
         lap = laplacian_1d(grid, order=order)
-        bw = lap.halfbw
-        bands = np.zeros((bw + 1, grid.N))   # upper storage: row bw - m holds superdiagonal m
-        bands[bw] = self.lam - lap.diags[0]
-        for m in range(1, bw + 1):
-            bands[bw - m, m:] = -lap.diags[m]
-        try:
-            self._chol = cholesky_banded(bands).astype(complex)
-        except LinAlgError as exc:
-            raise SolveError(f"-D2 + lam is not positive definite at lam={self.lam}: {exc}") from exc
-
-    def _mul(self, x: np.ndarray, trans: str = "N") -> np.ndarray:
-        """U x, or U^T x for trans="T"."""
-        u = self._chol
-        bw = u.shape[0] - 1
-        out = u[bw] * x
-        for m in range(1, bw + 1):
-            if trans == "T":
-                out[m:] += u[bw - m, m:] * x[:-m]
-            else:
-                out[:-m] += u[bw - m, m:] * x[m:]
-        return out
-
-    def _solve(self, x: np.ndarray, trans: str = "N") -> np.ndarray:
-        """U^{-1} x, or U^{-T} x for trans="T"."""
-        y, info = ztbtrs(self._chol, x[:, None], uplo="U", trans=trans)
-        if info != 0:
-            raise SolveError(f"triangular banded solve failed (info={info}) at lam={self.lam}")
-        return y[:, 0]
+        self._chol = BandCholesky(lap, np.full(grid.N, self.lam - lap.coeffs[0]), dtype=complex)
 
     def op_norm(self, z: complex, rng: np.random.Generator, tol: float = 1e-6) -> float:
         n = self.grid.N
+        chol = self._chol
         block = WaveBlockResolvent(z, self.damping, self.lam, self.grid, order=self.order)
 
         def apply_op(x):
-            u, v = block.apply(self._solve(x[:n]), x[n:])
-            return np.concatenate([self._mul(u), v])
+            u, v = block.apply(chol.solve_triangular(x[:n]), x[n:])
+            return np.concatenate([chol.mul(u), v])
 
         def apply_adj(x):
-            w1, w2 = block.apply_adjoint(self._mul(x[:n], "T"), x[n:])
-            return np.concatenate([self._solve(w1, "T"), w2])
+            w1, w2 = block.apply_adjoint(chol.mul(x[:n], transpose=True), x[n:])
+            return np.concatenate([chol.solve_triangular(w1, transpose=True), w2])
 
         sigma, _, _ = iterative_norm(apply_op, apply_adj, 2 * n, rng, tol=min(tol, 1e-7))
         return sigma
@@ -447,7 +426,7 @@ def _difference_block(op: ShiftedOperator, heat: ShiftedOperator | None, p, c, q
 
 
 def theta_probe(z_list, damping: DampingProfile, grid: Grid1D, lambdas,
-                delta1: float, delta2: float, order: int = 4, modes=None,
+                delta1: float, delta2: float, order: int = 4,
                 rng: np.random.Generator | None = None) -> list[dict]:
     """Weighted norms of the blocks of (A - z)^{-1} - R_Heat(z), matrix-free.
 
@@ -456,14 +435,12 @@ def theta_probe(z_list, damping: DampingProfile, grid: Grid1D, lambdas,
     Blocks 1 and 2 are measured with the full gradient, as the stacked
     (2N, N) operator [wl G t wr ; sqrt(lam_k) wl t wr] with the centred
     stencil G (G^* = -G); blocks 3 and 4 as wl t wr.  Each norm is a seeded
-    Lanczos estimate, and the norm over the guide is the max over the probed
-    modes.  ``structure_residual`` checks row 2 = z row 1 of the heat-model
+    Lanczos estimate, and the norm over the guide is the max over the lowest
+    ``THETA_PROBE_MODES`` modes.  ``structure_residual`` checks row 2 = z row 1 of the heat-model
     blocks on a seeded probe vector.  Requires Im z > 0 and |z| <= 1.
     """
     rng = rng or np.random.default_rng(0)
     lambdas = np.asarray(lambdas, dtype=float)
-    if modes is None:
-        modes = range(min(3, len(lambdas)))
     n = grid.N
     wl = weight(grid, -delta1)
     wr = weight(grid, -delta2)
@@ -477,7 +454,7 @@ def theta_probe(z_list, damping: DampingProfile, grid: Grid1D, lambdas,
         probe = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         residual = heat_structure_residual(heat, blocks, probe)
         norms = {1: 0.0, 2: 0.0, 3: 0.0, 4: 0.0}
-        for k in modes:
+        for k in range(min(THETA_PROBE_MODES, len(lambdas))):
             lam = float(lambdas[k])
             op = mode_operator(grid, lam, damping, z, order=order)
             for j, (p, c, q) in blocks.items():
@@ -516,7 +493,7 @@ def semiclassical_scan(h_list, damping: DampingProfile, grid: Grid1D, order: int
     """h * ||(-h^2 d^2/dx^2 - i h a - 1)^{-1}|| per h on the truncated line.
 
     The operator equals h^2 times the mode resolvent at tau = 1/h, so the
-    norm is h^{-2} ||R(1/h)||.
+    norm is h^{-2} ||R(1/h)||, the one-mode L^2 ``norm_scan`` at z = 1/h.
     """
     rng = rng or np.random.default_rng(0)
     out = []
@@ -524,10 +501,9 @@ def semiclassical_scan(h_list, damping: DampingProfile, grid: Grid1D, order: int
         h = float(h)
         if not 0.0 < h <= 1.0:
             raise ValueError(f"semiclassical parameter must lie in (0, 1], got h={h}")
-        op = mode_operator(grid, 0.0, damping, 1.0 / h, order=order)
-        sigma, res, _ = iterative_norm(op.solve, op.solve_adjoint, grid.N, rng)
-        norm = sigma / h ** 2
-        out.append({"h": h, "norm": norm, "h_norm": h * norm, "residual": res})
+        point = norm_scan([1.0 / h], 0, 0, damping, grid, [0.0], order=order, rng=rng)[0]
+        norm = point.norm_est / h ** 2
+        out.append({"h": h, "norm": norm, "h_norm": h * norm, "residual": point.residual})
     return out
 
 

@@ -1,6 +1,7 @@
 """Test oracles for the fast paths in guidewave.
 
-The norm oracles assemble the operator as an N x N (or 2N x 2N) matrix from
+``dense_operator`` assembles a mode operator as a full matrix.  The norm
+oracles assemble the operator as an N x N (or 2N x 2N) matrix from
 the discrete stencils and take the top singular value of a full SVD, so they
 are only meant for moderate N.  The heat-quadrature oracle is scipy's
 general Toeplitz product.
@@ -24,6 +25,11 @@ def toeplitz_heat_apply(w0, grid, t, derivative="none"):
     return grid.h * matmul_toeplitz((col, row), w0)
 
 
+def dense_operator(op):
+    """The mode operator -D2 + diag of a ``ShiftedOperator`` as an N x N matrix."""
+    return -op.lap.as_dense() + np.diag(op.diag)
+
+
 def sobolev_matrix(grid, beta):
     """(1 - d^2/dx^2)^(beta/2) on the sine eigenbasis of the cap, assembled."""
     m = np.arange(1, grid.N + 1)
@@ -34,7 +40,7 @@ def sobolev_matrix(grid, beta):
 
 def dense_sobolev_norm(op, beta1, beta2):
     """Dense-SVD (H^b2)' -> H^b1 norm of the mode resolvent of ``op``."""
-    mat = np.linalg.inv(op.dense())
+    mat = np.linalg.inv(dense_operator(op))
     if beta1:
         mat = sobolev_matrix(op.grid, beta1) @ mat
     if beta2:

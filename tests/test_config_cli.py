@@ -9,7 +9,8 @@ from guidewave.cli import main
 from guidewave.config import (ExperimentConfig, apply_overrides, canonical_json,
                               config_hash, from_dict, load, parse_scan_z)
 from guidewave.errors import ConfigError
-from guidewave.pipeline import read_csv
+from guidewave.pipeline import build_damping, build_grid, cmd_resolvent, read_csv
+from guidewave.resolvent import norm_scan
 
 CONFIG_DIR = resources.files(guidewave.configs)
 
@@ -168,6 +169,34 @@ class TestCli:
         rundir2 = next((tmp_path / "out2").iterdir())
         payload = json.loads((rundir2 / "semiclassical.json").read_text())
         assert "max_h_norm" in payload and len(payload["control"]) == 2
+
+    def test_klein_gordon_scan_carries_the_mass(self, tmp_path):
+        # A = -D2 + lam + m^2 - i z a - z^2: the scan must see the config's mass
+        data = json.loads(json.dumps(TINY))
+        data.update(flavor="klein_gordon", scan={"kind": "highfreq", "z_list": [2.0, 4.0]})
+        data["init"]["u1_modes"] = {}
+        norms = {}
+        for mass in (1.0, 3.0):
+            cfg = from_dict({**data, "mass": mass})
+            points = cmd_resolvent(cfg, str(tmp_path / f"m{mass}"))["points"]
+            norms[mass] = [p.norm_est for p in points]
+            grid = build_grid(cfg)
+            want = [norm_scan([z], 0, 0, build_damping(cfg, grid), grid, [0.0], mass=mass,
+                              rng=np.random.default_rng([cfg.seed, i]))[0].norm_est
+                    for i, z in enumerate((2.0, 4.0))]
+            assert norms[mass] == want
+        assert norms[1.0] != norms[3.0]
+
+    @pytest.mark.parametrize("command, kind", [("resolvent-scan", "theta"),
+                                               ("resolvent-scan", "gap"),
+                                               ("resolvent-scan", "realaxis"),
+                                               ("semiclassical", "highfreq")])
+    def test_massless_scans_reject_a_mass(self, tmp_path, command, kind, capsys):
+        cfgp = write_tiny(tmp_path, flavor="klein_gordon", mass=1.0,
+                          init={"family": "gaussian", "u0_modes": {"0": 1.0}},
+                          scan={"kind": kind, "z_list": [[0.0, 0.5]], "h_list": [0.5]})
+        assert main([command, cfgp, "--out", str(tmp_path / "out")]) == 2
+        assert "mass:" in capsys.readouterr().err
 
     def test_exit_code_config_error(self, tmp_path):
         bad = tmp_path / "bad.json"

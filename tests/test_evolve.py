@@ -134,11 +134,14 @@ def test_active_row_run_matches_full_block_reference(k_count, n, flavor, kind, l
 
 
 def elementwise_d2(lap, u):
-    """D2 as a general banded product: elementwise with each stored diagonal."""
-    out = lap.diags[0] * u
-    for m in range(1, len(lap.diags)):
-        out[..., :-m] += lap.diags[m] * u[..., m:]
-        out[..., m:] += lap.diags[m] * u[..., :-m]
+    """D2 as a general banded product: elementwise with each diagonal stored
+    as an array built from the stencil coefficients."""
+    n = lap.grid.N
+    diags = [np.full(n - m, c) for m, c in enumerate(lap.coeffs)]
+    out = diags[0] * u
+    for m in range(1, len(diags)):
+        out[..., :-m] += diags[m] * u[..., m:]
+        out[..., m:] += diags[m] * u[..., :-m]
     return out
 
 
@@ -151,7 +154,7 @@ def one_line_step(stepper, state):
         return -elementwise_d2(stepper.lap, w) + stepper.lam_eff * w
 
     rhs = v - tau * (stepper.a * v) - tau ** 2 * p(v) - 2.0 * tau * p(u)
-    vp = cho_solve_banded((stepper._factor, False), rhs.ravel()).reshape(v.shape)
+    vp = cho_solve_banded((stepper._factor.ab, False), rhs.ravel()).reshape(v.shape)
     vm = 0.5 * (v + vp)
     diss = 2.0 * stepper.dt * stepper.grid.h * float(np.sum(stepper.a * vm ** 2))
     return replace(state, t=state.t + stepper.dt, modes=u + tau * (v + vp), vmodes=vp), diss

@@ -19,8 +19,8 @@ from guidewave.resolvent import (LANCZOS, POWER_ITERATION, EnergyNormResolvent, 
                                  semiclassical_scan, sobolev_constant_sq, spectral_gap_probe,
                                  theta_blocks, theta_probe)
 
-from dense_oracles import (dense_energy_norm, dense_sobolev_norm, sobolev_matrix,
-                           sqrt_energy_matrix)
+from dense_oracles import (dense_energy_norm, dense_operator, dense_sobolev_norm,
+                           sobolev_matrix, sqrt_energy_matrix)
 
 DAMPING_KINDS = ["constant", "longrange", "hole"]
 BETA_PAIRS = [(0, 0), (1, 0), (0, 1), (1, 1)]
@@ -122,7 +122,7 @@ def dense_theta_probe(z_list, damping, grid, lambdas, delta1, delta2, order=4):
         assert heat.structure_residual() <= 1e-12
         norms = {1: 0.0, 2: 0.0, 3: 0.0, 4: 0.0}
         for k, lam in enumerate(lambdas):
-            rmat = np.linalg.inv(mode_operator(grid, lam, damping, z, order=order).dense())
+            rmat = np.linalg.inv(dense_operator(mode_operator(grid, lam, damping, z, order=order)))
             blocks = [rmat * (1j * a + z)[None, :], rmat,
                       eye + rmat * (1j * z * a + z * z)[None, :], z * rmat]
             if k == 0:
@@ -140,7 +140,7 @@ class TestRnSolve:
     def test_against_dense_lu_oracle(self, grid40, damping_const, rng):
         f = rng.standard_normal(grid40.N) + 1j * rng.standard_normal(grid40.N)
         u = rn_solve(1j, damping_const, 0.0, grid40, f)
-        dense = mode_operator(grid40, 0.0, damping_const, 1j).dense()
+        dense = dense_operator(mode_operator(grid40, 0.0, damping_const, 1j))
         u_oracle = np.linalg.solve(dense, f)
         assert np.linalg.norm(u - u_oracle) <= 1e-8 * np.linalg.norm(u_oracle)
 
@@ -354,7 +354,7 @@ class TestBlockResolvent:
         # triangle-inequality recomputation from component norms at real tau
         tau = 2.0
         lam = 1.0
-        dense_r = np.linalg.inv(mode_operator(grid40, lam, damping_const, tau).dense())
+        dense_r = np.linalg.inv(dense_operator(mode_operator(grid40, lam, damping_const, tau)))
         helper = EnergyNormResolvent(grid40, lam, damping_const, order=4)
         sqrt_p = sqrt_energy_matrix(grid40, lam, order=4)
         norm = lambda m: float(svdvals(m)[0])
