@@ -13,8 +13,8 @@ E = sum_k h (<(-D2 + lam_k + m^2) u_k, u_k> + ||v_k||^2),
 up to roundoff, which makes dissipation bookkeeping a hard invariant.  The
 modes do not couple, so every operation acts on a whole block of mode
 coefficients at once, and a mode with no data stays exactly zero: ``run``
-steps only the modes that carry data and lifts them back to the (K, N) block
-where energies are recorded.
+steps and records only the modes that carry data, and lifts them back to the
+(K, N) block only for snapshots.
 
 A step together with its identity check applies P = -D2 + lam_k + m^2 twice:
 to v_n in the midpoint right-hand side, and to u_{n+1} in the check's form
@@ -178,14 +178,16 @@ def smooth_initial_data(modes: np.ndarray, vmodes: np.ndarray, grid: Grid1D,
 
 def energy(state: WaveState, grid: Grid1D, lambdas: np.ndarray, order: int = 4,
            delta1: float = 0.0, R: float | None = None,
-           dissipation_cum: float = 0.0) -> EnergyRecord:
-    """Assemble the energy record of a (K, N) state at its time.
+           dissipation_cum: float = 0.0, rows: np.ndarray | None = None) -> EnergyRecord:
+    """Assemble the energy record of a state at its time.
 
-    ``lambdas`` are the K transverse eigenvalues; the mass comes from the
-    state.  E_total is the form energy (the quantity obeying the exact
-    discrete dissipation law).  E_local windows a 4th-order FD-gradient sum
-    to |x| <= R; at the full window there are no excluded nodes and the local
-    energy coincides with E_total by construction.
+    ``lambdas`` are the K transverse eigenvalues.  The state's rows hold the
+    modes ``rows`` (all K when None); every other mode is zero and enters
+    only the sums, as zeros.  The mass comes from the state.  E_total is the
+    form energy (the quantity obeying the exact discrete dissipation law).
+    E_local windows a 4th-order FD-gradient sum to |x| <= R; at the full
+    window there are no excluded nodes and the local energy coincides with
+    E_total by construction.
     """
     if R is None:
         R = grid.X
@@ -193,22 +195,36 @@ def energy(state: WaveState, grid: Grid1D, lambdas: np.ndarray, order: int = 4,
         raise ValueError(f"local-energy radius R={R} exceeds the box X={grid.X}")
     h = grid.h
     u, v = state.modes, state.vmodes
-    lam_eff = (np.asarray(lambdas, dtype=float) + float(state.mass) ** 2)[:, None]
-    # form energy per mode: h(<(-D2 + lam_k + m^2) u_k, u_k> + ||v_k||^2)
+    lambdas = np.asarray(lambdas, dtype=float)
+    if rows is None:
+        rows = np.arange(lambdas.size)
+    lam_eff = (lambdas[rows] + float(state.mass) ** 2)[:, None]
+    # form energy per mode: h(<(-D2 + lam_k + m^2) u_k, u_k> + ||v_k||^2),
+    # summed over all K modes so the grouping does not depend on ``rows``
     grad = np.maximum(-np.sum(u * laplacian_1d(grid, order=order).apply(u), axis=-1), 0.0)
-    per_mode = h * (grad + np.sum(lam_eff * u ** 2 + v ** 2, axis=-1))
+    per_mode = np.zeros(lambdas.size)
+    per_mode[rows] = h * (grad + np.sum(lam_eff * u ** 2 + v ** 2, axis=-1))
     e_total = float(np.sum(per_mode))
+
+    # a density placed in the (K, N) block, so that its sum groups the terms
+    # as it does without ``rows`` and the record keeps its bits
+    def block(dens):
+        if len(rows) == lambdas.size:
+            return dens
+        out = np.zeros((lambdas.size, grid.N))
+        out[rows] = dens
+        return out
 
     du = gradient_1d(u, grid, order=order)
     grad_dens = du ** 2 + lam_eff * u ** 2
     w2 = weight(grid, -delta1) ** 2 if delta1 != 0.0 else np.ones(grid.N)
-    grad_w_sq = h * float(np.sum(w2 * grad_dens))
-    dtu_w_sq = h * float(np.sum(w2 * v ** 2))
+    grad_w_sq = h * float(np.sum(block(w2 * grad_dens)))
+    dtu_w_sq = h * float(np.sum(block(w2 * v ** 2)))
     if R >= grid.X - 0.5 * h:
         e_local = e_total
     else:
         mask = np.abs(grid.xs) <= R
-        e_local = h * float(np.sum((grad_dens + v ** 2)[:, mask]))
+        e_local = h * float(np.sum(block(grad_dens + v ** 2)[:, mask]))
 
     if state.flavor == WAVE_NEUMANN:
         e_p0 = float(per_mode[0])
@@ -256,9 +272,10 @@ def run(state0: WaveState, grid: Grid1D, lambdas: np.ndarray, damping: DampingPr
 
     Only the active modes, the rows of ``state0`` with any nonzero u or v,
     are stepped: the others stay exactly zero, since a banded solve of a zero
-    right-hand side returns zeros.  At each schedule time the active rows are
-    lifted back into a (K, N) state with exact-zero inert rows, which the
-    energy record and the snapshot see.  The cumulative discrete energy
+    right-hand side returns zeros.  At each schedule time the energy record is
+    taken from the active rows (``energy`` with ``rows``, which sums as over
+    the full block), and a snapshot lifts them back into a (K, N) state with
+    exact-zero inert rows.  The cumulative discrete energy
     identity is tracked at every step; its largest per-step and cumulative
     residuals are returned for assertion by the caller.
     """
@@ -284,11 +301,15 @@ def run(state0: WaveState, grid: Grid1D, lambdas: np.ndarray, damping: DampingPr
         modes[active], vmodes[active] = sub.modes, sub.vmodes
         return replace(sub, modes=modes, vmodes=vmodes)
 
+    def record(sub: WaveState, diss_cum: float = 0.0) -> EnergyRecord:
+        return energy(sub, grid, lambdas, order=order, delta1=delta1, R=R,
+                      dissipation_cum=diss_cum, rows=active)
+
     schedule = geometric_schedule(t0, sample_ratio, t_end)
     t_start = time.perf_counter()
 
     diss_cum = 0.0
-    records = [energy(state0, grid, lambdas, order=order, delta1=delta1, R=R)]
+    records = [record(state)]
     snapshots = [state0] if keep_snapshots else []
     e0 = step_energy(state)     # identity baseline, summed like every e_now
     e_prev = e0
@@ -296,7 +317,6 @@ def run(state0: WaveState, grid: Grid1D, lambdas: np.ndarray, damping: DampingPr
 
     n_steps = int(round(t_end / dt))
     next_idx = 0
-    full = state0
     for n in range(n_steps):
         state, diss = advance(state)
         diss_cum += diss
@@ -304,12 +324,9 @@ def run(state0: WaveState, grid: Grid1D, lambdas: np.ndarray, damping: DampingPr
         max_step_res = max(max_step_res, abs(e_now - e_prev + diss))
         e_prev = e_now
         while next_idx < len(schedule) and state.t >= schedule[next_idx] - 1e-9:
-            if full.t != state.t:   # several schedule times can share a step
-                full = lift(state)
-            records.append(energy(full, grid, lambdas, order=order, delta1=delta1, R=R,
-                                  dissipation_cum=diss_cum))
+            records.append(record(state, diss_cum))
             if keep_snapshots:
-                snapshots.append(full)
+                snapshots.append(lift(state))
             next_idx += 1
 
     cum_res = abs(e_prev - e0 + diss_cum)

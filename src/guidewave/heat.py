@@ -196,7 +196,8 @@ def heat_weighted_norm(t: float, beta: int | str, s: float, s1: float, s2: float
         return hw * wr * ifft(kern_f_adj * fft(wl * y, n=length))[:n]
 
     # imported here so that importing the package does not load the resolvent
-    # layer (ARPACK, DST) ahead of the modules that need it
+    # layer (the Lanczos estimator, the sine transforms) ahead of the modules
+    # that need it
     from .resolvent import iterative_norm
 
     sigma, _, _ = iterative_norm(apply_op, apply_adjoint, n, np.random.default_rng(0))

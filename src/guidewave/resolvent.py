@@ -1,12 +1,15 @@
 """Complex-shifted solves, operator-norm scans, and low/high frequency probes.
 
 Every operator norm is the top singular value of a matrix-free operator,
-computed by Lanczos (ARPACK) on T^*T from a seeded start vector, with power
-iteration as the fallback when ARPACK itself fails.  Sobolev scalings
-(1 - d^2/dx^2)^(+-beta/2) are diagonal in the sine basis of the truncation
-box; since the orthonormal DST-I is its own inverse, a scan measures the mode
-solve in scaled sine coefficients, one transform per scaled side of each
-application.  A norm scan takes the max over transverse modes and skips every
+computed by the Lanczos three-term recurrence on T^*T (T T^* for a wide T)
+from a seeded start vector.  The recurrence stores no basis and tests its top
+Ritz pair at every step: it stops once the normal-operator residual is at most
+tol^2 sigma^2, and reports that measured residual.  Power iteration is the
+fallback, labelled as such, when a step budget does not reach it.  Sobolev
+scalings (1 - d^2/dx^2)^(+-beta/2) are diagonal in the sine basis of the
+truncation box; since the orthonormal DST-I is its own inverse, a scan
+measures the mode solve in scaled sine coefficients, one transform per scaled
+side of each application.  A norm scan takes the max over transverse modes and skips every
 mode whose certified bound (``mode_norm_bound``) is already below the running
 max, which cuts the elliptic tail lam_k > tau^2 without a heuristic.  The
 energy norm of the first-order operator is realized by the band Cholesky
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import dst
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, svds
+from scipy.linalg import get_lapack_funcs
 
 from .discretize import (BandCholesky, DampingProfile, Grid1D, ShiftedOperator,
                          gradient_1d, laplacian_1d, mode_operator, weight)
@@ -37,6 +40,9 @@ POWER_ITERATION = "power_iteration"
 TRUNCATION_GUARD_RTOL = 0.05
 #: transverse modes the theta probe measures (the lowest ones)
 THETA_PROBE_MODES = 3
+#: Lanczos steps (two operator applications each) before ``iterative_norm``
+#: falls back to power iteration
+LANCZOS_MAX_STEPS = 750
 
 
 @dataclass(frozen=True)
@@ -96,30 +102,90 @@ def _start_vector(rng: np.random.Generator, m: int) -> np.ndarray:
     return rng.standard_normal(m) + 1j * rng.standard_normal(m)
 
 
+# the LAPACK routines behind ``scipy.linalg.eigh_tridiagonal(select="i")``,
+# bisection and inverse iteration; called directly, because the wrapper's
+# argument checks cost more than the routines on a Lanczos run's short
+# tridiagonals
+_STEBZ, _STEIN = get_lapack_funcs(("stebz", "stein"), (np.zeros(1),))
+
+
+def _top_eigenpair_tridiagonal(d: np.ndarray, e: np.ndarray) -> tuple[float, float]:
+    """Largest eigenvalue of the symmetric tridiagonal (d, e) and the last
+    component of its unit eigenvector.  Raises ``ConvergenceError`` when LAPACK
+    fails, as it does on non-finite entries."""
+    if d.size == 1:
+        if not math.isfinite(d[0]):
+            raise ConvergenceError(f"non-finite tridiagonal entry {d[0]}")
+        return float(d[0]), 1.0
+    m, w, iblock, isplit, info = _STEBZ(d, e, 2, 0.0, 0.0, d.size, d.size, 0.0, "B")
+    if info or m != 1:
+        raise ConvergenceError(f"tridiagonal eigenvalue bisection failed (stebz info={info})")
+    z, info = _STEIN(d, e, w[:1], iblock, isplit)
+    if info:
+        raise ConvergenceError(f"tridiagonal inverse iteration failed (stein info={info})")
+    return float(w[0]), float(z[-1, 0])
+
+
+def _lanczos_top(normal, v0: np.ndarray, rtol: float):
+    """Top eigenvalue of the Hermitian PSD ``normal`` by the Lanczos recurrence.
+
+    The three-term recurrence keeps three vectors and no basis.  After step k
+    the top eigenpair (theta, s) of the k x k tridiagonal gives the Ritz
+    residual beta_k |s_k|; the run stops once it is <= ``rtol * theta``.
+    Returns (theta, beta_k |s_k| / theta), or None when ``LANCZOS_MAX_STEPS``
+    steps do not meet the test.
+    """
+    v = np.asarray(v0, dtype=complex)
+    v = v / np.linalg.norm(v)
+    v_prev = np.zeros_like(v)
+    alphas, betas = [], []
+    beta = 0.0
+    for _ in range(LANCZOS_MAX_STEPS):
+        w = normal(v) - beta * v_prev
+        alpha = float(np.vdot(v, w).real)
+        w = w - alpha * v
+        beta = float(np.linalg.norm(w))
+        alphas.append(alpha)
+        theta, s_last = _top_eigenpair_tridiagonal(np.array(alphas), np.array(betas))
+        residual = beta * abs(s_last)
+        if residual <= rtol * theta or beta == 0.0:
+            return max(theta, 0.0), (residual / theta if theta > 0.0 else 0.0)
+        betas.append(beta)
+        v_prev, v = v, w / beta
+    return None
+
+
 def iterative_norm(apply_op, apply_adjoint, n: int | tuple[int, int], rng: np.random.Generator,
                    tol: float = 1e-7, v0: np.ndarray | None = None) -> tuple[float, float, str]:
     """Largest singular value, matrix-free, with a seeded start vector.
 
     ``n`` is the dimension of a square T or the (rows, cols) shape of a
-    rectangular one.  The start vector ``v0`` is drawn from ``rng`` unless
-    given.  Lanczos (ARPACK) on the normal operator; plain power
-    iteration stagnates when the top singular values cluster (constant
-    damping leaves ~ tau X / pi near-degenerate modes), so it is kept only as
-    the fallback when ARPACK itself fails.  Errors raised by the operator
-    propagate.  Returns (sigma, residual, method), where method is
-    ``LANCZOS`` or ``POWER_ITERATION``.
+    rectangular one.  Lanczos runs on the normal operator N = T^*T, or T T^*
+    when T is wide, from ``v0`` (drawn from ``rng`` unless given), and stops
+    once its top Ritz pair (theta, y) has ||N y - theta y|| <= tol**2 theta.
+    So ``tol`` bounds the normal-operator residual relative to sigma^2 (the
+    test ``svds(tol=tol)`` hands to ARPACK), and theta then lies within
+    tol**2 theta of an eigenvalue of N.  Returns (sigma, residual, method):
+    sqrt(theta), the measured ||N y - theta y|| / theta and ``LANCZOS``; or,
+    when ``LANCZOS_MAX_STEPS`` steps do not converge (a cluster of top
+    singular values that the recurrence cannot split), power iteration's
+    estimate, its last relative change and ``POWER_ITERATION``.  Errors
+    raised by the operator propagate; a non-finite operator output raises
+    ``ConvergenceError``.
     """
     rows, cols = (n, n) if np.isscalar(n) else n
-    op = LinearOperator((rows, cols), matvec=lambda x: apply_op(np.ravel(x)),
-                        rmatvec=lambda x: apply_adjoint(np.ravel(x)), dtype=complex)
+    if rows >= cols:
+        normal = lambda x: apply_adjoint(apply_op(x))
+    else:
+        normal = lambda x: apply_op(apply_adjoint(x))
     if v0 is None:
         v0 = _start_vector(rng, min(rows, cols))
-    try:
-        sigma = svds(op, k=1, v0=v0, tol=tol, maxiter=60, return_singular_vectors=False)
-        return float(sigma[0]), tol, LANCZOS
-    except (ArpackNoConvergence, ArpackError):
-        sigma, res, _ = power_iteration_norm(apply_op, apply_adjoint, cols, rng)
-        return sigma, res, POWER_ITERATION
+    top = _lanczos_top(normal, v0, tol * tol)
+    if top is not None:
+        theta, residual = top
+        return math.sqrt(theta), residual, LANCZOS
+    sigma, res, _ = power_iteration_norm(apply_op, apply_adjoint, cols, rng)
+    return sigma, res, POWER_ITERATION
 
 
 class SobolevScaler:

@@ -380,6 +380,30 @@ class TestEnergyRecord:
             energy(state, grid40, lambdas, R=2 * grid40.X)
 
 
+@settings(max_examples=60, deadline=None)
+@given(k_count=st.integers(1, 9), n=st.integers(16, 300), flavor=st.sampled_from(FLAVORS),
+       order=st.sampled_from([2, 4]), delta1=st.sampled_from([0.0, 0.5]),
+       half_window=st.booleans(), data=st.data())
+def test_record_of_active_rows_equals_lifted_record(k_count, n, flavor, order, delta1,
+                                                    half_window, data):
+    # the record of the active rows sums in the (K, N) block, so it matches the
+    # record of the lifted state bit for bit, whichever rows carry data
+    rows = np.array(sorted(data.draw(st.sets(st.integers(0, k_count - 1)), label="rows")),
+                    dtype=int)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    g = Grid1D(X=10.0, N=n)
+    lambdas = np.sort(rng.uniform(0.0, 20.0, k_count))
+    mass = 1.3 if flavor == KLEIN_GORDON else 0.0
+    sub = WaveState(t=2.0, modes=rng.standard_normal((rows.size, n)),
+                    vmodes=rng.standard_normal((rows.size, n)), flavor=flavor, mass=mass)
+    modes, vmodes = np.zeros((k_count, n)), np.zeros((k_count, n))
+    modes[rows], vmodes[rows] = sub.modes, sub.vmodes
+    full = replace(sub, modes=modes, vmodes=vmodes)
+    kw = dict(order=order, delta1=delta1, R=g.X / 2 if half_window else None,
+              dissipation_cum=0.25)
+    assert energy(sub, g, lambdas, rows=rows, **kw) == energy(full, g, lambdas, **kw)
+
+
 def test_mode0_data_keeps_p0perp_zero(grid40, damping_const):
     lambdas = np.array([0.0, 1.0, 4.0])
     state = make_state(grid40, n_modes=3, u0={0: 1.0}, u1={0: 0.5})

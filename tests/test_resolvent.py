@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import eigh, svdvals
-from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.linalg import eigh, eigh_tridiagonal, svdvals
 
 from guidewave.discretize import (_D1_STENCILS, DampingProfile, Grid1D, ShiftedOperator,
                                   laplacian_1d, mode_operator, weight)
-from guidewave.errors import SolveError
+from guidewave.errors import ConvergenceError, SolveError
 from guidewave.resolvent import (LANCZOS, POWER_ITERATION, EnergyNormResolvent, SobolevScaler,
-                                 WaveBlockResolvent, _mode_sobolev_norm, heat_model_operator,
+                                 WaveBlockResolvent, _mode_sobolev_norm,
+                                 _top_eigenpair_tridiagonal, heat_model_operator,
                                  heat_structure_residual, iterative_norm, mode_norm_bound,
                                  norm_scan, power_iteration_norm, pure_laplacian_control,
                                  semiclassical_scan, sobolev_constant_sq, spectral_gap_probe,
@@ -232,14 +232,19 @@ class TestNormScan:
                         rng=np.random.default_rng(11))
         assert pts[0].method == LANCZOS
 
+    def test_points_carry_measured_residuals(self, grid40, damping_const):
+        pts = norm_scan([2.0, 4.0], 0, 0, damping_const, grid40, [0.0, 1.0],
+                        rng=np.random.default_rng(11))
+        for p in pts:
+            assert p.method == LANCZOS
+            assert p.residual != 1e-7
+            assert 0.0 <= p.residual <= 1e-14
+
     def test_method_label_power_iteration_on_fallback(self, grid40, damping_const,
                                                       monkeypatch):
         import guidewave.resolvent as resolvent
 
-        def no_convergence(*args, **kwargs):
-            raise ArpackNoConvergence("no convergence", [], [])
-
-        monkeypatch.setattr(resolvent, "svds", no_convergence)
+        monkeypatch.setattr(resolvent, "LANCZOS_MAX_STEPS", 1)
         pts = norm_scan([2.0], 0, 0, damping_const, grid40, [0.0, 1.0],
                         rng=np.random.default_rng(11))
         assert pts[0].method == POWER_ITERATION
@@ -571,17 +576,14 @@ class TestEstimators:
         with pytest.raises(SolveError):
             iterative_norm(flaky, flaky, 64, rng)
 
-    def test_arpack_failure_falls_back(self, rng, monkeypatch):
+    def test_lanczos_failure_falls_back(self, rng, monkeypatch):
         import guidewave.resolvent as resolvent
-        from scipy.sparse.linalg import ArpackNoConvergence
 
-        def no_convergence(*args, **kwargs):
-            raise ArpackNoConvergence("no convergence", [], [])
-
-        monkeypatch.setattr(resolvent, "svds", no_convergence)
+        monkeypatch.setattr(resolvent, "LANCZOS_MAX_STEPS", 1)
         mat = np.diag(np.linspace(1.0, 2.0, 64)).astype(complex)
         mat[0, 0] = 5.0
-        sigma, _, _ = iterative_norm(lambda x: mat @ x, lambda x: mat @ x, 64, rng)
+        sigma, _, method = iterative_norm(lambda x: mat @ x, lambda x: mat @ x, 64, rng)
+        assert method == POWER_ITERATION
         assert sigma == pytest.approx(5.0, rel=1e-6)
 
     def test_rectangular_matches_svdvals(self, rng):
@@ -601,19 +603,72 @@ class TestEstimators:
         with pytest.raises(SolveError):
             iterative_norm(failing, lambda y: mat.conj().T @ y, (64, 32), rng)
 
-    def test_rectangular_arpack_failure_falls_back(self, rng, monkeypatch):
+    def test_rectangular_lanczos_failure_falls_back(self, rng, monkeypatch):
         import guidewave.resolvent as resolvent
 
-        def no_convergence(*args, **kwargs):
-            raise ArpackNoConvergence("no convergence", [], [])
-
-        monkeypatch.setattr(resolvent, "svds", no_convergence)
+        monkeypatch.setattr(resolvent, "LANCZOS_MAX_STEPS", 1)
         mat = np.vstack([np.eye(32), np.diag(np.linspace(1.0, 2.0, 32))]).astype(complex)
         mat[0, 0] = 5.0
         sigma, _, method = iterative_norm(lambda x: mat @ x, lambda y: mat.conj().T @ y,
                                           (64, 32), rng)
         assert method == POWER_ITERATION
         assert sigma == pytest.approx(svdvals(mat)[0], rel=1e-6)
+
+    @settings(max_examples=40, deadline=None)
+    @given(shape=st.sampled_from(["square", "tall", "wide"]), n=st.integers(1, 40),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_svdvals_on_every_shape(self, shape, n, seed):
+        # T^*T on the domain, or T T^* when T is wide
+        rows, cols = {"square": (n, n), "tall": (2 * n, n), "wide": (n, 2 * n)}[shape]
+        gen = np.random.default_rng(seed)
+        mat = gen.standard_normal((rows, cols)) + 1j * gen.standard_normal((rows, cols))
+        sigma, residual, method = iterative_norm(lambda x: mat @ x, lambda y: mat.conj().T @ y,
+                                                 (rows, cols), gen)
+        assert method == LANCZOS
+        assert residual <= 1e-14
+        assert sigma == pytest.approx(svdvals(mat)[0], rel=1e-12)
+
+    def test_residual_is_measured_not_requested(self, rng):
+        mat = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+        for tol in (1e-7, 1e-4):
+            _, residual, method = iterative_norm(lambda x: mat @ x, lambda y: mat.conj().T @ y,
+                                                 64, rng, tol=tol)
+            assert method == LANCZOS
+            assert 0.0 <= residual <= tol ** 2
+            assert residual != tol
+
+    @pytest.mark.parametrize("budget", [None, 20])
+    def test_clustered_top_values_never_unconverged_lanczos(self, rng, monkeypatch, budget):
+        # top singular values 1e-9 apart (relative) inside a tight cluster:
+        # either a converged Lanczos run or the labelled power-iteration fallback
+        import guidewave.resolvent as resolvent
+
+        if budget is not None:
+            monkeypatch.setattr(resolvent, "LANCZOS_MAX_STEPS", budget)
+        n = 400
+        d = np.concatenate([[1.0, 1.0 - 1e-9], np.linspace(0.99, 0.999, n - 2)]).astype(complex)
+        sigma, residual, method = iterative_norm(lambda x: d * x, lambda y: d * y, n, rng)
+        if method == LANCZOS:
+            assert residual <= 1e-14
+            assert sigma == pytest.approx(1.0, rel=2e-9)
+        else:
+            assert method == POWER_ITERATION
+            assert 0.99 <= sigma <= 1.0 + 1e-12
+
+    def test_top_eigenpair_matches_eigh_tridiagonal(self, rng):
+        for k in (1, 2, 3, 17, 60):
+            d, e = rng.standard_normal(k), rng.standard_normal(k - 1)
+            theta, s_last = _top_eigenpair_tridiagonal(d, e)
+            w, s = eigh_tridiagonal(d, e, select="i", select_range=(k - 1, k - 1))
+            assert theta == w[0]
+            assert abs(s_last) == pytest.approx(abs(s[-1, 0]), rel=1e-12, abs=1e-15)
+
+    def test_non_finite_operator_output_raises(self, rng):
+        def nan_op(x):
+            return np.full_like(x, np.nan)
+
+        with pytest.raises(ConvergenceError):
+            iterative_norm(nan_op, nan_op, 16, rng)
 
     def test_sobolev_scaler_inverts(self, rng):
         # D^-1 Q (identity) Q D = I, since the orthonormal DST-I is its own inverse
