@@ -58,7 +58,7 @@ class TimeCfg:
     sample_ratio: float = 1.1
 
 
-SCAN_KINDS = ("highfreq", "theta", "gap", "realaxis")
+SCAN_KINDS = ("highfreq", "theta", "realaxis")
 
 
 @dataclass
@@ -68,7 +68,6 @@ class ScanCfg:
     h_list: list = field(default_factory=list)
     beta1: int = 0
     beta2: int = 0
-    gamma: float = 0.1
     truncation_guard: bool = False
 
 
@@ -156,8 +155,12 @@ def validate(cfg: ExperimentConfig) -> None:
     if cfg.damping.kind != "constant" and cfg.damping.level != 1.0:
         raise ConfigError(f"damping.level: used by kind 'constant' only, got "
                           f"{cfg.damping.level} for kind {cfg.damping.kind!r}")
-    if cfg.damping.kind == "longrange" and cfg.damping.rho <= 0:
+    if cfg.damping.kind != "constant" and cfg.damping.rho <= 0:
         raise ConfigError(f"damping.rho: must be positive, got {cfg.damping.rho}")
+    if cfg.damping.kind == "hole" and cfg.damping.r <= 0:
+        raise ConfigError(f"damping.r: hole radius must be positive, got {cfg.damping.r}")
+    if cfg.damping.kind == "constant" and cfg.damping.level < 0:
+        raise ConfigError(f"damping.level: must be >= 0, got {cfg.damping.level}")
     if cfg.init.family not in INIT_FAMILIES:
         raise ConfigError(f"init.family: {cfg.init.family!r} not one of {INIT_FAMILIES}")
     if cfg.init.smoothing_k < 0:

@@ -1,4 +1,4 @@
-"""Longitudinal grid, damping profiles, discrete operators and weighted norms.
+"""Longitudinal grid, damping profiles, banded discrete operators and weights.
 
 The unbounded axis is truncated to (-X, X) with a homogeneous cap at the
 ends; interior nodes carry the unknowns.  Shipped damping profiles keep the
@@ -6,6 +6,8 @@ absorption effective in the outer part of the box so that outgoing energy is
 absorbed before it can reflect off the cap.  ``BandedLaplacian`` holds the
 Toeplitz stencil of D2, and ``BandCholesky`` is the one band Cholesky factor
 of diag + s(-D2) that the stepper, the smoother and the energy norm share.
+No dense matrix is assembled here; the dense oracles that these banded
+paths are checked against live in ``tests/dense_oracles.py``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky_banded, get_lapack_funcs, toeplitz
+from scipy.linalg import LinAlgError, cholesky_banded, get_lapack_funcs
 from scipy.sparse import diags as sparse_diags
 from scipy.sparse.linalg import splu
 
@@ -65,7 +67,8 @@ class DampingProfile:
       hole(r, rho)   a = 0 on |x| <= r, C1 ramp of width 2, longrange envelope
 
     ``level`` is used by ``constant`` only; the other kinds reject any level
-    but the default 1.
+    but the default 1.  A negative ``level`` (anti-damping) raises, as does a
+    ``rho`` or ``r`` <= 0 for a kind that reads it.
     """
 
     kind: str
@@ -79,19 +82,20 @@ class DampingProfile:
               level: float = 1.0) -> "DampingProfile":
         x = grid.xs
         if kind == "constant":
+            if level < 0:
+                raise ValueError(f"constant damping level must be >= 0, got level={level}")
             a = np.full(grid.N, float(level))
-        elif level != 1.0 and kind in ("longrange", "hole"):
-            raise ValueError(f"damping level applies to kind 'constant' only, "
-                             f"got level={level} for kind {kind!r}")
-        elif kind == "longrange":
+        elif kind in ("longrange", "hole"):
+            if level != 1.0:
+                raise ValueError(f"damping level applies to kind 'constant' only, "
+                                 f"got level={level} for kind {kind!r}")
             if rho <= 0:
-                raise ValueError(f"longrange decay rate must be positive, got rho={rho}")
+                raise ValueError(f"{kind} decay rate must be positive, got rho={rho}")
             a = 1.0 - 0.5 * japanese_bracket(x) ** (-rho)
-        elif kind == "hole":
-            if r <= 0:
-                raise ValueError(f"hole radius must be positive, got r={r}")
-            ramp = np.clip((np.abs(x) - r) / HOLE_EDGE_WIDTH, 0.0, 1.0) ** 2
-            a = ramp * (1.0 - 0.5 * japanese_bracket(x) ** (-rho))
+            if kind == "hole":
+                if r <= 0:
+                    raise ValueError(f"hole radius must be positive, got r={r}")
+                a = np.clip((np.abs(x) - r) / HOLE_EDGE_WIDTH, 0.0, 1.0) ** 2 * a
         else:
             raise ValueError(f"unknown damping kind {kind!r}")
         return cls(kind=kind, rho=rho, r=r, level=level, samples=a)
@@ -173,11 +177,6 @@ class BandedLaplacian:
             out[..., :-m] += c * u[..., m:]
             out[..., m:] += c * u[..., :-m]
         return out
-
-    def as_dense(self) -> np.ndarray:
-        col = np.zeros(self.grid.N)
-        col[:len(self.coeffs)] = self.coeffs
-        return toeplitz(col)
 
 
 def laplacian_1d(grid: Grid1D, order: int = 4) -> BandedLaplacian:
@@ -338,39 +337,3 @@ def weight(grid: Grid1D, delta: float) -> np.ndarray:
     """Samples of <x>^delta on the grid."""
     return japanese_bracket(grid.xs) ** delta
 
-
-def weighted_norm(u: np.ndarray, grid: Grid1D, delta: float, flavor: str = "L2",
-                  v: np.ndarray | None = None, order: int = 4) -> float:
-    """Quadrature norm with the literal weight <x>^delta.
-
-    Pass delta < 0 for the decaying weights of the energy spaces (the
-    positive-delta direction grows, as used on initial data).  Flavors:
-
-      L2       ||<x>^d u||
-      grad+L2  (||<x>^d u'||^2 + ||<x>^d v||^2)^(1/2)   (energy-space style)
-      H1-full  (||<x>^d u||^2 + ||<x>^d u'||^2 + ||<x>^d v||^2)^(1/2)
-
-    v defaults to zero; u' is the centered stencil of the given order.
-    """
-    u = np.asarray(u)
-    if u.shape != (grid.N,):
-        raise ValueError(f"expected samples of shape ({grid.N},), got {u.shape}")
-    w = weight(grid, delta)
-    h = grid.h
-
-    def wsq(f):
-        return h * float(np.sum(np.abs(w * f) ** 2))
-
-    if flavor == "L2":
-        return math.sqrt(wsq(u))
-    if flavor not in ("grad+L2", "H1-full"):
-        raise ValueError(f"unknown norm flavor {flavor!r}")
-    total = wsq(gradient_1d(u, grid, order=order))
-    if v is not None:
-        v = np.asarray(v)
-        if v.shape != (grid.N,):
-            raise ValueError(f"expected v of shape ({grid.N},), got {v.shape}")
-        total += wsq(v)
-    if flavor == "H1-full":
-        total += wsq(u)
-    return math.sqrt(total)

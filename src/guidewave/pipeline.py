@@ -26,8 +26,8 @@ from .evolve import (KLEIN_GORDON, WAVE_DIRICHLET, WAVE_EUCLIDEAN, WAVE_NEUMANN,
                      powerlaw_envelope, run, smooth_initial_data)
 from .fit import compare_models, fit_exponential, fit_power, predict_exponent
 from .heat import HeatSolution, compare, p0_heat_data
-from .resolvent import (EnergyNormResolvent, norm_scan, pure_laplacian_control,
-                        semiclassical_scan, spectral_gap_probe, theta_probe)
+from .resolvent import (POWER_ITERATION, EnergyNormResolvent, norm_scan,
+                        pure_laplacian_control, semiclassical_scan, theta_probe)
 from .transverse import DIRICHLET, NEUMANN, transverse_eigenvalues
 
 
@@ -314,19 +314,6 @@ def cmd_resolvent(cfg: ExperimentConfig, out_base: str) -> dict:
         payload["max_structure_residual"] = max(cols["structure_residual"])
         result = {"rows": rows}
 
-    elif kind == "gap":
-        probes = spectral_gap_probe([abs(z) for z in zs], cfg.scan.gamma, damping, grid,
-                                    lambdas, order=cfg.grid.order,
-                                    rng=np.random.default_rng(cfg.seed))
-        cols = {"tau": [p.tau for p in probes], "re_z": [p.z.real for p in probes],
-                "im_z": [p.z.imag for p in probes],
-                "spectrum_free": [1.0 if p.spectrum_free else 0.0 for p in probes],
-                "norm_est": [p.norm_est for p in probes],
-                "bound_constant": [p.bound_constant for p in probes]}
-        payload["gamma"] = cfg.scan.gamma
-        payload["empirical_C"] = max(c for c in cols["bound_constant"] if math.isfinite(c))
-        result = {"probes": probes}
-
     elif kind == "realaxis":
         taus = [z.real for z in zs]
         helpers = [EnergyNormResolvent(grid, lam, damping, order=cfg.grid.order)
@@ -355,7 +342,7 @@ def cmd_resolvent(cfg: ExperimentConfig, out_base: str) -> dict:
                 "beta1": [float(p.beta1) for p in points],
                 "beta2": [float(p.beta2) for p in points],
                 "norm_est": [p.norm_est for p in points],
-                "method": [0.0 if p.method == "power_iteration" else 1.0 for p in points],
+                "method": [0.0 if p.method == POWER_ITERATION else 1.0 for p in points],
                 "flag": [1.0 if p.flag == "truncation-limited" else 0.0 for p in points],
                 "k_argmax": [float(p.k_argmax) for p in points]}
         ok = [p for p in points if p.flag != "truncation-limited" and abs(p.z.real) > 0]

@@ -31,7 +31,7 @@ from scipy.linalg import get_lapack_funcs
 
 from .discretize import (BandCholesky, DampingProfile, Grid1D, ShiftedOperator,
                          gradient_1d, laplacian_1d, mode_operator, weight)
-from .errors import ConvergenceError, SolveError
+from .errors import ConvergenceError
 
 LANCZOS = "lanczos"
 POWER_ITERATION = "power_iteration"
@@ -243,14 +243,13 @@ def mode_norm_bound(c: float, beta_sum: int, k_sq: float) -> float:
 
 
 def _mode_sobolev_norm(op: ShiftedOperator, scaler: SobolevScaler, beta1: int, beta2: int,
-                       rng: np.random.Generator, tol: float = 1e-6, v0: np.ndarray | None = None):
+                       rng: np.random.Generator, v0: np.ndarray | None = None):
     """||S_beta1 R S_beta2|| of the mode solve R; no transform when both betas are 0."""
-    tol = min(tol, 1e-7)
     if not (beta1 or beta2):
-        return iterative_norm(op.solve, op.solve_adjoint, op.grid.N, rng, tol=tol, v0=v0)
+        return iterative_norm(op.solve, op.solve_adjoint, op.grid.N, rng, v0=v0)
     return iterative_norm(lambda c: scaler.apply(op.solve, c, beta1, beta2),
                           lambda c: scaler.apply(op.solve_adjoint, c, beta2, beta1),
-                          op.grid.N, rng, tol=tol, v0=v0)
+                          op.grid.N, rng, v0=v0)
 
 
 def norm_scan(z_list, beta1: int, beta2: int, damping: DampingProfile, grid: Grid1D,
@@ -375,7 +374,7 @@ class EnergyNormResolvent:
         lap = laplacian_1d(grid, order=order)
         self._chol = BandCholesky(lap, np.full(grid.N, self.lam - lap.coeffs[0]), dtype=complex)
 
-    def op_norm(self, z: complex, rng: np.random.Generator, tol: float = 1e-6) -> float:
+    def op_norm(self, z: complex, rng: np.random.Generator) -> float:
         n = self.grid.N
         chol = self._chol
         block = WaveBlockResolvent(z, self.damping, self.lam, self.grid, order=self.order)
@@ -388,61 +387,8 @@ class EnergyNormResolvent:
             w1, w2 = block.apply_adjoint(chol.mul(x[:n], transpose=True), x[n:])
             return np.concatenate([chol.solve_triangular(w1, transpose=True), w2])
 
-        sigma, _, _ = iterative_norm(apply_op, apply_adj, 2 * n, rng, tol=min(tol, 1e-7))
+        sigma, _, _ = iterative_norm(apply_op, apply_adj, 2 * n, rng)
         return sigma
-
-    def eigenvalues(self) -> np.ndarray:
-        """Spectrum of the truncated first-order mode operator (companion form)."""
-        n = self.grid.N
-        p = -laplacian_1d(self.grid, order=self.order).as_dense() + self.lam * np.eye(n)
-        comp = np.zeros((2 * n, 2 * n), dtype=complex)
-        comp[:n, n:] = np.eye(n)
-        comp[n:, :n] = p
-        comp[n:, n:] = -1j * np.diag(self.damping.samples)
-        return np.linalg.eigvals(comp)
-
-
-@dataclass
-class GapProbeResult:
-    tau: float
-    z: complex
-    spectrum_free: bool
-    norm_est: float
-    bound_constant: float
-    worst_eig: complex | None
-
-
-def spectral_gap_probe(taus, gamma: float, damping: DampingProfile, grid: Grid1D,
-                       lambdas, order: int = 4, window: float = 0.5,
-                       rng: np.random.Generator | None = None) -> list[GapProbeResult]:
-    """Probe the claimed spectrum-free region Im z >= -gamma |Re z|^(-2).
-
-    For each tau the truncated operator's eigenvalues near Re = tau are
-    checked against the curve, and the resolvent norm at z = tau - i gamma
-    tau^(-2) is recorded together with the empirical constant norm/tau^2.
-    Failures are data, not errors.
-    """
-    rng = rng or np.random.default_rng(0)
-    lambdas = np.asarray(lambdas, dtype=float)
-    helpers = [EnergyNormResolvent(grid, lam, damping, order=order) for lam in lambdas]
-    eigs = np.concatenate([h.eigenvalues() for h in helpers])
-    results = []
-    for tau in taus:
-        tau = float(tau)
-        z = tau - 1j * gamma / tau ** 2
-        near = eigs[np.abs(eigs.real - tau) <= window]
-        above = near[near.imag >= -gamma / np.maximum(np.abs(near.real), 1e-12) ** 2]
-        worst = None
-        if above.size:
-            worst = complex(above[int(np.argmax(above.imag))])
-        try:
-            norm = max(h.op_norm(z, rng) for h in helpers)
-        except (SolveError, ConvergenceError):
-            norm = math.inf
-        results.append(GapProbeResult(tau=tau, z=z, spectrum_free=above.size == 0,
-                                      norm_est=norm, bound_constant=norm / tau ** 2,
-                                      worst_eig=worst))
-    return results
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,19 @@
-"""Test oracles for the fast paths in guidewave.
+"""Dense test oracles for the banded and matrix-free paths in guidewave.
 
-``dense_operator`` assembles a mode operator as a full matrix.  The norm
-oracles assemble the operator as an N x N (or 2N x 2N) matrix from
-the discrete stencils and take the top singular value of a full SVD, so they
-are only meant for moderate N.  The heat-quadrature oracle is scipy's
-general Toeplitz product.
+The package itself assembles no dense matrix; every dense matrix the suite
+checks against is built here or in the tests.  ``dense_laplacian`` expands the
+banded D2 stencil into its N x N Toeplitz matrix, and ``dense_operator``
+assembles a mode operator from it.  The norm oracles assemble the operator
+as an N x N (or, for the first-order companion form, 2N x 2N) matrix and
+take the top singular value of a full SVD, so they are only meant for
+moderate N.  The heat-quadrature oracle is scipy's general Toeplitz product.
 """
 
 import math
 
 import numpy as np
 from scipy.fft import dst
-from scipy.linalg import matmul_toeplitz, svdvals
+from scipy.linalg import matmul_toeplitz, svdvals, toeplitz
 
 from guidewave.discretize import laplacian_1d
 from guidewave.heat import heat_kernel
@@ -25,9 +27,17 @@ def toeplitz_heat_apply(w0, grid, t, derivative="none"):
     return grid.h * matmul_toeplitz((col, row), w0)
 
 
+def dense_laplacian(grid, order=4):
+    """The banded D2 of ``laplacian_1d`` as an N x N symmetric Toeplitz matrix."""
+    coeffs = laplacian_1d(grid, order=order).coeffs
+    col = np.zeros(grid.N)
+    col[:len(coeffs)] = coeffs
+    return toeplitz(col)
+
+
 def dense_operator(op):
     """The mode operator -D2 + diag of a ``ShiftedOperator`` as an N x N matrix."""
-    return -op.lap.as_dense() + np.diag(op.diag)
+    return -dense_laplacian(op.grid, op.lap.order) + np.diag(op.diag)
 
 
 def sobolev_matrix(grid, beta):
@@ -50,7 +60,7 @@ def dense_sobolev_norm(op, beta1, beta2):
 
 def sqrt_energy_matrix(grid, lam, order=4):
     """P^{1/2} for P = -D2 + lam, from a dense eigendecomposition."""
-    p = -laplacian_1d(grid, order=order).as_dense() + lam * np.eye(grid.N)
+    p = -dense_laplacian(grid, order) + lam * np.eye(grid.N)
     vals, vecs = np.linalg.eigh(p)
     assert vals[0] > 0.0, "P must be positive definite"
     return vecs @ (np.sqrt(vals)[:, None] * vecs.T)
@@ -63,7 +73,7 @@ def dense_energy_norm(grid, lam, damping, z, order=4):
     mode, assembled directly rather than through the block formula.
     """
     n = grid.N
-    p = -laplacian_1d(grid, order=order).as_dense() + lam * np.eye(n)
+    p = -dense_laplacian(grid, order) + lam * np.eye(n)
     a_mat = np.zeros((2 * n, 2 * n), dtype=complex)
     a_mat[:n, n:] = np.eye(n)
     a_mat[n:, :n] = p

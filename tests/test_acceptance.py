@@ -23,14 +23,14 @@ from scipy.linalg import expm
 
 import guidewave.configs
 from guidewave.config import load
-from guidewave.discretize import DampingProfile, Grid1D, laplacian_1d, mode_operator
+from guidewave.discretize import DampingProfile, Grid1D, mode_operator
 from guidewave.evolve import Stepper, WaveState, gaussian_envelope
 from guidewave.fit import fit_power
 from guidewave.heat import heat_weighted_norm
 from guidewave.pipeline import cmd_evolve, cmd_heat_compare, cmd_resolvent, cmd_semiclassical
 from guidewave.resolvent import norm_scan
 
-from dense_oracles import dense_sobolev_norm
+from dense_oracles import dense_laplacian, dense_sobolev_norm
 
 CONFIG_DIR = resources.files(guidewave.configs)
 
@@ -249,7 +249,7 @@ def test_criterion_13_oracle_equivalence(rng=None):
     a = DampingProfile.build(g, "constant", level=1.0)
     u0 = gaussian_envelope(g, sigma=3.0)
     state = WaveState(t=0.0, modes=u0[None, :], vmodes=np.zeros((1, g.N)))
-    lap = laplacian_1d(g, order=4).as_dense()
+    lap = dense_laplacian(g, 4)
     n = g.N
     comp = np.zeros((2 * n, 2 * n))
     comp[:n, n:] = np.eye(n)

@@ -63,6 +63,11 @@ class TestConfig:
         ("scan", {"kind": "rainbow"}, "scan.kind"),
         ("fit_window", [0.5, 10.0], "fit_window"),
         ("damping", {"kind": "hole", "level": 0.5}, "damping.level"),
+        ("damping", {"kind": "hole", "rho": -1.0}, "damping.rho"),
+        ("damping", {"kind": "hole", "r": -1.0}, "damping.r"),
+        ("damping", {"kind": "constant", "level": -0.5}, "damping.level"),
+        ("scan", {"kind": "gap"}, "scan.kind"),
+        ("scan", {"gamma": 0.1}, "scan.gamma: unknown field"),
     ])
     def test_validation_reports_field_path(self, path, value, fragment):
         data = json.loads(json.dumps(TINY))
@@ -188,7 +193,6 @@ class TestCli:
         assert norms[1.0] != norms[3.0]
 
     @pytest.mark.parametrize("command, kind", [("resolvent-scan", "theta"),
-                                               ("resolvent-scan", "gap"),
                                                ("resolvent-scan", "realaxis"),
                                                ("semiclassical", "highfreq")])
     def test_massless_scans_reject_a_mass(self, tmp_path, command, kind, capsys):
@@ -202,8 +206,12 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["evolve", str(bad), "--out", str(tmp_path / "o")]) == 2
-        cfgp = write_tiny(tmp_path, flavor="maxwell")
-        assert main(["evolve", cfgp, "--out", str(tmp_path / "o")]) == 2
+        # numerics would fail (exit 3) on a negative absorption; validation comes first
+        for command, mutation in (("evolve", {"flavor": "maxwell"}),
+                                  ("evolve", {"damping": {"kind": "hole", "rho": -1.0}}),
+                                  ("resolvent-scan", {"scan": {"kind": "gap", "z_list": [4.0]}})):
+            cfgp = write_tiny(tmp_path, **mutation)
+            assert main([command, cfgp, "--out", str(tmp_path / "o")]) == 2
 
     def test_fit_subcommand_and_assert_exit(self, tmp_path):
         cfgp = write_tiny(tmp_path)

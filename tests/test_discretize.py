@@ -1,13 +1,19 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
+import guidewave
 from guidewave.discretize import (HOLE_EDGE_WIDTH, DampingProfile, Grid1D, WeightSpec,
-                                  gradient_1d, laplacian_1d, mode_operator, weighted_norm)
+                                  gradient_1d, laplacian_1d, mode_operator)
 
-from dense_oracles import dense_operator
+from dense_oracles import dense_laplacian, dense_operator
+
+#: dense assembly and factorization routines; only the tests may call them
+DENSE_ROUTINES = frozenset({"eye", "diag", "toeplitz", "inv", "eig", "eigvals", "eigh",
+                            "svd", "svdvals", "as_dense"})
 
 
 def test_grid_geometry():
@@ -21,8 +27,7 @@ def test_grid_geometry():
 class TestLaplacian:
     def test_symmetric_negative(self, grid40, rng):
         for order in (2, 4):
-            lap = laplacian_1d(grid40, order=order)
-            dense = lap.as_dense()
+            dense = dense_laplacian(grid40, order)
             assert np.array_equal(dense, dense.T)
             for _ in range(5):
                 u = rng.standard_normal(grid40.N)
@@ -76,6 +81,13 @@ class TestLaplacian:
             assert np.array_equal(gradient_1d(block, grid40, order=order),
                                   np.stack([gradient_1d(r, grid40, order=order) for r in block]))
 
+    def test_gradient_order4_accuracy(self):
+        g = Grid1D(X=30.0, N=2048)
+        u = np.exp(-g.xs ** 2 / 8.0)
+        du = gradient_1d(u, g, order=4)
+        exact = -g.xs / 4.0 * u
+        assert np.max(np.abs(du - exact)) <= 1e-8
+
     def test_rejects_bad_order_and_bc(self, grid40):
         # the homogeneous cap is the only end condition, so only the order can be wrong
         with pytest.raises(ValueError):
@@ -115,6 +127,17 @@ class TestDamping:
         with pytest.raises(ValueError):
             DampingProfile.build(grid40, "checkerboard")
 
+    @pytest.mark.parametrize("kind, params, fragment", [
+        ("hole", {"rho": 0.0}, "rho"),
+        ("hole", {"rho": -1.0}, "rho"),
+        ("hole", {"r": -1.0}, "radius"),
+        ("constant", {"level": -0.5}, "level"),
+    ], ids=["hole-rho-zero", "hole-rho", "hole-r", "constant-level"])
+    def test_negative_absorption_rejected(self, grid40, kind, params, fragment):
+        # hole needs rho > 0 and r > 0; a constant level < 0 would be anti-damping
+        with pytest.raises(ValueError, match=fragment):
+            DampingProfile.build(grid40, kind, **params)
+
     @pytest.mark.parametrize("kind", ["longrange", "hole"])
     def test_level_rejected_outside_constant(self, grid40, kind):
         # only the constant profile reads level; elsewhere it would be ignored
@@ -128,15 +151,13 @@ class TestModeOperator:
         op = mode_operator(grid40, 0.0, damping_const, 1j)
         dense = dense_operator(op)
         assert np.max(np.abs(dense.imag)) <= 1e-14
-        lap = laplacian_1d(grid40, order=4)
-        assert np.allclose(dense.real, -lap.as_dense() + 2.0 * np.eye(grid40.N))
+        assert np.allclose(dense.real, -dense_laplacian(grid40, 4) + 2.0 * np.eye(grid40.N))
         u = np.random.default_rng(0).standard_normal(grid40.N)
         assert np.dot(u, dense.real @ u) > 0
 
     def test_lambda_shift_at_z0(self, grid40, damping_const):
         op = mode_operator(grid40, 9.0, damping_const, 0.0)
-        lap = laplacian_1d(grid40, order=4)
-        assert np.allclose(dense_operator(op), -lap.as_dense() + 9.0 * np.eye(grid40.N))
+        assert np.allclose(dense_operator(op), -dense_laplacian(grid40, 4) + 9.0 * np.eye(grid40.N))
 
     def test_shift_is_exactly_diagonal(self, grid40, damping_const):
         z = 0.3 + 0.7j
@@ -172,44 +193,6 @@ class TestModeOperator:
         assert abs(lhs - rhs) <= 1e-8 * abs(lhs)
 
 
-class TestWeightedNorm:
-    def test_constant_function(self):
-        g = Grid1D(X=200.0, N=4096)
-        assert weighted_norm(np.ones(g.N), g, 0.0) == pytest.approx(math.sqrt(2 * g.X), rel=1e-3)
-
-    def test_weight_cancels(self):
-        g = Grid1D(X=200.0, N=4096)
-        u = (1.0 + g.xs ** 2) ** -0.5
-        assert weighted_norm(u, g, 1.0) == pytest.approx(math.sqrt(2 * g.X), rel=1e-3)
-
-    def test_gaussian_against_quadrature_oracle(self):
-        g = Grid1D(X=30.0, N=2048)
-        u = np.exp(-g.xs ** 2 / 8.0)
-        expected = math.sqrt(quad(lambda x: (1 + x * x) ** 2 * math.exp(-x * x / 4.0),
-                                  -30.0, 30.0, epsabs=1e-14, epsrel=1e-13)[0])
-        assert weighted_norm(u, g, 2.0) == pytest.approx(expected, rel=1e-8)
-
-    def test_flavors(self, rng):
-        g = Grid1D(X=30.0, N=1024)
-        u = np.exp(-g.xs ** 2 / 4.0)
-        v = np.sin(g.xs) * np.exp(-g.xs ** 2 / 8.0)
-        l2 = weighted_norm(u, g, -1.0, "L2")
-        grad = weighted_norm(u, g, -1.0, "grad+L2", v=v)
-        full = weighted_norm(u, g, -1.0, "H1-full", v=v)
-        assert full == pytest.approx(math.sqrt(l2 ** 2 + grad ** 2), rel=1e-12)
-        with pytest.raises(ValueError):
-            weighted_norm(u, g, 0.0, "H2")
-        with pytest.raises(ValueError):
-            weighted_norm(u[:-1], g, 0.0)
-
-    def test_gradient_order4_accuracy(self):
-        g = Grid1D(X=30.0, N=2048)
-        u = np.exp(-g.xs ** 2 / 8.0)
-        du = gradient_1d(u, g, order=4)
-        exact = -g.xs / 4.0 * u
-        assert np.max(np.abs(du - exact)) <= 1e-8
-
-
 class TestWeightSpec:
     def test_valid(self):
         WeightSpec(delta1=1.05, delta2=1.05, s1=0.5, s2=0.5, s=0.5, kappa=1.1) \
@@ -227,3 +210,19 @@ class TestWeightSpec:
         with pytest.raises(ValueError) as err:
             spec.validate_decay_hypotheses()
         assert "delta1" in str(err.value)
+
+
+def test_package_calls_no_dense_routine():
+    # every production path is banded or matrix-free; dense oracles live in tests/
+    package = Path(guidewave.__file__).parent
+    modules = sorted(package.rglob("*.py"))
+    assert package / "discretize.py" in modules
+    calls = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in DENSE_ROUTINES:
+                    calls.append(f"{path.relative_to(package)}:{node.lineno} {name}")
+    assert calls == []

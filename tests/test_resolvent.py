@@ -16,11 +16,11 @@ from guidewave.resolvent import (LANCZOS, POWER_ITERATION, EnergyNormResolvent, 
                                  _top_eigenpair_tridiagonal, heat_model_operator,
                                  heat_structure_residual, iterative_norm, mode_norm_bound,
                                  norm_scan, power_iteration_norm, pure_laplacian_control,
-                                 semiclassical_scan, sobolev_constant_sq, spectral_gap_probe,
-                                 theta_blocks, theta_probe)
+                                 semiclassical_scan, sobolev_constant_sq, theta_blocks,
+                                 theta_probe)
 
-from dense_oracles import (dense_energy_norm, dense_operator, dense_sobolev_norm,
-                           sobolev_matrix, sqrt_energy_matrix)
+from dense_oracles import (dense_energy_norm, dense_laplacian, dense_operator,
+                           dense_sobolev_norm, sobolev_matrix, sqrt_energy_matrix)
 
 DAMPING_KINDS = ["constant", "longrange", "hole"]
 BETA_PAIRS = [(0, 0), (1, 0), (0, 1), (1, 1)]
@@ -96,7 +96,7 @@ class HeatModelResolvent:
 
     @classmethod
     def build(cls, z, damping, grid, order=4):
-        lap = laplacian_1d(grid, order=order).as_dense()
+        lap = dense_laplacian(grid, order)
         hres = np.linalg.inv(-lap - 1j * z * np.eye(grid.N))
         a = damping.samples
         return cls(z=z, h11=1j * hres * a[None, :], h12=hres,
@@ -281,7 +281,7 @@ class TestCertifiedTailBound:
         # K^2 >= max eig of S_1^2 v = mu (1 - D2) v, tight (to the 1e-12 margin) for order 2
         g = Grid1D(X=x, N=n)
         s1 = sobolev_matrix(g, 1.0)
-        top = eigh(s1 @ s1, np.eye(n) - laplacian_1d(g, order=order).as_dense(),
+        top = eigh(s1 @ s1, np.eye(n) - dense_laplacian(g, order),
                    eigvals_only=True)[-1]
         k_sq = sobolev_constant_sq(g, order)
         assert top <= k_sq
@@ -429,7 +429,7 @@ def test_banded_solve_matches_dense(case, seed):
     g, a, order, mass, (z,), lam, _ = case
     f = [1.0, 1j] @ np.random.default_rng(seed).standard_normal((2, g.N))
     op = mode_operator(g, lam, a, z, order=order, mass=mass)
-    dense = -laplacian_1d(g, order=order).as_dense() + np.diag(
+    dense = -dense_laplacian(g, order) + np.diag(
         lam + mass * mass - 1j * z * a.samples - z * z)
     for got, mat in ((op.solve(f), dense), (op.solve_adjoint(f), dense.conj().T)):
         want = np.linalg.solve(mat, f)
@@ -439,7 +439,7 @@ def test_banded_solve_matches_dense(case, seed):
 def test_heat_resolvent_norm_on_rays():
     # ||(-Lap_N - i z)^{-1}|| = 1/|z| within 2% on arg z in {pi/4, pi/2}
     g = Grid1D(X=200.0, N=512)
-    lap = laplacian_1d(g, order=4).as_dense()
+    lap = dense_laplacian(g, 4)
     eye = np.eye(g.N)
     for arg in (math.pi / 4, math.pi / 2):
         for mod in (0.1, 1.0, 10.0):
@@ -497,27 +497,6 @@ class TestHeatModelResolvent:
             theta_probe([2.0 + 1j], damping_const, grid40, [0.0], 1.0, 1.0)
         with pytest.raises(ValueError):
             theta_probe([0.5 - 0.1j], damping_const, grid40, [0.0], 1.0, 1.0)
-
-
-class TestSpectralGap:
-    def test_constant_damping_curve_is_free(self):
-        g = Grid1D(X=40.0, N=256)
-        a = DampingProfile.build(g, "constant")
-        lams = np.arange(6, dtype=float) ** 2
-        res = spectral_gap_probe([8.0], 0.1, a, g, lams, order=2,
-                                 rng=np.random.default_rng(8))[0]
-        assert res.spectrum_free
-        assert res.norm_est <= 0.2 * 8.0 ** 2
-
-    def test_huge_gamma_fails_for_hole(self):
-        g = Grid1D(X=40.0, N=256)
-        hole = DampingProfile.build(g, "hole", r=5.0, rho=2.0)
-        lams = np.arange(5, dtype=float) ** 2
-        res = spectral_gap_probe([4.0], 1000.0, hole, g, lams, order=2,
-                                 rng=np.random.default_rng(9))[0]
-        assert not res.spectrum_free
-        assert res.worst_eig is not None
-        assert res.worst_eig.imag <= 0.0  # dissipative spectrum
 
 
 class TestSemiclassical:
