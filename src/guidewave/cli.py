@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import __version__
-from .config import apply_overrides, config_hash, from_dict
+from .config import config_hash, load
 from .errors import ConfigError, ConvergenceError, GuidewaveError, SolveError
 from .pipeline import (atomic_write, cmd_evolve, cmd_fit, cmd_heat_compare,
                        cmd_resolvent, cmd_semiclassical, read_csv)
@@ -24,17 +24,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_VERDICT = 4
-
-
-def _load_config(args):
-    with open(args.config, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{args.config}: invalid JSON: {exc}") from exc
-    if args.set:
-        data = apply_overrides(data, args.set)
-    return from_dict(data)
 
 
 def _check_verdicts(fits) -> bool:
@@ -113,7 +102,7 @@ def main(argv=None) -> int:
                 return EXIT_VERDICT
             return EXIT_OK
 
-        cfg = _load_config(args)
+        cfg = load(args.config, args.set)
         if args.command == "evolve":
             out = cmd_evolve(cfg, args.out)
             fits = out["fits"]

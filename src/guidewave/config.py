@@ -189,6 +189,13 @@ def validate(cfg: ExperimentConfig) -> None:
     if cfg.scan.beta1 not in (0, 1) or cfg.scan.beta2 not in (0, 1):
         raise ConfigError(f"scan.beta1/beta2: must lie in {{0,1}}, got "
                           f"{cfg.scan.beta1}/{cfg.scan.beta2}")
+    for name in ("beta1", "beta2", "truncation_guard"):   # theta, realaxis: fixed, unguarded
+        if cfg.scan.kind != "highfreq" and getattr(cfg.scan, name):
+            raise ConfigError(f"scan.{name}: used by kind 'highfreq' only, got "
+                              f"{getattr(cfg.scan, name)} for kind {cfg.scan.kind!r}")
+    for i, z in enumerate(parse_scan_z(cfg.scan.z_list) if cfg.scan.kind == "realaxis" else ()):
+        if z.imag:
+            raise ConfigError(f"scan.z_list.{i}: kind 'realaxis' needs real z, got {z}")
     if not (len(cfg.fit_window) == 2 and cfg.fit_window[0] >= 1.0
             and cfg.fit_window[1] > cfg.fit_window[0]):
         raise ConfigError(f"fit_window: need [t_min >= 1, t_max > t_min], got {cfg.fit_window}")
@@ -204,13 +211,14 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(canonical_json(cfg).encode()).hexdigest()[:12]
 
 
-def load(path) -> ExperimentConfig:
+def load(path, overrides=()) -> ExperimentConfig:
+    """Read a JSON config, apply ``--set``-style ``overrides``, build and validate."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    return from_dict(data)
+    return from_dict(apply_overrides(data, overrides))
 
 
 def parse_scan_z(entries) -> list[complex]:

@@ -262,9 +262,7 @@ class ShiftedOperator:
 
     grid: Grid1D
     lap: BandedLaplacian
-    lam: float
     z: complex
-    a: np.ndarray = field(repr=False)
     diag: np.ndarray = field(repr=False)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -327,10 +325,9 @@ def mode_operator(grid: Grid1D, lam: float, damping: DampingProfile, z: complex,
         raise ValueError(
             f"damping must be sampled on the x-grid only (shape ({grid.N},)), got {a.shape}")
     z = complex(z)
-    lam_eff = lam + mass * mass
-    diag = lam_eff - 1j * z * a - z * z
+    diag = lam + mass * mass - 1j * z * a - z * z
     lap = laplacian_1d(grid, order=order)
-    return ShiftedOperator(grid=grid, lap=lap, lam=lam_eff, z=z, a=a, diag=diag)
+    return ShiftedOperator(grid=grid, lap=lap, z=z, diag=diag)
 
 
 def weight(grid: Grid1D, delta: float) -> np.ndarray:

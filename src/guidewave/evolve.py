@@ -243,7 +243,6 @@ def energy(state: WaveState, grid: Grid1D, lambdas: np.ndarray, order: int = 4,
 @dataclass
 class RunResult:
     records: list
-    schedule: np.ndarray
     snapshots: list
     E0: float
     identity_max_step_residual: float
@@ -330,7 +329,7 @@ def run(state0: WaveState, grid: Grid1D, lambdas: np.ndarray, damping: DampingPr
             next_idx += 1
 
     cum_res = abs(e_prev - e0 + diss_cum)
-    return RunResult(records=records, schedule=schedule, snapshots=snapshots,
+    return RunResult(records=records, snapshots=snapshots,
                      E0=records[0].E_total,
                      identity_max_step_residual=max_step_res,
                      identity_cumulative_residual=cum_res,

@@ -2,8 +2,7 @@
 
 Power-law fits regress log y on log t; exponential fits regress log y on t.
 The decay estimates being verified are upper bounds, so verdicts are
-one-sided by default ("decays at least this fast", slack +0.15), with an optional
-two-sided sharpness check for the cases made sharp by the heat comparison.
+one-sided ("decays at least this fast", slack +0.15).
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import numpy as np
 from .discretize import WeightSpec
 
 ONE_SIDED_TOL = 0.15
-TWO_SIDED_TOL = 0.15
 
 POWER = "power"
 EXPONENTIAL = "exponential"
@@ -40,13 +38,11 @@ class DecayFit:
         n = self.n_samples
         return n * math.log(max(self.rss, 1e-300) / n) + 4.0
 
-    def verdict(self, sharp: bool = False) -> str:
+    def verdict(self) -> str:
         """pass/fail against the predicted exponent; 'informative' if none."""
         if self.predicted is None:
             return "informative"
         if self.exponent > self.predicted + ONE_SIDED_TOL:
-            return "fail"
-        if sharp and abs(self.exponent - self.predicted) > TWO_SIDED_TOL:
             return "fail"
         return "pass"
 

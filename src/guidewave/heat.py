@@ -19,8 +19,6 @@ from scipy.fft import fft, ifft, irfft, next_fast_len, rfft
 
 from .discretize import Grid1D, gradient_1d, weight
 
-DERIVATIVES = ("none", "dx", "lap")
-
 
 def heat_kernel(t: float, xi: np.ndarray, derivative: str = "none") -> np.ndarray:
     """Gaussian kernel (4 pi t)^(-1/2) exp(-xi^2 / 4t) and derivatives in xi."""
@@ -200,5 +198,5 @@ def heat_weighted_norm(t: float, beta: int | str, s: float, s1: float, s2: float
     # that need it
     from .resolvent import iterative_norm
 
-    sigma, _, _ = iterative_norm(apply_op, apply_adjoint, n, np.random.default_rng(0))
+    sigma, _ = iterative_norm(apply_op, apply_adjoint, n, np.random.default_rng(0))
     return sigma

@@ -26,8 +26,8 @@ from .evolve import (KLEIN_GORDON, WAVE_DIRICHLET, WAVE_EUCLIDEAN, WAVE_NEUMANN,
                      powerlaw_envelope, run, smooth_initial_data)
 from .fit import compare_models, fit_exponential, fit_power, predict_exponent
 from .heat import HeatSolution, compare, p0_heat_data
-from .resolvent import (POWER_ITERATION, EnergyNormResolvent, norm_scan,
-                        pure_laplacian_control, semiclassical_scan, theta_probe)
+from .resolvent import (EnergyNormResolvent, norm_scan, pure_laplacian_control,
+                        semiclassical_scan, theta_probe)
 from .transverse import DIRICHLET, NEUMANN, transverse_eigenvalues
 
 
@@ -342,7 +342,7 @@ def cmd_resolvent(cfg: ExperimentConfig, out_base: str) -> dict:
                 "beta1": [float(p.beta1) for p in points],
                 "beta2": [float(p.beta2) for p in points],
                 "norm_est": [p.norm_est for p in points],
-                "method": [0.0 if p.method == POWER_ITERATION else 1.0 for p in points],
+                "method": [1.0] * len(points),
                 "flag": [1.0 if p.flag == "truncation-limited" else 0.0 for p in points],
                 "k_argmax": [float(p.k_argmax) for p in points]}
         ok = [p for p in points if p.flag != "truncation-limited" and abs(p.z.real) > 0]

@@ -1,23 +1,21 @@
 """Complex-shifted solves, operator-norm scans, and low/high frequency probes.
 
-Every operator norm is the top singular value of a matrix-free operator,
-computed by the Lanczos three-term recurrence on T^*T (T T^* for a wide T)
-from a seeded start vector.  The recurrence stores no basis and tests its top
-Ritz pair at every step: it stops once the normal-operator residual is at most
-tol^2 sigma^2, and reports that measured residual.  Power iteration is the
-fallback, labelled as such, when a step budget does not reach it.  Sobolev
-scalings (1 - d^2/dx^2)^(+-beta/2) are diagonal in the sine basis of the
-truncation box; since the orthonormal DST-I is its own inverse, a scan
-measures the mode solve in scaled sine coefficients, one transform per scaled
-side of each application.  A norm scan takes the max over transverse modes and skips every
-mode whose certified bound (``mode_norm_bound``) is already below the running
-max, which cuts the elliptic tail lam_k > tau^2 without a heuristic.  The
-energy norm of the first-order operator is realized by the band Cholesky
-factor of -D2 + lam that ``discretize.BandCholesky`` shares with the stepper,
-O(N) per application, with no transform.  The dense
-oracles for these norms live in the tests.  The block resolvent of
-the first-order wave operator and its adjoint are applied through the mode
-resolvent R(z) and the reflection identity R(z)^* = R(-conj(z)).
+Every operator norm is the top singular value of a matrix-free operator, by
+the Lanczos three-term recurrence on T^*T (T T^* for a wide T) from a seeded
+start vector.  The recurrence stores no basis, tests its top Ritz pair at
+every step, stops once the normal-operator residual is at most tol^2 sigma^2
+and reports that measured residual.  A run that the step budget cuts short
+returns its Ritz value only when a certified upper bound pins it to within
+tol, and raises ``ConvergenceError`` otherwise.  Sobolev scalings
+(1 - d^2/dx^2)^(+-beta/2) are diagonal in the sine basis of the truncation
+box; since the orthonormal DST-I is its own inverse, a scan measures the mode
+solve in scaled sine coefficients, one transform per scaled side of each
+application.  A norm scan takes the max over transverse modes.  Each mode's
+numerical-range bound (``mode_norm_bound``) skips the mode when it is below
+the running max, which cuts the elliptic tail lam_k > tau^2, and certifies
+its estimate otherwise.  The energy norm of the first-order operator uses the
+band Cholesky factor of -D2 + lam (``EnergyNormResolvent``).  The dense
+oracles for these norms live in the tests.
 """
 
 from __future__ import annotations
@@ -33,16 +31,13 @@ from .discretize import (BandCholesky, DampingProfile, Grid1D, ShiftedOperator,
                          gradient_1d, laplacian_1d, mode_operator, weight)
 from .errors import ConvergenceError
 
-LANCZOS = "lanczos"
-POWER_ITERATION = "power_iteration"
-
 #: relative move of a norm on the 1.5X box that flags a point truncation-limited
 TRUNCATION_GUARD_RTOL = 0.05
 #: transverse modes the theta probe measures (the lowest ones)
 THETA_PROBE_MODES = 3
 #: Lanczos steps (two operator applications each) before ``iterative_norm``
-#: falls back to power iteration
-LANCZOS_MAX_STEPS = 750
+#: needs a certified upper bound to accept its Ritz value
+LANCZOS_MAX_STEPS = 1500
 
 
 @dataclass(frozen=True)
@@ -51,7 +46,6 @@ class ScanPoint:
     beta1: int
     beta2: int
     norm_est: float
-    method: str
     residual: float
     flag: str = "ok"
     k_argmax: int = 0
@@ -63,6 +57,7 @@ class ScanPoint:
             raise ValueError(f"operator norm estimate must be positive, got {self.norm_est}")
 
 
+# no longer called; kept while perfbench/tracing.py looks it up by name
 def power_iteration_norm(apply_op, apply_adjoint, n: int, rng: np.random.Generator,
                          tol: float = 1e-5, maxit: int = 500,
                          raise_tol: float = 1e-3) -> tuple[float, float, int]:
@@ -131,9 +126,9 @@ def _lanczos_top(normal, v0: np.ndarray, rtol: float):
 
     The three-term recurrence keeps three vectors and no basis.  After step k
     the top eigenpair (theta, s) of the k x k tridiagonal gives the Ritz
-    residual beta_k |s_k|; the run stops once it is <= ``rtol * theta``.
-    Returns (theta, beta_k |s_k| / theta), or None when ``LANCZOS_MAX_STEPS``
-    steps do not meet the test.
+    residual beta_k |s_k|; the run stops once it is <= ``rtol * theta``, or
+    after ``LANCZOS_MAX_STEPS`` steps.  Returns (theta, beta_k |s_k| / theta,
+    converged) of the last step.
     """
     v = np.asarray(v0, dtype=complex)
     v = v / np.linalg.norm(v)
@@ -148,15 +143,17 @@ def _lanczos_top(normal, v0: np.ndarray, rtol: float):
         alphas.append(alpha)
         theta, s_last = _top_eigenpair_tridiagonal(np.array(alphas), np.array(betas))
         residual = beta * abs(s_last)
-        if residual <= rtol * theta or beta == 0.0:
-            return max(theta, 0.0), (residual / theta if theta > 0.0 else 0.0)
+        converged = residual <= rtol * theta or beta == 0.0
+        if converged:
+            break
         betas.append(beta)
         v_prev, v = v, w / beta
-    return None
+    return max(theta, 0.0), (residual / theta if theta > 0.0 else 0.0), converged
 
 
 def iterative_norm(apply_op, apply_adjoint, n: int | tuple[int, int], rng: np.random.Generator,
-                   tol: float = 1e-7, v0: np.ndarray | None = None) -> tuple[float, float, str]:
+                   tol: float = 1e-7, v0: np.ndarray | None = None,
+                   upper: float = math.inf) -> tuple[float, float]:
     """Largest singular value, matrix-free, with a seeded start vector.
 
     ``n`` is the dimension of a square T or the (rows, cols) shape of a
@@ -165,13 +162,14 @@ def iterative_norm(apply_op, apply_adjoint, n: int | tuple[int, int], rng: np.ra
     once its top Ritz pair (theta, y) has ||N y - theta y|| <= tol**2 theta.
     So ``tol`` bounds the normal-operator residual relative to sigma^2 (the
     test ``svds(tol=tol)`` hands to ARPACK), and theta then lies within
-    tol**2 theta of an eigenvalue of N.  Returns (sigma, residual, method):
-    sqrt(theta), the measured ||N y - theta y|| / theta and ``LANCZOS``; or,
-    when ``LANCZOS_MAX_STEPS`` steps do not converge (a cluster of top
-    singular values that the recurrence cannot split), power iteration's
-    estimate, its last relative change and ``POWER_ITERATION``.  Errors
-    raised by the operator propagate; a non-finite operator output raises
-    ``ConvergenceError``.
+    tol**2 theta of an eigenvalue of N.  Returns (sigma, residual): sqrt(theta)
+    and the measured ||N y - theta y|| / theta.  When ``LANCZOS_MAX_STEPS``
+    steps do not converge (a dense top of the spectrum), sigma is still a
+    lower bound of ||T|| (theta is a Rayleigh quotient of N); it is returned
+    only if the caller's certified ``upper`` >= ||T|| closes the interval,
+    sigma >= (1 - tol) upper, and otherwise ``ConvergenceError`` names the
+    interval.  Errors raised by the operator propagate; a non-finite operator
+    output raises ``ConvergenceError``.
     """
     rows, cols = (n, n) if np.isscalar(n) else n
     if rows >= cols:
@@ -180,12 +178,13 @@ def iterative_norm(apply_op, apply_adjoint, n: int | tuple[int, int], rng: np.ra
         normal = lambda x: apply_op(apply_adjoint(x))
     if v0 is None:
         v0 = _start_vector(rng, min(rows, cols))
-    top = _lanczos_top(normal, v0, tol * tol)
-    if top is not None:
-        theta, residual = top
-        return math.sqrt(theta), residual, LANCZOS
-    sigma, res, _ = power_iteration_norm(apply_op, apply_adjoint, cols, rng)
-    return sigma, res, POWER_ITERATION
+    theta, residual, converged = _lanczos_top(normal, v0, tol * tol)
+    sigma = math.sqrt(theta)
+    if not (converged or sigma >= (1.0 - tol) * upper):
+        raise ConvergenceError(
+            f"Lanczos did not converge in {LANCZOS_MAX_STEPS} steps and no bound certifies "
+            f"it: norm in [{sigma:.16g}, {upper:.16g}], relative residual {residual:.2e}")
+    return sigma, residual
 
 
 class SobolevScaler:
@@ -230,26 +229,45 @@ def sobolev_constant_sq(grid: Grid1D, order: int = 4) -> float:
     return (1.0 + 1e-12) * float(np.max((1.0 + nu) / (1.0 + symbol)))
 
 
-def mode_norm_bound(c: float, beta_sum: int, k_sq: float) -> float:
-    """Certified ||S_b1 R S_b2|| <= K^s / (m^(s/2) c^(1 - s/2)), s = b1 + b2, m = min(1, c).
+def mode_norm_bound(c: float, s: float, beta_sum: int, k_sq: float) -> float:
+    """Certified upper bound of ||S_b1 R S_b2||, b = b1 + b2 = ``beta_sum``, R = A^{-1}.
 
-    ``c`` is a lower bound of the Hermitian part of the mode operator; with
-    c <= 0 there is no bound and the result is inf.  See ``norm_scan``.
+    A = -D2 + lam + mass^2 - i z a - z^2 with z = x + iy.  Its Hermitian part
+    -D2 + lam + mass^2 - Re z^2 + y a is >= c, since -D2 >= 0, and its skew
+    part is the diagonal Im A = -x (a + 2y), of one sign when a + 2y > 0, so
+    |Im <A u, u>| >= s ||u||^2, s = |x| min(a + 2y) (``_mode_bounds``).  Since
+    ||A u|| ||u|| >= |<A u, u>|, the L^2 pair gets
+    ||R|| <= 1 / hypot(max(c, 0), max(s, 0)), inf when both are <= 0.  For
+    b > 0 and c > 0, Re A >= m M with m = min(1, c) and M = 1 - D2.  With
+    u = R f, m ||M^{1/2} u||^2 <= Re <A u, u> <= ||f|| ||u|| and
+    ||u|| <= ||f|| / c give ||M^{1/2} R|| = ||R M^{1/2}|| <= (m c)^{-1/2} and
+    ||M^{1/2} R M^{1/2}|| <= 1/m; each S_1 costs at most K = ||S_1 M^{-1/2}||,
+    K^2 = ``k_sq`` (``sobolev_constant_sq``).  So the bound is
+    K^b / (m^(b/2) c^(1 - b/2)), for real and complex z alike, and inf when c <= 0.
     """
+    if beta_sum == 0:
+        r = math.hypot(max(c, 0.0), max(s, 0.0))
+        return 1.0 / r if r > 0.0 else math.inf
     if c <= 0.0:
         return math.inf
     m = min(1.0, c)
     return k_sq ** (beta_sum / 2.0) / (m ** (beta_sum / 2.0) * c ** (1.0 - beta_sum / 2.0))
 
 
+def _mode_bounds(z: complex, mass: float, a: np.ndarray, beta_sum: int, k_sq: float):
+    """lam -> ``mode_norm_bound`` of mode lam at z, with c = lam + shift and s fixed."""
+    shift = mass * mass - (z * z).real + float(np.min(z.imag * a))
+    s = abs(z.real) * float(np.min(a + 2.0 * z.imag))
+    return lambda lam: mode_norm_bound(lam + shift, s, beta_sum, k_sq)
+
+
 def _mode_sobolev_norm(op: ShiftedOperator, scaler: SobolevScaler, beta1: int, beta2: int,
-                       rng: np.random.Generator, v0: np.ndarray | None = None):
-    """||S_beta1 R S_beta2|| of the mode solve R; no transform when both betas are 0."""
-    if not (beta1 or beta2):
-        return iterative_norm(op.solve, op.solve_adjoint, op.grid.N, rng, v0=v0)
+                       rng: np.random.Generator, v0: np.ndarray | None = None,
+                       upper: float = math.inf):
+    """||S_beta1 R S_beta2|| of the mode solve R, certified by ``upper`` at the step budget."""
     return iterative_norm(lambda c: scaler.apply(op.solve, c, beta1, beta2),
                           lambda c: scaler.apply(op.solve_adjoint, c, beta2, beta1),
-                          op.grid.N, rng, v0=v0)
+                          op.grid.N, rng, v0=v0, upper=upper)
 
 
 def norm_scan(z_list, beta1: int, beta2: int, damping: DampingProfile, grid: Grid1D,
@@ -258,27 +276,19 @@ def norm_scan(z_list, beta1: int, beta2: int, damping: DampingProfile, grid: Gri
               truncation_guard: bool = False) -> list[ScanPoint]:
     """Resolvent norms over the guide: max over transverse modes per z.
 
-    A mode is skipped, with no solve, when a proven upper bound of its norm is
-    already below the running max.  The mode operator is
-    A = -D2 + lam + mass^2 - i z a - z^2, and its Hermitian part is
-    -D2 + lam + mass^2 - Re z^2 + Im z a >= c I, with
-    c = lam + mass^2 - Re z^2 + min_x(Im z a), since -D2 >= 0.  For c > 0 and
-    m = min(1, c) it is also >= m M, M = 1 - D2.  With u = R f,
-    m ||M^{1/2} u||^2 <= Re <A u, u> <= ||f|| ||u|| and ||u|| <= ||f|| / c,
-    so ||R|| <= 1/c, ||M^{1/2} R|| = ||R M^{1/2}|| <= (m c)^{-1/2} and
-    ||M^{1/2} R M^{1/2}|| <= 1/m; one side's S_1 costs at most
-    K = ||S_1 M^{-1/2}|| (``sobolev_constant_sq``).  Hence
-    ||S_b1 R S_b2|| <= K^s / (m^(s/2) c^(1 - s/2)), s = b1 + b2, for real and
-    complex z alike (``mode_norm_bound``); a mode with c <= 0 is always scanned.
-    The Lanczos estimate never exceeds the true norm, so a skipped mode cannot
-    raise the max.  Every mode draws its start vector, scanned or not, so the
-    result equals that of a scan of every mode in the given order, bit for
-    bit.  ``tail_bound`` is the largest bound among the skipped modes (0 when
-    none is skipped) and ``modes_scanned`` counts the Lanczos runs.
+    Each mode's certified bound (``mode_norm_bound``) does two jobs.  A mode
+    whose bound is already below the running max is skipped, with no solve:
+    the Lanczos estimate never exceeds the true norm, so it cannot raise the
+    max.  A scanned mode passes its bound to ``iterative_norm`` as ``upper``,
+    which certifies a Ritz value that the step budget cuts short, or raises.
+    Every mode draws its start vector, scanned or not, so the result equals
+    that of a scan of every mode in the given order, bit for bit.
+    ``tail_bound`` is the largest bound among the skipped modes (0 when none
+    is skipped) and ``modes_scanned`` counts the Lanczos runs.
 
-    With ``truncation_guard`` every point is recomputed on a 1.5X box and
-    flagged "truncation-limited" when the norm moves by more than
-    ``TRUNCATION_GUARD_RTOL``.
+    With ``truncation_guard`` every point is recomputed on a 1.5X box, with
+    that box's bound, and flagged "truncation-limited" when the norm moves by
+    more than ``TRUNCATION_GUARD_RTOL``.
     """
     if beta1 not in (0, 1) or beta2 not in (0, 1):
         raise ValueError(f"Sobolev indices must lie in {{0,1}}, got beta1={beta1}, beta2={beta2}")
@@ -292,33 +302,35 @@ def norm_scan(z_list, beta1: int, beta2: int, damping: DampingProfile, grid: Gri
         damping2 = DampingProfile.build(grid2, kind=damping.kind, rho=damping.rho,
                                         r=damping.r, level=damping.level)
         scaler2 = SobolevScaler(grid2)
+        k_sq2 = sobolev_constant_sq(grid2, order)
 
     points = []
     for z in z_list:
         z = complex(z)
-        best, best_k, best_res, best_method = 0.0, 0, 0.0, LANCZOS
-        shift = mass * mass - (z * z).real + float(np.min(z.imag * damping.samples))
+        best, best_k, best_res = 0.0, 0, 0.0
+        mode_bound = _mode_bounds(z, mass, damping.samples, beta1 + beta2, k_sq)
         tail, scanned = 0.0, 0
         for k, lam in enumerate(lambdas):
             v0 = _start_vector(rng, grid.N)
-            bound = mode_norm_bound(lam + shift, beta1 + beta2, k_sq)
+            bound = mode_bound(lam)
             if bound < best:
                 tail = max(tail, bound)
                 continue
             op = mode_operator(grid, lam, damping, z, order=order, mass=mass)
-            sigma, res, method = _mode_sobolev_norm(op, scaler, beta1, beta2, rng, v0=v0)
+            sigma, res = _mode_sobolev_norm(op, scaler, beta1, beta2, rng, v0=v0, upper=bound)
             scanned += 1
             if sigma > best:
-                best, best_k, best_res, best_method = sigma, k, res, method
+                best, best_k, best_res = sigma, k, res
         flag = "ok"
         if truncation_guard:
+            upper2 = _mode_bounds(z, mass, damping2.samples, beta1 + beta2, k_sq2)(lambdas[best_k])
             op2 = mode_operator(grid2, lambdas[best_k], damping2, z, order=order, mass=mass)
-            sigma2, _, _ = _mode_sobolev_norm(op2, scaler2, beta1, beta2, rng)
+            sigma2, _ = _mode_sobolev_norm(op2, scaler2, beta1, beta2, rng, upper=upper2)
             if abs(sigma2 - best) > TRUNCATION_GUARD_RTOL * best:
                 flag = "truncation-limited"
         points.append(ScanPoint(z=z, beta1=beta1, beta2=beta2, norm_est=best,
-                                method=best_method, residual=best_res, flag=flag,
-                                k_argmax=best_k, tail_bound=tail, modes_scanned=scanned))
+                                residual=best_res, flag=flag, k_argmax=best_k,
+                                tail_bound=tail, modes_scanned=scanned))
     return points
 
 
@@ -387,7 +399,7 @@ class EnergyNormResolvent:
             w1, w2 = block.apply_adjoint(chol.mul(x[:n], transpose=True), x[n:])
             return np.concatenate([chol.solve_triangular(w1, transpose=True), w2])
 
-        sigma, _, _ = iterative_norm(apply_op, apply_adj, 2 * n, rng)
+        sigma, _ = iterative_norm(apply_op, apply_adj, 2 * n, rng)
         return sigma
 
 
@@ -396,10 +408,10 @@ class EnergyNormResolvent:
 
 
 def heat_model_operator(grid: Grid1D, z: complex, order: int = 4) -> ShiftedOperator:
-    """The banded heat-model operator -D2 - i z on mode 0: diagonal -i z, a = 1."""
+    """The banded heat-model operator -D2 - i z on mode 0: diagonal -i z."""
     z = complex(z)
-    return ShiftedOperator(grid=grid, lap=laplacian_1d(grid, order=order), lam=0.0, z=z,
-                           a=np.ones(grid.N), diag=np.full(grid.N, -1j * z))
+    return ShiftedOperator(grid=grid, lap=laplacian_1d(grid, order=order), z=z,
+                           diag=np.full(grid.N, -1j * z))
 
 
 def theta_blocks(z: complex, a: np.ndarray) -> dict[int, tuple]:
@@ -473,7 +485,7 @@ def theta_probe(z_list, damping: DampingProfile, grid: Grid1D, lambdas,
                 t, t_adj = _difference_block(op, heat if k == 0 else None, p, c, q)
                 apply_op, apply_adj, shape = _weighted(t, t_adj, wl, wr, grid, order,
                                                        math.sqrt(lam) if j <= 2 else None)
-                sigma, _, _ = iterative_norm(apply_op, apply_adj, shape, rng)
+                sigma, _ = iterative_norm(apply_op, apply_adj, shape, rng)
                 norms[j] = max(norms[j], sigma)
         out.append({"z": z, "theta1": norms[1], "theta2": norms[2], "theta3": norms[3],
                     "theta4": norms[4], "structure_residual": residual})

@@ -6,14 +6,16 @@ banded D2 stencil into its N x N Toeplitz matrix, and ``dense_operator``
 assembles a mode operator from it.  The norm oracles assemble the operator
 as an N x N (or, for the first-order companion form, 2N x 2N) matrix and
 take the top singular value of a full SVD, so they are only meant for
-moderate N.  The heat-quadrature oracle is scipy's general Toeplitz product.
+moderate N; ``exact_mode_norm`` needs only the eigenvalues of the banded -D2
+and serves any N.  The heat-quadrature oracle is scipy's general Toeplitz
+product.
 """
 
 import math
 
 import numpy as np
 from scipy.fft import dst
-from scipy.linalg import matmul_toeplitz, svdvals, toeplitz
+from scipy.linalg import eigvals_banded, matmul_toeplitz, svdvals, toeplitz
 
 from guidewave.discretize import laplacian_1d
 from guidewave.heat import heat_kernel
@@ -86,3 +88,16 @@ def dense_energy_norm(grid, lam, damping, z, order=4):
     right[:n, :n] = np.linalg.inv(root)
     return float(svdvals(left @ resolvent @ right)[0])
 
+
+
+def exact_mode_norm(grid, lam, z, level, order=4):
+    """||(-D2 + lam - z^2 - i z level)^{-1}|| for constant damping ``level``.
+
+    The operator is -D2 plus a scalar, hence normal, so its inverse's norm is
+    1 / min |mu + lam - z^2 - i z level| over the eigenvalues mu of -D2,
+    taken from the band by ``eigvals_banded``.
+    """
+    coeffs = laplacian_1d(grid, order=order).coeffs
+    bands = np.array([np.full(grid.N, -c) for c in coeffs])   # lower form of -D2
+    mu = eigvals_banded(bands, lower=True)
+    return float(1.0 / np.min(np.abs(mu + lam - z * z - 1j * z * level)))

@@ -68,6 +68,11 @@ class TestConfig:
         ("damping", {"kind": "constant", "level": -0.5}, "damping.level"),
         ("scan", {"kind": "gap"}, "scan.kind"),
         ("scan", {"gamma": 0.1}, "scan.gamma: unknown field"),
+        ("scan", {"kind": "theta", "beta1": 1}, "scan.beta1"),
+        ("scan", {"kind": "realaxis", "beta2": 1}, "scan.beta2"),
+        ("scan", {"kind": "theta", "truncation_guard": True}, "scan.truncation_guard"),
+        ("scan", {"kind": "realaxis", "truncation_guard": True}, "scan.truncation_guard"),
+        ("scan", {"kind": "realaxis", "z_list": [1.0, [2.0, 0.5]]}, "scan.z_list.1"),
     ])
     def test_validation_reports_field_path(self, path, value, fragment):
         data = json.loads(json.dumps(TINY))
@@ -92,6 +97,13 @@ class TestConfig:
         assert cfg.experiment_id == "renamed"
         with pytest.raises(ConfigError):
             apply_overrides({}, ["no-equals-sign"])
+
+    def test_load_applies_overrides(self, tmp_path):
+        path = write_tiny(tmp_path)
+        assert load(path).grid.N == 64
+        assert load(path, ["grid.N=128", "time.dt=0.2"]).grid.N == 128
+        with pytest.raises(ConfigError, match=r"grid\.N"):
+            load(path, ["grid.N=8"])
 
     def test_parse_scan_z(self):
         assert parse_scan_z([1.0, [0.0, 0.5]]) == [complex(1.0), 0.5j]
@@ -198,7 +210,8 @@ class TestCli:
     def test_massless_scans_reject_a_mass(self, tmp_path, command, kind, capsys):
         cfgp = write_tiny(tmp_path, flavor="klein_gordon", mass=1.0,
                           init={"family": "gaussian", "u0_modes": {"0": 1.0}},
-                          scan={"kind": kind, "z_list": [[0.0, 0.5]], "h_list": [0.5]})
+                          scan={"kind": kind, "h_list": [0.5],
+                                "z_list": [0.5] if kind == "realaxis" else [[0.0, 0.5]]})
         assert main([command, cfgp, "--out", str(tmp_path / "out")]) == 2
         assert "mass:" in capsys.readouterr().err
 

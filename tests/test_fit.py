@@ -102,12 +102,10 @@ class TestPredict:
 def test_verdict_logic():
     fit = fit_power(TS, TS ** -1.0, predicted=-1.0)
     assert fit.verdict() == "pass"
-    assert fit.verdict(sharp=True) == "pass"
     slow = fit_power(TS, TS ** -0.5, predicted=-1.0)
     assert slow.verdict() == "fail"
     fast = fit_power(TS, TS ** -2.0, predicted=-1.0)
     assert fast.verdict() == "pass"          # upper bounds allow faster decay
-    assert fast.verdict(sharp=True) == "fail"
     assert DecayFit(exponent=-1.0, stderr=0.0, window=(1, 10), model="power",
                     predicted=None, curvature=0.0, n_samples=20, rss=0.0).verdict() \
         == "informative"

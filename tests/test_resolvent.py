@@ -11,8 +11,8 @@ from scipy.linalg import eigh, eigh_tridiagonal, svdvals
 from guidewave.discretize import (_D1_STENCILS, DampingProfile, Grid1D, ShiftedOperator,
                                   laplacian_1d, mode_operator, weight)
 from guidewave.errors import ConvergenceError, SolveError
-from guidewave.resolvent import (LANCZOS, POWER_ITERATION, EnergyNormResolvent, SobolevScaler,
-                                 WaveBlockResolvent, _mode_sobolev_norm,
+from guidewave.resolvent import (EnergyNormResolvent, SobolevScaler, WaveBlockResolvent,
+                                 _lanczos_top, _mode_sobolev_norm,
                                  _top_eigenpair_tridiagonal, heat_model_operator,
                                  heat_structure_residual, iterative_norm, mode_norm_bound,
                                  norm_scan, power_iteration_norm, pure_laplacian_control,
@@ -20,7 +20,8 @@ from guidewave.resolvent import (LANCZOS, POWER_ITERATION, EnergyNormResolvent, 
                                  theta_probe)
 
 from dense_oracles import (dense_energy_norm, dense_laplacian, dense_operator,
-                           dense_sobolev_norm, sobolev_matrix, sqrt_energy_matrix)
+                           dense_sobolev_norm, exact_mode_norm, sobolev_matrix,
+                           sqrt_energy_matrix)
 
 DAMPING_KINDS = ["constant", "longrange", "hole"]
 BETA_PAIRS = [(0, 0), (1, 0), (0, 1), (1, 1)]
@@ -149,16 +150,15 @@ class TestRnSolve:
         g = Grid1D(X=200.0, N=4096)
         a = DampingProfile.build(g, "constant")
         op = mode_operator(g, 0.0, a, 10.0)
-        sigma, _, _ = iterative_norm(op.solve, op.solve_adjoint, g.N,
-                                     np.random.default_rng(0))
+        sigma, _ = iterative_norm(op.solve, op.solve_adjoint, g.N, np.random.default_rng(0))
         assert sigma == pytest.approx(0.1, rel=0.05)
 
     def test_dirichlet_low_frequency_bound(self, grid40):
         a = DampingProfile.build(grid40, "hole", r=5.0, rho=2.0)
         for mu in (1e-1, 1e-2, 1e-3):
             op = mode_operator(grid40, 1.0, a, 1j * mu)
-            sigma, _, _ = iterative_norm(op.solve, op.solve_adjoint, grid40.N,
-                                         np.random.default_rng(1))
+            sigma, _ = iterative_norm(op.solve, op.solve_adjoint, grid40.N,
+                                      np.random.default_rng(1))
             assert sigma <= 1.0 + 1e-6
 
 
@@ -203,8 +203,7 @@ class TestNormScan:
         for z in (8.0, -3.0, 0.5 + 0.3j):
             op = mode_operator(g, 1.0, a, z)
             for b1, b2 in ((0, 0), (1, 0), (0, 1), (1, 1)):
-                sigma, _, method = _mode_sobolev_norm(op, scaler, b1, b2, rng)
-                assert method == LANCZOS
+                sigma, _ = _mode_sobolev_norm(op, scaler, b1, b2, rng)
                 assert sigma == pytest.approx(dense_sobolev_norm(op, b1, b2), rel=1e-10)
 
     def test_truncation_guard_flags_unstable_points(self):
@@ -227,27 +226,60 @@ class TestNormScan:
         with pytest.raises(ValueError):
             norm_scan([1.0], 2, 0, damping_const, grid40, [0.0])
 
-    def test_method_label_lanczos(self, grid40, damping_const):
-        pts = norm_scan([2.0], 0, 0, damping_const, grid40, [0.0, 1.0],
-                        rng=np.random.default_rng(11))
-        assert pts[0].method == LANCZOS
+    def test_scan_passes_each_mode_bound(self, grid40, damping_const, monkeypatch):
+        # every Lanczos run gets its mode's numerical-range bound as ``upper``,
+        # the guard run the bound of the 1.5X box; a=1, z=2+0.1i gives
+        # c = lam - 3.99 + 0.1 and s = 2 (1 + 0.2), so lam=1 is bounded through s only
+        import guidewave.resolvent as resolvent
+
+        uppers = []
+
+        def recording(*args, upper=math.inf, **kwargs):
+            uppers.append(upper)
+            return iterative_norm(*args, upper=upper, **kwargs)
+
+        monkeypatch.setattr(resolvent, "iterative_norm", recording)
+        z = 2.0 + 0.1j
+        pt = norm_scan([z], 0, 0, damping_const, grid40, [9.0, 1.0], truncation_guard=True,
+                       rng=np.random.default_rng(11))[0]
+        s = 2.0 * 1.2
+        want = [1.0 / math.hypot(max(lam - (z * z).real + 0.1, 0.0), s) for lam in (9.0, 1.0)]
+        assert (pt.modes_scanned, pt.k_argmax) == (2, 1)
+        assert uppers == pytest.approx(want + [want[1]], rel=1e-14)
 
     def test_points_carry_measured_residuals(self, grid40, damping_const):
         pts = norm_scan([2.0, 4.0], 0, 0, damping_const, grid40, [0.0, 1.0],
                         rng=np.random.default_rng(11))
         for p in pts:
-            assert p.method == LANCZOS
             assert p.residual != 1e-7
             assert 0.0 <= p.residual <= 1e-14
 
-    def test_method_label_power_iteration_on_fallback(self, grid40, damping_const,
-                                                      monkeypatch):
+    def test_open_bound_raises_at_budget(self, grid40, damping_const, monkeypatch):
+        # one step leaves the Ritz value far below the mode bound 1/|z| = 0.5
         import guidewave.resolvent as resolvent
 
         monkeypatch.setattr(resolvent, "LANCZOS_MAX_STEPS", 1)
-        pts = norm_scan([2.0], 0, 0, damping_const, grid40, [0.0, 1.0],
-                        rng=np.random.default_rng(11))
-        assert pts[0].method == POWER_ITERATION
+        with pytest.raises(ConvergenceError, match=r"in 1 steps .*, 0\.5\]"):
+            norm_scan([2.0], 0, 0, damping_const, grid40, [0.0, 1.0],
+                      rng=np.random.default_rng(11))
+
+    @pytest.mark.parametrize("z, lam", [(1.0, 1.0), (2.0, 4.0)])
+    def test_dense_top_spectrum_is_certified(self, z, lam, monkeypatch):
+        # the two constant-damping modes of ACCEPT-08, whose top singular values
+        # crowd within 1e-8: the estimate converges or is certified by the mode
+        # bound 1/|z|, within 1e-7 of the exact norm, and power iteration never runs
+        import guidewave.resolvent as resolvent
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("power iteration called")
+
+        monkeypatch.setattr(resolvent, "power_iteration_norm", forbidden)
+        g = Grid1D(X=200.0, N=2048)
+        a = DampingProfile.build(g, "constant")
+        pt = norm_scan([z], 0, 0, a, g, [lam], rng=np.random.default_rng(3))[0]
+        exact = exact_mode_norm(g, lam, z, 1.0)
+        assert exact - 1e-7 <= pt.norm_est <= exact * (1.0 + 1e-12)
+        assert exact <= 1.0 / z
 
 
 def exhaustive_scan(zs, beta1, beta2, damping, grid, lambdas, rng):
@@ -268,12 +300,33 @@ class TestCertifiedTailBound:
         g, a, order, mass, (z,), lam, c = case
         op = mode_operator(g, lam, a, z, order=order, mass=mass)
         k_sq = sobolev_constant_sq(g, order)
+        s = abs(z.real) * float(np.min(a.samples + 2.0 * z.imag))
         for b1, b2 in BETA_PAIRS:
-            assert dense_sobolev_norm(op, b1, b2) <= mode_norm_bound(c, b1 + b2, k_sq)
+            assert dense_sobolev_norm(op, b1, b2) <= mode_norm_bound(c, s, b1 + b2, k_sq)
+
+    @settings(max_examples=60, deadline=None)
+    @given(x=st.floats(2.0, 20.0), n=st.integers(16, 40),
+           kind=st.sampled_from(DAMPING_KINDS), order=st.sampled_from([2, 4]),
+           re_z=st.floats(-6.0, 6.0), im_z=st.floats(0.0, 1.0), lam=st.floats(0.0, 40.0))
+    def test_skew_bound_dominates_dense_l2_norm(self, x, n, kind, order, re_z, im_z, lam):
+        # propagating modes too (c <= 0): the numerical range stays |Re z| min(a + 2 Im z)
+        # away from 0; the 1e-10 allows for the dense SVD's roundoff
+        g = Grid1D(X=x, N=n)
+        a = DampingProfile.build(g, kind, r=2.0, rho=2.0)
+        z = complex(re_z, im_z)
+        c = lam - (z * z).real + float(np.min(z.imag * a.samples))
+        s = abs(z.real) * float(np.min(a.samples + 2.0 * z.imag))
+        bound = mode_norm_bound(c, s, 0, 1.0)
+        if math.isfinite(bound):
+            op = mode_operator(g, lam, a, z, order=order)
+            assert dense_sobolev_norm(op, 0, 0) <= bound * (1.0 + 1e-10)
 
     def test_no_bound_without_coercivity(self):
-        assert mode_norm_bound(0.0, 2, 2.0) == math.inf
-        assert mode_norm_bound(-3.0, 0, 2.0) == math.inf
+        assert mode_norm_bound(0.0, 5.0, 2, 2.0) == math.inf
+        assert mode_norm_bound(-3.0, 0.0, 0, 2.0) == math.inf
+        assert mode_norm_bound(-3.0, -1.0, 0, 2.0) == math.inf
+        assert mode_norm_bound(-3.0, 4.0, 0, 2.0) == 0.25
+        assert mode_norm_bound(3.0, 4.0, 0, 2.0) == 0.2
 
     @pytest.mark.parametrize("order", [2, 4])
     @pytest.mark.parametrize("x, n", [(2.0, 16), (10.0, 33), (40.0, 64)])
@@ -536,13 +589,13 @@ class TestEstimators:
             a = DampingProfile.build(g, kind, r=5.0, rho=2.0)
             for z, b1, b2 in ((4.0, 0, 0), (4.0, 1, 1), (0.5, 0, 1)):
                 op = mode_operator(g, 1.0, a, z)
-                sigma, _, _ = _mode_sobolev_norm(op, scaler, b1, b2, rng)
+                sigma, _ = _mode_sobolev_norm(op, scaler, b1, b2, rng)
                 oracle = dense_sobolev_norm(op, b1, b2)
                 assert sigma == pytest.approx(oracle, rel=0.01)
 
     def test_operator_errors_propagate(self, rng):
-        # a solver failure inside the operator must not be retried by the
-        # power-iteration fallback, even when a retry would succeed
+        # a solver failure inside the operator is not retried, even when a
+        # retry would succeed
         mat = np.diag(np.linspace(1.0, 2.0, 64)).astype(complex)
         calls = []
 
@@ -555,22 +608,21 @@ class TestEstimators:
         with pytest.raises(SolveError):
             iterative_norm(flaky, flaky, 64, rng)
 
-    def test_lanczos_failure_falls_back(self, rng, monkeypatch):
+    def test_budget_exhausted_without_bound_raises(self, rng, monkeypatch):
         import guidewave.resolvent as resolvent
 
         monkeypatch.setattr(resolvent, "LANCZOS_MAX_STEPS", 1)
         mat = np.diag(np.linspace(1.0, 2.0, 64)).astype(complex)
         mat[0, 0] = 5.0
-        sigma, _, method = iterative_norm(lambda x: mat @ x, lambda x: mat @ x, 64, rng)
-        assert method == POWER_ITERATION
-        assert sigma == pytest.approx(5.0, rel=1e-6)
+        for kwargs in ({}, {"upper": math.inf}):
+            with pytest.raises(ConvergenceError, match=r"in 1 steps .*, inf\]"):
+                iterative_norm(lambda x: mat @ x, lambda x: mat @ x, 64, rng, **kwargs)
 
     def test_rectangular_matches_svdvals(self, rng):
         n = 48
         mat = rng.standard_normal((2 * n, n)) + 1j * rng.standard_normal((2 * n, n))
-        sigma, _, method = iterative_norm(lambda x: mat @ x, lambda y: mat.conj().T @ y,
-                                          (2 * n, n), rng)
-        assert method == LANCZOS
+        sigma, _ = iterative_norm(lambda x: mat @ x, lambda y: mat.conj().T @ y,
+                                  (2 * n, n), rng)
         assert sigma == pytest.approx(svdvals(mat)[0], rel=1e-12)
 
     def test_rectangular_operator_errors_propagate(self, rng):
@@ -582,16 +634,15 @@ class TestEstimators:
         with pytest.raises(SolveError):
             iterative_norm(failing, lambda y: mat.conj().T @ y, (64, 32), rng)
 
-    def test_rectangular_lanczos_failure_falls_back(self, rng, monkeypatch):
+    def test_rectangular_budget_exhausted_without_bound_raises(self, rng, monkeypatch):
         import guidewave.resolvent as resolvent
 
         monkeypatch.setattr(resolvent, "LANCZOS_MAX_STEPS", 1)
-        mat = np.vstack([np.eye(32), np.diag(np.linspace(1.0, 2.0, 32))]).astype(complex)
-        mat[0, 0] = 5.0
-        sigma, _, method = iterative_norm(lambda x: mat @ x, lambda y: mat.conj().T @ y,
-                                          (64, 32), rng)
-        assert method == POWER_ITERATION
-        assert sigma == pytest.approx(svdvals(mat)[0], rel=1e-6)
+        tall = np.vstack([np.eye(32), np.diag(np.linspace(1.0, 2.0, 32))]).astype(complex)
+        tall[0, 0] = 5.0
+        for mat in (tall, tall.conj().T):
+            with pytest.raises(ConvergenceError, match="in 1 steps"):
+                iterative_norm(lambda x: mat @ x, lambda y: mat.conj().T @ y, mat.shape, rng)
 
     @settings(max_examples=40, deadline=None)
     @given(shape=st.sampled_from(["square", "tall", "wide"]), n=st.integers(1, 40),
@@ -601,38 +652,60 @@ class TestEstimators:
         rows, cols = {"square": (n, n), "tall": (2 * n, n), "wide": (n, 2 * n)}[shape]
         gen = np.random.default_rng(seed)
         mat = gen.standard_normal((rows, cols)) + 1j * gen.standard_normal((rows, cols))
-        sigma, residual, method = iterative_norm(lambda x: mat @ x, lambda y: mat.conj().T @ y,
-                                                 (rows, cols), gen)
-        assert method == LANCZOS
+        sigma, residual = iterative_norm(lambda x: mat @ x, lambda y: mat.conj().T @ y,
+                                         (rows, cols), gen)
         assert residual <= 1e-14
         assert sigma == pytest.approx(svdvals(mat)[0], rel=1e-12)
 
     def test_residual_is_measured_not_requested(self, rng):
         mat = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
         for tol in (1e-7, 1e-4):
-            _, residual, method = iterative_norm(lambda x: mat @ x, lambda y: mat.conj().T @ y,
-                                                 64, rng, tol=tol)
-            assert method == LANCZOS
+            _, residual = iterative_norm(lambda x: mat @ x, lambda y: mat.conj().T @ y,
+                                         64, rng, tol=tol)
             assert 0.0 <= residual <= tol ** 2
             assert residual != tol
 
     @pytest.mark.parametrize("budget", [None, 20])
     def test_clustered_top_values_never_unconverged_lanczos(self, rng, monkeypatch, budget):
         # top singular values 1e-9 apart (relative) inside a tight cluster:
-        # either a converged Lanczos run or the labelled power-iteration fallback
+        # a converged Lanczos run, or ConvergenceError when the budget cuts it
+        # short and no bound is given
         import guidewave.resolvent as resolvent
 
         if budget is not None:
             monkeypatch.setattr(resolvent, "LANCZOS_MAX_STEPS", budget)
         n = 400
         d = np.concatenate([[1.0, 1.0 - 1e-9], np.linspace(0.99, 0.999, n - 2)]).astype(complex)
-        sigma, residual, method = iterative_norm(lambda x: d * x, lambda y: d * y, n, rng)
-        if method == LANCZOS:
-            assert residual <= 1e-14
-            assert sigma == pytest.approx(1.0, rel=2e-9)
-        else:
-            assert method == POWER_ITERATION
-            assert 0.99 <= sigma <= 1.0 + 1e-12
+        if budget is not None:
+            with pytest.raises(ConvergenceError, match=f"in {budget} steps"):
+                iterative_norm(lambda x: d * x, lambda y: d * y, n, rng)
+            return
+        sigma, residual = iterative_norm(lambda x: d * x, lambda y: d * y, n, rng)
+        assert residual <= 1e-14
+        assert sigma == pytest.approx(1.0, rel=2e-9)
+
+    @pytest.mark.parametrize("upper, closes", [(1.0, True), (1.0 + 1e-6, False)])
+    def test_bound_certifies_ritz_value_at_budget(self, monkeypatch, upper, closes):
+        # the same cluster cut at 20 steps: the Ritz value is returned when the
+        # upper bound lies within tol of it, and raises when it does not
+        import guidewave.resolvent as resolvent
+
+        monkeypatch.setattr(resolvent, "LANCZOS_MAX_STEPS", 20)
+        n = 400
+        d = np.concatenate([[1.0, 1.0 - 1e-9], np.linspace(0.99, 0.999, n - 2)]).astype(complex)
+        gen = np.random.default_rng(8)
+        v0 = gen.standard_normal(n) + 1j * gen.standard_normal(n)
+        theta, _, converged = _lanczos_top(lambda x: d * (d * x), v0, 1e-14)
+        assert not converged
+        if not closes:
+            with pytest.raises(ConvergenceError, match=r"in 20 steps .*1\.000001\]"):
+                iterative_norm(lambda x: d * x, lambda y: d * y, n, None, v0=v0, upper=upper)
+            return
+        sigma, residual = iterative_norm(lambda x: d * x, lambda y: d * y, n, None, v0=v0,
+                                         upper=upper)
+        assert sigma == math.sqrt(theta)
+        assert (1.0 - 1e-7) * upper <= sigma <= 1.0
+        assert residual > 1e-14
 
     def test_top_eigenpair_matches_eigh_tridiagonal(self, rng):
         for k in (1, 2, 3, 17, 60):
