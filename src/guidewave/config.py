@@ -135,7 +135,20 @@ def from_dict(data: dict) -> ExperimentConfig:
     return cfg
 
 
+#: fields that must hold a JSON integer: a float such as 64.0 passes the range
+#: checks, then either fails where an integer is needed or runs the same
+#: experiment under another config hash than 64
+INTEGER_FIELDS = ("grid.N", "grid.order", "domain.K", "init.smoothing_k", "seed",
+                  "scan.beta1", "scan.beta2")
+
+
 def validate(cfg: ExperimentConfig) -> None:
+    for path in INTEGER_FIELDS:
+        value = cfg
+        for key in path.split("."):
+            value = getattr(value, key)
+        if type(value) is not int:
+            raise ConfigError(f"{path}: must be an integer, got {value!r}")
     if cfg.flavor not in FLAVORS:
         raise ConfigError(f"flavor: {cfg.flavor!r} not one of {FLAVORS}")
     if cfg.flavor == "klein_gordon" and cfg.mass <= 0:
@@ -176,6 +189,8 @@ def validate(cfg: ExperimentConfig) -> None:
                 raise ConfigError(f"init.{section}.{key}: mode index outside 0..{n_modes - 1}")
     if cfg.time.dt <= 0:
         raise ConfigError(f"time.dt: must be positive, got {cfg.time.dt}")
+    if cfg.time.t0 <= 0:
+        raise ConfigError(f"time.t0: must be positive, got {cfg.time.t0}")
     if cfg.time.t_end < cfg.time.t0:
         raise ConfigError(f"time.t_end: must be >= t0={cfg.time.t0}, got {cfg.time.t_end}")
     if cfg.time.sample_ratio <= 1.0:
@@ -199,6 +214,8 @@ def validate(cfg: ExperimentConfig) -> None:
     if not (len(cfg.fit_window) == 2 and cfg.fit_window[0] >= 1.0
             and cfg.fit_window[1] > cfg.fit_window[0]):
         raise ConfigError(f"fit_window: need [t_min >= 1, t_max > t_min], got {cfg.fit_window}")
+    if cfg.local_radius <= 0:
+        raise ConfigError(f"local_radius: must be positive, got {cfg.local_radius}")
     if cfg.local_radius > cfg.grid.X:
         raise ConfigError(f"local_radius: {cfg.local_radius} exceeds grid.X={cfg.grid.X}")
 

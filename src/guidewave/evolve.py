@@ -14,7 +14,7 @@ up to roundoff, which makes dissipation bookkeeping a hard invariant.  The
 modes do not couple, so every operation acts on a whole block of mode
 coefficients at once, and a mode with no data stays exactly zero: ``run``
 steps and records only the modes that carry data, and lifts them back to the
-(K, N) block only for snapshots.
+(K, N) block only to hand a sampled state to its consumer, which keeps none.
 
 A step together with its identity check applies P = -D2 + lam_k + m^2 twice:
 to v_n in the midpoint right-hand side, and to u_{n+1} in the check's form
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -243,7 +244,6 @@ def energy(state: WaveState, grid: Grid1D, lambdas: np.ndarray, order: int = 4,
 @dataclass
 class RunResult:
     records: list
-    snapshots: list
     E0: float
     identity_max_step_residual: float
     identity_cumulative_residual: float
@@ -266,15 +266,18 @@ def geometric_schedule(t0: float, ratio: float, t_end: float) -> np.ndarray:
 
 def run(state0: WaveState, grid: Grid1D, lambdas: np.ndarray, damping: DampingProfile,
         dt: float, t_end: float, order: int = 4, t0: float = 1.0, sample_ratio: float = 1.1,
-        delta1: float = 0.0, R: float | None = None, keep_snapshots: bool = False) -> RunResult:
+        delta1: float = 0.0, R: float | None = None,
+        on_sample: Callable[[WaveState], None] | None = None) -> RunResult:
     """Evolve to t_end, sampling energies on a geometric schedule.
 
     Only the active modes, the rows of ``state0`` with any nonzero u or v,
     are stepped: the others stay exactly zero, since a banded solve of a zero
     right-hand side returns zeros.  At each schedule time the energy record is
     taken from the active rows (``energy`` with ``rows``, which sums as over
-    the full block), and a snapshot lifts them back into a (K, N) state with
-    exact-zero inert rows.  The cumulative discrete energy
+    the full block).  ``on_sample``, when given, receives ``state0`` and then,
+    at each schedule time, the active rows lifted back into a (K, N) state
+    with exact-zero inert rows; ``run`` keeps none of them, so its memory does
+    not grow with the number of samples.  The cumulative discrete energy
     identity is tracked at every step; its largest per-step and cumulative
     residuals are returned for assertion by the caller.
     """
@@ -309,7 +312,8 @@ def run(state0: WaveState, grid: Grid1D, lambdas: np.ndarray, damping: DampingPr
 
     diss_cum = 0.0
     records = [record(state)]
-    snapshots = [state0] if keep_snapshots else []
+    if on_sample is not None:
+        on_sample(state0)
     e0 = step_energy(state)     # identity baseline, summed like every e_now
     e_prev = e0
     max_step_res = 0.0
@@ -324,13 +328,12 @@ def run(state0: WaveState, grid: Grid1D, lambdas: np.ndarray, damping: DampingPr
         e_prev = e_now
         while next_idx < len(schedule) and state.t >= schedule[next_idx] - 1e-9:
             records.append(record(state, diss_cum))
-            if keep_snapshots:
-                snapshots.append(lift(state))
+            if on_sample is not None:
+                on_sample(lift(state))
             next_idx += 1
 
     cum_res = abs(e_prev - e0 + diss_cum)
-    return RunResult(records=records, snapshots=snapshots,
-                     E0=records[0].E_total,
+    return RunResult(records=records, E0=records[0].E_total,
                      identity_max_step_residual=max_step_res,
                      identity_cumulative_residual=cum_res,
                      wall_seconds=time.perf_counter() - t_start)

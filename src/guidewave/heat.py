@@ -94,49 +94,53 @@ class HeatSolution:
         return self.grid.h * float(np.sum(self.w0))
 
 
-def compare(snapshots, heat: HeatSolution, grid: Grid1D, lambdas: np.ndarray,
-            yfactor: float, delta1: float = 0.0, order: int = 4) -> dict[str, np.ndarray]:
-    """Difference norms between wave snapshots and the heat solution.
+COMPARE_COLUMNS = ("t", "norm_grad_diff", "norm_dt_diff", "norm_grad_v", "norm_dt_v",
+                   "ratio_grad", "ratio_dt")
 
-    Snapshots at t = 0 are skipped (the kernel is singular there).  The heat
-    solution lives on mode 0, the mean mode (lambda_0 = 0); the gradient
-    difference includes the transverse part of u, which v lacks.  Norms are
-    over the guide, weighted by <x>^(-delta1).
+
+def compare(state, heat: HeatSolution, grid: Grid1D, lambdas: np.ndarray,
+            yfactor: float, delta1: float = 0.0, order: int = 4) -> dict[str, float] | None:
+    """Difference norms between one wave state and the heat solution at its time.
+
+    A state at t = 0 gives None (the kernel is singular there); any other
+    gives one row, keyed by ``COMPARE_COLUMNS``.  The heat solution lives on
+    mode 0, the mean mode (lambda_0 = 0); the gradient difference includes
+    the transverse part of u, which v lacks.  Norms are over the guide,
+    weighted by <x>^(-delta1).
     """
+    if state.modes.shape[1] != grid.N or heat.grid.N != grid.N:
+        raise ValueError(
+            f"state/heat grids do not match the comparison grid N={grid.N}")
+    if state.t <= 0.0:
+        return None
     w = weight(grid, -delta1) if delta1 != 0.0 else np.ones(grid.N)
     h = grid.h
     lambdas = np.asarray(lambdas, dtype=float)
-    rows = {k: [] for k in ("t", "norm_grad_diff", "norm_dt_diff",
-                            "norm_grad_v", "norm_dt_v", "ratio_grad", "ratio_dt")}
 
     def wsq(f):
         """Weighted squared norm along x, per mode for a (K, N) block."""
         return h * np.sum(np.abs(w * f) ** 2, axis=-1)
 
-    for state in snapshots:
-        if state.modes.shape[1] != grid.N or heat.grid.N != grid.N:
-            raise ValueError(
-                f"snapshot/heat grids do not match the comparison grid N={grid.N}")
-        if state.t <= 0.0:
-            continue
-        vx = heat.dx(state.t)
-        vt = heat.dt(state.t)
-        du = gradient_1d(state.modes, grid, order=order)
-        du[0] -= yfactor * vx
-        dv = state.vmodes.copy()
-        dv[0] -= yfactor * vt
-        grad_diff = math.sqrt(float(np.sum(wsq(du) + lambdas * wsq(state.modes))))
-        dt_diff = math.sqrt(float(np.sum(wsq(dv))))
-        norm_grad_v = yfactor * math.sqrt(wsq(vx))
-        norm_dt_v = yfactor * math.sqrt(wsq(vt))
-        rows["t"].append(state.t)
-        rows["norm_grad_diff"].append(grad_diff)
-        rows["norm_dt_diff"].append(dt_diff)
-        rows["norm_grad_v"].append(norm_grad_v)
-        rows["norm_dt_v"].append(norm_dt_v)
-        rows["ratio_grad"].append(grad_diff / norm_grad_v if norm_grad_v > 0 else math.inf)
-        rows["ratio_dt"].append(dt_diff / norm_dt_v if norm_dt_v > 0 else math.inf)
-    return {k: np.array(v) for k, v in rows.items()}
+    vx = heat.dx(state.t)
+    vt = heat.dt(state.t)
+    du = gradient_1d(state.modes, grid, order=order)
+    du[0] -= yfactor * vx
+    dv = state.vmodes.copy()
+    dv[0] -= yfactor * vt
+    grad_diff = math.sqrt(float(np.sum(wsq(du) + lambdas * wsq(state.modes))))
+    dt_diff = math.sqrt(float(np.sum(wsq(dv))))
+    norm_grad_v = yfactor * math.sqrt(wsq(vx))
+    norm_dt_v = yfactor * math.sqrt(wsq(vt))
+    return {"t": state.t, "norm_grad_diff": grad_diff, "norm_dt_diff": dt_diff,
+            "norm_grad_v": norm_grad_v, "norm_dt_v": norm_dt_v,
+            "ratio_grad": grad_diff / norm_grad_v if norm_grad_v > 0 else math.inf,
+            "ratio_dt": dt_diff / norm_dt_v if norm_dt_v > 0 else math.inf}
+
+
+def comparison_table(rows) -> dict[str, np.ndarray]:
+    """Columns of the ``compare`` rows, in order; the None of t = 0 is skipped."""
+    rows = [r for r in rows if r is not None]
+    return {k: np.array([r[k] for r in rows]) for k in COMPARE_COLUMNS}
 
 
 def heat_weighted_norm(t: float, beta: int | str, s: float, s1: float, s2: float,

@@ -25,7 +25,7 @@ from .evolve import (KLEIN_GORDON, WAVE_DIRICHLET, WAVE_EUCLIDEAN, WAVE_NEUMANN,
                      assemble_initial_state, gaussian_envelope,
                      powerlaw_envelope, run, smooth_initial_data)
 from .fit import compare_models, fit_exponential, fit_power, predict_exponent
-from .heat import HeatSolution, compare, p0_heat_data
+from .heat import HeatSolution, compare, comparison_table, p0_heat_data
 from .resolvent import (EnergyNormResolvent, norm_scan, pure_laplacian_control,
                         semiclassical_scan, theta_probe)
 from .transverse import DIRICHLET, NEUMANN, transverse_eigenvalues
@@ -204,15 +204,15 @@ def _fit_entry(cfg: ExperimentConfig, series: str, model: str, t, y,
 # subcommands
 
 
-def cmd_evolve(cfg: ExperimentConfig, out_base: str, keep_snapshots: bool = False) -> dict:
+def cmd_evolve(cfg: ExperimentConfig, out_base: str, on_sample=None) -> dict:
+    """Evolve the config's initial state; ``on_sample`` is passed on to ``run``."""
     grid = build_grid(cfg)
     damping = build_damping(cfg, grid)
     lambdas, _ = build_basis(cfg)
     state0 = build_initial_state(cfg, grid, lambdas, damping)
     result = run(state0, grid, lambdas, damping, dt=cfg.time.dt, t_end=cfg.time.t_end,
                  order=cfg.grid.order, t0=cfg.time.t0, sample_ratio=cfg.time.sample_ratio,
-                 delta1=cfg.weights["delta1"], R=cfg.local_radius,
-                 keep_snapshots=keep_snapshots)
+                 delta1=cfg.weights["delta1"], R=cfg.local_radius, on_sample=on_sample)
     series = result.series()
 
     t = series["t"]
@@ -246,23 +246,32 @@ def cmd_evolve(cfg: ExperimentConfig, out_base: str, keep_snapshots: bool = Fals
         "damping_hypothesis_constants": damping.hypothesis_constants(grid),
     }))
     atomic_write(os.path.join(outdir, "config.json"), canonical_json(cfg) + "\n")
-    return {"outdir": outdir, "result": result, "series": series, "fits": fits,
-            "grid": grid, "damping": damping, "lambdas": lambdas}
+    return {"outdir": outdir, "result": result, "series": series, "fits": fits}
 
 
 def cmd_heat_compare(cfg: ExperimentConfig, out_base: str) -> dict:
     if cfg.flavor not in (WAVE_NEUMANN, WAVE_EUCLIDEAN):
         raise ConfigError(f"flavor: heat comparison needs wave_neumann or wave_euclidean, got {cfg.flavor!r}")
-    evolved = cmd_evolve(cfg, out_base, keep_snapshots=True)
-    grid, damping, lambdas = evolved["grid"], evolved["damping"], evolved["lambdas"]
-    _, yfactor = build_basis(cfg)
-    state0 = evolved["result"].snapshots[0]
-    w0 = p0_heat_data(state0.modes, state0.vmodes, damping.samples, yfactor)
-    heat = HeatSolution(grid=grid, w0=w0)
-    table = compare(evolved["result"].snapshots, heat, grid, lambdas, yfactor,
-                    delta1=cfg.weights["delta1"], order=cfg.grid.order)
+    grid = build_grid(cfg)
+    damping = build_damping(cfg, grid)
+    lambdas, yfactor = build_basis(cfg)
+    heat = None
+    rows = []
 
-    zero_heat = float(np.max(np.abs(w0))) == 0.0
+    def on_sample(state):
+        # each sampled state is compared as it comes and then dropped; the
+        # first one is the smoothed initial state, which the heat data needs
+        nonlocal heat
+        if heat is None:
+            heat = HeatSolution(grid=grid, w0=p0_heat_data(state.modes, state.vmodes,
+                                                           damping.samples, yfactor))
+        rows.append(compare(state, heat, grid, lambdas, yfactor,
+                            delta1=cfg.weights["delta1"], order=cfg.grid.order))
+
+    evolved = cmd_evolve(cfg, out_base, on_sample=on_sample)
+    table = comparison_table(rows)
+
+    zero_heat = float(np.max(np.abs(heat.w0))) == 0.0
     fits = [_fit_entry(cfg, name, "power", table["t"], table[name], _predicted(track, cfg))
             for name, track in (("norm_grad_diff", "heat_compare_grad_diff"),
                                 ("norm_dt_diff", "heat_compare_dt_diff"))]

@@ -1,13 +1,16 @@
 import json
+import tracemalloc
 from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import guidewave.configs
 from guidewave.cli import main
-from guidewave.config import (ExperimentConfig, apply_overrides, canonical_json,
-                              config_hash, from_dict, load, parse_scan_z)
+from guidewave.config import (INTEGER_FIELDS, ExperimentConfig, apply_overrides,
+                              canonical_json, config_hash, from_dict, load, parse_scan_z)
 from guidewave.errors import ConfigError
 from guidewave.pipeline import build_damping, build_grid, cmd_resolvent, read_csv
 from guidewave.resolvent import norm_scan
@@ -35,6 +38,61 @@ def write_tiny(tmp_path, **mutations):
     path = tmp_path / "tiny.json"
     path.write_text(json.dumps(data))
     return str(path)
+
+
+def finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+#: valid values for ``--set`` overrides of TINY; the ranges keep every
+#: cross-field rule (t0 <= t_end, local_radius <= X, mode 1 < K) satisfied
+VALID_OVERRIDES = {
+    "grid.N": st.integers(16, 8192),
+    "grid.order": st.sampled_from([2, 4]),
+    "grid.X": finite(5.0, 500.0),
+    "domain.K": st.integers(2, 64),
+    "domain.L": finite(0.1, 10.0),
+    "damping.level": finite(0.0, 5.0),
+    "init.smoothing_k": st.integers(0, 6),
+    "time.dt": finite(1e-3, 1.0),
+    "time.t0": finite(1e-3, 20.0),
+    "time.sample_ratio": finite(1.001, 4.0),
+    "local_radius": finite(1e-3, 5.0),
+    "seed": st.integers(0, 2 ** 63),
+    "experiment_id": st.from_regex(r"[a-z][a-z_]{0,11}", fullmatch=True).filter(
+        lambda name: name not in ("true", "false", "null")),
+}
+
+
+def lookup(cfg, path):
+    for key in path.split("."):
+        cfg = getattr(cfg, key)
+    return cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(sorted(VALID_OVERRIDES)), unique=True).flatmap(
+    lambda paths: st.tuples(*(st.tuples(st.just(p), VALID_OVERRIDES[p]) for p in paths))))
+def test_set_overrides_round_trip(overrides):
+    # CLI spelling: numbers as JSON literals, the name as a bare word
+    items = [f"{path}={value if isinstance(value, str) else json.dumps(value)}"
+             for path, value in overrides]
+    cfg = from_dict(apply_overrides(json.loads(json.dumps(TINY)), items))
+    for path, value in overrides:
+        assert lookup(cfg, path) == value
+    text = canonical_json(cfg)
+    again = from_dict(json.loads(text))
+    assert canonical_json(again) == text
+    assert config_hash(again) == config_hash(cfg)
+
+
+@settings(max_examples=100, deadline=None)
+@given(path=st.sampled_from(INTEGER_FIELDS),
+       value=st.one_of(finite(-1e18, 1e18), st.booleans(), st.just("sixty-four")))
+def test_integer_fields_reject_non_integers(path, value):
+    item = f"{path}={json.dumps(value) if not isinstance(value, str) else value}"
+    with pytest.raises(ConfigError, match=path.replace(".", r"\.")):
+        from_dict(apply_overrides(json.loads(json.dumps(TINY)), [item]))
 
 
 class TestConfig:
@@ -73,6 +131,15 @@ class TestConfig:
         ("scan", {"kind": "theta", "truncation_guard": True}, "scan.truncation_guard"),
         ("scan", {"kind": "realaxis", "truncation_guard": True}, "scan.truncation_guard"),
         ("scan", {"kind": "realaxis", "z_list": [1.0, [2.0, 0.5]]}, "scan.z_list.1"),
+        ("grid", {"N": 64.0}, "grid.N"),
+        ("grid", {"order": 4.0}, "grid.order"),
+        ("domain", {"K": 2.0}, "domain.K"),
+        ("init", {"smoothing_k": 1.5}, "init.smoothing_k"),
+        ("seed", 1.5, "seed"),
+        ("seed", True, "seed"),
+        ("time", {"t0": 0.0}, "time.t0"),
+        ("local_radius", -1.0, "local_radius"),
+        ("scan", {"beta1": 1.0}, "scan.beta1"),
     ])
     def test_validation_reports_field_path(self, path, value, fragment):
         data = json.loads(json.dumps(TINY))
@@ -225,6 +292,17 @@ class TestCli:
                                   ("resolvent-scan", {"scan": {"kind": "gap", "z_list": [4.0]}})):
             cfgp = write_tiny(tmp_path, **mutation)
             assert main([command, cfgp, "--out", str(tmp_path / "o")]) == 2
+        # non-integer counts and non-positive t0 / local_radius fail in validation,
+        # not later as an uncaught TypeError (exit 1) or a numerical failure (exit 3)
+        cfgp = write_tiny(tmp_path, scan={"kind": "highfreq", "z_list": [2.0]})
+        for command, override in (("resolvent-scan", "grid.N=64.0"),
+                                  ("resolvent-scan", "domain.K=2.0"),
+                                  ("resolvent-scan", "seed=1.5"),
+                                  ("evolve", "init.smoothing_k=1.5"),
+                                  ("evolve", "grid.order=4.0"),
+                                  ("evolve", "time.t0=0"),
+                                  ("evolve", "local_radius=-1")):
+            assert main([command, cfgp, "--set", override, "--out", str(tmp_path / "o")]) == 2
 
     def test_fit_subcommand_and_assert_exit(self, tmp_path):
         cfgp = write_tiny(tmp_path)
@@ -298,6 +376,24 @@ class TestGoldenStructuralChecks:
         wave_dtu = np.interp(table["t"], series["t"], series["dtu_w"])
         assert np.allclose(table["norm_dt_diff"], wave_dtu, rtol=1e-10)
         assert np.all(np.isinf(table["ratio_dt"]))
+
+    def test_heat_compare_memory_does_not_grow_with_run_length(self, tmp_path):
+        # 42 and 63 sampled states: a comparison that kept them until the end
+        # would peak about 45% higher on the longer run
+        from guidewave.pipeline import cmd_heat_compare
+        peaks = []
+        for t_end in (50.0, 400.0):
+            cfg = load(str(CONFIG_DIR / "diffusion_a1.json"),
+                       ["grid.N=512", "grid.X=60", "time.dt=0.2", f"time.t_end={t_end}"])
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                out = cmd_heat_compare(cfg, str(tmp_path / str(t_end)))
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+            assert len(out["table"]["t"]) == (42 if t_end == 50.0 else 63)
+        assert peaks[1] < 1.10 * peaks[0], peaks
 
     def test_euclidean_flavor_runs(self, tmp_path):
         cfgp = write_tiny(tmp_path, flavor="wave_euclidean",

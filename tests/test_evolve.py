@@ -112,7 +112,8 @@ def test_active_row_run_matches_full_block_reference(k_count, n, flavor, kind, l
     kw = dict(dt=dt, t_end=12 * dt, order=order, t0=dt, sample_ratio=1.3, delta1=delta1,
               R=g.X / 2 if half_window else None)
 
-    result = run(state0, g, lambdas, a, keep_snapshots=True, **kw)
+    samples = []
+    result = run(state0, g, lambdas, a, on_sample=samples.append, **kw)
     records, snapshots, max_res, cum_res = reference_run(state0, g, lambdas, a, **kw)
 
     series = result.series()
@@ -125,8 +126,8 @@ def test_active_row_run_matches_full_block_reference(k_count, n, flavor, kind, l
     assert result.identity_cumulative_residual == pytest.approx(cum_res, rel=1e-14, abs=scale)
 
     inert = sorted(set(range(k_count)) - u_rows - v_rows)
-    assert len(result.snapshots) == len(snapshots)
-    for got, ref in zip(result.snapshots, snapshots):
+    assert len(samples) == len(snapshots)
+    for got, ref in zip(samples, snapshots):
         assert got.t == ref.t
         for mine, theirs in ((got.modes, ref.modes), (got.vmodes, ref.vmodes)):
             assert mine.shape == (k_count, n)
@@ -184,8 +185,9 @@ def test_run_is_bit_identical_to_one_line_step(order, kind, mass, monkeypatch):
         return apply(self, u)
 
     monkeypatch.setattr(BandedLaplacian, "apply", counted_apply)
+    samples = []
     result = run(state0, g, lambdas, a, dt=dt, t_end=t_end, order=order, t0=t0,
-                 sample_ratio=ratio, keep_snapshots=True)
+                 sample_ratio=ratio, on_sample=samples.append)
     monkeypatch.undo()
     # P u_0 for the identity baseline, P v_n and P u_{n+1} per step, one per record
     assert len(calls) == 1 + 2 * n_steps + len(result.records)
@@ -205,8 +207,8 @@ def test_run_is_bit_identical_to_one_line_step(order, kind, mass, monkeypatch):
     series = result.series()
     for name in EnergyRecord.COLUMNS:
         assert np.array_equal(series[name], [getattr(r, name) for r in records]), name
-    assert len(result.snapshots) == len(snapshots)
-    for got, ref in zip(result.snapshots, snapshots):
+    assert len(samples) == len(snapshots)
+    for got, ref in zip(samples, snapshots):
         assert got.t == ref.t
         assert np.array_equal(got.modes, ref.modes)
         assert np.array_equal(got.vmodes, ref.vmodes)

@@ -5,8 +5,8 @@ import pytest
 
 from guidewave.discretize import DampingProfile, Grid1D
 from guidewave.evolve import WaveState
-from guidewave.heat import (HeatSolution, compare, heat_apply, heat_kernel,
-                            heat_weighted_norm, p0_heat_data)
+from guidewave.heat import (HeatSolution, compare, comparison_table, heat_apply,
+                            heat_kernel, heat_weighted_norm, p0_heat_data)
 
 from dense_oracles import toeplitz_heat_apply
 
@@ -174,7 +174,7 @@ class TestCompare:
         lambdas = np.array([0.0, 1.0])
         yfactor = math.sqrt(math.pi)
         snaps = self._snapshots_from_heat(grid, heat, lambdas, yfactor, [1.0, 4.0, 16.0])
-        table = compare(snaps, heat, grid, lambdas, yfactor)
+        table = comparison_table(compare(s, heat, grid, lambdas, yfactor) for s in snaps)
         # u is built from v itself; only the FD-vs-kernel gradient error remains
         assert np.max(table["norm_dt_diff"]) <= 1e-12
         assert np.max(table["norm_grad_diff"] / table["norm_grad_v"]) <= 1e-5
@@ -187,7 +187,8 @@ class TestCompare:
         modes = np.stack([np.zeros(grid.N), g])
         vmodes = np.stack([np.zeros(grid.N), 0.5 * g])
         snaps = [WaveState(t=2.0, modes=modes, vmodes=vmodes)]
-        table = compare(snaps, heat, grid, lambdas, math.sqrt(math.pi))
+        table = comparison_table(compare(s, heat, grid, lambdas, math.sqrt(math.pi))
+                                 for s in snaps)
         expected_dt = math.sqrt(grid.h * np.sum((0.5 * g) ** 2))
         assert table["norm_dt_diff"][0] == pytest.approx(expected_dt, rel=1e-12)
         assert np.isinf(table["ratio_dt"][0])
@@ -206,5 +207,5 @@ class TestCompare:
         heat = HeatSolution(grid=grid, w0=np.exp(-grid.xs ** 2))
         snaps = [WaveState(t=0.0, modes=np.zeros((1, grid.N)), vmodes=np.zeros((1, grid.N))),
                  WaveState(t=1.0, modes=np.zeros((1, grid.N)), vmodes=np.zeros((1, grid.N)))]
-        table = compare(snaps, heat, grid, np.array([0.0]), 1.0)
+        table = comparison_table(compare(s, heat, grid, np.array([0.0]), 1.0) for s in snaps)
         assert table["t"].tolist() == [1.0]
