@@ -141,14 +141,32 @@ def from_dict(data: dict) -> ExperimentConfig:
 INTEGER_FIELDS = ("grid.N", "grid.order", "domain.K", "init.smoothing_k", "seed",
                   "scan.beta1", "scan.beta2")
 
+#: fields that must hold a JSON number, integer or float: a string fails later
+#: as an uncaught TypeError, and a boolean or null passes the range checks
+#: into the config hash; so must every ``weights`` and ``fit_window`` entry
+FLOAT_FIELDS = ("mass", "domain.L", "grid.X", "damping.rho", "damping.r", "damping.level",
+                "time.t_end", "time.dt", "time.t0", "time.sample_ratio", "local_radius")
+
+
+def _field(cfg: ExperimentConfig, path: str):
+    for key in path.split("."):
+        cfg = getattr(cfg, key)
+    return cfg
+
 
 def validate(cfg: ExperimentConfig) -> None:
     for path in INTEGER_FIELDS:
-        value = cfg
-        for key in path.split("."):
-            value = getattr(value, key)
+        value = _field(cfg, path)
         if type(value) is not int:
             raise ConfigError(f"{path}: must be an integer, got {value!r}")
+    numbers = [(path, _field(cfg, path)) for path in FLOAT_FIELDS]
+    if isinstance(cfg.weights, dict):
+        numbers += [(f"weights.{key}", value) for key, value in cfg.weights.items()]
+    if isinstance(cfg.fit_window, list):
+        numbers += [(f"fit_window.{i}", value) for i, value in enumerate(cfg.fit_window)]
+    for path, value in numbers:
+        if type(value) not in (int, float):
+            raise ConfigError(f"{path}: must be a number, got {value!r}")
     if cfg.flavor not in FLAVORS:
         raise ConfigError(f"flavor: {cfg.flavor!r} not one of {FLAVORS}")
     if cfg.flavor == "klein_gordon" and cfg.mass <= 0:
@@ -211,8 +229,8 @@ def validate(cfg: ExperimentConfig) -> None:
     for i, z in enumerate(parse_scan_z(cfg.scan.z_list) if cfg.scan.kind == "realaxis" else ()):
         if z.imag:
             raise ConfigError(f"scan.z_list.{i}: kind 'realaxis' needs real z, got {z}")
-    if not (len(cfg.fit_window) == 2 and cfg.fit_window[0] >= 1.0
-            and cfg.fit_window[1] > cfg.fit_window[0]):
+    if not (isinstance(cfg.fit_window, list) and len(cfg.fit_window) == 2
+            and 1.0 <= cfg.fit_window[0] < cfg.fit_window[1]):
         raise ConfigError(f"fit_window: need [t_min >= 1, t_max > t_min], got {cfg.fit_window}")
     if cfg.local_radius <= 0:
         raise ConfigError(f"local_radius: must be positive, got {cfg.local_radius}")

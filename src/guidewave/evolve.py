@@ -12,9 +12,10 @@ E = sum_k h (<(-D2 + lam_k + m^2) u_k, u_k> + ||v_k||^2),
 
 up to roundoff, which makes dissipation bookkeeping a hard invariant.  The
 modes do not couple, so every operation acts on a whole block of mode
-coefficients at once, and a mode with no data stays exactly zero: ``run``
-steps and records only the modes that carry data, and lifts them back to the
-(K, N) block only to hand a sampled state to its consumer, which keeps none.
+coefficients at once.  A state holds only the modes it evolves, and the
+eigenvalues passed alongside it name them; row 0 is mode 0.  A mode with no
+data stays exactly zero, so a caller evolves mode 0 and the modes that carry
+data.
 
 A step together with its identity check applies P = -D2 + lam_k + m^2 twice:
 to v_n in the midpoint right-hand side, and to u_{n+1} in the check's form
@@ -118,10 +119,6 @@ class Stepper:
             self.lap, 1.0 + self.tau * a + t2 * (self.lam_eff - self.lap.coeffs[0]), t2)
         self._pu = (None, None)     # (u, P u) of the last form energy
 
-    def _apply_p(self, u: np.ndarray) -> np.ndarray:
-        """(-D2 + lam_k + m^2) u_k for every mode k; lam u - D2 u rounds as -D2 u + lam u."""
-        return self.lam_eff * u - self.lap.apply(u)
-
     def step(self, state: WaveState):
         """Advance one dt.  Returns (new_state, dissipation_increment)."""
         k_count = state.modes.shape[0]
@@ -129,9 +126,9 @@ class Stepper:
             raise ValueError(f"state has {k_count} modes, stepper was built for {len(self.lambdas)}")
         tau = self.tau
         u, v = state.modes, state.vmodes
-        pu = self._pu[1] if self._pu[0] is u else self._apply_p(u)
+        pu = self._pu[1] if self._pu[0] is u else _apply_p(self.lam_eff, self.lap, u)
         rhs = v - tau * (self.a * v)
-        rhs -= tau ** 2 * self._apply_p(v)
+        rhs -= tau ** 2 * _apply_p(self.lam_eff, self.lap, v)
         rhs -= 2.0 * tau * pu
         vp = self._factor.solve(rhs)
         vsum = v + vp
@@ -148,9 +145,19 @@ class Stepper:
         Keeps P u for the next ``step`` of this state.
         """
         u, v = state.modes, state.vmodes
-        pu = self._apply_p(u)
+        pu = _apply_p(self.lam_eff, self.lap, u)
         self._pu = (u, pu)
-        return self.grid.h * (np.vecdot(u, pu) + np.vecdot(v, v))
+        return _form_energies(u, pu, v, self.grid.h)
+
+
+def _apply_p(lam_eff: np.ndarray, lap, u: np.ndarray) -> np.ndarray:
+    """(-D2 + lam_k + m^2) u_k for every mode k; lam u - D2 u rounds as -D2 u + lam u."""
+    return lam_eff * u - lap.apply(u)
+
+
+def _form_energies(u: np.ndarray, pu: np.ndarray, v: np.ndarray, h: float) -> np.ndarray:
+    """Form energy h(<u_k, P u_k> + <v_k, v_k>) of every mode k, given P u."""
+    return h * (np.vecdot(u, pu) + np.vecdot(v, v))
 
 
 def smooth_initial_data(modes: np.ndarray, vmodes: np.ndarray, grid: Grid1D,
@@ -179,16 +186,16 @@ def smooth_initial_data(modes: np.ndarray, vmodes: np.ndarray, grid: Grid1D,
 
 def energy(state: WaveState, grid: Grid1D, lambdas: np.ndarray, order: int = 4,
            delta1: float = 0.0, R: float | None = None,
-           dissipation_cum: float = 0.0, rows: np.ndarray | None = None) -> EnergyRecord:
+           dissipation_cum: float = 0.0) -> EnergyRecord:
     """Assemble the energy record of a state at its time.
 
-    ``lambdas`` are the K transverse eigenvalues.  The state's rows hold the
-    modes ``rows`` (all K when None); every other mode is zero and enters
-    only the sums, as zeros.  The mass comes from the state.  E_total is the
-    form energy (the quantity obeying the exact discrete dissipation law).
-    E_local windows a 4th-order FD-gradient sum to |x| <= R; at the full
-    window there are no excluded nodes and the local energy coincides with
-    E_total by construction.
+    ``lambdas`` are the eigenvalues of the state's modes; row 0 is mode 0.
+    The mass comes from the state.  E_total is the form energy, summed over
+    the modes of ``Stepper.mode_energies`` by the same expression, so it is
+    bit for bit the quantity the identity check of ``run`` tracks.  E_local
+    windows a 4th-order FD-gradient sum to |x| <= R; at the full window there
+    are no excluded nodes and the local energy coincides with E_total by
+    construction.
     """
     if R is None:
         R = grid.X
@@ -196,36 +203,21 @@ def energy(state: WaveState, grid: Grid1D, lambdas: np.ndarray, order: int = 4,
         raise ValueError(f"local-energy radius R={R} exceeds the box X={grid.X}")
     h = grid.h
     u, v = state.modes, state.vmodes
-    lambdas = np.asarray(lambdas, dtype=float)
-    if rows is None:
-        rows = np.arange(lambdas.size)
-    lam_eff = (lambdas[rows] + float(state.mass) ** 2)[:, None]
-    # form energy per mode: h(<(-D2 + lam_k + m^2) u_k, u_k> + ||v_k||^2),
-    # summed over all K modes so the grouping does not depend on ``rows``
-    grad = np.maximum(-np.sum(u * laplacian_1d(grid, order=order).apply(u), axis=-1), 0.0)
-    per_mode = np.zeros(lambdas.size)
-    per_mode[rows] = h * (grad + np.sum(lam_eff * u ** 2 + v ** 2, axis=-1))
+    lam_eff = (np.asarray(lambdas, dtype=float) + float(state.mass) ** 2)[:, None]
+    lap = laplacian_1d(grid, order=order)
+    per_mode = _form_energies(u, _apply_p(lam_eff, lap, u), v, h)
     e_total = float(np.sum(per_mode))
-
-    # a density placed in the (K, N) block, so that its sum groups the terms
-    # as it does without ``rows`` and the record keeps its bits
-    def block(dens):
-        if len(rows) == lambdas.size:
-            return dens
-        out = np.zeros((lambdas.size, grid.N))
-        out[rows] = dens
-        return out
 
     du = gradient_1d(u, grid, order=order)
     grad_dens = du ** 2 + lam_eff * u ** 2
     w2 = weight(grid, -delta1) ** 2 if delta1 != 0.0 else np.ones(grid.N)
-    grad_w_sq = h * float(np.sum(block(w2 * grad_dens)))
-    dtu_w_sq = h * float(np.sum(block(w2 * v ** 2)))
+    grad_w_sq = h * float(np.sum(w2 * grad_dens))
+    dtu_w_sq = h * float(np.sum(w2 * v ** 2))
     if R >= grid.X - 0.5 * h:
         e_local = e_total
     else:
         mask = np.abs(grid.xs) <= R
-        e_local = h * float(np.sum(block(grad_dens + v ** 2)[:, mask]))
+        e_local = h * float(np.sum((grad_dens + v ** 2)[:, mask]))
 
     if state.flavor == WAVE_NEUMANN:
         e_p0 = float(per_mode[0])
@@ -250,9 +242,8 @@ class RunResult:
     wall_seconds: float
 
     def series(self) -> dict[str, np.ndarray]:
-        cols = {name: np.array([getattr(r, name) for r in self.records])
+        return {name: np.array([getattr(r, name) for r in self.records])
                 for name in EnergyRecord.COLUMNS}
-        return cols
 
 
 def geometric_schedule(t0: float, ratio: float, t_end: float) -> np.ndarray:
@@ -270,72 +261,45 @@ def run(state0: WaveState, grid: Grid1D, lambdas: np.ndarray, damping: DampingPr
         on_sample: Callable[[WaveState], None] | None = None) -> RunResult:
     """Evolve to t_end, sampling energies on a geometric schedule.
 
-    Only the active modes, the rows of ``state0`` with any nonzero u or v,
-    are stepped: the others stay exactly zero, since a banded solve of a zero
-    right-hand side returns zeros.  At each schedule time the energy record is
-    taken from the active rows (``energy`` with ``rows``, which sums as over
-    the full block).  ``on_sample``, when given, receives ``state0`` and then,
-    at each schedule time, the active rows lifted back into a (K, N) state
-    with exact-zero inert rows; ``run`` keeps none of them, so its memory does
-    not grow with the number of samples.  The cumulative discrete energy
-    identity is tracked at every step; its largest per-step and cumulative
-    residuals are returned for assertion by the caller.
+    ``lambdas`` are the eigenvalues of the state's modes; row 0 is mode 0.
+    Every step advances all rows of ``state0`` by one ``Stepper``.  At each
+    schedule time the energy record is taken, and ``on_sample``, when given,
+    receives the state; it receives ``state0`` first.  ``run`` keeps none of
+    the states, so its memory does not grow with the number of samples.  The
+    cumulative discrete energy identity is tracked at every step; its largest
+    per-step and cumulative residuals are returned for assertion by the
+    caller.
     """
-    if dt <= 0:
-        raise ValueError(f"time step must be positive, got dt={dt}")
     lambdas = np.asarray(lambdas, dtype=float)
     if lambdas.shape != state0.modes.shape[:1]:
         raise ValueError(f"state has {state0.modes.shape[0]} modes, got {lambdas.size} eigenvalues")
-    active = np.flatnonzero(np.any(state0.modes != 0, axis=1)
-                            | np.any(state0.vmodes != 0, axis=1))
-    state = replace(state0, modes=state0.modes[active], vmodes=state0.vmodes[active])
-    if active.size:
-        stepper = Stepper(grid, lambdas[active], damping, dt, order=order, mass=state0.mass)
-        advance = stepper.step
-        step_energy = lambda s: float(np.sum(stepper.mode_energies(s)))
-    else:   # no mode carries data: the zero state only advances in time
-        advance = lambda s: (replace(s, t=s.t + float(dt)), 0.0)
-        step_energy = lambda s: 0.0
-
-    def lift(sub: WaveState) -> WaveState:
-        modes = np.zeros_like(state0.modes)
-        vmodes = np.zeros_like(state0.vmodes)
-        modes[active], vmodes[active] = sub.modes, sub.vmodes
-        return replace(sub, modes=modes, vmodes=vmodes)
-
-    def record(sub: WaveState, diss_cum: float = 0.0) -> EnergyRecord:
-        return energy(sub, grid, lambdas, order=order, delta1=delta1, R=R,
-                      dissipation_cum=diss_cum, rows=active)
-
+    stepper = Stepper(grid, lambdas, damping, dt, order=order, mass=state0.mass)
     schedule = geometric_schedule(t0, sample_ratio, t_end)
+    records = []
+
+    def sample(state: WaveState, diss_cum: float) -> None:
+        records.append(energy(state, grid, lambdas, order=order, delta1=delta1, R=R,
+                              dissipation_cum=diss_cum))
+        if on_sample is not None:
+            on_sample(state)
+
     t_start = time.perf_counter()
-
-    diss_cum = 0.0
-    records = [record(state)]
-    if on_sample is not None:
-        on_sample(state0)
-    e0 = step_energy(state)     # identity baseline, summed like every e_now
-    e_prev = e0
-    max_step_res = 0.0
-
-    n_steps = int(round(t_end / dt))
-    next_idx = 0
-    for n in range(n_steps):
-        state, diss = advance(state)
+    state, diss_cum, max_step_res, next_idx = state0, 0.0, 0.0, 0
+    sample(state, diss_cum)
+    e0 = e_prev = float(np.sum(stepper.mode_energies(state)))
+    for _ in range(int(round(t_end / dt))):
+        state, diss = stepper.step(state)
         diss_cum += diss
-        e_now = step_energy(state)
+        e_now = float(np.sum(stepper.mode_energies(state)))
         max_step_res = max(max_step_res, abs(e_now - e_prev + diss))
         e_prev = e_now
         while next_idx < len(schedule) and state.t >= schedule[next_idx] - 1e-9:
-            records.append(record(state, diss_cum))
-            if on_sample is not None:
-                on_sample(lift(state))
+            sample(state, diss_cum)
             next_idx += 1
 
-    cum_res = abs(e_prev - e0 + diss_cum)
     return RunResult(records=records, E0=records[0].E_total,
                      identity_max_step_residual=max_step_res,
-                     identity_cumulative_residual=cum_res,
+                     identity_cumulative_residual=abs(e_prev - e0 + diss_cum),
                      wall_seconds=time.perf_counter() - t_start)
 
 

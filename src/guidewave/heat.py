@@ -143,20 +143,24 @@ def comparison_table(rows) -> dict[str, np.ndarray]:
     return {k: np.array([r[k] for r in rows]) for k in COMPARE_COLUMNS}
 
 
+#: node cap of the ``heat_weighted_norm`` quadrature window
+WEIGHTED_NORM_MAX_NODES = 1600
+
+
 def heat_weighted_norm(t: float, beta: int | str, s: float, s1: float, s2: float,
-                       kappa: float, xw: float | None = None, max_nodes: int = 1600) -> float:
+                       kappa: float, xw: float | None = None) -> float:
     """Operator norm of <x>^(-kappa s1 - s) d^beta e^{t Lap} <x>^(-kappa s2 - s).
 
     beta in {0, 1} with s in [0, beta], or beta = "lap" with s = 0 (the
     second-derivative estimate, weights <x>^(-kappa s_j)).  The weighted
-    kernel quadrature on a window of half-width >= 10 sqrt(t) is applied as
-    hw wl T wr, T the Toeplitz matrix K(x_i - x_j), by complex circular
-    convolution with the ``_circulant_kernel`` at next_fast_len(2n - 1); the
-    kernel is real, so the adjoint T^T convolves with the conjugate
-    transform.  The top singular value is a Lanczos estimate from a fixed
-    seeded start vector.
+    kernel quadrature on |x| <= xw, by default max(10 sqrt(t), 10), with at
+    most ``WEIGHTED_NORM_MAX_NODES`` nodes, is applied as hw wl T wr, T the
+    Toeplitz matrix K(x_i - x_j), by complex circular convolution with the
+    ``_circulant_kernel`` at next_fast_len(2n - 1); the kernel is real, so
+    the adjoint T^T convolves with the conjugate transform.  The top singular
+    value is a Lanczos estimate from a fixed seeded start vector.
     """
-    if beta == "lap" or beta == 2:
+    if beta == "lap":
         derivative = "lap"
         if s != 0.0:
             raise ValueError(f"the second-derivative flavor requires s = 0, got s={s}")
@@ -175,7 +179,7 @@ def heat_weighted_norm(t: float, beta: int | str, s: float, s1: float, s2: float
 
     if xw is None:
         xw = max(10.0 * math.sqrt(t), 10.0)
-    n = int(min(max_nodes, max(256, round(2.0 * xw / 0.1))))
+    n = int(min(WEIGHTED_NORM_MAX_NODES, max(256, round(2.0 * xw / 0.1))))
     xs = np.linspace(-xw, xw, n)
     hw = xs[1] - xs[0]
 

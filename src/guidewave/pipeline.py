@@ -152,13 +152,21 @@ def build_mass(cfg: ExperimentConfig) -> float:
     return cfg.mass if cfg.flavor == KLEIN_GORDON else 0.0
 
 
+def evolved_modes(cfg: ExperimentConfig) -> np.ndarray:
+    """The modes an evolution carries, ascending: mode 0 and every mode named in
+    the initial data.  Row 0 of an evolved state is mode 0; any other mode stays zero."""
+    named = {int(k) for modes in (cfg.init.u0_modes, cfg.init.u1_modes) for k in modes}
+    return np.array(sorted(named | {0}))
+
+
 def build_initial_state(cfg: ExperimentConfig, grid: Grid1D, lambdas, damping: DampingProfile):
+    """The initial state on the ``evolved_modes``, whose eigenvalues are ``lambdas``."""
     env = build_envelope(cfg, grid)
-    n_modes = len(lambdas)
-    u0 = {int(k): float(v) for k, v in cfg.init.u0_modes.items()}
-    u1 = {int(k): float(v) for k, v in cfg.init.u1_modes.items()}
+    row = {k: i for i, k in enumerate(evolved_modes(cfg))}
+    u0 = {row[int(k)]: float(v) for k, v in cfg.init.u0_modes.items()}
+    u1 = {row[int(k)]: float(v) for k, v in cfg.init.u1_modes.items()}
     mass = build_mass(cfg)
-    state = assemble_initial_state(grid, n_modes, env, u0, u1, flavor=cfg.flavor, mass=mass)
+    state = assemble_initial_state(grid, len(row), env, u0, u1, flavor=cfg.flavor, mass=mass)
     if cfg.init.smoothing_k > 0:
         modes, vmodes = smooth_initial_data(state.modes, state.vmodes, grid, lambdas,
                                             damping, cfg.init.smoothing_k,
@@ -208,7 +216,7 @@ def cmd_evolve(cfg: ExperimentConfig, out_base: str, on_sample=None) -> dict:
     """Evolve the config's initial state; ``on_sample`` is passed on to ``run``."""
     grid = build_grid(cfg)
     damping = build_damping(cfg, grid)
-    lambdas, _ = build_basis(cfg)
+    lambdas = build_basis(cfg)[0][evolved_modes(cfg)]
     state0 = build_initial_state(cfg, grid, lambdas, damping)
     result = run(state0, grid, lambdas, damping, dt=cfg.time.dt, t_end=cfg.time.t_end,
                  order=cfg.grid.order, t0=cfg.time.t0, sample_ratio=cfg.time.sample_ratio,
@@ -255,6 +263,7 @@ def cmd_heat_compare(cfg: ExperimentConfig, out_base: str) -> dict:
     grid = build_grid(cfg)
     damping = build_damping(cfg, grid)
     lambdas, yfactor = build_basis(cfg)
+    lambdas = lambdas[evolved_modes(cfg)]
     heat = None
     rows = []
 

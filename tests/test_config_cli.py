@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 import guidewave.configs
 from guidewave.cli import main
-from guidewave.config import (INTEGER_FIELDS, ExperimentConfig, apply_overrides,
-                              canonical_json, config_hash, from_dict, load, parse_scan_z)
+from guidewave.config import (FLOAT_FIELDS, INTEGER_FIELDS, ExperimentConfig,
+                              apply_overrides, canonical_json, config_hash, from_dict, load,
+                              parse_scan_z)
 from guidewave.errors import ConfigError
 from guidewave.pipeline import build_damping, build_grid, cmd_resolvent, read_csv
 from guidewave.resolvent import norm_scan
@@ -93,6 +94,21 @@ def test_integer_fields_reject_non_integers(path, value):
     item = f"{path}={json.dumps(value) if not isinstance(value, str) else value}"
     with pytest.raises(ConfigError, match=path.replace(".", r"\.")):
         from_dict(apply_overrides(json.loads(json.dumps(TINY)), [item]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(path=st.sampled_from(FLOAT_FIELDS + ("weights.delta1", "weights.kappa",
+                                            "fit_window.0", "fit_window.1")),
+       value=st.one_of(st.booleans(), st.none(), st.text(max_size=6), st.just([1.0])))
+def test_number_fields_reject_non_numbers(path, value):
+    data = json.loads(json.dumps(TINY))
+    *keys, last = path.split(".")
+    node = data
+    for key in keys:
+        node = node.setdefault(key, {})
+    node[int(last) if isinstance(node, list) else last] = value
+    with pytest.raises(ConfigError, match=path.replace(".", r"\.") + ": must be a number"):
+        from_dict(data)
 
 
 class TestConfig:
@@ -192,6 +208,20 @@ class TestConfig:
 
 
 class TestCli:
+    def test_evolved_state_holds_mode0_and_the_data_modes(self, tmp_path):
+        # modes 3 and 1 carry data, mode 0 none, modes 2 and 4 none and are not evolved
+        from guidewave.pipeline import cmd_evolve
+        data = json.loads(json.dumps(TINY))
+        data["domain"]["K"] = 5
+        data["init"].update(u0_modes={"3": 1.0}, u1_modes={"1": 0.5}, smoothing_k=0)
+        samples = []
+        cmd_evolve(from_dict(data), str(tmp_path), on_sample=samples.append)
+        first, last = samples[0], samples[-1]
+        assert all(s.modes.shape == (3, 64) for s in samples)
+        assert not np.any(first.modes[[0, 1]]) and not np.any(first.vmodes[[0, 2]])
+        assert np.any(first.modes[2]) and np.any(first.vmodes[1])
+        assert not np.any(last.modes[0]) and not np.any(last.vmodes[0])
+
     def test_evolve_is_deterministic(self, tmp_path):
         cfgp = write_tiny(tmp_path)
         assert main(["evolve", cfgp, "--out", str(tmp_path / "o1")]) == 0
@@ -301,7 +331,9 @@ class TestCli:
                                   ("evolve", "init.smoothing_k=1.5"),
                                   ("evolve", "grid.order=4.0"),
                                   ("evolve", "time.t0=0"),
-                                  ("evolve", "local_radius=-1")):
+                                  ("evolve", "local_radius=-1"),
+                                  ("evolve", "time.dt=abc"),
+                                  ("evolve", "mass=null")):
             assert main([command, cfgp, "--set", override, "--out", str(tmp_path / "o")]) == 2
 
     def test_fit_subcommand_and_assert_exit(self, tmp_path):

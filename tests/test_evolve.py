@@ -66,7 +66,7 @@ def test_stacked_step_matches_per_mode_reference(k_count, n, kind, level, order,
 
 def reference_run(state0, grid, lambdas, damping, dt, t_end, order, t0, sample_ratio,
                   delta1, R):
-    """``run`` without the active-row selection: every step acts on all K modes."""
+    """``run`` as a plain loop of ``Stepper`` steps and ``energy`` records."""
     stepper = Stepper(grid, lambdas, damping, dt, order=order, mass=state0.mass)
     schedule = geometric_schedule(t0, sample_ratio, t_end)
     state, diss_cum, max_res, idx = state0, 0.0, 0.0, 0
@@ -93,11 +93,12 @@ def reference_run(state0, grid, lambdas, damping, dt, t_end, order, t0, sample_r
        order=st.sampled_from([2, 4]), dt=st.floats(0.05, 0.5),
        delta1=st.sampled_from([0.0, 0.5]), half_window=st.booleans(),
        data=st.data())
-def test_active_row_run_matches_full_block_reference(k_count, n, flavor, kind, level, order,
-                                                     dt, delta1, half_window, data):
-    # data on any subset of the modes: non-prefix, mode 0 inert, or none at all
-    rows = st.sets(st.integers(0, k_count - 1))
-    u_rows, v_rows = data.draw(rows, label="u rows"), data.draw(rows, label="v rows")
+def test_compact_run_matches_full_block_reference(k_count, n, flavor, kind, level, order,
+                                                  dt, delta1, half_window, data):
+    # data on any subset of the modes: non-prefix, mode 0 inert, or none at all;
+    # the compact state holds mode 0 and the modes with data, the full one all K
+    u_rows = data.draw(st.sets(st.integers(0, k_count - 1)), label="u rows")
+    v_rows = data.draw(st.sets(st.integers(0, k_count - 1)), label="v rows")
     seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
     rng = np.random.default_rng(seed)
     g = Grid1D(X=10.0, N=n)
@@ -107,15 +108,18 @@ def test_active_row_run_matches_full_block_reference(k_count, n, flavor, kind, l
     modes, vmodes = np.zeros((k_count, n)), np.zeros((k_count, n))
     modes[sorted(u_rows)] = rng.standard_normal((len(u_rows), n))
     vmodes[sorted(v_rows)] = rng.standard_normal((len(v_rows), n))
-    state0 = WaveState(t=0.0, modes=modes, vmodes=vmodes, flavor=flavor,
-                       mass=1.3 if flavor == KLEIN_GORDON else 0.0)
+    full = WaveState(t=0.0, modes=modes, vmodes=vmodes, flavor=flavor,
+                     mass=1.3 if flavor == KLEIN_GORDON else 0.0)
+    rows = sorted({0} | u_rows | v_rows)
+    compact = replace(full, modes=modes[rows], vmodes=vmodes[rows])
     kw = dict(dt=dt, t_end=12 * dt, order=order, t0=dt, sample_ratio=1.3, delta1=delta1,
               R=g.X / 2 if half_window else None)
 
     samples = []
-    result = run(state0, g, lambdas, a, on_sample=samples.append, **kw)
-    records, snapshots, max_res, cum_res = reference_run(state0, g, lambdas, a, **kw)
+    result = run(compact, g, lambdas[rows], a, on_sample=samples.append, **kw)
+    records, snapshots, max_res, cum_res = reference_run(full, g, lambdas, a, **kw)
 
+    # the compact block groups the sums of a record without the inert rows
     series = result.series()
     for name in EnergyRecord.COLUMNS:
         ref = np.array([getattr(r, name) for r in records])
@@ -125,14 +129,12 @@ def test_active_row_run_matches_full_block_reference(k_count, n, flavor, kind, l
     assert result.identity_max_step_residual == pytest.approx(max_res, rel=1e-14, abs=scale)
     assert result.identity_cumulative_residual == pytest.approx(cum_res, rel=1e-14, abs=scale)
 
-    inert = sorted(set(range(k_count)) - u_rows - v_rows)
     assert len(samples) == len(snapshots)
     for got, ref in zip(samples, snapshots):
         assert got.t == ref.t
         for mine, theirs in ((got.modes, ref.modes), (got.vmodes, ref.vmodes)):
-            assert mine.shape == (k_count, n)
-            assert not np.any(mine[inert])
-            np.testing.assert_allclose(mine, theirs, rtol=1e-14,
+            assert mine.shape == (len(rows), n)
+            np.testing.assert_allclose(mine, theirs[rows], rtol=1e-14,
                                        atol=1e-14 * float(np.max(np.abs(theirs), initial=0.0)))
 
 
@@ -386,26 +388,19 @@ class TestEnergyRecord:
 
 @settings(max_examples=60, deadline=None)
 @given(k_count=st.integers(1, 9), n=st.integers(16, 300), flavor=st.sampled_from(FLAVORS),
-       order=st.sampled_from([2, 4]), delta1=st.sampled_from([0.0, 0.5]),
-       half_window=st.booleans(), data=st.data())
-def test_record_of_active_rows_equals_lifted_record(k_count, n, flavor, order, delta1,
-                                                    half_window, data):
-    # the record of the active rows sums in the (K, N) block, so it matches the
-    # record of the lifted state bit for bit, whichever rows carry data
-    rows = np.array(sorted(data.draw(st.sets(st.integers(0, k_count - 1)), label="rows")),
-                    dtype=int)
-    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+       order=st.sampled_from([2, 4]), seed=st.integers(0, 2 ** 32 - 1))
+def test_record_total_is_the_identity_energy(k_count, n, flavor, order, seed):
+    # E_total is the sum the identity check of ``run`` tracks, bit for bit
+    rng = np.random.default_rng(seed)
     g = Grid1D(X=10.0, N=n)
+    a = DampingProfile.build(g, "hole", rho=1.5, r=3.0)
     lambdas = np.sort(rng.uniform(0.0, 20.0, k_count))
     mass = 1.3 if flavor == KLEIN_GORDON else 0.0
-    sub = WaveState(t=2.0, modes=rng.standard_normal((rows.size, n)),
-                    vmodes=rng.standard_normal((rows.size, n)), flavor=flavor, mass=mass)
-    modes, vmodes = np.zeros((k_count, n)), np.zeros((k_count, n))
-    modes[rows], vmodes[rows] = sub.modes, sub.vmodes
-    full = replace(sub, modes=modes, vmodes=vmodes)
-    kw = dict(order=order, delta1=delta1, R=g.X / 2 if half_window else None,
-              dissipation_cum=0.25)
-    assert energy(sub, g, lambdas, rows=rows, **kw) == energy(full, g, lambdas, **kw)
+    state0 = WaveState(t=0.0, modes=rng.standard_normal((k_count, n)),
+                       vmodes=rng.standard_normal((k_count, n)), flavor=flavor, mass=mass)
+    stepper = Stepper(g, lambdas, a, dt=0.1, order=order, mass=mass)
+    assert (energy(state0, g, lambdas, order=order).E_total
+            == float(np.sum(stepper.mode_energies(state0))))
 
 
 def test_mode0_data_keeps_p0perp_zero(grid40, damping_const):
@@ -439,7 +434,7 @@ def test_smoothing_stays_real_and_damps_gradients(grid40, damping_const, rng):
 
 
 def test_run_validates_inputs_without_data(grid40, damping_const):
-    # data on no mode builds no stepper, yet the run still checks its inputs
+    # a state without data is stepped like any other, after the same checks
     state = make_state(grid40, n_modes=2, u0={}, u1={})
     with pytest.raises(ValueError, match="time step"):
         run(state, grid40, np.array([0.0, 1.0]), damping_const, dt=0.0, t_end=1.0)
