@@ -1,5 +1,10 @@
 """Experiment configuration: JSON schema, validation, hashing, overrides.
 
+The dataclass annotations are the schema: one builder walks the root and each
+section, and an unknown key or a value whose JSON type its annotation does not
+admit fails naming the dotted path.  ``validate`` adds the range and
+cross-field rules.
+
 Configs round-trip byte-identically through ``canonical_json`` (sorted keys,
 repr floats); the first 12 hex digits of the sha256 of that form name the
 output directory.
@@ -7,17 +12,21 @@ output directory.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+import typing
+from dataclasses import asdict, dataclass, field, is_dataclass
 
 from .discretize import WeightSpec
 from .errors import ConfigError
 
 FLAVORS = ("wave_neumann", "wave_dirichlet", "wave_euclidean", "klein_gordon")
 DAMPING_KINDS = ("constant", "longrange", "hole")
-INIT_FAMILIES = ("gaussian", "powerlaw")
+#: envelope family -> the parameters it takes, with their defaults
+INIT_FAMILIES = {"gaussian": {"sigma": 4.0, "center": 0.0, "amplitude": 1.0},
+                 "powerlaw": {"q": 0.5, "amplitude": 1.0}}
 
 
 @dataclass
@@ -44,9 +53,9 @@ class DampingCfg:
 @dataclass
 class InitCfg:
     family: str = "gaussian"
-    params: dict = field(default_factory=lambda: {"sigma": 4.0, "center": 0.0, "amplitude": 1.0})
-    u0_modes: dict = field(default_factory=dict)
-    u1_modes: dict = field(default_factory=lambda: {"0": 1.0})
+    params: dict[str, float] = field(default_factory=lambda: dict(INIT_FAMILIES["gaussian"]))
+    u0_modes: dict[str, float] = field(default_factory=dict)
+    u1_modes: dict[str, float] = field(default_factory=lambda: {"0": 1.0})
     smoothing_k: int = 0
 
 
@@ -65,7 +74,7 @@ SCAN_KINDS = ("highfreq", "theta", "realaxis")
 class ScanCfg:
     kind: str = "highfreq"
     z_list: list = field(default_factory=list)        # [re, im] pairs or reals
-    h_list: list = field(default_factory=list)
+    h_list: list[float] = field(default_factory=list)
     beta1: int = 0
     beta2: int = 0
     truncation_guard: bool = False
@@ -81,11 +90,11 @@ class ExperimentConfig:
     damping: DampingCfg = field(default_factory=DampingCfg)
     init: InitCfg = field(default_factory=InitCfg)
     time: TimeCfg = field(default_factory=TimeCfg)
-    weights: dict = field(default_factory=lambda: {"delta1": 0.0, "delta2": 0.0,
-                                                   "s1": 0.0, "s2": 0.0, "s": 0.0,
-                                                   "kappa": 1.1})
+    weights: dict[str, float] = field(default_factory=lambda: {"delta1": 0.0, "delta2": 0.0,
+                                                               "s1": 0.0, "s2": 0.0, "s": 0.0,
+                                                               "kappa": 1.1})
     scan: ScanCfg = field(default_factory=ScanCfg)
-    fit_window: list = field(default_factory=lambda: [20.0, 500.0])
+    fit_window: list[float] = field(default_factory=lambda: [20.0, 500.0])
     local_radius: float = 10.0
     seed: int = 0
 
@@ -96,77 +105,66 @@ class ExperimentConfig:
         return asdict(self)
 
 
-_SECTION_TYPES = {"domain": DomainCfg, "grid": GridCfg, "damping": DampingCfg,
-                  "init": InitCfg, "time": TimeCfg, "scan": ScanCfg}
+#: field name -> resolved annotation of a config dataclass, read once per class
+_hints = functools.cache(typing.get_type_hints)
 
 
-def _build_section(cls, data: dict, path: str):
-    valid = {f for f in cls.__dataclass_fields__}
-    for key in data:
-        if key not in valid:
-            raise ConfigError(f"{path}.{key}: unknown field")
-    try:
-        return cls(**data)
-    except TypeError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+def _build(cls, data, path: str = ""):
+    """``cls(**data)``, each value checked against its annotation; errors name the field path."""
+    if type(data) is not dict:
+        raise ConfigError(f"{path}: expected an object" if path else
+                          "config root must be a JSON object")
+    kwargs = {}
+    for key, value in data.items():
+        where = f"{path}.{key}" if path else key
+        kind = _hints(cls).get(key)
+        if kind is None:
+            raise ConfigError(f"{where}: unknown field")
+        kwargs[key] = _build(kind, value, where) if is_dataclass(kind) else _check(kind, value, where)
+    return cls(**kwargs)
+
+
+#: what a JSON value of each annotated type must be; ``float`` admits integers
+_KINDS = {int: ("an integer", (int,)), float: ("a number", (int, float)),
+          bool: ("true or false", (bool,)), str: ("a string", (str,)),
+          dict: ("an object", (dict,)), list: ("a list", (list,))}
+
+
+def _check(kind, value, path: str):
+    """``value``, if its type and each entry's (``dict[str, T]``, ``list[T]``) is exact."""
+    name, types = _KINDS[typing.get_origin(kind) or kind]
+    if type(value) not in types:
+        raise ConfigError(f"{path}: must be {name}, got {value!r}")
+    if args := typing.get_args(kind):
+        for key, entry in (value.items() if type(value) is dict else enumerate(value)):
+            _check(args[-1], entry, f"{path}.{key}")
+    return value
 
 
 def from_dict(data: dict) -> ExperimentConfig:
     """Build and validate a config; errors carry the offending field path."""
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a JSON object")
-    data = dict(data)
-    kwargs = {}
-    for name, cls in _SECTION_TYPES.items():
-        if name in data:
-            section = data.pop(name)
-            if not isinstance(section, dict):
-                raise ConfigError(f"{name}: expected an object")
-            kwargs[name] = _build_section(cls, section, name)
-    valid = {f for f in ExperimentConfig.__dataclass_fields__}
-    for key in data:
-        if key not in valid:
-            raise ConfigError(f"{key}: unknown field")
-    try:
-        cfg = ExperimentConfig(**data, **kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    cfg = _build(ExperimentConfig, data)
     validate(cfg)
     return cfg
 
 
-#: fields that must hold a JSON integer: a float such as 64.0 passes the range
-#: checks, then either fails where an integer is needed or runs the same
-#: experiment under another config hash than 64
-INTEGER_FIELDS = ("grid.N", "grid.order", "domain.K", "init.smoothing_k", "seed",
-                  "scan.beta1", "scan.beta2")
-
-#: fields that must hold a JSON number, integer or float: a string fails later
-#: as an uncaught TypeError, and a boolean or null passes the range checks
-#: into the config hash; so must every ``weights`` and ``fit_window`` entry
-FLOAT_FIELDS = ("mass", "domain.L", "grid.X", "damping.rho", "damping.r", "damping.level",
-                "time.t_end", "time.dt", "time.t0", "time.sample_ratio", "local_radius")
+def _leaves(cls, prefix: str = ""):
+    for name, kind in _hints(cls).items():
+        if is_dataclass(kind):
+            yield from _leaves(kind, f"{prefix}{name}.")
+        else:
+            yield f"{prefix}{name}", kind
 
 
-def _field(cfg: ExperimentConfig, path: str):
-    for key in path.split("."):
-        cfg = getattr(cfg, key)
-    return cfg
+#: dotted path -> annotation of every field that is not a section: the schema ``_build`` checks
+FIELD_TYPES = dict(_leaves(ExperimentConfig))
+#: the fields that take a JSON integer, and those that take any JSON number
+INTEGER_FIELDS = tuple(path for path, kind in FIELD_TYPES.items() if kind is int)
+FLOAT_FIELDS = tuple(path for path, kind in FIELD_TYPES.items() if kind is float)
 
 
 def validate(cfg: ExperimentConfig) -> None:
-    for path in INTEGER_FIELDS:
-        value = _field(cfg, path)
-        if type(value) is not int:
-            raise ConfigError(f"{path}: must be an integer, got {value!r}")
-    numbers = [(path, _field(cfg, path)) for path in FLOAT_FIELDS]
-    if isinstance(cfg.weights, dict):
-        numbers += [(f"weights.{key}", value) for key, value in cfg.weights.items()]
-    if isinstance(cfg.fit_window, list):
-        numbers += [(f"fit_window.{i}", value) for i, value in enumerate(cfg.fit_window)]
-    for path, value in numbers:
-        if type(value) not in (int, float):
-            raise ConfigError(f"{path}: must be a number, got {value!r}")
+    """The range and cross-field rules; the types were checked as the config was built."""
     if cfg.flavor not in FLAVORS:
         raise ConfigError(f"flavor: {cfg.flavor!r} not one of {FLAVORS}")
     if cfg.flavor == "klein_gordon" and cfg.mass <= 0:
@@ -193,7 +191,11 @@ def validate(cfg: ExperimentConfig) -> None:
     if cfg.damping.kind == "constant" and cfg.damping.level < 0:
         raise ConfigError(f"damping.level: must be >= 0, got {cfg.damping.level}")
     if cfg.init.family not in INIT_FAMILIES:
-        raise ConfigError(f"init.family: {cfg.init.family!r} not one of {INIT_FAMILIES}")
+        raise ConfigError(f"init.family: {cfg.init.family!r} not one of {tuple(INIT_FAMILIES)}")
+    for key in cfg.init.params:
+        if key not in INIT_FAMILIES[cfg.init.family]:
+            raise ConfigError(f"init.params.{key}: unknown parameter of {cfg.init.family!r}, "
+                              f"not one of {tuple(INIT_FAMILIES[cfg.init.family])}")
     if cfg.init.smoothing_k < 0:
         raise ConfigError(f"init.smoothing_k: must be >= 0, got {cfg.init.smoothing_k}")
     n_modes = cfg.domain.K if cfg.flavor in ("wave_neumann", "wave_dirichlet") else 1
@@ -213,10 +215,9 @@ def validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"time.t_end: must be >= t0={cfg.time.t0}, got {cfg.time.t_end}")
     if cfg.time.sample_ratio <= 1.0:
         raise ConfigError(f"time.sample_ratio: must exceed 1, got {cfg.time.sample_ratio}")
-    try:
-        WeightSpec(**cfg.weights)
-    except TypeError as exc:
-        raise ConfigError(f"weights: {exc}") from exc
+    for key in cfg.weights:
+        if key not in WeightSpec.__dataclass_fields__:
+            raise ConfigError(f"weights.{key}: unknown field")
     if cfg.scan.kind not in SCAN_KINDS:
         raise ConfigError(f"scan.kind: {cfg.scan.kind!r} not one of {SCAN_KINDS}")
     if cfg.scan.beta1 not in (0, 1) or cfg.scan.beta2 not in (0, 1):
@@ -226,11 +227,10 @@ def validate(cfg: ExperimentConfig) -> None:
         if cfg.scan.kind != "highfreq" and getattr(cfg.scan, name):
             raise ConfigError(f"scan.{name}: used by kind 'highfreq' only, got "
                               f"{getattr(cfg.scan, name)} for kind {cfg.scan.kind!r}")
-    for i, z in enumerate(parse_scan_z(cfg.scan.z_list) if cfg.scan.kind == "realaxis" else ()):
-        if z.imag:
+    for i, z in enumerate(parse_scan_z(cfg.scan.z_list)):
+        if cfg.scan.kind == "realaxis" and z.imag:
             raise ConfigError(f"scan.z_list.{i}: kind 'realaxis' needs real z, got {z}")
-    if not (isinstance(cfg.fit_window, list) and len(cfg.fit_window) == 2
-            and 1.0 <= cfg.fit_window[0] < cfg.fit_window[1]):
+    if not (len(cfg.fit_window) == 2 and 1.0 <= cfg.fit_window[0] < cfg.fit_window[1]):
         raise ConfigError(f"fit_window: need [t_min >= 1, t_max > t_min], got {cfg.fit_window}")
     if cfg.local_radius <= 0:
         raise ConfigError(f"local_radius: must be positive, got {cfg.local_radius}")
@@ -257,15 +257,13 @@ def load(path, overrides=()) -> ExperimentConfig:
 
 
 def parse_scan_z(entries) -> list[complex]:
-    """z entries are reals or [re, im] pairs."""
+    """z entries are reals or [re, im] pairs; a bool is no number."""
     out = []
-    for e in entries:
-        if isinstance(e, (int, float)):
-            out.append(complex(e))
-        elif isinstance(e, (list, tuple)) and len(e) == 2:
-            out.append(complex(e[0], e[1]))
-        else:
-            raise ConfigError(f"scan.z_list: entries must be numbers or [re, im] pairs, got {e!r}")
+    for i, e in enumerate(entries):
+        parts = e if isinstance(e, (list, tuple)) and len(e) == 2 else [e]
+        if not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in parts):
+            raise ConfigError(f"scan.z_list.{i}: must be a number or an [re, im] pair, got {e!r}")
+        out.append(complex(*parts))
     return out
 
 

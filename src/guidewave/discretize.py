@@ -24,6 +24,8 @@ from .errors import SolveError
 
 #: smoothing width of the hole profile edge
 HOLE_EDGE_WIDTH = 2.0
+#: largest relative residual ||T u - f|| / ||f|| a ``ShiftedOperator`` solve may return
+SOLVE_RTOL = 1e-10
 
 
 def japanese_bracket(x: np.ndarray) -> np.ndarray:
@@ -289,27 +291,27 @@ class ShiftedOperator:
             self._cache["lu"] = fac
         return fac
 
-    def _checked(self, u: np.ndarray, f: np.ndarray, adjoint: bool, rtol: float) -> np.ndarray:
+    def _checked(self, u: np.ndarray, f: np.ndarray, adjoint: bool) -> np.ndarray:
         nf = float(np.linalg.norm(f))
         if nf > 0.0:
             lhs = self.apply_adjoint(u) if adjoint else self.apply(u)
             res = float(np.linalg.norm(lhs - f)) / nf
-            if not np.isfinite(res) or res > rtol:
+            if not np.isfinite(res) or res > SOLVE_RTOL:
                 cond_est = float(np.linalg.norm(u)) / nf
                 raise SolveError(
                     f"near-singular solve at z={self.z}: residual {res:.3e}, "
                     f"norm amplification ~{cond_est:.3e}")
         return u
 
-    def solve(self, f: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
+    def solve(self, f: np.ndarray) -> np.ndarray:
         f = np.asarray(f, dtype=complex)
         u = self._factor().solve(f)
-        return self._checked(u, f, False, rtol)
+        return self._checked(u, f, False)
 
-    def solve_adjoint(self, f: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
+    def solve_adjoint(self, f: np.ndarray) -> np.ndarray:
         f = np.asarray(f, dtype=complex)
         u = self._factor().solve(f, trans="H")
-        return self._checked(u, f, True, rtol)
+        return self._checked(u, f, True)
 
 
 def mode_operator(grid: Grid1D, lam: float, damping: DampingProfile, z: complex,

@@ -303,12 +303,11 @@ def run(state0: WaveState, grid: Grid1D, lambdas: np.ndarray, damping: DampingPr
                      wall_seconds=time.perf_counter() - t_start)
 
 
-def gaussian_envelope(grid: Grid1D, sigma: float = 4.0, center: float = 0.0,
-                      amplitude: float = 1.0) -> np.ndarray:
+def gaussian_envelope(grid: Grid1D, sigma: float, center: float, amplitude: float) -> np.ndarray:
     return amplitude * np.exp(-((grid.xs - center) ** 2) / (2.0 * sigma ** 2))
 
 
-def powerlaw_envelope(grid: Grid1D, q: float = 0.5, amplitude: float = 1.0) -> np.ndarray:
+def powerlaw_envelope(grid: Grid1D, q: float, amplitude: float) -> np.ndarray:
     """<x>^(-q) tails; q = 1/2 saturates the unweighted heat decay rates."""
     return amplitude * (1.0 + grid.xs ** 2) ** (-q / 2.0)
 

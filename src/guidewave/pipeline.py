@@ -18,7 +18,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__
-from .config import (ExperimentConfig, canonical_json, config_hash, parse_scan_z)
+from .config import (INIT_FAMILIES, ExperimentConfig, canonical_json, config_hash,
+                     parse_scan_z)
 from .discretize import DampingProfile, Grid1D
 from .errors import ConfigError
 from .evolve import (KLEIN_GORDON, WAVE_DIRICHLET, WAVE_EUCLIDEAN, WAVE_NEUMANN,
@@ -139,12 +140,9 @@ def build_basis(cfg: ExperimentConfig):
 
 
 def build_envelope(cfg: ExperimentConfig, grid: Grid1D) -> np.ndarray:
-    p = cfg.init.params
-    if cfg.init.family == "gaussian":
-        return gaussian_envelope(grid, sigma=p.get("sigma", 4.0),
-                                 center=p.get("center", 0.0),
-                                 amplitude=p.get("amplitude", 1.0))
-    return powerlaw_envelope(grid, q=p.get("q", 0.5), amplitude=p.get("amplitude", 1.0))
+    """The family's envelope, its ``INIT_FAMILIES`` defaults overridden by ``init.params``."""
+    envelope = gaussian_envelope if cfg.init.family == "gaussian" else powerlaw_envelope
+    return envelope(grid, **{**INIT_FAMILIES[cfg.init.family], **cfg.init.params})
 
 
 def build_mass(cfg: ExperimentConfig) -> float:

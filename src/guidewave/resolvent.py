@@ -271,8 +271,7 @@ def _mode_sobolev_norm(op: ShiftedOperator, scaler: SobolevScaler, beta1: int, b
 
 
 def norm_scan(z_list, beta1: int, beta2: int, damping: DampingProfile, grid: Grid1D,
-              lambdas, order: int = 4, mass: float = 0.0,
-              rng: np.random.Generator | None = None,
+              lambdas, order: int = 4, mass: float = 0.0, *, rng: np.random.Generator,
               truncation_guard: bool = False) -> list[ScanPoint]:
     """Resolvent norms over the guide: max over transverse modes per z.
 
@@ -292,7 +291,6 @@ def norm_scan(z_list, beta1: int, beta2: int, damping: DampingProfile, grid: Gri
     """
     if beta1 not in (0, 1) or beta2 not in (0, 1):
         raise ValueError(f"Sobolev indices must lie in {{0,1}}, got beta1={beta1}, beta2={beta2}")
-    rng = rng or np.random.default_rng(0)
     lambdas = np.asarray(lambdas, dtype=float)
     scaler = SobolevScaler(grid)
     k_sq = sobolev_constant_sq(grid, order)
@@ -450,8 +448,8 @@ def _difference_block(op: ShiftedOperator, heat: ShiftedOperator | None, p, c, q
 
 
 def theta_probe(z_list, damping: DampingProfile, grid: Grid1D, lambdas,
-                delta1: float, delta2: float, order: int = 4,
-                rng: np.random.Generator | None = None) -> list[dict]:
+                delta1: float, delta2: float, order: int = 4, *,
+                rng: np.random.Generator) -> list[dict]:
     """Weighted norms of the blocks of (A - z)^{-1} - R_Heat(z), matrix-free.
 
     Each block is applied as banded mode and heat-model solves between the
@@ -463,7 +461,6 @@ def theta_probe(z_list, damping: DampingProfile, grid: Grid1D, lambdas,
     ``THETA_PROBE_MODES`` modes.  ``structure_residual`` checks row 2 = z row 1 of the heat-model
     blocks on a seeded probe vector.  Requires Im z > 0 and |z| <= 1.
     """
-    rng = rng or np.random.default_rng(0)
     lambdas = np.asarray(lambdas, dtype=float)
     n = grid.N
     wl = weight(grid, -delta1)
@@ -512,14 +509,13 @@ def _weighted(t, t_adj, wl, wr, grid: Grid1D, order: int, root_lam: float | None
 # semiclassical scan
 
 
-def semiclassical_scan(h_list, damping: DampingProfile, grid: Grid1D, order: int = 4,
-                       rng: np.random.Generator | None = None) -> list[dict]:
+def semiclassical_scan(h_list, damping: DampingProfile, grid: Grid1D, order: int = 4, *,
+                       rng: np.random.Generator) -> list[dict]:
     """h * ||(-h^2 d^2/dx^2 - i h a - 1)^{-1}|| per h on the truncated line.
 
     The operator equals h^2 times the mode resolvent at tau = 1/h, so the
     norm is h^{-2} ||R(1/h)||, the one-mode L^2 ``norm_scan`` at z = 1/h.
     """
-    rng = rng or np.random.default_rng(0)
     out = []
     for h in h_list:
         h = float(h)
@@ -531,7 +527,7 @@ def semiclassical_scan(h_list, damping: DampingProfile, grid: Grid1D, order: int
     return out
 
 
-def pure_laplacian_control(h_list, X: float = 200.0) -> list[dict]:
+def pure_laplacian_control(h_list, X: float) -> list[dict]:
     """Undamped negative control: 1/dist(1, spec(-h^2 Lap)) on the cap box.
 
     Uses the closed-form Dirichlet eigenvalues (m pi / 2X)^2 of the

@@ -1,5 +1,8 @@
+import dataclasses
 import json
+import re
 import tracemalloc
+import typing
 from importlib import resources
 
 import numpy as np
@@ -9,11 +12,13 @@ from hypothesis import strategies as st
 
 import guidewave.configs
 from guidewave.cli import main
-from guidewave.config import (FLOAT_FIELDS, INTEGER_FIELDS, ExperimentConfig,
+from guidewave.config import (FIELD_TYPES, FLOAT_FIELDS, INTEGER_FIELDS, ExperimentConfig,
                               apply_overrides, canonical_json, config_hash, from_dict, load,
                               parse_scan_z)
 from guidewave.errors import ConfigError
-from guidewave.pipeline import build_damping, build_grid, cmd_resolvent, read_csv
+from guidewave.evolve import gaussian_envelope, powerlaw_envelope
+from guidewave.pipeline import (build_damping, build_envelope, build_grid, cmd_resolvent,
+                                read_csv)
 from guidewave.resolvent import norm_scan
 
 CONFIG_DIR = resources.files(guidewave.configs)
@@ -111,6 +116,57 @@ def test_number_fields_reject_non_numbers(path, value):
         from_dict(data)
 
 
+def schema_paths(cls=ExperimentConfig, prefix=""):
+    """(field path, checked path, JSON type, wrap) for every field below ``cls``,
+    sections included, and for entry 0 of every ``dict[str, T]`` or ``list[T]``
+    field, read from the dataclass annotations; ``wrap`` puts a value at the
+    checked path when it is placed at the field path."""
+    for name, kind in typing.get_type_hints(cls).items():
+        path = prefix + name
+        if dataclasses.is_dataclass(kind):
+            yield path, path, dict, lambda v: v
+            yield from schema_paths(kind, f"{path}.")
+            continue
+        origin = typing.get_origin(kind)
+        yield path, path, origin or kind, lambda v: v
+        if origin is not None:
+            wrap = (lambda v: {"0": v}) if origin is dict else (lambda v: [v])
+            yield path, f"{path}.0", typing.get_args(kind)[-1], wrap
+
+
+SCHEMA_PATHS = list(schema_paths())
+JSON_VALUES = {type(None): st.none(), bool: st.booleans(), int: st.integers(),
+               float: finite(-1e6, 1e6), str: st.text(max_size=4),
+               list: st.lists(finite(-1e6, 1e6), max_size=2),
+               dict: st.dictionaries(st.text(max_size=3), finite(-1e6, 1e6), max_size=2)}
+
+
+def wrong_values(json_type):
+    """Any JSON value whose type ``json_type`` does not admit; a number admits an integer."""
+    admitted = {json_type, int} if json_type is float else {json_type}
+    return st.one_of(*(values for t, values in JSON_VALUES.items() if t not in admitted))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_every_schema_path_rejects_a_wrong_json_type(data):
+    # every field and entry path of the dataclasses, so a field added later is covered
+    assert {checked for _, checked, _, _ in SCHEMA_PATHS} >= set(FIELD_TYPES)
+    root = data.draw(wrong_values(dict), label="root")
+    with pytest.raises(ConfigError, match="config root must be a JSON object"):
+        from_dict(root)
+    for field, checked, json_type, wrap in SCHEMA_PATHS:
+        value = data.draw(wrong_values(json_type), label=checked)
+        config = json.loads(json.dumps(TINY))
+        *keys, last = field.split(".")
+        node = config
+        for key in keys:
+            node = node.setdefault(key, {})
+        node[last] = wrap(value)
+        with pytest.raises(ConfigError, match=f"^{re.escape(checked)}: "):
+            from_dict(config)
+
+
 class TestConfig:
     def test_roundtrip_is_byte_identical(self):
         cfg = from_dict(json.loads(json.dumps(TINY)))
@@ -156,6 +212,9 @@ class TestConfig:
         ("time", {"t0": 0.0}, "time.t0"),
         ("local_radius", -1.0, "local_radius"),
         ("scan", {"beta1": 1.0}, "scan.beta1"),
+        ("init", {"params": {"sigmaa": 3.0}}, "init.params.sigmaa: unknown parameter"),
+        ("init", {"family": "powerlaw", "params": {"sigma": 3.0}}, "init.params.sigma: unknown"),
+        ("weights", {"delta9": 1.0}, "weights.delta9: unknown field"),
     ])
     def test_validation_reports_field_path(self, path, value, fragment):
         data = json.loads(json.dumps(TINY))
@@ -190,8 +249,20 @@ class TestConfig:
 
     def test_parse_scan_z(self):
         assert parse_scan_z([1.0, [0.0, 0.5]]) == [complex(1.0), 0.5j]
-        with pytest.raises(ConfigError):
-            parse_scan_z(["one"])
+        for bad in (["one"], [True], [[1.0, False]], [["a", 1.0]]):
+            with pytest.raises(ConfigError, match=r"scan\.z_list\.0"):
+                parse_scan_z(bad)
+
+    def test_envelope_defaults_come_from_the_family_table(self):
+        data = json.loads(json.dumps(TINY))
+        data["init"]["params"] = {"amplitude": 2.0}
+        cfg = from_dict(data)
+        grid = build_grid(cfg)
+        want = gaussian_envelope(grid, sigma=4.0, center=0.0, amplitude=2.0)
+        assert np.array_equal(build_envelope(cfg, grid), want)
+        data["init"].update(family="powerlaw", params={})
+        want = powerlaw_envelope(grid, q=0.5, amplitude=1.0)
+        assert np.array_equal(build_envelope(from_dict(data), grid), want)
 
     def test_klein_gordon_needs_mass(self):
         data = json.loads(json.dumps(TINY))
@@ -312,7 +383,7 @@ class TestCli:
         assert main([command, cfgp, "--out", str(tmp_path / "out")]) == 2
         assert "mass:" in capsys.readouterr().err
 
-    def test_exit_code_config_error(self, tmp_path):
+    def test_exit_code_config_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["evolve", str(bad), "--out", str(tmp_path / "o")]) == 2
@@ -322,8 +393,9 @@ class TestCli:
                                   ("resolvent-scan", {"scan": {"kind": "gap", "z_list": [4.0]}})):
             cfgp = write_tiny(tmp_path, **mutation)
             assert main([command, cfgp, "--out", str(tmp_path / "o")]) == 2
-        # non-integer counts and non-positive t0 / local_radius fail in validation,
-        # not later as an uncaught TypeError (exit 1) or a numerical failure (exit 3)
+        # values of the wrong type and non-positive t0 / local_radius fail at load, naming
+        # the field, not later as an uncaught TypeError (exit 1) or a numerical failure
+        # (exit 3), nor run under a new hash (exit 0)
         cfgp = write_tiny(tmp_path, scan={"kind": "highfreq", "z_list": [2.0]})
         for command, override in (("resolvent-scan", "grid.N=64.0"),
                                   ("resolvent-scan", "domain.K=2.0"),
@@ -333,8 +405,16 @@ class TestCli:
                                   ("evolve", "time.t0=0"),
                                   ("evolve", "local_radius=-1"),
                                   ("evolve", "time.dt=abc"),
-                                  ("evolve", "mass=null")):
+                                  ("evolve", "mass=null"),
+                                  ("resolvent-scan", 'scan.truncation_guard="yes"'),
+                                  ("evolve", "init.params.sigma=abc"),
+                                  ("evolve", "init.params.sigmaa=3"),
+                                  ("evolve", "init.u0_modes.0=abc"),
+                                  ("semiclassical", 'scan.h_list=["a"]'),
+                                  ("resolvent-scan", "scan.z_list=[true]")):
+            capsys.readouterr()
             assert main([command, cfgp, "--set", override, "--out", str(tmp_path / "o")]) == 2
+            assert override.split("=")[0] in capsys.readouterr().err
 
     def test_fit_subcommand_and_assert_exit(self, tmp_path):
         cfgp = write_tiny(tmp_path)

@@ -257,7 +257,7 @@ def test_step_rejects_non_finite_data(level, field, bad, checked):
 
 
 def make_state(grid, n_modes=2, u0=None, u1=None, **kw):
-    env = gaussian_envelope(grid, sigma=3.0)
+    env = gaussian_envelope(grid, sigma=3.0, center=0.0, amplitude=1.0)
     if u0 is None:
         u0 = {0: 1.0, 1: 0.5}
     if u1 is None:
@@ -299,7 +299,7 @@ def test_contraction_for_any_damping(grid40):
 def test_matches_dense_exponential_oracle():
     g = Grid1D(X=20.0, N=64)
     a = DampingProfile.build(g, "constant", level=1.0)
-    u0 = gaussian_envelope(g, sigma=3.0)
+    u0 = gaussian_envelope(g, sigma=3.0, center=0.0, amplitude=1.0)
     state = WaveState(t=0.0, modes=u0[None, :], vmodes=np.zeros((1, g.N)))
     lap = dense_laplacian(g, 4)
     n = g.N
@@ -366,7 +366,7 @@ class TestEnergyRecord:
     def test_mode1_energy_identity(self, grid40):
         # u = phi_1 (x) g, v = 0, L = pi: E = ||g'||^2 + ||g||^2
         lambdas = np.array([0.0, 1.0])
-        g = gaussian_envelope(grid40, sigma=2.0)
+        g = gaussian_envelope(grid40, sigma=2.0, center=0.0, amplitude=1.0)
         state = WaveState(t=0.0, modes=np.stack([np.zeros(grid40.N), g]),
                           vmodes=np.zeros((2, grid40.N)))
         rec = energy(state, grid40, lambdas)
@@ -453,14 +453,14 @@ def test_geometric_schedule():
 
 def test_powerlaw_envelope_tail():
     g = Grid1D(X=100.0, N=1023)  # odd N puts a node at x = 0
-    env = powerlaw_envelope(g, q=0.5)
+    env = powerlaw_envelope(g, q=0.5, amplitude=1.0)
     assert env[g.N // 2] == pytest.approx(1.0, rel=1e-12)
     edge = np.abs(g.xs) > 50
     assert np.all(env[edge] <= (1 + 50.0 ** 2) ** -0.25 + 1e-12)
 
 
 def test_assemble_rejects_bad_mode_index(grid40):
-    env = gaussian_envelope(grid40)
+    env = gaussian_envelope(grid40, sigma=4.0, center=0.0, amplitude=1.0)
     with pytest.raises(ValueError):
         assemble_initial_state(grid40, 2, env, {5: 1.0}, {})
 
