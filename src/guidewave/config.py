@@ -201,10 +201,11 @@ def validate(cfg: ExperimentConfig) -> None:
     n_modes = cfg.domain.K if cfg.flavor in ("wave_neumann", "wave_dirichlet") else 1
     for section in ("u0_modes", "u1_modes"):
         for key in getattr(cfg.init, section):
-            try:
-                idx = int(key)
-            except ValueError as exc:
-                raise ConfigError(f"init.{section}.{key}: mode index must be an integer") from exc
+            # one spelling per index: "01" or "+1" would name mode 1 under a new hash
+            if not key.isascii() or not key.isdigit() or key != str(int(key)):
+                raise ConfigError(f"init.{section}.{key}: mode index must be written as a "
+                                  f"plain decimal integer, such as 0 or 12")
+            idx = int(key)
             if not 0 <= idx < n_modes:
                 raise ConfigError(f"init.{section}.{key}: mode index outside 0..{n_modes - 1}")
     if cfg.time.dt <= 0:

@@ -13,8 +13,11 @@ solve in scaled sine coefficients, one transform per scaled side of each
 application.  A norm scan takes the max over transverse modes.  Each mode's
 numerical-range bound (``mode_norm_bound``) skips the mode when it is below
 the running max, which cuts the elliptic tail lam_k > tau^2, and certifies
-its estimate otherwise.  The energy norm of the first-order operator uses the
-band Cholesky factor of -D2 + lam (``EnergyNormResolvent``).  The dense
+its estimate otherwise.  Every scan's max over modes is one work list
+(``scan_modes``) of seeded (point, mode) Lanczos runs, which a thread pool may
+run in any order; each reflection class {z, -conj z} is computed once.  The
+energy norm of the first-order operator uses the band Cholesky factor of
+-D2 + lam (``EnergyNormResolvent``).  The dense
 oracles for these norms live in the tests.
 """
 
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.fft import dst
@@ -262,16 +266,108 @@ def _mode_bounds(z: complex, mass: float, a: np.ndarray, beta_sum: int, k_sq: fl
 
 
 def _mode_sobolev_norm(op: ShiftedOperator, scaler: SobolevScaler, beta1: int, beta2: int,
-                       rng: np.random.Generator, v0: np.ndarray | None = None,
-                       upper: float = math.inf):
+                       rng: np.random.Generator, upper: float = math.inf):
     """||S_beta1 R S_beta2|| of the mode solve R, certified by ``upper`` at the step budget."""
     return iterative_norm(lambda c: scaler.apply(op.solve, c, beta1, beta2),
                           lambda c: scaler.apply(op.solve_adjoint, c, beta2, beta1),
-                          op.grid.N, rng, v0=v0, upper=upper)
+                          op.grid.N, rng, upper=upper)
+
+
+def _start_states(rng: np.random.Generator, sizes) -> list[dict]:
+    """The bit-generator state before each of the start vectors of these sizes,
+    drawn in order and dropped; ``rng`` is left after the last one."""
+    states = []
+    for m in sizes:
+        states.append(rng.bit_generator.state)
+        _start_vector(rng, m)
+    return states
+
+
+def _generator(state: dict) -> np.random.Generator:
+    """A generator that draws what the one whose state was saved drew next."""
+    bit_generator = getattr(np.random, state["bit_generator"])()
+    bit_generator.state = state
+    return np.random.Generator(bit_generator)
+
+
+def _point_generators(rng, n: int) -> list[np.random.Generator]:
+    """One generator per point: ``rng`` itself, shared in point order, or one of a list."""
+    return [rng] * n if isinstance(rng, np.random.Generator) else list(rng)
+
+
+def reflection_classes(zs) -> list[int]:
+    """Per point, the index of the point whose norms it takes: z and -conj z share them.
+
+    Mode operators have real P and real a, so R(-conj z) = C R(z) C with C the
+    complex conjugation, which keeps the Sobolev norms; the block resolvent
+    maps the same way under (f, g) -> (-conj f, conj g), which keeps the
+    energy norm.  A class
+    {z, -conj z} (repeats included) is computed at its first member with
+    Re z >= 0, or at its first member when it has none.
+    """
+    zs = [complex(z) for z in zs]
+    first = {}
+    for i, z in enumerate(zs):
+        first.setdefault(z, i)
+    return [first.get(complex(abs(z.real), z.imag), first[z]) for z in zs]
+
+
+class ModeMax(NamedTuple):
+    """A point's max over modes: per block the (sigma, residual, mode) of its
+    largest run, the largest bound of a skipped mode, and the modes run."""
+    best: list
+    tail_bound: float
+    modes_scanned: int
+
+
+def scan_modes(zs, lambdas, bounds, run, *, rep=None, map=map) -> list[ModeMax]:
+    """The max over modes of every scan: one work list of (point, mode) Lanczos runs.
+
+    ``bounds[i][k]`` bounds every block of mode k at point zs[i] (inf when
+    nothing does); ``run(i, k)`` runs them, one (sigma, residual) per block,
+    from start vectors that depend on (i, k) only, never on when they run.  The
+    result equals, bit for bit, the loop over the modes in order that skips
+    mode k when its bound is below the running max of every block: an estimate
+    never exceeds its mode's norm, so a skipped mode cannot raise a max.
+
+    The modes whose bound is their point's largest are never skipped: every
+    propagating mode, lam <= Re z^2, whose bound is 1/s for the L^2 pair and
+    inf for a Sobolev pair.  Their runs are handed to ``map`` at once, so a thread
+    pool's map runs them in parallel, the points with the most propagating
+    modes first.  The loop is then replayed in that order: it takes those
+    results as they come and hands ``map`` whatever else it does not skip.
+    Only the points with ``rep[i] == i`` are computed; point i takes the
+    result of point rep[i] (see ``reflection_classes``).
+    """
+    zs = [complex(z) for z in zs]
+    lambdas = np.asarray(lambdas, dtype=float)
+    rep = range(len(zs)) if rep is None else rep
+    order = sorted(set(rep), key=lambda i: (-int(np.sum(lambdas <= (zs[i] * zs[i]).real)), i))
+    ahead = []
+    for i in order:
+        top = max(bounds[i])
+        ahead += [(i, k) for k, b in enumerate(bounds[i]) if b == top]
+    results = map(run, [i for i, _ in ahead], [k for _, k in ahead])
+    ahead = set(ahead)
+    out = {}
+    for i in order:
+        best, tail, scanned = [], 0.0, 0
+        for k, bound in enumerate(bounds[i]):
+            runs = next(results) if (i, k) in ahead else None
+            if bound < min((b[0] for b in best), default=0.0):
+                tail = max(tail, bound)
+                continue
+            if runs is None:
+                runs = next(map(run, [i], [k]))
+            scanned += 1
+            best = [(s, r, k) if s > b[0] else b
+                    for (s, r), b in zip(runs, best or [(0.0, 0.0, 0)] * len(runs))]
+        out[i] = ModeMax(best, tail, scanned)
+    return [out[i] for i in rep]
 
 
 def norm_scan(z_list, beta1: int, beta2: int, damping: DampingProfile, grid: Grid1D,
-              lambdas, order: int = 4, mass: float = 0.0, *, rng: np.random.Generator,
+              lambdas, order: int = 4, mass: float = 0.0, *, rng, map=map,
               truncation_guard: bool = False) -> list[ScanPoint]:
     """Resolvent norms over the guide: max over transverse modes per z.
 
@@ -280,10 +376,15 @@ def norm_scan(z_list, beta1: int, beta2: int, damping: DampingProfile, grid: Gri
     the Lanczos estimate never exceeds the true norm, so it cannot raise the
     max.  A scanned mode passes its bound to ``iterative_norm`` as ``upper``,
     which certifies a Ritz value that the step budget cuts short, or raises.
-    Every mode draws its start vector, scanned or not, so the result equals
-    that of a scan of every mode in the given order, bit for bit.
     ``tail_bound`` is the largest bound among the skipped modes (0 when none
-    is skipped) and ``modes_scanned`` counts the Lanczos runs.
+    is skipped) and ``modes_scanned`` counts the Lanczos runs.  The runs go
+    through ``scan_modes`` on ``map``; each reflection class {z, -conj z} is
+    computed once.
+
+    ``rng`` is one generator shared by the points in order, or one per point.
+    Each point draws the start vector of every mode, scanned or not, and then
+    the guard's, so the result equals that of a scan of every mode in the
+    given order, bit for bit, however the runs are scheduled.
 
     With ``truncation_guard`` every point is recomputed on a 1.5X box, with
     that box's bound, and flagged "truncation-limited" when the norm moves by
@@ -291,45 +392,47 @@ def norm_scan(z_list, beta1: int, beta2: int, damping: DampingProfile, grid: Gri
     """
     if beta1 not in (0, 1) or beta2 not in (0, 1):
         raise ValueError(f"Sobolev indices must lie in {{0,1}}, got beta1={beta1}, beta2={beta2}")
+    zs = [complex(z) for z in z_list]
     lambdas = np.asarray(lambdas, dtype=float)
     scaler = SobolevScaler(grid)
     k_sq = sobolev_constant_sq(grid, order)
-
+    draws = [grid.N] * len(lambdas)
     if truncation_guard:
         grid2 = grid.refine(1.5)
         damping2 = DampingProfile.build(grid2, kind=damping.kind, rho=damping.rho,
                                         r=damping.r, level=damping.level)
         scaler2 = SobolevScaler(grid2)
         k_sq2 = sobolev_constant_sq(grid2, order)
+        draws.append(grid2.N)
+    states = [_start_states(r, draws) for r in _point_generators(rng, len(zs))]
+    bounds = [[_mode_bounds(z, mass, damping.samples, beta1 + beta2, k_sq)(lam)
+               for lam in lambdas] for z in zs]
 
-    points = []
-    for z in z_list:
-        z = complex(z)
-        best, best_k, best_res = 0.0, 0, 0.0
-        mode_bound = _mode_bounds(z, mass, damping.samples, beta1 + beta2, k_sq)
-        tail, scanned = 0.0, 0
-        for k, lam in enumerate(lambdas):
-            v0 = _start_vector(rng, grid.N)
-            bound = mode_bound(lam)
-            if bound < best:
-                tail = max(tail, bound)
-                continue
-            op = mode_operator(grid, lam, damping, z, order=order, mass=mass)
-            sigma, res = _mode_sobolev_norm(op, scaler, beta1, beta2, rng, v0=v0, upper=bound)
-            scanned += 1
-            if sigma > best:
-                best, best_k, best_res = sigma, k, res
-        flag = "ok"
-        if truncation_guard:
-            upper2 = _mode_bounds(z, mass, damping2.samples, beta1 + beta2, k_sq2)(lambdas[best_k])
-            op2 = mode_operator(grid2, lambdas[best_k], damping2, z, order=order, mass=mass)
-            sigma2, _ = _mode_sobolev_norm(op2, scaler2, beta1, beta2, rng, upper=upper2)
-            if abs(sigma2 - best) > TRUNCATION_GUARD_RTOL * best:
-                flag = "truncation-limited"
-        points.append(ScanPoint(z=z, beta1=beta1, beta2=beta2, norm_est=best,
-                                residual=best_res, flag=flag, k_argmax=best_k,
-                                tail_bound=tail, modes_scanned=scanned))
-    return points
+    def run(i, k):
+        op = mode_operator(grid, lambdas[k], damping, zs[i], order=order, mass=mass)
+        return [_mode_sobolev_norm(op, scaler, beta1, beta2, _generator(states[i][k]),
+                                   upper=bounds[i][k])]
+
+    rep = reflection_classes(zs)
+    maxima = scan_modes(zs, lambdas, bounds, run, rep=rep, map=map)
+
+    def limited(i):
+        best, _, k = maxima[i].best[0]
+        upper2 = _mode_bounds(zs[i], mass, damping2.samples, beta1 + beta2, k_sq2)(lambdas[k])
+        op2 = mode_operator(grid2, lambdas[k], damping2, zs[i], order=order, mass=mass)
+        sigma2, _ = _mode_sobolev_norm(op2, scaler2, beta1, beta2, _generator(states[i][-1]),
+                                       upper=upper2)
+        return abs(sigma2 - best) > TRUNCATION_GUARD_RTOL * best
+
+    flags = {}
+    if truncation_guard:
+        computed = sorted(set(rep))
+        flags = dict(zip(computed, map(limited, computed)))
+    return [ScanPoint(z=z, beta1=beta1, beta2=beta2, norm_est=m.best[0][0],
+                      residual=m.best[0][1], k_argmax=m.best[0][2],
+                      flag="truncation-limited" if flags.get(r) else "ok",
+                      tail_bound=m.tail_bound, modes_scanned=m.modes_scanned)
+            for z, m, r in zip(zs, maxima, rep)]
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +504,28 @@ class EnergyNormResolvent:
         return sigma
 
 
+def energy_norm_scan(taus, damping: DampingProfile, grid: Grid1D, lambdas, order: int = 4, *,
+                     rng, map=map) -> list[float]:
+    """Energy norms of the first-order resolvent at real taus, max over the modes.
+
+    One ``scan_modes`` task per (tau, mode) on ``map``, none skipped (no bound
+    is known yet); each reflection pair {tau, -tau} is computed once, at
+    tau >= 0.  ``rng`` is one generator shared by the points in order, or one
+    per point; each point draws one start vector per mode.
+    """
+    taus = [float(t) for t in taus]
+    helpers = [EnergyNormResolvent(grid, lam, damping, order=order) for lam in lambdas]
+    states = [_start_states(r, [2 * grid.N] * len(helpers))
+              for r in _point_generators(rng, len(taus))]
+
+    def run(i, k):
+        return [(helpers[k].op_norm(taus[i], _generator(states[i][k])), 0.0)]
+
+    maxima = scan_modes(taus, lambdas, [[math.inf] * len(helpers)] * len(taus), run,
+                        rep=reflection_classes(taus), map=map)
+    return [m.best[0][0] for m in maxima]
+
+
 # ---------------------------------------------------------------------------
 # low-frequency comparison with the heat-model resolvent
 
@@ -458,35 +583,43 @@ def theta_probe(z_list, damping: DampingProfile, grid: Grid1D, lambdas,
     (2N, N) operator [wl G t wr ; sqrt(lam_k) wl t wr] with the centred
     stencil G (G^* = -G); blocks 3 and 4 as wl t wr.  Each norm is a seeded
     Lanczos estimate, and the norm over the guide is the max over the lowest
-    ``THETA_PROBE_MODES`` modes.  ``structure_residual`` checks row 2 = z row 1 of the heat-model
-    blocks on a seeded probe vector.  Requires Im z > 0 and |z| <= 1.
+    ``THETA_PROBE_MODES`` modes, one ``scan_modes`` task per (z, mode).
+    ``structure_residual`` checks row 2 = z row 1 of the heat-model
+    blocks on a seeded probe vector.  Per z, ``rng`` draws the probe and then
+    the start vectors of the modes' blocks in order.  Requires Im z > 0 and
+    |z| <= 1.
     """
-    lambdas = np.asarray(lambdas, dtype=float)
+    zs = [complex(z) for z in z_list]
+    lambdas = np.asarray(lambdas, dtype=float)[:THETA_PROBE_MODES]
     n = grid.N
     wl = weight(grid, -delta1)
     wr = weight(grid, -delta2)
-    out = []
-    for z in z_list:
-        z = complex(z)
+    residuals, states = [], []
+    for z in zs:
         if z.imag <= 0 or abs(z) > 1 + 1e-12:
             raise ValueError(f"theta probe needs Im z > 0 and |z| <= 1, got z={z}")
-        heat = heat_model_operator(grid, z, order=order)
-        blocks = theta_blocks(z, damping.samples)
-        probe = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        residual = heat_structure_residual(heat, blocks, probe)
-        norms = {1: 0.0, 2: 0.0, 3: 0.0, 4: 0.0}
-        for k in range(min(THETA_PROBE_MODES, len(lambdas))):
-            lam = float(lambdas[k])
-            op = mode_operator(grid, lam, damping, z, order=order)
-            for j, (p, c, q) in blocks.items():
-                t, t_adj = _difference_block(op, heat if k == 0 else None, p, c, q)
-                apply_op, apply_adj, shape = _weighted(t, t_adj, wl, wr, grid, order,
-                                                       math.sqrt(lam) if j <= 2 else None)
-                sigma, _ = iterative_norm(apply_op, apply_adj, shape, rng)
-                norms[j] = max(norms[j], sigma)
-        out.append({"z": z, "theta1": norms[1], "theta2": norms[2], "theta3": norms[3],
-                    "theta4": norms[4], "structure_residual": residual})
-    return out
+        probe = _start_vector(rng, n)
+        residuals.append(heat_structure_residual(heat_model_operator(grid, z, order=order),
+                                                 theta_blocks(z, damping.samples), probe))
+        states.append(_start_states(rng, [n] * (4 * len(lambdas))))
+
+    def run(i, k):
+        z, lam = zs[i], float(lambdas[k])
+        op = mode_operator(grid, lam, damping, z, order=order)
+        heat = heat_model_operator(grid, z, order=order) if k == 0 else None
+        runs = []
+        for j, (p, c, q) in theta_blocks(z, damping.samples).items():
+            t, t_adj = _difference_block(op, heat, p, c, q)
+            apply_op, apply_adj, shape = _weighted(t, t_adj, wl, wr, grid, order,
+                                                   math.sqrt(lam) if j <= 2 else None)
+            runs.append(iterative_norm(apply_op, apply_adj, shape,
+                                       _generator(states[i][4 * k + j - 1])))
+        return runs
+
+    bounds = [[math.inf] * len(lambdas)] * len(zs)
+    maxima = scan_modes(zs, lambdas, bounds, run)
+    return [{"z": z, **{f"theta{j}": m.best[j - 1][0] for j in (1, 2, 3, 4)},
+             "structure_residual": res} for z, m, res in zip(zs, maxima, residuals)]
 
 
 def _weighted(t, t_adj, wl, wr, grid: Grid1D, order: int, root_lam: float | None = None):
@@ -510,18 +643,21 @@ def _weighted(t, t_adj, wl, wr, grid: Grid1D, order: int, root_lam: float | None
 
 
 def semiclassical_scan(h_list, damping: DampingProfile, grid: Grid1D, order: int = 4, *,
-                       rng: np.random.Generator) -> list[dict]:
+                       rng, map=map) -> list[dict]:
     """h * ||(-h^2 d^2/dx^2 - i h a - 1)^{-1}|| per h on the truncated line.
 
     The operator equals h^2 times the mode resolvent at tau = 1/h, so the
-    norm is h^{-2} ||R(1/h)||, the one-mode L^2 ``norm_scan`` at z = 1/h.
+    norm is h^{-2} ||R(1/h)||, the one-mode L^2 ``norm_scan`` at z = 1/h
+    (``rng`` and ``map`` are passed on to it).
     """
-    out = []
-    for h in h_list:
-        h = float(h)
+    hs = [float(h) for h in h_list]
+    for h in hs:
         if not 0.0 < h <= 1.0:
             raise ValueError(f"semiclassical parameter must lie in (0, 1], got h={h}")
-        point = norm_scan([1.0 / h], 0, 0, damping, grid, [0.0], order=order, rng=rng)[0]
+    points = norm_scan([1.0 / h for h in hs], 0, 0, damping, grid, [0.0], order=order,
+                       rng=rng, map=map)
+    out = []
+    for h, point in zip(hs, points):
         norm = point.norm_est / h ** 2
         out.append({"h": h, "norm": norm, "h_norm": h * norm, "residual": point.residual})
     return out

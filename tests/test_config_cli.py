@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import pathlib
 import re
 import tracemalloc
 import typing
@@ -410,6 +411,12 @@ class TestCli:
                                   ("evolve", "init.params.sigma=abc"),
                                   ("evolve", "init.params.sigmaa=3"),
                                   ("evolve", "init.u0_modes.0=abc"),
+                                  # one spelling per mode index: "01" alone would run
+                                  # mode 1 under a new hash, and beside "1" one of the
+                                  # two would be dropped
+                                  ("evolve", "init.u0_modes.01=1.0"),
+                                  ("evolve", "init.u1_modes.01=5.0"),
+                                  ("evolve", "init.u1_modes.+1=5.0"),
                                   ("semiclassical", 'scan.h_list=["a"]'),
                                   ("resolvent-scan", "scan.z_list=[true]")):
             capsys.readouterr()
@@ -466,6 +473,31 @@ class TestCli:
         da = {p.name for p in (tmp_path / "a").iterdir()}
         db = {p.name for p in (tmp_path / "b").iterdir()}
         assert da != db
+
+    def test_scan_artifacts_do_not_depend_on_the_pool_size(self, tmp_path, monkeypatch):
+        # every task regenerates its start vectors from the seed's streams, so one
+        # pool thread and three write the same bytes; the highfreq scan skips
+        # elliptic modes and both it and the real-axis scan have reflected pairs
+        scans = {"highfreq": {"kind": "highfreq", "z_list": [2.0, 3.0, -2.0, [1.0, 0.5]],
+                              "beta1": 1, "beta2": 1},
+                 "realaxis": {"kind": "realaxis", "z_list": [-2.0, -0.5, 0.0, 0.5, 2.0]},
+                 "theta": {"kind": "theta", "z_list": [[0.0, 0.1], [0.3, 0.4]]}}
+        for kind, scan in scans.items():
+            cfg = from_dict({**TINY, "domain": {"K": 8}, "grid": {"X": 20.0, "N": 96},
+                             "damping": {"kind": "hole", "r": 5.0, "rho": 2.0}, "scan": scan})
+            artifacts = []
+            for threads in ("1", "3"):
+                monkeypatch.setenv("GUIDEWAVE_THREADS", threads)
+                result = cmd_resolvent(cfg, str(tmp_path / threads))
+                artifacts.append({p.name: p.read_bytes()
+                                  for p in sorted(pathlib.Path(result["outdir"]).iterdir())})
+            assert artifacts[0] == artifacts[1], kind
+            if kind == "highfreq":
+                assert any(p.modes_scanned < 8 for p in result["points"])
+                assert result["points"][0].norm_est == result["points"][2].norm_est
+            if kind == "realaxis":
+                norms = result["norms"]
+                assert (norms[0], norms[1]) == (norms[4], norms[3])
 
     def test_threads_env_validated(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GUIDEWAVE_THREADS", "two")

@@ -1,5 +1,7 @@
 import cmath
+import dataclasses
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -13,9 +15,10 @@ from guidewave.discretize import (_D1_STENCILS, DampingProfile, Grid1D, ShiftedO
 from guidewave.errors import ConvergenceError, SolveError
 from guidewave.resolvent import (EnergyNormResolvent, SobolevScaler, WaveBlockResolvent,
                                  _lanczos_top, _mode_sobolev_norm,
-                                 _top_eigenpair_tridiagonal, heat_model_operator,
-                                 heat_structure_residual, iterative_norm, mode_norm_bound,
-                                 norm_scan, power_iteration_norm, pure_laplacian_control,
+                                 _top_eigenpair_tridiagonal, energy_norm_scan,
+                                 heat_model_operator, heat_structure_residual, iterative_norm,
+                                 mode_norm_bound, norm_scan, power_iteration_norm,
+                                 pure_laplacian_control, reflection_classes,
                                  semiclassical_scan, sobolev_constant_sq, theta_blocks,
                                  theta_probe)
 
@@ -361,6 +364,68 @@ class TestCertifiedTailBound:
             assert (pt.norm_est, pt.k_argmax) == (norm, k)
             assert pt.modes_scanned < len(lambdas)
             assert 0.0 < pt.tail_bound < pt.norm_est
+
+
+class TestScanWorkList:
+    def test_reflection_classes(self):
+        # each class {z, -conj z} is computed at its first member with Re z >= 0
+        zs = [-1.0, 1.0, 2.0, -2.0, -3.0, 1j, 1.0, -1.0 + 1j, 1.0 - 1j]
+        assert reflection_classes(zs) == [1, 1, 2, 2, 4, 5, 1, 7, 8]
+
+    @pytest.mark.parametrize("betas", BETA_PAIRS)
+    def test_sobolev_norm_is_reflection_invariant(self, betas):
+        # real P and a give R(-conj z) = C R(z) C: the dense oracle reads the same
+        # norm at z and -conj z (hole damping, a mass), and the scan computes
+        # the pair once and agrees with the oracle
+        g = Grid1D(X=10.0, N=48)
+        a = DampingProfile.build(g, "hole", r=3.0, rho=2.0)
+        for z in (2.5, 1.5 + 0.3j, 0.7 - 0.2j):
+            want = dense_sobolev_norm(mode_operator(g, 1.0, a, z, mass=0.5), *betas)
+            mirror = dense_sobolev_norm(mode_operator(g, 1.0, a, -np.conj(z), mass=0.5), *betas)
+            assert mirror == pytest.approx(want, rel=1e-12)
+            pts = norm_scan([-np.conj(z), z], *betas, a, g, [1.0], mass=0.5,
+                            rng=np.random.default_rng(21))
+            assert pts[0] == dataclasses.replace(pts[1], z=pts[0].z)
+            assert pts[1].norm_est == pytest.approx(want, rel=1e-10)
+
+    def test_energy_norm_is_reflection_invariant(self):
+        # (f, g) -> (-conj f, conj g) carries R(z) to R(-conj z) and keeps the energy norm
+        g = Grid1D(X=10.0, N=48)
+        a = DampingProfile.build(g, "hole", r=3.0, rho=2.0)
+        for lam in (0.0, 2.0):
+            for z in (3.0, 1.2 + 0.4j):
+                assert dense_energy_norm(g, lam, a, -np.conj(z)) == pytest.approx(
+                    dense_energy_norm(g, lam, a, z), rel=1e-12)
+
+    def test_real_axis_rows_agree_in_reflected_pairs(self):
+        g = Grid1D(X=20.0, N=96)
+        a = DampingProfile.build(g, "hole", r=5.0, rho=2.0)
+        lambdas = [0.0, 1.0]
+        taus = [-2.0, -0.5, 0.0, 0.5, 2.0]
+        norms = energy_norm_scan(taus, a, g, lambdas, rng=np.random.default_rng(9))
+        assert (norms[0], norms[1]) == (norms[4], norms[3])
+        for tau, norm in zip(taus, norms):
+            want = max(dense_energy_norm(g, lam, a, tau) for lam in lambdas)
+            assert norm == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("kind, betas, lambdas, guard", [
+        ("hole", (1, 1), [0.0, 1.0, 4.0, 9.0, 16.0], True),
+        # at 2 + 0.1i the first mode, lam = 9, is elliptic: its bound is below the
+        # point's largest, so the replay runs it after the parallel runs
+        ("constant", (0, 0), [9.0, 1.0, 0.0, 16.0], False),
+    ])
+    def test_scan_on_a_pool_equals_the_serial_scan(self, kind, betas, lambdas, guard):
+        g = Grid1D(X=20.0, N=128)
+        a = DampingProfile.build(g, kind, r=5.0, rho=2.0)
+        zs = [2.0 + 0.1j, 3.0, -2.0 + 0.1j, 1.0]
+        serial = norm_scan(zs, *betas, a, g, lambdas, rng=np.random.default_rng(5),
+                           truncation_guard=guard)
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            pooled = norm_scan(zs, *betas, a, g, lambdas, rng=np.random.default_rng(5),
+                               map=pool.map, truncation_guard=guard)
+        assert pooled == serial
+        assert serial[2] == dataclasses.replace(serial[0], z=serial[2].z)
+        assert any(p.modes_scanned < len(lambdas) for p in serial)
 
 
 class TestBlockResolvent:
