@@ -323,7 +323,7 @@ def cmd_resolvent(cfg: ExperimentConfig, out_base: str) -> dict:
     if kind == "theta":
         # the theta tasks run in this thread: their N = 1024 Lanczos runs are
         # short numpy calls that release and retake the GIL, and on two pool
-        # threads (2 cores) the golden took 1.1 s against 0.5-0.8 s on one
+        # threads (2 cores) the golden took 0.96-1.04 s against 0.48-0.66 s on one
         rows = theta_probe(zs, damping, grid, lambdas,
                            delta1=cfg.weights["delta1"], delta2=cfg.weights["delta2"],
                            order=cfg.grid.order, rng=np.random.default_rng(cfg.seed))

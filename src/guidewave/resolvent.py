@@ -128,7 +128,9 @@ def _top_eigenpair_tridiagonal(d: np.ndarray, e: np.ndarray) -> tuple[float, flo
 def _lanczos_top(normal, v0: np.ndarray, rtol: float):
     """Top eigenvalue of the Hermitian PSD ``normal`` by the Lanczos recurrence.
 
-    The three-term recurrence keeps three vectors and no basis.  After step k
+    The three-term recurrence keeps three vectors and no basis, and updates
+    the one that ``normal`` returns in place, so ``normal`` must return a new
+    complex array.  After step k
     the top eigenpair (theta, s) of the k x k tridiagonal gives the Ritz
     residual beta_k |s_k|; the run stops once it is <= ``rtol * theta``, or
     after ``LANCZOS_MAX_STEPS`` steps.  Returns (theta, beta_k |s_k| / theta,
@@ -137,21 +139,26 @@ def _lanczos_top(normal, v0: np.ndarray, rtol: float):
     v = np.asarray(v0, dtype=complex)
     v = v / np.linalg.norm(v)
     v_prev = np.zeros_like(v)
-    alphas, betas = [], []
+    alphas = np.empty(LANCZOS_MAX_STEPS)
+    betas = np.empty(LANCZOS_MAX_STEPS)
     beta = 0.0
-    for _ in range(LANCZOS_MAX_STEPS):
-        w = normal(v) - beta * v_prev
+    for k in range(LANCZOS_MAX_STEPS):
+        w = normal(v)
+        w -= beta * v_prev
         alpha = float(np.vdot(v, w).real)
-        w = w - alpha * v
-        beta = float(np.linalg.norm(w))
-        alphas.append(alpha)
-        theta, s_last = _top_eigenpair_tridiagonal(np.array(alphas), np.array(betas))
+        w -= alpha * v
+        # np.linalg.norm(w), the same two dot products without its argument checks
+        w_re, w_im = w.real, w.imag
+        beta = math.sqrt(w_re.dot(w_re) + w_im.dot(w_im))
+        alphas[k] = alpha
+        theta, s_last = _top_eigenpair_tridiagonal(alphas[:k + 1], betas[:k])
         residual = beta * abs(s_last)
         converged = residual <= rtol * theta or beta == 0.0
         if converged:
             break
-        betas.append(beta)
-        v_prev, v = v, w / beta
+        betas[k] = beta
+        w /= beta
+        v_prev, v = v, w
     return max(theta, 0.0), (residual / theta if theta > 0.0 else 0.0), converged
 
 
@@ -204,15 +211,23 @@ class SobolevScaler:
     def __init__(self, grid: Grid1D):
         m = np.arange(1, grid.N + 1)
         self.nu = (m * math.pi / (2.0 * grid.X)) ** 2
+        self._powers = {}
+
+    def _power(self, beta: float) -> np.ndarray:
+        """D^beta = (1 + nu)^(beta/2), computed once per beta."""
+        p = self._powers.get(beta)
+        if p is None:
+            p = self._powers[beta] = (1.0 + self.nu) ** (beta / 2.0)
+        return p
 
     def apply(self, solve, x: np.ndarray, beta_out: float, beta_in: float) -> np.ndarray:
         """D^beta_out Q solve(Q D^beta_in x); the side whose beta is 0 is not transformed."""
         x = np.asarray(x, dtype=complex)
         if beta_in:
-            x = dst(x * (1.0 + self.nu) ** (beta_in / 2.0), type=1, norm="ortho")
+            x = dst(x * self._power(beta_in), type=1, norm="ortho")
         y = solve(x)
         if beta_out:
-            y = dst(y, type=1, norm="ortho") * (1.0 + self.nu) ** (beta_out / 2.0)
+            y = dst(y, type=1, norm="ortho") * self._power(beta_out)
         return y
 
 
@@ -450,21 +465,21 @@ class WaveBlockResolvent:
     def __init__(self, z: complex, damping: DampingProfile, lam: float, grid: Grid1D,
                  order: int = 4):
         self.z = complex(z)
-        self.a = damping.samples
         self.op = mode_operator(grid, lam, damping, self.z, order=order)
+        self._zb = np.conj(self.z)
+        self._f_coef = 1j * damping.samples + self.z          # ia + z
+        self._w2_coef = self._zb - 1j * damping.samples       # conj(z) - ia
 
     def apply(self, f: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        z, a = self.z, self.a
         f = np.asarray(f, dtype=complex)
         g = np.asarray(g, dtype=complex)
-        u = self.op.solve((1j * a + z) * f + g)
-        return u, f + z * u
+        u = self.op.solve(self._f_coef * f + g)
+        return u, f + self.z * u
 
     def apply_adjoint(self, f: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        zb = np.conj(self.z)
         g = np.asarray(g, dtype=complex)
-        w2 = self.op.solve_adjoint(np.asarray(f, dtype=complex) + zb * g)
-        return (zb - 1j * self.a) * w2 + g, w2
+        w2 = self.op.solve_adjoint(np.asarray(f, dtype=complex) + self._zb * g)
+        return self._w2_coef * w2 + g, w2
 
 
 class EnergyNormResolvent:

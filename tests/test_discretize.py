@@ -8,6 +8,7 @@ import pytest
 import guidewave
 from guidewave.discretize import (HOLE_EDGE_WIDTH, DampingProfile, Grid1D, WeightSpec,
                                   gradient_1d, laplacian_1d, mode_operator)
+from guidewave.errors import SolveError
 
 from dense_oracles import dense_laplacian, dense_operator
 
@@ -191,6 +192,53 @@ class TestModeOperator:
         lhs = np.vdot(gvec, u)
         rhs = np.vdot(op.solve_adjoint(gvec), f)
         assert abs(lhs - rhs) <= 1e-8 * abs(lhs)
+
+
+class _WrongLU:
+    """The cached LU of an operator, with every answer scaled by 1 + 1e-6 or replaced by NaN."""
+
+    def __init__(self, lu, fault):
+        self.lu, self.fault = lu, fault
+
+    def solve(self, f, trans="N"):
+        u = self.lu.solve(f, trans=trans)
+        return np.full_like(u, np.nan) if self.fault == "nan" else u * (1.0 + 1e-6)
+
+
+CHECKED_CASES = [(order, kind, z) for order in (2, 4) for kind in ("constant", "hole")
+                 for z in (3.0, 0.6 + 0.4j)]
+
+
+class TestCheckedSolve:
+    """Every solve is checked against SOLVE_RTOL, on the operator and on its adjoint."""
+
+    @staticmethod
+    def _case(order, kind, z):
+        g = Grid1D(X=20.0, N=160)
+        a = DampingProfile.build(g, kind, r=5.0, rho=2.0)
+        op = mode_operator(g, 1.0, a, z, order=order)
+        f = [1.0, 1j] @ np.random.default_rng(3).standard_normal((2, g.N))
+        return op, f
+
+    @pytest.mark.parametrize("order, kind, z", CHECKED_CASES)
+    def test_apply_matches_dense_oracle(self, order, kind, z):
+        op, u = self._case(order, kind, z)
+        dense = dense_operator(op)
+        for got, mat in ((op.apply(u), dense), (op.apply_adjoint(u), dense.conj().T)):
+            want = mat @ u
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("fault", ["perturbed", "nan"])
+    @pytest.mark.parametrize("order, kind, z", CHECKED_CASES)
+    def test_wrong_answer_raises(self, order, kind, z, fault):
+        # the exact LU passes the check both ways; a wrong answer fails it both ways
+        op, f = self._case(order, kind, z)
+        for solve in (op.solve, op.solve_adjoint):
+            solve(f)
+        op._cache["lu"] = _WrongLU(op._cache["lu"], fault)
+        for solve in (op.solve, op.solve_adjoint):
+            with pytest.raises(SolveError, match="near-singular"):
+                solve(f)
 
 
 class TestWeightSpec:

@@ -285,6 +285,31 @@ class TestNormScan:
         assert exact <= 1.0 / z
 
 
+def lanczos_top_lists(normal, v0, rtol):
+    """The list-based Lanczos recurrence ``_lanczos_top`` replaced, kept as its oracle."""
+    import guidewave.resolvent as resolvent
+
+    v = np.asarray(v0, dtype=complex)
+    v = v / np.linalg.norm(v)
+    v_prev = np.zeros_like(v)
+    alphas, betas = [], []
+    beta = 0.0
+    for _ in range(resolvent.LANCZOS_MAX_STEPS):
+        w = normal(v) - beta * v_prev
+        alpha = float(np.vdot(v, w).real)
+        w = w - alpha * v
+        beta = float(np.linalg.norm(w))
+        alphas.append(alpha)
+        theta, s_last = _top_eigenpair_tridiagonal(np.array(alphas), np.array(betas))
+        residual = beta * abs(s_last)
+        converged = residual <= rtol * theta or beta == 0.0
+        if converged:
+            break
+        betas.append(beta)
+        v_prev, v = v, w / beta
+    return max(theta, 0.0), (residual / theta if theta > 0.0 else 0.0), converged
+
+
 def exhaustive_scan(zs, beta1, beta2, damping, grid, lambdas, rng):
     """(norm, argmax) per z from a Lanczos run on every mode, in the given order."""
     scaler = SobolevScaler(grid)
@@ -772,6 +797,40 @@ class TestEstimators:
         assert sigma == math.sqrt(theta)
         assert (1.0 - 1e-7) * upper <= sigma <= 1.0
         assert residual > 1e-14
+
+    @pytest.mark.parametrize("case", ["random_psd", "clustered_budget", "invariant_subspace"])
+    def test_lanczos_matches_list_recurrence_bit_for_bit(self, monkeypatch, case):
+        # the preallocated, in-place recurrence performs the list-based one's
+        # operations, so (theta, residual, converged) agree exactly
+        import guidewave.resolvent as resolvent
+
+        gen = np.random.default_rng(21)
+        n, rtol = 60, 1e-14
+        if case == "random_psd":
+            mat = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
+            mat = mat.conj().T @ mat
+            normal = lambda x: mat @ x
+        elif case == "clustered_budget":
+            monkeypatch.setattr(resolvent, "LANCZOS_MAX_STEPS", 20)
+            n = 400
+            d = np.concatenate([[1.0, 1.0 - 1e-9], np.linspace(0.99, 0.999, n - 2)])
+            normal = lambda x: d * (d * x)
+        else:
+            # v0 spans an invariant subspace of dimension 2, where beta reaches 0
+            d = np.concatenate([[4.0, 1.0], np.linspace(0.1, 0.5, n - 2)])
+            normal = lambda x: d * x
+            rtol = 0.0
+        v0 = gen.standard_normal(n) + 1j * gen.standard_normal(n)
+        if case == "invariant_subspace":
+            v0[2:] = 0.0
+        before = v0.copy()
+        got = _lanczos_top(normal, v0, rtol)
+        assert got == lanczos_top_lists(normal, v0, rtol)
+        assert np.array_equal(v0, before)
+        converged = case != "clustered_budget"
+        assert got[2] is converged
+        if case == "invariant_subspace":
+            assert got[1] == 0.0
 
     def test_top_eigenpair_matches_eigh_tridiagonal(self, rng):
         for k in (1, 2, 3, 17, 60):
