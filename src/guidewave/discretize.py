@@ -6,6 +6,8 @@ absorption effective in the outer part of the box so that outgoing energy is
 absorbed before it can reflect off the cap.  ``BandedLaplacian`` holds the
 Toeplitz stencil of D2, and ``BandCholesky`` is the one band Cholesky factor
 of diag + s(-D2) that the stepper, the smoother and the energy norm share.
+The stencil order, 2 or 4, is ``Grid1D.order`` (the pipeline sets it from
+the config's ``grid.order``); every operator built on a grid uses its stencil.
 No dense matrix is assembled here; the dense oracles that these banded
 paths are checked against live in ``tests/dense_oracles.py``.
 """
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import LinAlgError, cholesky_banded, get_lapack_funcs
@@ -28,6 +31,11 @@ HOLE_EDGE_WIDTH = 2.0
 SOLVE_RTOL = 1e-10
 
 
+# second- and first-derivative stencil coefficients by order
+_D2_STENCILS = {2: [-2.0, 1.0], 4: [-5.0 / 2.0, 4.0 / 3.0, -1.0 / 12.0]}
+_D1_STENCILS = {2: [1.0 / 2.0], 4: [2.0 / 3.0, -1.0 / 12.0]}
+
+
 def japanese_bracket(x: np.ndarray) -> np.ndarray:
     """<x> = (1 + x^2)^(1/2)."""
     return np.sqrt(1.0 + np.square(x))
@@ -35,12 +43,18 @@ def japanese_bracket(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform interior grid on (-X, X) with a homogeneous cap at +-X."""
+    """Uniform interior grid on (-X, X) with a homogeneous cap at +-X.
+
+    ``order`` (2 or 4) is the order of the finite-difference stencils on it.
+    """
 
     X: float
     N: int
+    order: int = 4
 
     def __post_init__(self):
+        if self.order not in _D2_STENCILS:
+            raise ValueError(f"stencil order must be 2 or 4, got {self.order}")
         if self.N < 16:
             raise ValueError(f"grid needs N >= 16 interior points, got N={self.N}")
         if self.X <= 0:
@@ -56,7 +70,8 @@ class Grid1D:
 
     def refine(self, factor: float) -> "Grid1D":
         """Wider box at (nearly) the same spacing, for truncation guards."""
-        return Grid1D(X=self.X * factor, N=int(round((self.N + 1) * factor)) - 1)
+        return Grid1D(X=self.X * factor, N=int(round((self.N + 1) * factor)) - 1,
+                      order=self.order)
 
 
 @dataclass(frozen=True)
@@ -149,11 +164,6 @@ class WeightSpec:
             raise ValueError("weight hypotheses violated: " + "; ".join(bad))
 
 
-# second- and first-derivative stencil coefficients by order
-_D2_STENCILS = {2: [-2.0, 1.0], 4: [-5.0 / 2.0, 4.0 / 3.0, -1.0 / 12.0]}
-_D1_STENCILS = {2: [1.0 / 2.0], 4: [2.0 / 3.0, -1.0 / 12.0]}
-
-
 @dataclass(frozen=True)
 class BandedLaplacian:
     """Symmetric negative-semidefinite stencil for d^2/dx^2, cap at +-X.
@@ -163,8 +173,6 @@ class BandedLaplacian:
     truncates the stencil and keeps it symmetric and <= 0.
     """
 
-    grid: Grid1D
-    order: int
     coeffs: tuple[float, ...]
 
     @property
@@ -181,13 +189,10 @@ class BandedLaplacian:
         return out
 
 
-def laplacian_1d(grid: Grid1D, order: int = 4) -> BandedLaplacian:
+def laplacian_1d(grid: Grid1D) -> BandedLaplacian:
     """Banded discrete d^2/dx^2 on the interior nodes, homogeneous cap at +-X."""
-    if order not in _D2_STENCILS:
-        raise ValueError(f"stencil order must be 2 or 4, got {order}")
     h2 = grid.h ** 2
-    return BandedLaplacian(grid=grid, order=order,
-                           coeffs=tuple(c / h2 for c in _D2_STENCILS[order]))
+    return BandedLaplacian(coeffs=tuple(c / h2 for c in _D2_STENCILS[grid.order]))
 
 
 class BandCholesky:
@@ -240,12 +245,10 @@ class BandCholesky:
         return y[:, 0]
 
 
-def gradient_1d(u: np.ndarray, grid: Grid1D, order: int = 4) -> np.ndarray:
+def gradient_1d(u: np.ndarray, grid: Grid1D) -> np.ndarray:
     """Centered first derivative along the last axis, zero extension at the cap."""
-    if order not in _D1_STENCILS:
-        raise ValueError(f"stencil order must be 2 or 4, got {order}")
     out = np.zeros_like(np.asarray(u, dtype=np.result_type(u, float)))
-    for m, c in enumerate(_D1_STENCILS[order], start=1):
+    for m, c in enumerate(_D1_STENCILS[grid.order], start=1):
         cm = c / grid.h
         out[..., :-m] += cm * u[..., m:]
         out[..., m:] -= cm * u[..., :-m]
@@ -273,7 +276,12 @@ class ShiftedOperator:
 
     def apply_adjoint(self, u: np.ndarray) -> np.ndarray:
         """The conjugate transpose: the stencil is real and symmetric, only diag is conjugated."""
-        return np.conj(self.diag) * u - self.lap.apply(u)
+        return self._diag_conj * u - self.lap.apply(u)
+
+    @cached_property
+    def _diag_conj(self) -> np.ndarray:
+        """conj(diag), formed on the first adjoint application and kept."""
+        return np.conj(self.diag)
 
     def _factor(self):
         fac = self._cache.get("lu")
@@ -316,7 +324,7 @@ class ShiftedOperator:
 
 
 def mode_operator(grid: Grid1D, lam: float, damping: DampingProfile, z: complex,
-                  order: int = 4, mass: float = 0.0) -> ShiftedOperator:
+                  mass: float = 0.0) -> ShiftedOperator:
     """Assemble the shifted operator for transverse eigenvalue ``lam``.
 
     Mode decoupling requires an x-only absorption index, which the 1D
@@ -329,8 +337,7 @@ def mode_operator(grid: Grid1D, lam: float, damping: DampingProfile, z: complex,
             f"damping must be sampled on the x-grid only (shape ({grid.N},)), got {a.shape}")
     z = complex(z)
     diag = lam + mass * mass - 1j * z * a - z * z
-    lap = laplacian_1d(grid, order=order)
-    return ShiftedOperator(grid=grid, lap=lap, z=z, diag=diag)
+    return ShiftedOperator(grid=grid, lap=laplacian_1d(grid), z=z, diag=diag)
 
 
 def weight(grid: Grid1D, delta: float) -> np.ndarray:

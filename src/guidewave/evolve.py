@@ -99,7 +99,7 @@ class Stepper:
     """
 
     def __init__(self, grid: Grid1D, lambdas: np.ndarray, damping: DampingProfile,
-                 dt: float, order: int = 4, mass: float = 0.0):
+                 dt: float, mass: float = 0.0):
         if dt <= 0:
             raise ValueError(f"time step must be positive, got dt={dt}")
         a = damping.samples
@@ -113,7 +113,7 @@ class Stepper:
         self.mass = float(mass)
         self.lambdas = np.asarray(lambdas, dtype=float)
         self.lam_eff = (self.lambdas + self.mass ** 2)[:, None]
-        self.lap = laplacian_1d(grid, order=order)
+        self.lap = laplacian_1d(grid)
         t2 = self.tau ** 2
         self._factor = BandCholesky(
             self.lap, 1.0 + self.tau * a + t2 * (self.lam_eff - self.lap.coeffs[0]), t2)
@@ -162,7 +162,7 @@ def _form_energies(u: np.ndarray, pu: np.ndarray, v: np.ndarray, h: float) -> np
 
 def smooth_initial_data(modes: np.ndarray, vmodes: np.ndarray, grid: Grid1D,
                         lambdas: np.ndarray, damping: DampingProfile,
-                        k_applications: int, order: int = 4, mass: float = 0.0):
+                        k_applications: int, mass: float = 0.0):
     """Apply the resolvent at z = i repeatedly to emulate extra regularity.
 
     Each application maps u to u' = (-D2 + lam + a + 1)^{-1} [(a+1) u + v],
@@ -172,7 +172,7 @@ def smooth_initial_data(modes: np.ndarray, vmodes: np.ndarray, grid: Grid1D,
     """
     if k_applications < 0:
         raise ValueError(f"need k >= 0 applications, got {k_applications}")
-    lap = laplacian_1d(grid, order=order)
+    lap = laplacian_1d(grid)
     a = damping.samples
     u = np.array(modes, dtype=float, copy=True)
     v = np.array(vmodes, dtype=float, copy=True)
@@ -184,7 +184,7 @@ def smooth_initial_data(modes: np.ndarray, vmodes: np.ndarray, grid: Grid1D,
     return u, v
 
 
-def energy(state: WaveState, grid: Grid1D, lambdas: np.ndarray, order: int = 4,
+def energy(state: WaveState, grid: Grid1D, lambdas: np.ndarray,
            delta1: float = 0.0, R: float | None = None,
            dissipation_cum: float = 0.0) -> EnergyRecord:
     """Assemble the energy record of a state at its time.
@@ -193,9 +193,9 @@ def energy(state: WaveState, grid: Grid1D, lambdas: np.ndarray, order: int = 4,
     The mass comes from the state.  E_total is the form energy, summed over
     the modes of ``Stepper.mode_energies`` by the same expression, so it is
     bit for bit the quantity the identity check of ``run`` tracks.  E_local
-    windows a 4th-order FD-gradient sum to |x| <= R; at the full window there
-    are no excluded nodes and the local energy coincides with E_total by
-    construction.
+    windows a gradient sum, by the grid's stencil (``Grid1D.order``), to
+    |x| <= R; at the full window there are no excluded nodes and the local
+    energy coincides with E_total by construction.
     """
     if R is None:
         R = grid.X
@@ -204,13 +204,13 @@ def energy(state: WaveState, grid: Grid1D, lambdas: np.ndarray, order: int = 4,
     h = grid.h
     u, v = state.modes, state.vmodes
     lam_eff = (np.asarray(lambdas, dtype=float) + float(state.mass) ** 2)[:, None]
-    lap = laplacian_1d(grid, order=order)
+    lap = laplacian_1d(grid)
     per_mode = _form_energies(u, _apply_p(lam_eff, lap, u), v, h)
     e_total = float(np.sum(per_mode))
 
-    du = gradient_1d(u, grid, order=order)
+    du = gradient_1d(u, grid)
     grad_dens = du ** 2 + lam_eff * u ** 2
-    w2 = weight(grid, -delta1) ** 2 if delta1 != 0.0 else np.ones(grid.N)
+    w2 = weight(grid, -delta1) ** 2
     grad_w_sq = h * float(np.sum(w2 * grad_dens))
     dtu_w_sq = h * float(np.sum(w2 * v ** 2))
     if R >= grid.X - 0.5 * h:
@@ -256,7 +256,7 @@ def geometric_schedule(t0: float, ratio: float, t_end: float) -> np.ndarray:
 
 
 def run(state0: WaveState, grid: Grid1D, lambdas: np.ndarray, damping: DampingProfile,
-        dt: float, t_end: float, order: int = 4, t0: float = 1.0, sample_ratio: float = 1.1,
+        dt: float, t_end: float, t0: float = 1.0, sample_ratio: float = 1.1,
         delta1: float = 0.0, R: float | None = None,
         on_sample: Callable[[WaveState], None] | None = None) -> RunResult:
     """Evolve to t_end, sampling energies on a geometric schedule.
@@ -273,12 +273,12 @@ def run(state0: WaveState, grid: Grid1D, lambdas: np.ndarray, damping: DampingPr
     lambdas = np.asarray(lambdas, dtype=float)
     if lambdas.shape != state0.modes.shape[:1]:
         raise ValueError(f"state has {state0.modes.shape[0]} modes, got {lambdas.size} eigenvalues")
-    stepper = Stepper(grid, lambdas, damping, dt, order=order, mass=state0.mass)
+    stepper = Stepper(grid, lambdas, damping, dt, mass=state0.mass)
     schedule = geometric_schedule(t0, sample_ratio, t_end)
     records = []
 
     def sample(state: WaveState, diss_cum: float) -> None:
-        records.append(energy(state, grid, lambdas, order=order, delta1=delta1, R=R,
+        records.append(energy(state, grid, lambdas, delta1=delta1, R=R,
                               dissipation_cum=diss_cum))
         if on_sample is not None:
             on_sample(state)

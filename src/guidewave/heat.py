@@ -99,7 +99,7 @@ COMPARE_COLUMNS = ("t", "norm_grad_diff", "norm_dt_diff", "norm_grad_v", "norm_d
 
 
 def compare(state, heat: HeatSolution, grid: Grid1D, lambdas: np.ndarray,
-            yfactor: float, delta1: float = 0.0, order: int = 4) -> dict[str, float] | None:
+            yfactor: float, delta1: float = 0.0) -> dict[str, float] | None:
     """Difference norms between one wave state and the heat solution at its time.
 
     A state at t = 0 gives None (the kernel is singular there); any other
@@ -113,7 +113,7 @@ def compare(state, heat: HeatSolution, grid: Grid1D, lambdas: np.ndarray,
             f"state/heat grids do not match the comparison grid N={grid.N}")
     if state.t <= 0.0:
         return None
-    w = weight(grid, -delta1) if delta1 != 0.0 else np.ones(grid.N)
+    w = weight(grid, -delta1)
     h = grid.h
     lambdas = np.asarray(lambdas, dtype=float)
 
@@ -123,7 +123,7 @@ def compare(state, heat: HeatSolution, grid: Grid1D, lambdas: np.ndarray,
 
     vx = heat.dx(state.t)
     vt = heat.dt(state.t)
-    du = gradient_1d(state.modes, grid, order=order)
+    du = gradient_1d(state.modes, grid)
     du[0] -= yfactor * vx
     dv = state.vmodes.copy()
     dv[0] -= yfactor * vt

@@ -127,7 +127,7 @@ def _json_default(obj):
 
 
 def build_grid(cfg: ExperimentConfig) -> Grid1D:
-    return Grid1D(X=cfg.grid.X, N=cfg.grid.N)
+    return Grid1D(X=cfg.grid.X, N=cfg.grid.N, order=cfg.grid.order)
 
 
 def build_damping(cfg: ExperimentConfig, grid: Grid1D) -> DampingProfile:
@@ -171,8 +171,7 @@ def build_initial_state(cfg: ExperimentConfig, grid: Grid1D, lambdas, damping: D
     state = assemble_initial_state(grid, len(row), env, u0, u1, flavor=cfg.flavor, mass=mass)
     if cfg.init.smoothing_k > 0:
         modes, vmodes = smooth_initial_data(state.modes, state.vmodes, grid, lambdas,
-                                            damping, cfg.init.smoothing_k,
-                                            order=cfg.grid.order, mass=mass)
+                                            damping, cfg.init.smoothing_k, mass=mass)
         state = dataclasses.replace(state, modes=modes, vmodes=vmodes)
     return state
 
@@ -221,7 +220,7 @@ def cmd_evolve(cfg: ExperimentConfig, out_base: str, on_sample=None) -> dict:
     lambdas = build_basis(cfg)[0][evolved_modes(cfg)]
     state0 = build_initial_state(cfg, grid, lambdas, damping)
     result = run(state0, grid, lambdas, damping, dt=cfg.time.dt, t_end=cfg.time.t_end,
-                 order=cfg.grid.order, t0=cfg.time.t0, sample_ratio=cfg.time.sample_ratio,
+                 t0=cfg.time.t0, sample_ratio=cfg.time.sample_ratio,
                  delta1=cfg.weights["delta1"], R=cfg.local_radius, on_sample=on_sample)
     series = result.series()
 
@@ -277,7 +276,7 @@ def cmd_heat_compare(cfg: ExperimentConfig, out_base: str) -> dict:
             heat = HeatSolution(grid=grid, w0=p0_heat_data(state.modes, state.vmodes,
                                                            damping.samples, yfactor))
         rows.append(compare(state, heat, grid, lambdas, yfactor,
-                            delta1=cfg.weights["delta1"], order=cfg.grid.order))
+                            delta1=cfg.weights["delta1"]))
 
     evolved = cmd_evolve(cfg, out_base, on_sample=on_sample)
     table = comparison_table(rows)
@@ -326,7 +325,7 @@ def cmd_resolvent(cfg: ExperimentConfig, out_base: str) -> dict:
         # threads (2 cores) the golden took 0.96-1.04 s against 0.48-0.66 s on one
         rows = theta_probe(zs, damping, grid, lambdas,
                            delta1=cfg.weights["delta1"], delta2=cfg.weights["delta2"],
-                           order=cfg.grid.order, rng=np.random.default_rng(cfg.seed))
+                           rng=np.random.default_rng(cfg.seed))
         cols = {"re_z": [r["z"].real for r in rows], "im_z": [r["z"].imag for r in rows]}
         for j in (1, 2, 3, 4):
             cols[f"theta{j}"] = [r[f"theta{j}"] for r in rows]
@@ -340,7 +339,7 @@ def cmd_resolvent(cfg: ExperimentConfig, out_base: str) -> dict:
     elif kind == "realaxis":
         taus = [z.real for z in zs]
         with ThreadPoolExecutor(max_workers=max_threads()) as pool:
-            norms = energy_norm_scan(taus, damping, grid, lambdas, order=cfg.grid.order,
+            norms = energy_norm_scan(taus, damping, grid, lambdas,
                                      rng=point_rngs(cfg.seed, len(zs)), map=pool.map)
         constants = [n / (1.0 + t * t) for n, t in zip(norms, taus)]
         cols = {"re_z": taus, "im_z": [0.0] * len(taus),
@@ -354,8 +353,7 @@ def cmd_resolvent(cfg: ExperimentConfig, out_base: str) -> dict:
         # high/intermediate frequency norm scan, max over modes per point
         with ThreadPoolExecutor(max_workers=max_threads()) as pool:
             points = norm_scan(zs, cfg.scan.beta1, cfg.scan.beta2, damping, grid, lambdas,
-                               order=cfg.grid.order, mass=mass,
-                               rng=point_rngs(cfg.seed, len(zs)), map=pool.map,
+                               mass=mass, rng=point_rngs(cfg.seed, len(zs)), map=pool.map,
                                truncation_guard=cfg.scan.truncation_guard)
 
         cols = {"re_z": [p.z.real for p in points], "im_z": [p.z.imag for p in points],
@@ -393,8 +391,8 @@ def cmd_semiclassical(cfg: ExperimentConfig, out_base: str) -> dict:
         raise ConfigError("scan.h_list: semiclassical scan needs at least one h")
 
     with ThreadPoolExecutor(max_workers=max_threads()) as pool:
-        rows = semiclassical_scan(hs, damping, grid, order=cfg.grid.order,
-                                  rng=point_rngs(cfg.seed, len(hs)), map=pool.map)
+        rows = semiclassical_scan(hs, damping, grid, rng=point_rngs(cfg.seed, len(hs)),
+                                  map=pool.map)
     control = pure_laplacian_control(hs, X=grid.X)
     hnorms = [r["h_norm"] for r in rows]
     payload = {"command": "semiclassical", "points": rows, "control": control,

@@ -1,10 +1,10 @@
 """Complex-shifted solves, operator-norm scans, and low/high frequency probes.
 
 Every operator norm is the top singular value of a matrix-free operator, by
-the Lanczos three-term recurrence on T^*T (T T^* for a wide T) from a seeded
-start vector.  The recurrence stores no basis, tests its top Ritz pair at
-every step, stops once the normal-operator residual is at most tol^2 sigma^2
-and reports that measured residual.  A run that the step budget cuts short
+the Lanczos three-term recurrence on T^*T from a seeded start vector.  The
+recurrence stores no basis, tests its top Ritz pair at every step, stops once
+the normal-operator residual is at most tol^2 sigma^2 and reports that
+measured residual.  A run that the step budget cuts short
 returns its Ritz value only when a certified upper bound pins it to within
 tol, and raises ``ConvergenceError`` otherwise.  Sobolev scalings
 (1 - d^2/dx^2)^(+-beta/2) are diagonal in the sine basis of the truncation
@@ -162,15 +162,14 @@ def _lanczos_top(normal, v0: np.ndarray, rtol: float):
     return max(theta, 0.0), (residual / theta if theta > 0.0 else 0.0), converged
 
 
-def iterative_norm(apply_op, apply_adjoint, n: int | tuple[int, int], rng: np.random.Generator,
-                   tol: float = 1e-7, v0: np.ndarray | None = None,
-                   upper: float = math.inf) -> tuple[float, float]:
+def iterative_norm(apply_op, apply_adjoint, n: int, rng: np.random.Generator,
+                   tol: float = 1e-7, upper: float = math.inf) -> tuple[float, float]:
     """Largest singular value, matrix-free, with a seeded start vector.
 
-    ``n`` is the dimension of a square T or the (rows, cols) shape of a
-    rectangular one.  Lanczos runs on the normal operator N = T^*T, or T T^*
-    when T is wide, from ``v0`` (drawn from ``rng`` unless given), and stops
-    once its top Ritz pair (theta, y) has ||N y - theta y|| <= tol**2 theta.
+    ``n`` is the dimension of the domain of T, which may have more rows than
+    columns.  Lanczos runs on the normal operator N = T^*T from a start vector
+    drawn from ``rng``, and stops once its top Ritz pair (theta, y) has
+    ||N y - theta y|| <= tol**2 theta.
     So ``tol`` bounds the normal-operator residual relative to sigma^2 (the
     test ``svds(tol=tol)`` hands to ARPACK), and theta then lies within
     tol**2 theta of an eigenvalue of N.  Returns (sigma, residual): sqrt(theta)
@@ -182,14 +181,8 @@ def iterative_norm(apply_op, apply_adjoint, n: int | tuple[int, int], rng: np.ra
     interval.  Errors raised by the operator propagate; a non-finite operator
     output raises ``ConvergenceError``.
     """
-    rows, cols = (n, n) if np.isscalar(n) else n
-    if rows >= cols:
-        normal = lambda x: apply_adjoint(apply_op(x))
-    else:
-        normal = lambda x: apply_op(apply_adjoint(x))
-    if v0 is None:
-        v0 = _start_vector(rng, min(rows, cols))
-    theta, residual, converged = _lanczos_top(normal, v0, tol * tol)
+    theta, residual, converged = _lanczos_top(lambda x: apply_adjoint(apply_op(x)),
+                                              _start_vector(rng, n), tol * tol)
     sigma = math.sqrt(theta)
     if not (converged or sigma >= (1.0 - tol) * upper):
         raise ConvergenceError(
@@ -231,7 +224,7 @@ class SobolevScaler:
         return y
 
 
-def sobolev_constant_sq(grid: Grid1D, order: int = 4) -> float:
+def sobolev_constant_sq(grid: Grid1D) -> float:
     """K^2 >= ||S_1 M^{-1/2}||^2 with M = 1 - D2, from the stencil's sine symbol.
 
     For the 3- and 5-point stencils -D2 is the sine-diagonal Q diag(s/h^2) Q,
@@ -240,7 +233,7 @@ def sobolev_constant_sq(grid: Grid1D, order: int = 4) -> float:
     for order 4).  So M >= Q (1 + s/h^2) Q, and K^2 = max_m (1 + nu_m)/(1 + s_m/h^2),
     widened by 1e-12 for rounding, bounds the generalized eigenvalues of (S_1^2, M).
     """
-    lap = laplacian_1d(grid, order=order)
+    lap = laplacian_1d(grid)
     theta = np.arange(1, grid.N + 1) * math.pi / (grid.N + 1)
     symbol = -lap.coeffs[0] - 2.0 * sum(c * np.cos(m * theta)  # s(theta_m) / h^2
                                         for m, c in enumerate(lap.coeffs) if m)
@@ -382,7 +375,7 @@ def scan_modes(zs, lambdas, bounds, run, *, rep=None, map=map) -> list[ModeMax]:
 
 
 def norm_scan(z_list, beta1: int, beta2: int, damping: DampingProfile, grid: Grid1D,
-              lambdas, order: int = 4, mass: float = 0.0, *, rng, map=map,
+              lambdas, mass: float = 0.0, *, rng, map=map,
               truncation_guard: bool = False) -> list[ScanPoint]:
     """Resolvent norms over the guide: max over transverse modes per z.
 
@@ -410,21 +403,21 @@ def norm_scan(z_list, beta1: int, beta2: int, damping: DampingProfile, grid: Gri
     zs = [complex(z) for z in z_list]
     lambdas = np.asarray(lambdas, dtype=float)
     scaler = SobolevScaler(grid)
-    k_sq = sobolev_constant_sq(grid, order)
+    k_sq = sobolev_constant_sq(grid)
     draws = [grid.N] * len(lambdas)
     if truncation_guard:
         grid2 = grid.refine(1.5)
         damping2 = DampingProfile.build(grid2, kind=damping.kind, rho=damping.rho,
                                         r=damping.r, level=damping.level)
         scaler2 = SobolevScaler(grid2)
-        k_sq2 = sobolev_constant_sq(grid2, order)
+        k_sq2 = sobolev_constant_sq(grid2)
         draws.append(grid2.N)
     states = [_start_states(r, draws) for r in _point_generators(rng, len(zs))]
     bounds = [[_mode_bounds(z, mass, damping.samples, beta1 + beta2, k_sq)(lam)
                for lam in lambdas] for z in zs]
 
     def run(i, k):
-        op = mode_operator(grid, lambdas[k], damping, zs[i], order=order, mass=mass)
+        op = mode_operator(grid, lambdas[k], damping, zs[i], mass=mass)
         return [_mode_sobolev_norm(op, scaler, beta1, beta2, _generator(states[i][k]),
                                    upper=bounds[i][k])]
 
@@ -434,7 +427,7 @@ def norm_scan(z_list, beta1: int, beta2: int, damping: DampingProfile, grid: Gri
     def limited(i):
         best, _, k = maxima[i].best[0]
         upper2 = _mode_bounds(zs[i], mass, damping2.samples, beta1 + beta2, k_sq2)(lambdas[k])
-        op2 = mode_operator(grid2, lambdas[k], damping2, zs[i], order=order, mass=mass)
+        op2 = mode_operator(grid2, lambdas[k], damping2, zs[i], mass=mass)
         sigma2, _ = _mode_sobolev_norm(op2, scaler2, beta1, beta2, _generator(states[i][-1]),
                                        upper=upper2)
         return abs(sigma2 - best) > TRUNCATION_GUARD_RTOL * best
@@ -462,10 +455,9 @@ class WaveBlockResolvent:
     w2 = R(z)^* (f + conj(z) g),  w1 = (conj(z) - ia) w2 + g.
     """
 
-    def __init__(self, z: complex, damping: DampingProfile, lam: float, grid: Grid1D,
-                 order: int = 4):
+    def __init__(self, z: complex, damping: DampingProfile, lam: float, grid: Grid1D):
         self.z = complex(z)
-        self.op = mode_operator(grid, lam, damping, self.z, order=order)
+        self.op = mode_operator(grid, lam, damping, self.z)
         self._zb = np.conj(self.z)
         self._f_coef = 1j * damping.samples + self.z          # ia + z
         self._w2_coef = self._zb - 1j * damping.samples       # conj(z) - ia
@@ -494,18 +486,17 @@ class EnergyNormResolvent:
     order.  A P that is not positive definite raises SolveError.
     """
 
-    def __init__(self, grid: Grid1D, lam: float, damping: DampingProfile, order: int = 4):
+    def __init__(self, grid: Grid1D, lam: float, damping: DampingProfile):
         self.grid = grid
         self.lam = float(lam)
         self.damping = damping
-        self.order = order
-        lap = laplacian_1d(grid, order=order)
+        lap = laplacian_1d(grid)
         self._chol = BandCholesky(lap, np.full(grid.N, self.lam - lap.coeffs[0]), dtype=complex)
 
     def op_norm(self, z: complex, rng: np.random.Generator) -> float:
         n = self.grid.N
         chol = self._chol
-        block = WaveBlockResolvent(z, self.damping, self.lam, self.grid, order=self.order)
+        block = WaveBlockResolvent(z, self.damping, self.lam, self.grid)
 
         def apply_op(x):
             u, v = block.apply(chol.solve_triangular(x[:n]), x[n:])
@@ -519,7 +510,7 @@ class EnergyNormResolvent:
         return sigma
 
 
-def energy_norm_scan(taus, damping: DampingProfile, grid: Grid1D, lambdas, order: int = 4, *,
+def energy_norm_scan(taus, damping: DampingProfile, grid: Grid1D, lambdas, *,
                      rng, map=map) -> list[float]:
     """Energy norms of the first-order resolvent at real taus, max over the modes.
 
@@ -529,7 +520,7 @@ def energy_norm_scan(taus, damping: DampingProfile, grid: Grid1D, lambdas, order
     per point; each point draws one start vector per mode.
     """
     taus = [float(t) for t in taus]
-    helpers = [EnergyNormResolvent(grid, lam, damping, order=order) for lam in lambdas]
+    helpers = [EnergyNormResolvent(grid, lam, damping) for lam in lambdas]
     states = [_start_states(r, [2 * grid.N] * len(helpers))
               for r in _point_generators(rng, len(taus))]
 
@@ -545,10 +536,10 @@ def energy_norm_scan(taus, damping: DampingProfile, grid: Grid1D, lambdas, order
 # low-frequency comparison with the heat-model resolvent
 
 
-def heat_model_operator(grid: Grid1D, z: complex, order: int = 4) -> ShiftedOperator:
+def heat_model_operator(grid: Grid1D, z: complex) -> ShiftedOperator:
     """The banded heat-model operator -D2 - i z on mode 0: diagonal -i z."""
     z = complex(z)
-    return ShiftedOperator(grid=grid, lap=laplacian_1d(grid, order=order), z=z,
+    return ShiftedOperator(grid=grid, lap=laplacian_1d(grid), z=z,
                            diag=np.full(grid.N, -1j * z))
 
 
@@ -588,8 +579,7 @@ def _difference_block(op: ShiftedOperator, heat: ShiftedOperator | None, p, c, q
 
 
 def theta_probe(z_list, damping: DampingProfile, grid: Grid1D, lambdas,
-                delta1: float, delta2: float, order: int = 4, *,
-                rng: np.random.Generator) -> list[dict]:
+                delta1: float, delta2: float, *, rng: np.random.Generator) -> list[dict]:
     """Weighted norms of the blocks of (A - z)^{-1} - R_Heat(z), matrix-free.
 
     Each block is applied as banded mode and heat-model solves between the
@@ -614,20 +604,20 @@ def theta_probe(z_list, damping: DampingProfile, grid: Grid1D, lambdas,
         if z.imag <= 0 or abs(z) > 1 + 1e-12:
             raise ValueError(f"theta probe needs Im z > 0 and |z| <= 1, got z={z}")
         probe = _start_vector(rng, n)
-        residuals.append(heat_structure_residual(heat_model_operator(grid, z, order=order),
+        residuals.append(heat_structure_residual(heat_model_operator(grid, z),
                                                  theta_blocks(z, damping.samples), probe))
         states.append(_start_states(rng, [n] * (4 * len(lambdas))))
 
     def run(i, k):
         z, lam = zs[i], float(lambdas[k])
-        op = mode_operator(grid, lam, damping, z, order=order)
-        heat = heat_model_operator(grid, z, order=order) if k == 0 else None
+        op = mode_operator(grid, lam, damping, z)
+        heat = heat_model_operator(grid, z) if k == 0 else None
         runs = []
         for j, (p, c, q) in theta_blocks(z, damping.samples).items():
             t, t_adj = _difference_block(op, heat, p, c, q)
-            apply_op, apply_adj, shape = _weighted(t, t_adj, wl, wr, grid, order,
-                                                   math.sqrt(lam) if j <= 2 else None)
-            runs.append(iterative_norm(apply_op, apply_adj, shape,
+            apply_op, apply_adj = _weighted(t, t_adj, wl, wr, grid,
+                                            math.sqrt(lam) if j <= 2 else None)
+            runs.append(iterative_norm(apply_op, apply_adj, n,
                                        _generator(states[i][4 * k + j - 1])))
         return runs
 
@@ -637,27 +627,27 @@ def theta_probe(z_list, damping: DampingProfile, grid: Grid1D, lambdas,
              "structure_residual": res} for z, m, res in zip(zs, maxima, residuals)]
 
 
-def _weighted(t, t_adj, wl, wr, grid: Grid1D, order: int, root_lam: float | None = None):
-    """wl t wr, or [wl G t wr ; root_lam wl t wr] (G^* = -G): apply, adjoint, shape."""
-    n = grid.N
+def _weighted(t, t_adj, wl, wr, grid: Grid1D, root_lam: float | None = None):
+    """wl t wr, or [wl G t wr ; root_lam wl t wr] (G^* = -G): apply and adjoint."""
     if root_lam is None:
-        return (lambda x: wl * t(wr * x)), (lambda y: wr * t_adj(wl * y)), n
+        return (lambda x: wl * t(wr * x)), (lambda y: wr * t_adj(wl * y))
+    n = grid.N
 
     def apply(x):
         u = t(wr * x)
-        return np.concatenate([wl * gradient_1d(u, grid, order=order), root_lam * wl * u])
+        return np.concatenate([wl * gradient_1d(u, grid), root_lam * wl * u])
 
     def adjoint(y):
-        return wr * t_adj(-gradient_1d(wl * y[:n], grid, order=order) + root_lam * wl * y[n:])
+        return wr * t_adj(-gradient_1d(wl * y[:n], grid) + root_lam * wl * y[n:])
 
-    return apply, adjoint, (2 * n, n)
+    return apply, adjoint
 
 
 # ---------------------------------------------------------------------------
 # semiclassical scan
 
 
-def semiclassical_scan(h_list, damping: DampingProfile, grid: Grid1D, order: int = 4, *,
+def semiclassical_scan(h_list, damping: DampingProfile, grid: Grid1D, *,
                        rng, map=map) -> list[dict]:
     """h * ||(-h^2 d^2/dx^2 - i h a - 1)^{-1}|| per h on the truncated line.
 
@@ -669,8 +659,7 @@ def semiclassical_scan(h_list, damping: DampingProfile, grid: Grid1D, order: int
     for h in hs:
         if not 0.0 < h <= 1.0:
             raise ValueError(f"semiclassical parameter must lie in (0, 1], got h={h}")
-    points = norm_scan([1.0 / h for h in hs], 0, 0, damping, grid, [0.0], order=order,
-                       rng=rng, map=map)
+    points = norm_scan([1.0 / h for h in hs], 0, 0, damping, grid, [0.0], rng=rng, map=map)
     out = []
     for h, point in zip(hs, points):
         norm = point.norm_est / h ** 2

@@ -29,9 +29,10 @@ def toeplitz_heat_apply(w0, grid, t, derivative="none"):
     return grid.h * matmul_toeplitz((col, row), w0)
 
 
-def dense_laplacian(grid, order=4):
-    """The banded D2 of ``laplacian_1d`` as an N x N symmetric Toeplitz matrix."""
-    coeffs = laplacian_1d(grid, order=order).coeffs
+def dense_laplacian(grid):
+    """The banded D2 of ``laplacian_1d`` as an N x N symmetric Toeplitz matrix,
+    by the stencil of ``grid.order``."""
+    coeffs = laplacian_1d(grid).coeffs
     col = np.zeros(grid.N)
     col[:len(coeffs)] = coeffs
     return toeplitz(col)
@@ -39,7 +40,7 @@ def dense_laplacian(grid, order=4):
 
 def dense_operator(op):
     """The mode operator -D2 + diag of a ``ShiftedOperator`` as an N x N matrix."""
-    return -dense_laplacian(op.grid, op.lap.order) + np.diag(op.diag)
+    return -dense_laplacian(op.grid) + np.diag(op.diag)
 
 
 def sobolev_matrix(grid, beta):
@@ -60,28 +61,28 @@ def dense_sobolev_norm(op, beta1, beta2):
     return float(svdvals(mat)[0])
 
 
-def sqrt_energy_matrix(grid, lam, order=4):
+def sqrt_energy_matrix(grid, lam):
     """P^{1/2} for P = -D2 + lam, from a dense eigendecomposition."""
-    p = -dense_laplacian(grid, order) + lam * np.eye(grid.N)
+    p = -dense_laplacian(grid) + lam * np.eye(grid.N)
     vals, vecs = np.linalg.eigh(p)
     assert vals[0] > 0.0, "P must be positive definite"
     return vecs @ (np.sqrt(vals)[:, None] * vecs.T)
 
 
-def dense_energy_norm(grid, lam, damping, z, order=4):
+def dense_energy_norm(grid, lam, damping, z):
     """||diag(P^1/2, I) (A - z)^{-1} diag(P^-1/2, I)|| by dense inverse and SVD.
 
     A = [[0, I], [P, -i a]] is the first-order operator on (u, i du/dt) of one
     mode, assembled directly rather than through the block formula.
     """
     n = grid.N
-    p = -dense_laplacian(grid, order) + lam * np.eye(n)
+    p = -dense_laplacian(grid) + lam * np.eye(n)
     a_mat = np.zeros((2 * n, 2 * n), dtype=complex)
     a_mat[:n, n:] = np.eye(n)
     a_mat[n:, :n] = p
     a_mat[n:, n:] = -1j * np.diag(damping.samples)
     resolvent = np.linalg.inv(a_mat - z * np.eye(2 * n))
-    root = sqrt_energy_matrix(grid, lam, order)
+    root = sqrt_energy_matrix(grid, lam)
     left = np.eye(2 * n)
     left[:n, :n] = root
     right = np.eye(2 * n)
@@ -90,14 +91,14 @@ def dense_energy_norm(grid, lam, damping, z, order=4):
 
 
 
-def exact_mode_norm(grid, lam, z, level, order=4):
+def exact_mode_norm(grid, lam, z, level):
     """||(-D2 + lam - z^2 - i z level)^{-1}|| for constant damping ``level``.
 
     The operator is -D2 plus a scalar, hence normal, so its inverse's norm is
     1 / min |mu + lam - z^2 - i z level| over the eigenvalues mu of -D2,
     taken from the band by ``eigvals_banded``.
     """
-    coeffs = laplacian_1d(grid, order=order).coeffs
+    coeffs = laplacian_1d(grid).coeffs
     bands = np.array([np.full(grid.N, -c) for c in coeffs])   # lower form of -D2
     mu = eigvals_banded(bands, lower=True)
     return float(1.0 / np.min(np.abs(mu + lam - z * z - 1j * z * level)))

@@ -1,5 +1,6 @@
 import ast
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,10 +26,16 @@ def test_grid_geometry():
         Grid1D(X=40.0, N=8)
 
 
+@pytest.mark.parametrize("order", [2, 4])
+def test_refine_keeps_the_stencil_order(order):
+    g = Grid1D(X=40.0, N=511, order=order).refine(1.5)
+    assert (g.X, g.N, g.order) == (60.0, 767, order)
+
+
 class TestLaplacian:
     def test_symmetric_negative(self, grid40, rng):
         for order in (2, 4):
-            dense = dense_laplacian(grid40, order)
+            dense = dense_laplacian(replace(grid40, order=order))
             assert np.array_equal(dense, dense.T)
             for _ in range(5):
                 u = rng.standard_normal(grid40.N)
@@ -39,25 +46,25 @@ class TestLaplacian:
         target = (math.pi / (2 * g.X)) ** 2
         mode = np.sin(math.pi * (g.xs + g.X) / (2 * g.X))
         for order in (2, 4):
-            lap = laplacian_1d(g, order=order)
+            lap = laplacian_1d(replace(g, order=order))
             rq = -np.dot(mode, lap.apply(mode)) / np.dot(mode, mode)
             assert abs(rq - target) <= target * g.h ** 2
 
     def test_order2_cap_mode_is_exact_eigenvector(self):
-        g = Grid1D(X=10.0, N=200)
-        lap = laplacian_1d(g, order=2)
+        g = Grid1D(X=10.0, N=200, order=2)
+        lap = laplacian_1d(g)
         mode = np.sin(math.pi * (g.xs + g.X) / (2 * g.X))
         exact = -(2.0 - 2.0 * math.cos(math.pi / (g.N + 1))) / g.h ** 2
         assert np.allclose(lap.apply(mode), exact * mode, atol=1e-12)
 
     def test_constant_vector_interior_rows(self, grid40):
-        lap = laplacian_1d(grid40, order=4)
+        lap = laplacian_1d(grid40)
         out = lap.apply(np.ones(grid40.N))
         assert np.max(np.abs(out[2:-2])) <= 1e-10 / grid40.h ** 2 * 1e-2
 
     def test_plane_wave_symbol_order4(self):
         g = Grid1D(X=40.0, N=1599)  # h = 0.05
-        lap = laplacian_1d(g, order=4)
+        lap = laplacian_1d(g)
         u = np.exp(1j * g.xs)
         mid = g.N // 2
         err = abs((lap.apply(u) / u)[mid] + 1.0)
@@ -69,7 +76,7 @@ class TestLaplacian:
         mid = g.N // 2
         errs = {}
         for order in (2, 4):
-            lap = laplacian_1d(g, order=order)
+            lap = laplacian_1d(replace(g, order=order))
             errs[order] = abs((lap.apply(u) / u)[mid] + 1.0)
         assert errs[4] < errs[2] / 50
 
@@ -77,24 +84,25 @@ class TestLaplacian:
         # apply and gradient_1d act on the last axis, so a (K, N) block is one call
         block = rng.standard_normal((3, grid40.N))
         for order in (2, 4):
-            lap = laplacian_1d(grid40, order=order)
+            g = replace(grid40, order=order)
+            lap = laplacian_1d(g)
             assert np.array_equal(lap.apply(block), np.stack([lap.apply(r) for r in block]))
-            assert np.array_equal(gradient_1d(block, grid40, order=order),
-                                  np.stack([gradient_1d(r, grid40, order=order) for r in block]))
+            assert np.array_equal(gradient_1d(block, g),
+                                  np.stack([gradient_1d(r, g) for r in block]))
 
     def test_gradient_order4_accuracy(self):
         g = Grid1D(X=30.0, N=2048)
         u = np.exp(-g.xs ** 2 / 8.0)
-        du = gradient_1d(u, g, order=4)
+        du = gradient_1d(u, g)
         exact = -g.xs / 4.0 * u
         assert np.max(np.abs(du - exact)) <= 1e-8
 
-    def test_rejects_bad_order_and_bc(self, grid40):
-        # the homogeneous cap is the only end condition, so only the order can be wrong
-        with pytest.raises(ValueError):
-            laplacian_1d(grid40, order=6)
-        with pytest.raises(ValueError):
-            gradient_1d(np.zeros(grid40.N), grid40, order=6)
+    def test_rejects_bad_order_and_bc(self):
+        # the homogeneous cap is the only end condition, so only the grid's stencil
+        # order can be wrong
+        for order in (3, 6):
+            with pytest.raises(ValueError, match="stencil order must be 2 or 4"):
+                Grid1D(X=40.0, N=512, order=order)
 
 
 class TestDamping:
@@ -152,13 +160,13 @@ class TestModeOperator:
         op = mode_operator(grid40, 0.0, damping_const, 1j)
         dense = dense_operator(op)
         assert np.max(np.abs(dense.imag)) <= 1e-14
-        assert np.allclose(dense.real, -dense_laplacian(grid40, 4) + 2.0 * np.eye(grid40.N))
+        assert np.allclose(dense.real, -dense_laplacian(grid40) + 2.0 * np.eye(grid40.N))
         u = np.random.default_rng(0).standard_normal(grid40.N)
         assert np.dot(u, dense.real @ u) > 0
 
     def test_lambda_shift_at_z0(self, grid40, damping_const):
         op = mode_operator(grid40, 9.0, damping_const, 0.0)
-        assert np.allclose(dense_operator(op), -dense_laplacian(grid40, 4) + 9.0 * np.eye(grid40.N))
+        assert np.allclose(dense_operator(op), -dense_laplacian(grid40) + 9.0 * np.eye(grid40.N))
 
     def test_shift_is_exactly_diagonal(self, grid40, damping_const):
         z = 0.3 + 0.7j
@@ -214,9 +222,9 @@ class TestCheckedSolve:
 
     @staticmethod
     def _case(order, kind, z):
-        g = Grid1D(X=20.0, N=160)
+        g = Grid1D(X=20.0, N=160, order=order)
         a = DampingProfile.build(g, kind, r=5.0, rho=2.0)
-        op = mode_operator(g, 1.0, a, z, order=order)
+        op = mode_operator(g, 1.0, a, z)
         f = [1.0, 1j] @ np.random.default_rng(3).standard_normal((2, g.N))
         return op, f
 
@@ -260,17 +268,36 @@ class TestWeightSpec:
         assert "delta1" in str(err.value)
 
 
-def test_package_calls_no_dense_routine():
-    # every production path is banded or matrix-free; dense oracles live in tests/
+def _package_nodes():
+    """(path relative to the package, node) for every ast node of every module."""
     package = Path(guidewave.__file__).parent
     modules = sorted(package.rglob("*.py"))
     assert package / "discretize.py" in modules
-    calls = []
     for path in modules:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name in DENSE_ROUTINES:
-                    calls.append(f"{path.relative_to(package)}:{node.lineno} {name}")
+            yield path.relative_to(package), node
+
+
+def test_package_calls_no_dense_routine():
+    # every production path is banded or matrix-free; dense oracles live in tests/
+    calls = []
+    for path, node in _package_nodes():
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in DENSE_ROUTINES:
+                calls.append(f"{path}:{node.lineno} {name}")
     assert calls == []
+
+
+def test_no_function_takes_a_stencil_order():
+    # the stencil order is a field of the grid, Grid1D.order, and nothing else holds it
+    takers = []
+    for path, node in _package_nodes():
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            names = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                     args.vararg, args.kwarg) if a is not None]
+            if "order" in names:
+                takers.append(f"{path}:{node.lineno} {getattr(node, 'name', 'lambda')}")
+    assert takers == []

@@ -20,7 +20,7 @@ from dense_oracles import dense_laplacian
 def reference_step(stepper, state):
     """Per-mode midpoint step by a dense solve of each midpoint matrix."""
     tau, a, h = stepper.tau, stepper.a, stepper.grid.h
-    neg_lap = -dense_laplacian(stepper.grid, stepper.lap.order)
+    neg_lap = -dense_laplacian(stepper.grid)
     eye = np.eye(stepper.grid.N)
     new_u, new_v, diss = [], [], 0.0
     for lam, u, v in zip(stepper.lambdas, state.modes, state.vmodes):
@@ -42,12 +42,12 @@ def reference_step(stepper, state):
 def test_stacked_step_matches_per_mode_reference(k_count, n, kind, level, order, mass, dt,
                                                  seed):
     rng = np.random.default_rng(seed)
-    g = Grid1D(X=10.0, N=n)
+    g = Grid1D(X=10.0, N=n, order=order)
     # only the constant profile takes a level; the others reject any but 1
     a = DampingProfile.build(g, kind, rho=1.5, r=3.0,
                              level=level if kind == "constant" else 1.0)
     lambdas = np.sort(rng.uniform(0.0, 20.0, k_count))
-    stepper = Stepper(g, lambdas, a, dt=dt, order=order, mass=mass)
+    stepper = Stepper(g, lambdas, a, dt=dt, mass=mass)
     state = WaveState(t=0.0, modes=rng.standard_normal((k_count, n)),
                       vmodes=rng.standard_normal((k_count, n)), mass=mass)
     for _ in range(3):
@@ -64,13 +64,12 @@ def test_stacked_step_matches_per_mode_reference(k_count, n, kind, level, order,
         state = new
 
 
-def reference_run(state0, grid, lambdas, damping, dt, t_end, order, t0, sample_ratio,
-                  delta1, R):
+def reference_run(state0, grid, lambdas, damping, dt, t_end, t0, sample_ratio, delta1, R):
     """``run`` as a plain loop of ``Stepper`` steps and ``energy`` records."""
-    stepper = Stepper(grid, lambdas, damping, dt, order=order, mass=state0.mass)
+    stepper = Stepper(grid, lambdas, damping, dt, mass=state0.mass)
     schedule = geometric_schedule(t0, sample_ratio, t_end)
     state, diss_cum, max_res, idx = state0, 0.0, 0.0, 0
-    records = [energy(state0, grid, lambdas, order=order, delta1=delta1, R=R)]
+    records = [energy(state0, grid, lambdas, delta1=delta1, R=R)]
     snapshots = [state0]
     e0 = e_prev = float(np.sum(stepper.mode_energies(state0)))
     for _ in range(int(round(t_end / dt))):
@@ -80,7 +79,7 @@ def reference_run(state0, grid, lambdas, damping, dt, t_end, order, t0, sample_r
         max_res = max(max_res, abs(e_now - e_prev + diss))
         e_prev = e_now
         while idx < len(schedule) and state.t >= schedule[idx] - 1e-9:
-            records.append(energy(state, grid, lambdas, order=order, delta1=delta1, R=R,
+            records.append(energy(state, grid, lambdas, delta1=delta1, R=R,
                                   dissipation_cum=diss_cum))
             snapshots.append(state)
             idx += 1
@@ -101,7 +100,7 @@ def test_compact_run_matches_full_block_reference(k_count, n, flavor, kind, leve
     v_rows = data.draw(st.sets(st.integers(0, k_count - 1)), label="v rows")
     seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
     rng = np.random.default_rng(seed)
-    g = Grid1D(X=10.0, N=n)
+    g = Grid1D(X=10.0, N=n, order=order)
     a = DampingProfile.build(g, kind, rho=1.5, r=3.0,
                              level=level if kind == "constant" else 1.0)
     lambdas = np.sort(rng.uniform(0.0, 20.0, k_count))
@@ -112,7 +111,7 @@ def test_compact_run_matches_full_block_reference(k_count, n, flavor, kind, leve
                      mass=1.3 if flavor == KLEIN_GORDON else 0.0)
     rows = sorted({0} | u_rows | v_rows)
     compact = replace(full, modes=modes[rows], vmodes=vmodes[rows])
-    kw = dict(dt=dt, t_end=12 * dt, order=order, t0=dt, sample_ratio=1.3, delta1=delta1,
+    kw = dict(dt=dt, t_end=12 * dt, t0=dt, sample_ratio=1.3, delta1=delta1,
               R=g.X / 2 if half_window else None)
 
     samples = []
@@ -141,7 +140,7 @@ def test_compact_run_matches_full_block_reference(k_count, n, flavor, kind, leve
 def elementwise_d2(lap, u):
     """D2 as a general banded product: elementwise with each diagonal stored
     as an array built from the stencil coefficients."""
-    n = lap.grid.N
+    n = u.shape[-1]
     diags = [np.full(n - m, c) for m, c in enumerate(lap.coeffs)]
     out = diags[0] * u
     for m in range(1, len(diags)):
@@ -169,7 +168,7 @@ def one_line_step(stepper, state):
 @pytest.mark.parametrize("kind", ["constant", "longrange", "hole"])
 @pytest.mark.parametrize("mass", [0.0, 1.0])
 def test_run_is_bit_identical_to_one_line_step(order, kind, mass, monkeypatch):
-    g = Grid1D(X=10.0, N=48)
+    g = Grid1D(X=10.0, N=48, order=order)
     a = DampingProfile.build(g, kind, rho=1.5, r=3.0)
     lambdas = np.array([0.0, 1.0, 4.0])
     rng = np.random.default_rng(order + 10 * int(mass))
@@ -188,21 +187,21 @@ def test_run_is_bit_identical_to_one_line_step(order, kind, mass, monkeypatch):
 
     monkeypatch.setattr(BandedLaplacian, "apply", counted_apply)
     samples = []
-    result = run(state0, g, lambdas, a, dt=dt, t_end=t_end, order=order, t0=t0,
+    result = run(state0, g, lambdas, a, dt=dt, t_end=t_end, t0=t0,
                  sample_ratio=ratio, on_sample=samples.append)
     monkeypatch.undo()
     # P u_0 for the identity baseline, P v_n and P u_{n+1} per step, one per record
     assert len(calls) == 1 + 2 * n_steps + len(result.records)
 
-    stepper = Stepper(g, lambdas, a, dt, order=order, mass=mass)
+    stepper = Stepper(g, lambdas, a, dt, mass=mass)
     schedule = geometric_schedule(t0, ratio, t_end)
     state, diss_cum, idx = state0, 0.0, 0
-    records, snapshots = [energy(state0, g, lambdas, order=order)], [state0]
+    records, snapshots = [energy(state0, g, lambdas)], [state0]
     for _ in range(n_steps):
         state, diss = one_line_step(stepper, state)
         diss_cum += diss
         while idx < len(schedule) and state.t >= schedule[idx] - 1e-9:
-            records.append(energy(state, g, lambdas, order=order, dissipation_cum=diss_cum))
+            records.append(energy(state, g, lambdas, dissipation_cum=diss_cum))
             snapshots.append(state)
             idx += 1
 
@@ -301,7 +300,7 @@ def test_matches_dense_exponential_oracle():
     a = DampingProfile.build(g, "constant", level=1.0)
     u0 = gaussian_envelope(g, sigma=3.0, center=0.0, amplitude=1.0)
     state = WaveState(t=0.0, modes=u0[None, :], vmodes=np.zeros((1, g.N)))
-    lap = dense_laplacian(g, 4)
+    lap = dense_laplacian(g)
     n = g.N
     comp = np.zeros((2 * n, 2 * n))
     comp[:n, n:] = np.eye(n)
@@ -310,7 +309,7 @@ def test_matches_dense_exponential_oracle():
     w_exact = expm(comp) @ np.concatenate([u0, np.zeros(n)])
 
     def advance(dt, steps):
-        stepper = Stepper(g, np.array([0.0]), a, dt=dt, order=4)
+        stepper = Stepper(g, np.array([0.0]), a, dt=dt)
         s = state
         for _ in range(steps):
             s, _ = stepper.step(s)
@@ -325,7 +324,7 @@ def test_matches_dense_exponential_oracle():
 def test_discrete_companion_roots_to_second_order():
     # the order-2 cap eigenmode evolves as an exact 2x2 system with
     # mu^2 + mu + nu = 0; the midpoint map must reproduce those roots to O(dt^2)
-    g = Grid1D(X=10.0, N=127)
+    g = Grid1D(X=10.0, N=127, order=2)
     a = DampingProfile.build(g, "constant", level=1.0)
     m = 3
     nu = (2.0 - 2.0 * math.cos(m * math.pi / (g.N + 1))) / g.h ** 2
@@ -344,7 +343,7 @@ def test_discrete_companion_roots_to_second_order():
     assert e1 / e2 == pytest.approx(4.0, rel=0.1)
     # and the stepper's actual action on the cap mode matches that 2x2 model
     dt = 0.02
-    stepper = Stepper(g, np.array([0.0]), a, dt=dt, order=2)
+    stepper = Stepper(g, np.array([0.0]), a, dt=dt)
     state = WaveState(t=0.0, modes=mode[None, :], vmodes=np.zeros((1, g.N)))
     s1, _ = stepper.step(state)
     b = np.array([[0.0, 1.0], [-nu, -1.0]])
@@ -392,14 +391,14 @@ class TestEnergyRecord:
 def test_record_total_is_the_identity_energy(k_count, n, flavor, order, seed):
     # E_total is the sum the identity check of ``run`` tracks, bit for bit
     rng = np.random.default_rng(seed)
-    g = Grid1D(X=10.0, N=n)
+    g = Grid1D(X=10.0, N=n, order=order)
     a = DampingProfile.build(g, "hole", rho=1.5, r=3.0)
     lambdas = np.sort(rng.uniform(0.0, 20.0, k_count))
     mass = 1.3 if flavor == KLEIN_GORDON else 0.0
     state0 = WaveState(t=0.0, modes=rng.standard_normal((k_count, n)),
                        vmodes=rng.standard_normal((k_count, n)), flavor=flavor, mass=mass)
-    stepper = Stepper(g, lambdas, a, dt=0.1, order=order, mass=mass)
-    assert (energy(state0, g, lambdas, order=order).E_total
+    stepper = Stepper(g, lambdas, a, dt=0.1, mass=mass)
+    assert (energy(state0, g, lambdas).E_total
             == float(np.sum(stepper.mode_energies(state0))))
 
 
