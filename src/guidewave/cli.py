@@ -2,8 +2,8 @@
 
 Subcommands: evolve, heat-compare, resolvent-scan, semiclassical, fit, plot.
 Configs are JSON files; --set key.path=value overrides individual fields.
-Exit codes: 0 success, 2 config error, 3 numerical failure, 4 acceptance
-verdict failure (with --assert).
+Exit codes: 0 success, 2 config error or unreadable input file, 3 numerical
+failure, 4 acceptance verdict failure (with --assert).
 """
 
 from __future__ import annotations
@@ -123,10 +123,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SolveError, ConvergenceError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (ValueError, ArithmeticError) as exc:
+    except (SolveError, ConvergenceError, ValueError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except GuidewaveError as exc:

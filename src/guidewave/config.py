@@ -21,8 +21,8 @@ from dataclasses import asdict, dataclass, field, is_dataclass
 
 from .discretize import WeightSpec
 from .errors import ConfigError
+from .evolve import FLAVORS, KLEIN_GORDON, WAVE_DIRICHLET, WAVE_NEUMANN
 
-FLAVORS = ("wave_neumann", "wave_dirichlet", "wave_euclidean", "klein_gordon")
 DAMPING_KINDS = ("constant", "longrange", "hole")
 #: envelope family -> the parameters it takes, with their defaults
 INIT_FAMILIES = {"gaussian": {"sigma": 4.0, "center": 0.0, "amplitude": 1.0},
@@ -83,16 +83,14 @@ class ScanCfg:
 @dataclass
 class ExperimentConfig:
     experiment_id: str = "experiment"
-    flavor: str = "wave_neumann"
+    flavor: str = WAVE_NEUMANN
     mass: float = 0.0
     domain: DomainCfg = field(default_factory=DomainCfg)
     grid: GridCfg = field(default_factory=GridCfg)
     damping: DampingCfg = field(default_factory=DampingCfg)
     init: InitCfg = field(default_factory=InitCfg)
     time: TimeCfg = field(default_factory=TimeCfg)
-    weights: dict[str, float] = field(default_factory=lambda: {"delta1": 0.0, "delta2": 0.0,
-                                                               "s1": 0.0, "s2": 0.0, "s": 0.0,
-                                                               "kappa": 1.1})
+    weights: dict[str, float] = field(default_factory=lambda: asdict(WeightSpec()))
     scan: ScanCfg = field(default_factory=ScanCfg)
     fit_window: list[float] = field(default_factory=lambda: [20.0, 500.0])
     local_radius: float = 10.0
@@ -167,8 +165,9 @@ def validate(cfg: ExperimentConfig) -> None:
     """The range and cross-field rules; the types were checked as the config was built."""
     if cfg.flavor not in FLAVORS:
         raise ConfigError(f"flavor: {cfg.flavor!r} not one of {FLAVORS}")
-    if cfg.flavor == "klein_gordon" and cfg.mass <= 0:
-        raise ConfigError(f"mass: Klein-Gordon needs mass > 0, got {cfg.mass}")
+    if not (cfg.mass > 0 if cfg.flavor == KLEIN_GORDON else cfg.mass == 0):
+        raise ConfigError(f"mass: must be > 0 for flavor {KLEIN_GORDON!r} and 0 for any "
+                          f"other, got {cfg.mass} for {cfg.flavor!r}")
     if cfg.domain.L <= 0:
         raise ConfigError(f"domain.L: must be positive, got {cfg.domain.L}")
     if cfg.domain.K < 1:
@@ -198,7 +197,7 @@ def validate(cfg: ExperimentConfig) -> None:
                               f"not one of {tuple(INIT_FAMILIES[cfg.init.family])}")
     if cfg.init.smoothing_k < 0:
         raise ConfigError(f"init.smoothing_k: must be >= 0, got {cfg.init.smoothing_k}")
-    n_modes = cfg.domain.K if cfg.flavor in ("wave_neumann", "wave_dirichlet") else 1
+    n_modes = cfg.domain.K if cfg.flavor in (WAVE_NEUMANN, WAVE_DIRICHLET) else 1
     for section in ("u0_modes", "u1_modes"):
         for key in getattr(cfg.init, section):
             # one spelling per index: "01" or "+1" would name mode 1 under a new hash
@@ -249,12 +248,20 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 def load(path, overrides=()) -> ExperimentConfig:
     """Read a JSON config, apply ``--set``-style ``overrides``, build and validate."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_input(path) as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     return from_dict(apply_overrides(data, overrides))
+
+
+def open_input(path):
+    """``path`` opened for reading as text; a file that cannot be opened is a ``ConfigError``."""
+    try:
+        return open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot open input file: {exc.strerror}") from exc
 
 
 def parse_scan_z(entries) -> list[complex]:

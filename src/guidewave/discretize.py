@@ -323,9 +323,9 @@ class ShiftedOperator:
         return self._checked(u, f, True)
 
 
-def mode_operator(grid: Grid1D, lam: float, damping: DampingProfile, z: complex,
-                  mass: float = 0.0) -> ShiftedOperator:
-    """Assemble the shifted operator for transverse eigenvalue ``lam``.
+def mode_operator(grid: Grid1D, lam: float, damping: DampingProfile,
+                  z: complex) -> ShiftedOperator:
+    """Assemble -D2 + lam - i z a - z^2 for transverse eigenvalue ``lam`` (m^2 included).
 
     Mode decoupling requires an x-only absorption index, which the 1D
     ``DampingProfile`` guarantees by construction; raw arrays of any other
@@ -336,7 +336,7 @@ def mode_operator(grid: Grid1D, lam: float, damping: DampingProfile, z: complex,
         raise ValueError(
             f"damping must be sampled on the x-grid only (shape ({grid.N},)), got {a.shape}")
     z = complex(z)
-    diag = lam + mass * mass - 1j * z * a - z * z
+    diag = lam - 1j * z * a - z * z
     return ShiftedOperator(grid=grid, lap=laplacian_1d(grid), z=z, diag=diag)
 
 

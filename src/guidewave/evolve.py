@@ -2,11 +2,11 @@
 
 Per transverse mode the system is
 
-    du/dt = v,   dv/dt = (D2 - lam_k - m^2) u - a(x) v,
+    du/dt = v,   dv/dt = (D2 - lam_k) u - a(x) v,
 
-advanced by the implicit midpoint rule.  The midpoint update preserves the
-discrete quadratic energy law exactly: with the form energy
-E = sum_k h (<(-D2 + lam_k + m^2) u_k, u_k> + ||v_k||^2),
+advanced by the implicit midpoint rule; lam_k includes any Klein-Gordon m^2.
+The midpoint update preserves the discrete quadratic energy law exactly:
+with the form energy E = sum_k h (<(-D2 + lam_k) u_k, u_k> + ||v_k||^2),
 
     E(t_{n+1}) - E(t_n) + 2 dt sum_k h <a v_{mid,k}, v_{mid,k}> = 0
 
@@ -17,7 +17,7 @@ eigenvalues passed alongside it name them; row 0 is mode 0.  A mode with no
 data stays exactly zero, so a caller evolves mode 0 and the modes that carry
 data.
 
-A step together with its identity check applies P = -D2 + lam_k + m^2 twice:
+A step together with its identity check applies P = -D2 + lam_k twice:
 to v_n in the midpoint right-hand side, and to u_{n+1} in the check's form
 energy, whose P u_{n+1} the next step reuses as its P u.  The midpoint matrix
 and the smoothing resolvent use the band factor ``discretize.BandCholesky``.
@@ -52,7 +52,6 @@ class WaveState:
     modes: np.ndarray = field(repr=False)    # (K, N)
     vmodes: np.ndarray = field(repr=False)   # (K, N)
     flavor: str = WAVE_NEUMANN
-    mass: float = 0.0
 
     def __post_init__(self):
         if self.modes.shape != self.vmodes.shape or self.modes.ndim != 2:
@@ -82,7 +81,7 @@ class EnergyRecord:
 class Stepper:
     """Prefactored implicit-midpoint stepper for a fixed dt.
 
-    The per-mode midpoint matrix (1 + tau a) + tau^2 P, P = -D2 + lam_k + m^2,
+    The per-mode midpoint matrix (1 + tau a) + tau^2 P, P = -D2 + lam_k,
     is symmetric positive definite and banded; the K of them are
     Cholesky-factored once as one stacked ``BandCholesky``, and every step
     solves with that factor by one LAPACK call.
@@ -99,7 +98,7 @@ class Stepper:
     """
 
     def __init__(self, grid: Grid1D, lambdas: np.ndarray, damping: DampingProfile,
-                 dt: float, mass: float = 0.0):
+                 dt: float):
         if dt <= 0:
             raise ValueError(f"time step must be positive, got dt={dt}")
         a = damping.samples
@@ -110,9 +109,8 @@ class Stepper:
         self.dt = float(dt)
         self.tau = 0.5 * self.dt
         self.a = a
-        self.mass = float(mass)
         self.lambdas = np.asarray(lambdas, dtype=float)
-        self.lam_eff = (self.lambdas + self.mass ** 2)[:, None]
+        self.lam_eff = self.lambdas[:, None]
         self.lap = laplacian_1d(grid)
         t2 = self.tau ** 2
         self._factor = BandCholesky(
@@ -151,7 +149,7 @@ class Stepper:
 
 
 def _apply_p(lam_eff: np.ndarray, lap, u: np.ndarray) -> np.ndarray:
-    """(-D2 + lam_k + m^2) u_k for every mode k; lam u - D2 u rounds as -D2 u + lam u."""
+    """(-D2 + lam_k) u_k for every mode k; lam u - D2 u rounds as -D2 u + lam u."""
     return lam_eff * u - lap.apply(u)
 
 
@@ -162,7 +160,7 @@ def _form_energies(u: np.ndarray, pu: np.ndarray, v: np.ndarray, h: float) -> np
 
 def smooth_initial_data(modes: np.ndarray, vmodes: np.ndarray, grid: Grid1D,
                         lambdas: np.ndarray, damping: DampingProfile,
-                        k_applications: int, mass: float = 0.0):
+                        k_applications: int):
     """Apply the resolvent at z = i repeatedly to emulate extra regularity.
 
     Each application maps u to u' = (-D2 + lam + a + 1)^{-1} [(a+1) u + v],
@@ -176,7 +174,7 @@ def smooth_initial_data(modes: np.ndarray, vmodes: np.ndarray, grid: Grid1D,
     a = damping.samples
     u = np.array(modes, dtype=float, copy=True)
     v = np.array(vmodes, dtype=float, copy=True)
-    lam_eff = np.asarray(lambdas, dtype=float)[:, None] + mass ** 2
+    lam_eff = np.asarray(lambdas, dtype=float)[:, None]
     factor = BandCholesky(lap, lam_eff + a + 1.0 - lap.coeffs[0])
     for _ in range(k_applications):
         u = factor.solve((a + 1.0) * u + v)
@@ -190,12 +188,12 @@ def energy(state: WaveState, grid: Grid1D, lambdas: np.ndarray,
     """Assemble the energy record of a state at its time.
 
     ``lambdas`` are the eigenvalues of the state's modes; row 0 is mode 0.
-    The mass comes from the state.  E_total is the form energy, summed over
-    the modes of ``Stepper.mode_energies`` by the same expression, so it is
-    bit for bit the quantity the identity check of ``run`` tracks.  E_local
-    windows a gradient sum, by the grid's stencil (``Grid1D.order``), to
-    |x| <= R; at the full window there are no excluded nodes and the local
-    energy coincides with E_total by construction.
+    E_total is the form energy, summed over the modes of
+    ``Stepper.mode_energies`` by the same expression, so it is bit for bit
+    the quantity the identity check of ``run`` tracks.  E_local windows a
+    gradient sum, by the grid's stencil (``Grid1D.order``), to |x| <= R; at
+    the full window there are no excluded nodes and the local energy
+    coincides with E_total by construction.
     """
     if R is None:
         R = grid.X
@@ -203,7 +201,7 @@ def energy(state: WaveState, grid: Grid1D, lambdas: np.ndarray,
         raise ValueError(f"local-energy radius R={R} exceeds the box X={grid.X}")
     h = grid.h
     u, v = state.modes, state.vmodes
-    lam_eff = (np.asarray(lambdas, dtype=float) + float(state.mass) ** 2)[:, None]
+    lam_eff = np.asarray(lambdas, dtype=float)[:, None]
     lap = laplacian_1d(grid)
     per_mode = _form_energies(u, _apply_p(lam_eff, lap, u), v, h)
     e_total = float(np.sum(per_mode))
@@ -273,7 +271,7 @@ def run(state0: WaveState, grid: Grid1D, lambdas: np.ndarray, damping: DampingPr
     lambdas = np.asarray(lambdas, dtype=float)
     if lambdas.shape != state0.modes.shape[:1]:
         raise ValueError(f"state has {state0.modes.shape[0]} modes, got {lambdas.size} eigenvalues")
-    stepper = Stepper(grid, lambdas, damping, dt, mass=state0.mass)
+    stepper = Stepper(grid, lambdas, damping, dt)
     schedule = geometric_schedule(t0, sample_ratio, t_end)
     records = []
 
@@ -314,7 +312,7 @@ def powerlaw_envelope(grid: Grid1D, q: float, amplitude: float) -> np.ndarray:
 
 def assemble_initial_state(grid: Grid1D, n_modes: int, envelope: np.ndarray,
                            u0_modes: dict[int, float], u1_modes: dict[int, float],
-                           flavor: str = WAVE_NEUMANN, mass: float = 0.0) -> WaveState:
+                           flavor: str = WAVE_NEUMANN) -> WaveState:
     """Mode-mixed data u0 = sum_k c_k phi_k (x) envelope, likewise u1."""
     modes = np.zeros((n_modes, grid.N))
     vmodes = np.zeros((n_modes, grid.N))
@@ -326,4 +324,4 @@ def assemble_initial_state(grid: Grid1D, n_modes: int, envelope: np.ndarray,
         if not 0 <= int(k) < n_modes:
             raise ValueError(f"u1 mode index {k} outside 0..{n_modes - 1}")
         vmodes[int(k)] = c * envelope
-    return WaveState(t=0.0, modes=modes, vmodes=vmodes, flavor=flavor, mass=mass)
+    return WaveState(t=0.0, modes=modes, vmodes=vmodes, flavor=flavor)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .config import (INIT_FAMILIES, ExperimentConfig, canonical_json, config_hash,
-                     parse_scan_z)
+                     open_input, parse_scan_z)
 from .discretize import DampingProfile, Grid1D
 from .errors import ConfigError
 from .evolve import (KLEIN_GORDON, WAVE_DIRICHLET, WAVE_EUCLIDEAN, WAVE_NEUMANN,
@@ -79,7 +79,7 @@ def format_csv(columns: dict, header_comments: list[str]) -> str:
 def read_csv(path: str) -> dict[str, np.ndarray]:
     names = None
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_input(path) as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
@@ -136,22 +136,20 @@ def build_damping(cfg: ExperimentConfig, grid: Grid1D) -> DampingProfile:
 
 
 def build_basis(cfg: ExperimentConfig):
-    """Transverse mode eigenvalues and the mode-0 normalization factor."""
+    """The transverse eigenvalues lam_k + mass^2, the one place the Klein-Gordon
+    mass enters, and the mode-0 normalization factor."""
+    lambdas, yfactor = np.array([0.0]), 1.0
     if cfg.flavor in (WAVE_NEUMANN, WAVE_DIRICHLET):
         bc = NEUMANN if cfg.flavor == WAVE_NEUMANN else DIRICHLET
-        return transverse_eigenvalues(bc, L=cfg.domain.L, K=cfg.domain.K), math.sqrt(cfg.domain.L)
-    return np.array([0.0]), 1.0
+        lambdas = transverse_eigenvalues(bc, L=cfg.domain.L, K=cfg.domain.K)
+        yfactor = math.sqrt(cfg.domain.L)
+    return lambdas + cfg.mass ** 2, yfactor
 
 
 def build_envelope(cfg: ExperimentConfig, grid: Grid1D) -> np.ndarray:
     """The family's envelope, its ``INIT_FAMILIES`` defaults overridden by ``init.params``."""
     envelope = gaussian_envelope if cfg.init.family == "gaussian" else powerlaw_envelope
     return envelope(grid, **{**INIT_FAMILIES[cfg.init.family], **cfg.init.params})
-
-
-def build_mass(cfg: ExperimentConfig) -> float:
-    """The Klein-Gordon mass; the other flavors carry none."""
-    return cfg.mass if cfg.flavor == KLEIN_GORDON else 0.0
 
 
 def evolved_modes(cfg: ExperimentConfig) -> np.ndarray:
@@ -167,11 +165,10 @@ def build_initial_state(cfg: ExperimentConfig, grid: Grid1D, lambdas, damping: D
     row = {k: i for i, k in enumerate(evolved_modes(cfg))}
     u0 = {row[int(k)]: float(v) for k, v in cfg.init.u0_modes.items()}
     u1 = {row[int(k)]: float(v) for k, v in cfg.init.u1_modes.items()}
-    mass = build_mass(cfg)
-    state = assemble_initial_state(grid, len(row), env, u0, u1, flavor=cfg.flavor, mass=mass)
+    state = assemble_initial_state(grid, len(row), env, u0, u1, flavor=cfg.flavor)
     if cfg.init.smoothing_k > 0:
         modes, vmodes = smooth_initial_data(state.modes, state.vmodes, grid, lambdas,
-                                            damping, cfg.init.smoothing_k, mass=mass)
+                                            damping, cfg.init.smoothing_k)
         state = dataclasses.replace(state, modes=modes, vmodes=vmodes)
     return state
 
@@ -221,7 +218,7 @@ def cmd_evolve(cfg: ExperimentConfig, out_base: str, on_sample=None) -> dict:
     state0 = build_initial_state(cfg, grid, lambdas, damping)
     result = run(state0, grid, lambdas, damping, dt=cfg.time.dt, t_end=cfg.time.t_end,
                  t0=cfg.time.t0, sample_ratio=cfg.time.sample_ratio,
-                 delta1=cfg.weights["delta1"], R=cfg.local_radius, on_sample=on_sample)
+                 delta1=cfg.weight_spec().delta1, R=cfg.local_radius, on_sample=on_sample)
     series = result.series()
 
     t = series["t"]
@@ -276,7 +273,7 @@ def cmd_heat_compare(cfg: ExperimentConfig, out_base: str) -> dict:
             heat = HeatSolution(grid=grid, w0=p0_heat_data(state.modes, state.vmodes,
                                                            damping.samples, yfactor))
         rows.append(compare(state, heat, grid, lambdas, yfactor,
-                            delta1=cfg.weights["delta1"]))
+                            delta1=cfg.weight_spec().delta1))
 
     evolved = cmd_evolve(cfg, out_base, on_sample=on_sample)
     table = comparison_table(rows)
@@ -313,9 +310,8 @@ def cmd_resolvent(cfg: ExperimentConfig, out_base: str) -> dict:
     damping = build_damping(cfg, grid)
     lambdas, _ = build_basis(cfg)
     kind = cfg.scan.kind
-    mass = build_mass(cfg)
-    if mass and kind != "highfreq":
-        raise ConfigError(f"mass: scan kind {kind!r} has no mass term, got mass={mass}")
+    if cfg.flavor == KLEIN_GORDON and kind != "highfreq":
+        raise ConfigError(f"mass: scan kind {kind!r} has no mass term, got mass={cfg.mass}")
     zs = parse_scan_z(cfg.scan.z_list)
     payload = {"command": "resolvent-scan", "kind": kind}
 
@@ -324,7 +320,7 @@ def cmd_resolvent(cfg: ExperimentConfig, out_base: str) -> dict:
         # short numpy calls that release and retake the GIL, and on two pool
         # threads (2 cores) the golden took 0.96-1.04 s against 0.48-0.66 s on one
         rows = theta_probe(zs, damping, grid, lambdas,
-                           delta1=cfg.weights["delta1"], delta2=cfg.weights["delta2"],
+                           delta1=cfg.weight_spec().delta1, delta2=cfg.weight_spec().delta2,
                            rng=np.random.default_rng(cfg.seed))
         cols = {"re_z": [r["z"].real for r in rows], "im_z": [r["z"].imag for r in rows]}
         for j in (1, 2, 3, 4):
@@ -353,7 +349,7 @@ def cmd_resolvent(cfg: ExperimentConfig, out_base: str) -> dict:
         # high/intermediate frequency norm scan, max over modes per point
         with ThreadPoolExecutor(max_workers=max_threads()) as pool:
             points = norm_scan(zs, cfg.scan.beta1, cfg.scan.beta2, damping, grid, lambdas,
-                               mass=mass, rng=point_rngs(cfg.seed, len(zs)), map=pool.map,
+                               rng=point_rngs(cfg.seed, len(zs)), map=pool.map,
                                truncation_guard=cfg.scan.truncation_guard)
 
         cols = {"re_z": [p.z.real for p in points], "im_z": [p.z.imag for p in points],
@@ -385,7 +381,7 @@ def cmd_semiclassical(cfg: ExperimentConfig, out_base: str) -> dict:
     grid = build_grid(cfg)
     damping = build_damping(cfg, grid)
     hs = [float(h) for h in cfg.scan.h_list]
-    if build_mass(cfg):
+    if cfg.flavor == KLEIN_GORDON:
         raise ConfigError(f"mass: the semiclassical operator has no mass term, got mass={cfg.mass}")
     if not hs:
         raise ConfigError("scan.h_list: semiclassical scan needs at least one h")

@@ -244,11 +244,11 @@ def sobolev_constant_sq(grid: Grid1D) -> float:
 def mode_norm_bound(c: float, s: float, beta_sum: int, k_sq: float) -> float:
     """Certified upper bound of ||S_b1 R S_b2||, b = b1 + b2 = ``beta_sum``, R = A^{-1}.
 
-    A = -D2 + lam + mass^2 - i z a - z^2 with z = x + iy.  Its Hermitian part
-    -D2 + lam + mass^2 - Re z^2 + y a is >= c, since -D2 >= 0, and its skew
-    part is the diagonal Im A = -x (a + 2y), of one sign when a + 2y > 0, so
-    |Im <A u, u>| >= s ||u||^2, s = |x| min(a + 2y) (``_mode_bounds``).  Since
-    ||A u|| ||u|| >= |<A u, u>|, the L^2 pair gets
+    A = -D2 + lam - i z a - z^2 with z = x + iy, lam including any mass^2.  Its
+    Hermitian part -D2 + lam - Re z^2 + y a is >= c, since -D2 >= 0, and its
+    skew part is the diagonal Im A = -x (a + 2y), of one sign when a + 2y > 0,
+    so |Im <A u, u>| >= s ||u||^2, s = |x| min(a + 2y) (``_mode_bounds``).
+    Since ||A u|| ||u|| >= |<A u, u>|, the L^2 pair gets
     ||R|| <= 1 / hypot(max(c, 0), max(s, 0)), inf when both are <= 0.  For
     b > 0 and c > 0, Re A >= m M with m = min(1, c) and M = 1 - D2.  With
     u = R f, m ||M^{1/2} u||^2 <= Re <A u, u> <= ||f|| ||u|| and
@@ -266,9 +266,9 @@ def mode_norm_bound(c: float, s: float, beta_sum: int, k_sq: float) -> float:
     return k_sq ** (beta_sum / 2.0) / (m ** (beta_sum / 2.0) * c ** (1.0 - beta_sum / 2.0))
 
 
-def _mode_bounds(z: complex, mass: float, a: np.ndarray, beta_sum: int, k_sq: float):
+def _mode_bounds(z: complex, a: np.ndarray, beta_sum: int, k_sq: float):
     """lam -> ``mode_norm_bound`` of mode lam at z, with c = lam + shift and s fixed."""
-    shift = mass * mass - (z * z).real + float(np.min(z.imag * a))
+    shift = -(z * z).real + float(np.min(z.imag * a))
     s = abs(z.real) * float(np.min(a + 2.0 * z.imag))
     return lambda lam: mode_norm_bound(lam + shift, s, beta_sum, k_sq)
 
@@ -339,10 +339,10 @@ def scan_modes(zs, lambdas, bounds, run, *, rep=None, map=map) -> list[ModeMax]:
     never exceeds its mode's norm, so a skipped mode cannot raise a max.
 
     The modes whose bound is their point's largest are never skipped: every
-    propagating mode, lam <= Re z^2, whose bound is 1/s for the L^2 pair and
-    inf for a Sobolev pair.  Their runs are handed to ``map`` at once, so a thread
-    pool's map runs them in parallel, the points with the most propagating
-    modes first.  The loop is then replayed in that order: it takes those
+    propagating mode, lam <= Re z^2 (lam including any mass^2), whose bound is
+    1/s for the L^2 pair and inf for a Sobolev pair.  Their runs are handed to
+    ``map`` at once, so a thread pool's map runs them in parallel, the points
+    with the most propagating modes first.  The loop is then replayed in that order: it takes those
     results as they come and hands ``map`` whatever else it does not skip.
     Only the points with ``rep[i] == i`` are computed; point i takes the
     result of point rep[i] (see ``reflection_classes``).
@@ -375,7 +375,7 @@ def scan_modes(zs, lambdas, bounds, run, *, rep=None, map=map) -> list[ModeMax]:
 
 
 def norm_scan(z_list, beta1: int, beta2: int, damping: DampingProfile, grid: Grid1D,
-              lambdas, mass: float = 0.0, *, rng, map=map,
+              lambdas, *, rng, map=map,
               truncation_guard: bool = False) -> list[ScanPoint]:
     """Resolvent norms over the guide: max over transverse modes per z.
 
@@ -413,11 +413,11 @@ def norm_scan(z_list, beta1: int, beta2: int, damping: DampingProfile, grid: Gri
         k_sq2 = sobolev_constant_sq(grid2)
         draws.append(grid2.N)
     states = [_start_states(r, draws) for r in _point_generators(rng, len(zs))]
-    bounds = [[_mode_bounds(z, mass, damping.samples, beta1 + beta2, k_sq)(lam)
+    bounds = [[_mode_bounds(z, damping.samples, beta1 + beta2, k_sq)(lam)
                for lam in lambdas] for z in zs]
 
     def run(i, k):
-        op = mode_operator(grid, lambdas[k], damping, zs[i], mass=mass)
+        op = mode_operator(grid, lambdas[k], damping, zs[i])
         return [_mode_sobolev_norm(op, scaler, beta1, beta2, _generator(states[i][k]),
                                    upper=bounds[i][k])]
 
@@ -426,8 +426,8 @@ def norm_scan(z_list, beta1: int, beta2: int, damping: DampingProfile, grid: Gri
 
     def limited(i):
         best, _, k = maxima[i].best[0]
-        upper2 = _mode_bounds(zs[i], mass, damping2.samples, beta1 + beta2, k_sq2)(lambdas[k])
-        op2 = mode_operator(grid2, lambdas[k], damping2, zs[i], mass=mass)
+        upper2 = _mode_bounds(zs[i], damping2.samples, beta1 + beta2, k_sq2)(lambdas[k])
+        op2 = mode_operator(grid2, lambdas[k], damping2, zs[i])
         sigma2, _ = _mode_sobolev_norm(op2, scaler2, beta1, beta2, _generator(states[i][-1]),
                                        upper=upper2)
         return abs(sigma2 - best) > TRUNCATION_GUARD_RTOL * best

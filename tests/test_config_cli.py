@@ -16,6 +16,7 @@ from guidewave.cli import main
 from guidewave.config import (FIELD_TYPES, FLOAT_FIELDS, INTEGER_FIELDS, ExperimentConfig,
                               apply_overrides, canonical_json, config_hash, from_dict, load,
                               parse_scan_z)
+from guidewave.discretize import WeightSpec
 from guidewave.errors import ConfigError
 from guidewave.evolve import gaussian_envelope, powerlaw_envelope
 from guidewave.pipeline import (build_damping, build_envelope, build_grid, cmd_resolvent,
@@ -216,6 +217,7 @@ class TestConfig:
         ("init", {"params": {"sigmaa": 3.0}}, "init.params.sigmaa: unknown parameter"),
         ("init", {"family": "powerlaw", "params": {"sigma": 3.0}}, "init.params.sigma: unknown"),
         ("weights", {"delta9": 1.0}, "weights.delta9: unknown field"),
+        ("mass", 2.0, "mass"),
     ])
     def test_validation_reports_field_path(self, path, value, fragment):
         data = json.loads(json.dumps(TINY))
@@ -367,7 +369,7 @@ class TestCli:
             points = cmd_resolvent(cfg, str(tmp_path / f"m{mass}"))["points"]
             norms[mass] = [p.norm_est for p in points]
             grid = build_grid(cfg)
-            want = [norm_scan([z], 0, 0, build_damping(cfg, grid), grid, [0.0], mass=mass,
+            want = [norm_scan([z], 0, 0, build_damping(cfg, grid), grid, [mass ** 2],
                               rng=np.random.default_rng([cfg.seed, i]))[0].norm_est
                     for i, z in enumerate((2.0, 4.0))]
             assert norms[mass] == want
@@ -407,6 +409,9 @@ class TestCli:
                                   ("evolve", "local_radius=-1"),
                                   ("evolve", "time.dt=abc"),
                                   ("evolve", "mass=null"),
+                                  # a mass on a flavor without one would run unchanged
+                                  # under a new hash
+                                  ("evolve", "mass=3.0"),
                                   ("resolvent-scan", 'scan.truncation_guard="yes"'),
                                   ("evolve", "init.params.sigma=abc"),
                                   ("evolve", "init.params.sigmaa=3"),
@@ -422,6 +427,29 @@ class TestCli:
             capsys.readouterr()
             assert main([command, cfgp, "--set", override, "--out", str(tmp_path / "o")]) == 2
             assert override.split("=")[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["evolve", "heat-compare", "resolvent-scan"])
+    def test_partial_weights_section_takes_the_defaults(self, tmp_path, command):
+        # a weights section that names some fields runs with the others at their
+        # WeightSpec defaults, and writes what the full spelling writes
+        cfgp = write_tiny(tmp_path, scan={"kind": "theta", "z_list": [[0.3, 0.4]]})
+        artifacts = []
+        for weights in ({"kappa": 1.2}, {**dataclasses.asdict(WeightSpec()), "kappa": 1.2}):
+            out = tmp_path / f"w{len(weights)}"
+            assert main([command, cfgp, "--set", f"weights={json.dumps(weights)}",
+                         "--out", str(out)]) == 0
+            rundir = next(out.iterdir())
+            artifacts.append({p.name: p.read_text().replace(rundir.name, "HASH")
+                              for p in sorted(rundir.iterdir()) if p.name != "config.json"})
+        assert artifacts[0] == artifacts[1]
+
+    def test_missing_input_file_is_a_config_error(self, tmp_path, capsys):
+        missing = str(tmp_path / "nowhere")
+        for argv in (["evolve", f"{missing}.json", "--out", str(tmp_path / "o")],
+                     ["fit", f"{missing}.csv", "--column", "t"],
+                     ["plot", f"{missing}.csv"]):
+            assert main(argv) == 2
+            assert missing in capsys.readouterr().err
 
     def test_fit_subcommand_and_assert_exit(self, tmp_path):
         cfgp = write_tiny(tmp_path)

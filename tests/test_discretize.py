@@ -290,14 +290,16 @@ def test_package_calls_no_dense_routine():
     assert calls == []
 
 
-def test_no_function_takes_a_stencil_order():
-    # the stencil order is a field of the grid, Grid1D.order, and nothing else holds it
+@pytest.mark.parametrize("name", ["order", "mass"])
+def test_no_function_takes_a_parameter_named(name):
+    # the stencil order is a field of the grid, Grid1D.order, and the Klein-Gordon
+    # mass is in the eigenvalues pipeline.build_basis returns; nothing else holds either
     takers = []
     for path, node in _package_nodes():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             args = node.args
             names = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
                                      args.vararg, args.kwarg) if a is not None]
-            if "order" in names:
+            if name in names:
                 takers.append(f"{path}:{node.lineno} {getattr(node, 'name', 'lambda')}")
     assert takers == []

@@ -24,7 +24,7 @@ def reference_step(stepper, state):
     eye = np.eye(stepper.grid.N)
     new_u, new_v, diss = [], [], 0.0
     for lam, u, v in zip(stepper.lambdas, state.modes, state.vmodes):
-        p = neg_lap + (lam + stepper.mass ** 2) * eye
+        p = neg_lap + lam * eye
         mid = eye + tau * np.diag(a) + tau ** 2 * p
         vp = np.linalg.solve(mid, v - tau * a * v - tau ** 2 * p @ v - 2.0 * tau * p @ u)
         new_u.append(u + tau * (v + vp))
@@ -46,10 +46,10 @@ def test_stacked_step_matches_per_mode_reference(k_count, n, kind, level, order,
     # only the constant profile takes a level; the others reject any but 1
     a = DampingProfile.build(g, kind, rho=1.5, r=3.0,
                              level=level if kind == "constant" else 1.0)
-    lambdas = np.sort(rng.uniform(0.0, 20.0, k_count))
-    stepper = Stepper(g, lambdas, a, dt=dt, mass=mass)
+    lambdas = np.sort(rng.uniform(0.0, 20.0, k_count)) + mass ** 2
+    stepper = Stepper(g, lambdas, a, dt=dt)
     state = WaveState(t=0.0, modes=rng.standard_normal((k_count, n)),
-                      vmodes=rng.standard_normal((k_count, n)), mass=mass)
+                      vmodes=rng.standard_normal((k_count, n)))
     for _ in range(3):
         ref_u, ref_v, ref_diss = reference_step(stepper, state)
         new, diss = stepper.step(state)
@@ -66,7 +66,7 @@ def test_stacked_step_matches_per_mode_reference(k_count, n, kind, level, order,
 
 def reference_run(state0, grid, lambdas, damping, dt, t_end, t0, sample_ratio, delta1, R):
     """``run`` as a plain loop of ``Stepper`` steps and ``energy`` records."""
-    stepper = Stepper(grid, lambdas, damping, dt, mass=state0.mass)
+    stepper = Stepper(grid, lambdas, damping, dt)
     schedule = geometric_schedule(t0, sample_ratio, t_end)
     state, diss_cum, max_res, idx = state0, 0.0, 0.0, 0
     records = [energy(state0, grid, lambdas, delta1=delta1, R=R)]
@@ -103,12 +103,12 @@ def test_compact_run_matches_full_block_reference(k_count, n, flavor, kind, leve
     g = Grid1D(X=10.0, N=n, order=order)
     a = DampingProfile.build(g, kind, rho=1.5, r=3.0,
                              level=level if kind == "constant" else 1.0)
-    lambdas = np.sort(rng.uniform(0.0, 20.0, k_count))
+    mass = 1.3 if flavor == KLEIN_GORDON else 0.0
+    lambdas = np.sort(rng.uniform(0.0, 20.0, k_count)) + mass ** 2
     modes, vmodes = np.zeros((k_count, n)), np.zeros((k_count, n))
     modes[sorted(u_rows)] = rng.standard_normal((len(u_rows), n))
     vmodes[sorted(v_rows)] = rng.standard_normal((len(v_rows), n))
-    full = WaveState(t=0.0, modes=modes, vmodes=vmodes, flavor=flavor,
-                     mass=1.3 if flavor == KLEIN_GORDON else 0.0)
+    full = WaveState(t=0.0, modes=modes, vmodes=vmodes, flavor=flavor)
     rows = sorted({0} | u_rows | v_rows)
     compact = replace(full, modes=modes[rows], vmodes=vmodes[rows])
     kw = dict(dt=dt, t_end=12 * dt, t0=dt, sample_ratio=1.3, delta1=delta1,
@@ -170,11 +170,11 @@ def one_line_step(stepper, state):
 def test_run_is_bit_identical_to_one_line_step(order, kind, mass, monkeypatch):
     g = Grid1D(X=10.0, N=48, order=order)
     a = DampingProfile.build(g, kind, rho=1.5, r=3.0)
-    lambdas = np.array([0.0, 1.0, 4.0])
+    lambdas = np.array([0.0, 1.0, 4.0]) + mass ** 2
     rng = np.random.default_rng(order + 10 * int(mass))
     state0 = WaveState(t=0.0, modes=rng.standard_normal((3, g.N)),
                        vmodes=rng.standard_normal((3, g.N)),
-                       flavor=KLEIN_GORDON if mass else WAVE_NEUMANN, mass=mass)
+                       flavor=KLEIN_GORDON if mass else WAVE_NEUMANN)
     dt, t_end, t0, ratio = 0.1, 3.0, 0.1, 1.3
     n_steps = int(round(t_end / dt))
 
@@ -193,7 +193,7 @@ def test_run_is_bit_identical_to_one_line_step(order, kind, mass, monkeypatch):
     # P u_0 for the identity baseline, P v_n and P u_{n+1} per step, one per record
     assert len(calls) == 1 + 2 * n_steps + len(result.records)
 
-    stepper = Stepper(g, lambdas, a, dt, mass=mass)
+    stepper = Stepper(g, lambdas, a, dt)
     schedule = geometric_schedule(t0, ratio, t_end)
     state, diss_cum, idx = state0, 0.0, 0
     records, snapshots = [energy(state0, g, lambdas)], [state0]
@@ -218,10 +218,10 @@ def test_run_is_bit_identical_to_one_line_step(order, kind, mass, monkeypatch):
 def test_step_bits_do_not_depend_on_the_energy_check():
     g = Grid1D(X=10.0, N=48)
     a = DampingProfile.build(g, "hole", rho=1.5, r=3.0)
-    lambdas = np.array([0.0, 2.0])
+    lambdas = np.array([0.0, 2.0]) + 0.5 ** 2
     rng = np.random.default_rng(5)
-    checked = Stepper(g, lambdas, a, dt=0.2, mass=0.5)
-    unchecked = Stepper(g, lambdas, a, dt=0.2, mass=0.5)
+    checked = Stepper(g, lambdas, a, dt=0.2)
+    unchecked = Stepper(g, lambdas, a, dt=0.2)
     other = WaveState(t=0.0, modes=rng.standard_normal((2, g.N)),
                       vmodes=rng.standard_normal((2, g.N)))
     state = WaveState(t=0.0, modes=rng.standard_normal((2, g.N)),
@@ -393,11 +393,11 @@ def test_record_total_is_the_identity_energy(k_count, n, flavor, order, seed):
     rng = np.random.default_rng(seed)
     g = Grid1D(X=10.0, N=n, order=order)
     a = DampingProfile.build(g, "hole", rho=1.5, r=3.0)
-    lambdas = np.sort(rng.uniform(0.0, 20.0, k_count))
     mass = 1.3 if flavor == KLEIN_GORDON else 0.0
+    lambdas = np.sort(rng.uniform(0.0, 20.0, k_count)) + mass ** 2
     state0 = WaveState(t=0.0, modes=rng.standard_normal((k_count, n)),
-                       vmodes=rng.standard_normal((k_count, n)), flavor=flavor, mass=mass)
-    stepper = Stepper(g, lambdas, a, dt=0.1, mass=mass)
+                       vmodes=rng.standard_normal((k_count, n)), flavor=flavor)
+    stepper = Stepper(g, lambdas, a, dt=0.1)
     assert (energy(state0, g, lambdas).E_total
             == float(np.sum(stepper.mode_energies(state0))))
 

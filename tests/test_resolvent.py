@@ -32,9 +32,9 @@ BETA_PAIRS = [(0, 0), (1, 0), (0, 1), (1, 1)]
 
 @st.composite
 def mode_cases(draw, n_z=1):
-    """A small grid of either stencil order, a damping kind and mass, ``n_z`` shifts
-    z (real, upper or lower half-plane) and a mode eigenvalue lam giving every z the
-    coercivity constant c = lam + mass^2 - Re z^2 + min(Im z a) >= c_min > 0."""
+    """A small grid of either stencil order, a damping kind, ``n_z`` shifts z (real,
+    upper or lower half-plane) and a mode eigenvalue lam, a mass^2 of 0 or 1 folded in,
+    giving every z the coercivity constant c = lam - Re z^2 + min(Im z a) >= c_min > 0."""
     g = Grid1D(X=draw(st.floats(2.0, 20.0)), N=draw(st.integers(16, 40)))
     a = DampingProfile.build(g, draw(st.sampled_from(DAMPING_KINDS)), r=2.0, rho=2.0)
     half_plane = st.sampled_from([0.0, 1.0, -1.0])
@@ -46,7 +46,7 @@ def mode_cases(draw, n_z=1):
                                     for z in zs)
     # the damping samples do not depend on the stencil order
     g = dataclasses.replace(g, order=draw(st.sampled_from([2, 4])))
-    return g, a, mass, zs, lam, c_min
+    return g, a, zs, lam + mass * mass, c_min
 
 
 def rn_solve(z, damping, lam, grid, rhs):
@@ -224,7 +224,7 @@ class TestNormScan:
         g = Grid1D(X=40.0, N=1024)
         a = DampingProfile.build(g, "constant")
         zs = [t for t in np.linspace(-32.0, 32.0, 17) if abs(t) > 1e-9] + [1e-6]
-        pts = norm_scan(zs, 0, 0, a, g, [0.0], mass=1.0, rng=np.random.default_rng(6))
+        pts = norm_scan(zs, 0, 0, a, g, [1.0 ** 2], rng=np.random.default_rng(6))
         assert max(p.norm_est for p in pts) <= 1.05
 
     def test_rejects_bad_sobolev_indices(self, grid40, damping_const):
@@ -327,8 +327,8 @@ class TestCertifiedTailBound:
     @settings(max_examples=60, deadline=None)
     @given(case=mode_cases())
     def test_bound_dominates_dense_norm(self, case):
-        g, a, mass, (z,), lam, c = case
-        op = mode_operator(g, lam, a, z, mass=mass)
+        g, a, (z,), lam, c = case
+        op = mode_operator(g, lam, a, z)
         k_sq = sobolev_constant_sq(g)
         s = abs(z.real) * float(np.min(a.samples + 2.0 * z.imag))
         for b1, b2 in BETA_PAIRS:
@@ -406,10 +406,10 @@ class TestScanWorkList:
         g = Grid1D(X=10.0, N=48)
         a = DampingProfile.build(g, "hole", r=3.0, rho=2.0)
         for z in (2.5, 1.5 + 0.3j, 0.7 - 0.2j):
-            want = dense_sobolev_norm(mode_operator(g, 1.0, a, z, mass=0.5), *betas)
-            mirror = dense_sobolev_norm(mode_operator(g, 1.0, a, -np.conj(z), mass=0.5), *betas)
+            want = dense_sobolev_norm(mode_operator(g, 1.0 + 0.5 ** 2, a, z), *betas)
+            mirror = dense_sobolev_norm(mode_operator(g, 1.0 + 0.5 ** 2, a, -np.conj(z)), *betas)
             assert mirror == pytest.approx(want, rel=1e-12)
-            pts = norm_scan([-np.conj(z), z], *betas, a, g, [1.0], mass=0.5,
+            pts = norm_scan([-np.conj(z), z], *betas, a, g, [1.0 + 0.5 ** 2],
                             rng=np.random.default_rng(21))
             assert pts[0] == dataclasses.replace(pts[1], z=pts[0].z)
             assert pts[1].norm_est == pytest.approx(want, rel=1e-10)
@@ -550,9 +550,9 @@ class TestBlockResolvent:
 @given(case=mode_cases(n_z=2), seed=st.integers(0, 2**32 - 1))
 def test_resolvent_identity(case, seed):
     # R(z1) - R(z2) = R(z1) (A(z2) - A(z1)) R(z2), A(z2) - A(z1) = (z1 - z2)(ia + z1 + z2)
-    g, a, mass, (z1, z2), lam, _ = case
+    g, a, (z1, z2), lam, _ = case
     f = [1.0, 1j] @ np.random.default_rng(seed).standard_normal((2, g.N))
-    res = resolvent_identity_residual(z1, z2, a, lam + mass * mass, g, f)
+    res = resolvent_identity_residual(z1, z2, a, lam, g, f)
     assert res <= 1e-8
 
 
@@ -560,21 +560,20 @@ def test_resolvent_identity(case, seed):
 @given(case=mode_cases(), seed=st.integers(0, 2**32 - 1))
 def test_adjoint_reflection(case, seed):
     # R(z)^* = R(-conj z): the adjoint solve equals the solve at the reflected shift
-    g, a, mass, (z,), lam, _ = case
+    g, a, (z,), lam, _ = case
     f = [1.0, 1j] @ np.random.default_rng(seed).standard_normal((2, g.N))
-    adj = mode_operator(g, lam, a, z, mass=mass).solve_adjoint(f)
-    refl = mode_operator(g, lam, a, -np.conj(z), mass=mass).solve(f)
+    adj = mode_operator(g, lam, a, z).solve_adjoint(f)
+    refl = mode_operator(g, lam, a, -np.conj(z)).solve(f)
     assert np.linalg.norm(adj - refl) <= 1e-10 * np.linalg.norm(refl)
 
 
 @settings(max_examples=40, deadline=None)
 @given(case=mode_cases(), seed=st.integers(0, 2**32 - 1))
 def test_banded_solve_matches_dense(case, seed):
-    g, a, mass, (z,), lam, _ = case
+    g, a, (z,), lam, _ = case
     f = [1.0, 1j] @ np.random.default_rng(seed).standard_normal((2, g.N))
-    op = mode_operator(g, lam, a, z, mass=mass)
-    dense = -dense_laplacian(g) + np.diag(
-        lam + mass * mass - 1j * z * a.samples - z * z)
+    op = mode_operator(g, lam, a, z)
+    dense = -dense_laplacian(g) + np.diag(lam - 1j * z * a.samples - z * z)
     for got, mat in ((op.solve(f), dense), (op.solve_adjoint(f), dense.conj().T)):
         want = np.linalg.solve(mat, f)
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
