@@ -230,6 +230,11 @@ def validate(cfg: ExperimentConfig) -> None:
     for i, z in enumerate(parse_scan_z(cfg.scan.z_list)):
         if cfg.scan.kind == "realaxis" and z.imag:
             raise ConfigError(f"scan.z_list.{i}: kind 'realaxis' needs real z, got {z}")
+        if cfg.scan.kind == "theta" and not (z.imag > 0 and abs(z) <= 1 + 1e-12):
+            raise ConfigError(f"scan.z_list.{i}: kind 'theta' needs Im z > 0, |z| <= 1, got {z}")
+    for i, h in enumerate(cfg.scan.h_list):
+        if not 0.0 < h <= 1.0:
+            raise ConfigError(f"scan.h_list.{i}: semiclassical h must lie in (0, 1], got {h}")
     if not (len(cfg.fit_window) == 2 and 1.0 <= cfg.fit_window[0] < cfg.fit_window[1]):
         raise ConfigError(f"fit_window: need [t_min >= 1, t_max > t_min], got {cfg.fit_window}")
     if cfg.local_radius <= 0:
@@ -248,20 +253,22 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 def load(path, overrides=()) -> ExperimentConfig:
     """Read a JSON config, apply ``--set``-style ``overrides``, build and validate."""
-    with open_input(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    try:
+        data = json.loads(read_input(path))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     return from_dict(apply_overrides(data, overrides))
 
 
-def open_input(path):
-    """``path`` opened for reading as text; a file that cannot be opened is a ``ConfigError``."""
+def read_input(path) -> str:
+    """The text of ``path``; a file that cannot be read or is not UTF-8 is a ``ConfigError``."""
     try:
-        return open(path, "r", encoding="utf-8")
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
     except OSError as exc:
         raise ConfigError(f"{path}: cannot open input file: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: input file is not UTF-8 text: {exc}") from exc
 
 
 def parse_scan_z(entries) -> list[complex]:

@@ -8,6 +8,8 @@ Toeplitz stencil of D2, and ``BandCholesky`` is the one band Cholesky factor
 of diag + s(-D2) that the stepper, the smoother and the energy norm share.
 The stencil order, 2 or 4, is ``Grid1D.order`` (the pipeline sets it from
 the config's ``grid.order``); every operator built on a grid uses its stencil.
+A ``DampingProfile`` carries the grid it is sampled on, so a function that
+takes a profile reads the grid from it and takes no grid beside it.
 No dense matrix is assembled here; the dense oracles that these banded
 paths are checked against live in ``tests/dense_oracles.py``.
 """
@@ -76,7 +78,7 @@ class Grid1D:
 
 @dataclass(frozen=True)
 class DampingProfile:
-    """Absorption index a(x) >= 0 sampled on a grid.
+    """Absorption index a(x) >= 0 sampled on ``grid``.
 
     kinds:
       constant       a = level everywhere
@@ -85,14 +87,22 @@ class DampingProfile:
 
     ``level`` is used by ``constant`` only; the other kinds reject any level
     but the default 1.  A negative ``level`` (anti-damping) raises, as does a
-    ``rho`` or ``r`` <= 0 for a kind that reads it.
+    ``rho`` or ``r`` <= 0 for a kind that reads it.  ``samples`` hold one
+    value per node of ``grid``; any other shape raises.
     """
 
+    grid: Grid1D
     kind: str
     rho: float
     r: float
     level: float
     samples: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        # mode decoupling needs an x-only absorption index on this very grid
+        if self.samples.shape != (self.grid.N,):
+            raise ValueError(f"damping must be sampled on the x-grid only "
+                             f"(shape ({self.grid.N},)), got {self.samples.shape}")
 
     @classmethod
     def build(cls, grid: Grid1D, kind: str, rho: float = 2.0, r: float = 5.0,
@@ -115,18 +125,17 @@ class DampingProfile:
                 a = np.clip((np.abs(x) - r) / HOLE_EDGE_WIDTH, 0.0, 1.0) ** 2 * a
         else:
             raise ValueError(f"unknown damping kind {kind!r}")
-        return cls(kind=kind, rho=rho, r=r, level=level, samples=a)
+        return cls(grid=grid, kind=kind, rho=rho, r=r, level=level, samples=a)
 
-    def hypothesis_constants(self, grid: Grid1D) -> dict[str, float]:
-        """Empirical constants of the absorption hypothesis on this grid.
+    def hypothesis_constants(self) -> dict[str, float]:
+        """Empirical constants of the absorption hypothesis on the profile's grid.
 
         C0 bounds |a - 1|<x>^rho, C1 bounds |a'|<x>^(rho+1) with a' by
         centered differences.  Reported, never enforced.
         """
-        x = grid.xs
-        w = japanese_bracket(x)
+        w = japanese_bracket(self.grid.xs)
         c_0 = float(np.max(np.abs(self.samples - 1.0) * w ** self.rho))
-        da = np.gradient(self.samples, grid.h)
+        da = np.gradient(self.samples, self.grid.h)
         c_1 = float(np.max(np.abs(da) * w ** (self.rho + 1.0)))
         return {"C0": c_0, "C1": c_1}
 
@@ -323,20 +332,12 @@ class ShiftedOperator:
         return self._checked(u, f, True)
 
 
-def mode_operator(grid: Grid1D, lam: float, damping: DampingProfile,
-                  z: complex) -> ShiftedOperator:
-    """Assemble -D2 + lam - i z a - z^2 for transverse eigenvalue ``lam`` (m^2 included).
-
-    Mode decoupling requires an x-only absorption index, which the 1D
-    ``DampingProfile`` guarantees by construction; raw arrays of any other
-    shape are rejected.
-    """
-    a = damping.samples
-    if a.shape != (grid.N,):
-        raise ValueError(
-            f"damping must be sampled on the x-grid only (shape ({grid.N},)), got {a.shape}")
+def mode_operator(lam: float, damping: DampingProfile, z: complex) -> ShiftedOperator:
+    """Assemble -D2 + lam - i z a - z^2 on the damping's grid, for transverse
+    eigenvalue ``lam`` (m^2 included)."""
     z = complex(z)
-    diag = lam - 1j * z * a - z * z
+    diag = lam - 1j * z * damping.samples - z * z
+    grid = damping.grid
     return ShiftedOperator(grid=grid, lap=laplacian_1d(grid), z=z, diag=diag)
 
 

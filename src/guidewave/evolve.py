@@ -97,21 +97,16 @@ class Stepper:
     stays non-finite even where a = 0, since 0 * inf is NaN.
     """
 
-    def __init__(self, grid: Grid1D, lambdas: np.ndarray, damping: DampingProfile,
-                 dt: float):
+    def __init__(self, lambdas: np.ndarray, damping: DampingProfile, dt: float):
         if dt <= 0:
             raise ValueError(f"time step must be positive, got dt={dt}")
-        a = damping.samples
-        if a.shape != (grid.N,):
-            raise ValueError(
-                f"damping must be sampled on the x-grid only (shape ({grid.N},)), got {a.shape}")
-        self.grid = grid
+        self.grid = damping.grid
         self.dt = float(dt)
         self.tau = 0.5 * self.dt
-        self.a = a
+        self.a = a = damping.samples
         self.lambdas = np.asarray(lambdas, dtype=float)
         self.lam_eff = self.lambdas[:, None]
-        self.lap = laplacian_1d(grid)
+        self.lap = laplacian_1d(self.grid)
         t2 = self.tau ** 2
         self._factor = BandCholesky(
             self.lap, 1.0 + self.tau * a + t2 * (self.lam_eff - self.lap.coeffs[0]), t2)
@@ -158,9 +153,8 @@ def _form_energies(u: np.ndarray, pu: np.ndarray, v: np.ndarray, h: float) -> np
     return h * (np.vecdot(u, pu) + np.vecdot(v, v))
 
 
-def smooth_initial_data(modes: np.ndarray, vmodes: np.ndarray, grid: Grid1D,
-                        lambdas: np.ndarray, damping: DampingProfile,
-                        k_applications: int):
+def smooth_initial_data(modes: np.ndarray, vmodes: np.ndarray, lambdas: np.ndarray,
+                        damping: DampingProfile, k_applications: int):
     """Apply the resolvent at z = i repeatedly to emulate extra regularity.
 
     Each application maps u to u' = (-D2 + lam + a + 1)^{-1} [(a+1) u + v],
@@ -170,7 +164,7 @@ def smooth_initial_data(modes: np.ndarray, vmodes: np.ndarray, grid: Grid1D,
     """
     if k_applications < 0:
         raise ValueError(f"need k >= 0 applications, got {k_applications}")
-    lap = laplacian_1d(grid)
+    lap = laplacian_1d(damping.grid)
     a = damping.samples
     u = np.array(modes, dtype=float, copy=True)
     v = np.array(vmodes, dtype=float, copy=True)
@@ -253,13 +247,14 @@ def geometric_schedule(t0: float, ratio: float, t_end: float) -> np.ndarray:
     return ts[ts <= t_end * (1 + 1e-12)]
 
 
-def run(state0: WaveState, grid: Grid1D, lambdas: np.ndarray, damping: DampingProfile,
-        dt: float, t_end: float, t0: float = 1.0, sample_ratio: float = 1.1,
-        delta1: float = 0.0, R: float | None = None,
+def run(state0: WaveState, lambdas: np.ndarray, damping: DampingProfile, dt: float,
+        t_end: float, t0: float = 1.0, sample_ratio: float = 1.1, delta1: float = 0.0,
+        R: float | None = None,
         on_sample: Callable[[WaveState], None] | None = None) -> RunResult:
     """Evolve to t_end, sampling energies on a geometric schedule.
 
-    ``lambdas`` are the eigenvalues of the state's modes; row 0 is mode 0.
+    The state lives on the damping's grid, ``damping.grid``, and ``lambdas``
+    are the eigenvalues of its modes; row 0 is mode 0.
     Every step advances all rows of ``state0`` by one ``Stepper``.  At each
     schedule time the energy record is taken, and ``on_sample``, when given,
     receives the state; it receives ``state0`` first.  ``run`` keeps none of
@@ -271,12 +266,12 @@ def run(state0: WaveState, grid: Grid1D, lambdas: np.ndarray, damping: DampingPr
     lambdas = np.asarray(lambdas, dtype=float)
     if lambdas.shape != state0.modes.shape[:1]:
         raise ValueError(f"state has {state0.modes.shape[0]} modes, got {lambdas.size} eigenvalues")
-    stepper = Stepper(grid, lambdas, damping, dt)
+    stepper = Stepper(lambdas, damping, dt)
     schedule = geometric_schedule(t0, sample_ratio, t_end)
     records = []
 
     def sample(state: WaveState, diss_cum: float) -> None:
-        records.append(energy(state, grid, lambdas, delta1=delta1, R=R,
+        records.append(energy(state, damping.grid, lambdas, delta1=delta1, R=R,
                               dissipation_cum=diss_cum))
         if on_sample is not None:
             on_sample(state)

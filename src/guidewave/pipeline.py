@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .config import (INIT_FAMILIES, ExperimentConfig, canonical_json, config_hash,
-                     open_input, parse_scan_z)
+                     parse_scan_z, read_input)
 from .discretize import DampingProfile, Grid1D
 from .errors import ConfigError
 from .evolve import (KLEIN_GORDON, WAVE_DIRICHLET, WAVE_EUCLIDEAN, WAVE_NEUMANN,
@@ -79,21 +79,20 @@ def format_csv(columns: dict, header_comments: list[str]) -> str:
 def read_csv(path: str) -> dict[str, np.ndarray]:
     names = None
     rows = []
-    with open_input(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if names is None:
-                names = line.split(",")
-                continue
-            parts = line.split(",")
-            if len(parts) != len(names):
-                raise ConfigError(f"{path}: malformed CSV row {line!r}")
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError as exc:
-                raise ConfigError(f"{path}: malformed CSV value in {line!r}") from exc
+    for line in read_input(path).split("\n"):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if names is None:
+            names = line.split(",")
+            continue
+        parts = line.split(",")
+        if len(parts) != len(names):
+            raise ConfigError(f"{path}: malformed CSV row {line!r}")
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError as exc:
+            raise ConfigError(f"{path}: malformed CSV value in {line!r}") from exc
     if names is None or not rows:
         raise ConfigError(f"{path}: empty CSV")
     data = np.array(rows)
@@ -130,9 +129,10 @@ def build_grid(cfg: ExperimentConfig) -> Grid1D:
     return Grid1D(X=cfg.grid.X, N=cfg.grid.N, order=cfg.grid.order)
 
 
-def build_damping(cfg: ExperimentConfig, grid: Grid1D) -> DampingProfile:
+def build_damping(cfg: ExperimentConfig) -> DampingProfile:
+    """The config's damping profile, sampled on ``build_grid(cfg)``."""
     d = cfg.damping
-    return DampingProfile.build(grid, kind=d.kind, rho=d.rho, r=d.r, level=d.level)
+    return DampingProfile.build(build_grid(cfg), kind=d.kind, rho=d.rho, r=d.r, level=d.level)
 
 
 def build_basis(cfg: ExperimentConfig):
@@ -159,16 +159,16 @@ def evolved_modes(cfg: ExperimentConfig) -> np.ndarray:
     return np.array(sorted(named | {0}))
 
 
-def build_initial_state(cfg: ExperimentConfig, grid: Grid1D, lambdas, damping: DampingProfile):
-    """The initial state on the ``evolved_modes``, whose eigenvalues are ``lambdas``."""
-    env = build_envelope(cfg, grid)
+def build_initial_state(cfg: ExperimentConfig, lambdas, damping: DampingProfile):
+    """The initial state on ``damping.grid`` and the ``evolved_modes``, eigenvalues ``lambdas``."""
+    env = build_envelope(cfg, damping.grid)
     row = {k: i for i, k in enumerate(evolved_modes(cfg))}
     u0 = {row[int(k)]: float(v) for k, v in cfg.init.u0_modes.items()}
     u1 = {row[int(k)]: float(v) for k, v in cfg.init.u1_modes.items()}
-    state = assemble_initial_state(grid, len(row), env, u0, u1, flavor=cfg.flavor)
+    state = assemble_initial_state(damping.grid, len(row), env, u0, u1, flavor=cfg.flavor)
     if cfg.init.smoothing_k > 0:
-        modes, vmodes = smooth_initial_data(state.modes, state.vmodes, grid, lambdas,
-                                            damping, cfg.init.smoothing_k)
+        modes, vmodes = smooth_initial_data(state.modes, state.vmodes, lambdas, damping,
+                                            cfg.init.smoothing_k)
         state = dataclasses.replace(state, modes=modes, vmodes=vmodes)
     return state
 
@@ -212,11 +212,10 @@ def _fit_entry(cfg: ExperimentConfig, series: str, model: str, t, y,
 
 def cmd_evolve(cfg: ExperimentConfig, out_base: str, on_sample=None) -> dict:
     """Evolve the config's initial state; ``on_sample`` is passed on to ``run``."""
-    grid = build_grid(cfg)
-    damping = build_damping(cfg, grid)
+    damping = build_damping(cfg)
     lambdas = build_basis(cfg)[0][evolved_modes(cfg)]
-    state0 = build_initial_state(cfg, grid, lambdas, damping)
-    result = run(state0, grid, lambdas, damping, dt=cfg.time.dt, t_end=cfg.time.t_end,
+    state0 = build_initial_state(cfg, lambdas, damping)
+    result = run(state0, lambdas, damping, dt=cfg.time.dt, t_end=cfg.time.t_end,
                  t0=cfg.time.t0, sample_ratio=cfg.time.sample_ratio,
                  delta1=cfg.weight_spec().delta1, R=cfg.local_radius, on_sample=on_sample)
     series = result.series()
@@ -249,7 +248,7 @@ def cmd_evolve(cfg: ExperimentConfig, out_base: str, on_sample=None) -> dict:
         "E0": result.E0,
         "identity_max_step_residual": result.identity_max_step_residual,
         "identity_cumulative_residual": result.identity_cumulative_residual,
-        "damping_hypothesis_constants": damping.hypothesis_constants(grid),
+        "damping_hypothesis_constants": damping.hypothesis_constants(),
     }))
     atomic_write(os.path.join(outdir, "config.json"), canonical_json(cfg) + "\n")
     return {"outdir": outdir, "result": result, "series": series, "fits": fits}
@@ -258,8 +257,7 @@ def cmd_evolve(cfg: ExperimentConfig, out_base: str, on_sample=None) -> dict:
 def cmd_heat_compare(cfg: ExperimentConfig, out_base: str) -> dict:
     if cfg.flavor not in (WAVE_NEUMANN, WAVE_EUCLIDEAN):
         raise ConfigError(f"flavor: heat comparison needs wave_neumann or wave_euclidean, got {cfg.flavor!r}")
-    grid = build_grid(cfg)
-    damping = build_damping(cfg, grid)
+    damping = build_damping(cfg)
     lambdas, yfactor = build_basis(cfg)
     lambdas = lambdas[evolved_modes(cfg)]
     heat = None
@@ -270,9 +268,9 @@ def cmd_heat_compare(cfg: ExperimentConfig, out_base: str) -> dict:
         # first one is the smoothed initial state, which the heat data needs
         nonlocal heat
         if heat is None:
-            heat = HeatSolution(grid=grid, w0=p0_heat_data(state.modes, state.vmodes,
-                                                           damping.samples, yfactor))
-        rows.append(compare(state, heat, grid, lambdas, yfactor,
+            heat = HeatSolution(grid=damping.grid, w0=p0_heat_data(
+                state.modes, state.vmodes, damping.samples, yfactor))
+        rows.append(compare(state, heat, damping.grid, lambdas, yfactor,
                             delta1=cfg.weight_spec().delta1))
 
     evolved = cmd_evolve(cfg, out_base, on_sample=on_sample)
@@ -306,8 +304,7 @@ def _fit_loglog_slope(xs, ys):
 
 
 def cmd_resolvent(cfg: ExperimentConfig, out_base: str) -> dict:
-    grid = build_grid(cfg)
-    damping = build_damping(cfg, grid)
+    damping = build_damping(cfg)
     lambdas, _ = build_basis(cfg)
     kind = cfg.scan.kind
     if cfg.flavor == KLEIN_GORDON and kind != "highfreq":
@@ -319,7 +316,7 @@ def cmd_resolvent(cfg: ExperimentConfig, out_base: str) -> dict:
         # the theta tasks run in this thread: their N = 1024 Lanczos runs are
         # short numpy calls that release and retake the GIL, and on two pool
         # threads (2 cores) the golden took 0.96-1.04 s against 0.48-0.66 s on one
-        rows = theta_probe(zs, damping, grid, lambdas,
+        rows = theta_probe(zs, damping, lambdas,
                            delta1=cfg.weight_spec().delta1, delta2=cfg.weight_spec().delta2,
                            rng=np.random.default_rng(cfg.seed))
         cols = {"re_z": [r["z"].real for r in rows], "im_z": [r["z"].imag for r in rows]}
@@ -335,7 +332,7 @@ def cmd_resolvent(cfg: ExperimentConfig, out_base: str) -> dict:
     elif kind == "realaxis":
         taus = [z.real for z in zs]
         with ThreadPoolExecutor(max_workers=max_threads()) as pool:
-            norms = energy_norm_scan(taus, damping, grid, lambdas,
+            norms = energy_norm_scan(taus, damping, lambdas,
                                      rng=point_rngs(cfg.seed, len(zs)), map=pool.map)
         constants = [n / (1.0 + t * t) for n, t in zip(norms, taus)]
         cols = {"re_z": taus, "im_z": [0.0] * len(taus),
@@ -348,7 +345,7 @@ def cmd_resolvent(cfg: ExperimentConfig, out_base: str) -> dict:
     else:
         # high/intermediate frequency norm scan, max over modes per point
         with ThreadPoolExecutor(max_workers=max_threads()) as pool:
-            points = norm_scan(zs, cfg.scan.beta1, cfg.scan.beta2, damping, grid, lambdas,
+            points = norm_scan(zs, cfg.scan.beta1, cfg.scan.beta2, damping, lambdas,
                                rng=point_rngs(cfg.seed, len(zs)), map=pool.map,
                                truncation_guard=cfg.scan.truncation_guard)
 
@@ -378,8 +375,7 @@ def cmd_resolvent(cfg: ExperimentConfig, out_base: str) -> dict:
 
 
 def cmd_semiclassical(cfg: ExperimentConfig, out_base: str) -> dict:
-    grid = build_grid(cfg)
-    damping = build_damping(cfg, grid)
+    damping = build_damping(cfg)
     hs = [float(h) for h in cfg.scan.h_list]
     if cfg.flavor == KLEIN_GORDON:
         raise ConfigError(f"mass: the semiclassical operator has no mass term, got mass={cfg.mass}")
@@ -387,9 +383,8 @@ def cmd_semiclassical(cfg: ExperimentConfig, out_base: str) -> dict:
         raise ConfigError("scan.h_list: semiclassical scan needs at least one h")
 
     with ThreadPoolExecutor(max_workers=max_threads()) as pool:
-        rows = semiclassical_scan(hs, damping, grid, rng=point_rngs(cfg.seed, len(hs)),
-                                  map=pool.map)
-    control = pure_laplacian_control(hs, X=grid.X)
+        rows = semiclassical_scan(hs, damping, rng=point_rngs(cfg.seed, len(hs)), map=pool.map)
+    control = pure_laplacian_control(hs, X=damping.grid.X)
     hnorms = [r["h_norm"] for r in rows]
     payload = {"command": "semiclassical", "points": rows, "control": control,
                "max_h_norm": max(hnorms), "variation": max(hnorms) / min(hnorms),

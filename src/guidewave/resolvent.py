@@ -37,8 +37,6 @@ from .errors import ConvergenceError
 
 #: relative move of a norm on the 1.5X box that flags a point truncation-limited
 TRUNCATION_GUARD_RTOL = 0.05
-#: transverse modes the theta probe measures (the lowest ones)
-THETA_PROBE_MODES = 3
 #: Lanczos steps (two operator applications each) before ``iterative_norm``
 #: needs a certified upper bound to accept its Ritz value
 LANCZOS_MAX_STEPS = 1500
@@ -374,9 +372,8 @@ def scan_modes(zs, lambdas, bounds, run, *, rep=None, map=map) -> list[ModeMax]:
     return [out[i] for i in rep]
 
 
-def norm_scan(z_list, beta1: int, beta2: int, damping: DampingProfile, grid: Grid1D,
-              lambdas, *, rng, map=map,
-              truncation_guard: bool = False) -> list[ScanPoint]:
+def norm_scan(z_list, beta1: int, beta2: int, damping: DampingProfile, lambdas, *,
+              rng, map=map, truncation_guard: bool = False) -> list[ScanPoint]:
     """Resolvent norms over the guide: max over transverse modes per z.
 
     Each mode's certified bound (``mode_norm_bound``) does two jobs.  A mode
@@ -395,29 +392,29 @@ def norm_scan(z_list, beta1: int, beta2: int, damping: DampingProfile, grid: Gri
     given order, bit for bit, however the runs are scheduled.
 
     With ``truncation_guard`` every point is recomputed on a 1.5X box, with
-    that box's bound, and flagged "truncation-limited" when the norm moves by
-    more than ``TRUNCATION_GUARD_RTOL``.
+    the damping rebuilt on it and that box's bound, and flagged
+    "truncation-limited" when the norm moves by more than ``TRUNCATION_GUARD_RTOL``.
     """
     if beta1 not in (0, 1) or beta2 not in (0, 1):
         raise ValueError(f"Sobolev indices must lie in {{0,1}}, got beta1={beta1}, beta2={beta2}")
     zs = [complex(z) for z in z_list]
     lambdas = np.asarray(lambdas, dtype=float)
+    grid = damping.grid
     scaler = SobolevScaler(grid)
     k_sq = sobolev_constant_sq(grid)
     draws = [grid.N] * len(lambdas)
     if truncation_guard:
-        grid2 = grid.refine(1.5)
-        damping2 = DampingProfile.build(grid2, kind=damping.kind, rho=damping.rho,
+        damping2 = DampingProfile.build(grid.refine(1.5), kind=damping.kind, rho=damping.rho,
                                         r=damping.r, level=damping.level)
-        scaler2 = SobolevScaler(grid2)
-        k_sq2 = sobolev_constant_sq(grid2)
-        draws.append(grid2.N)
+        scaler2 = SobolevScaler(damping2.grid)
+        k_sq2 = sobolev_constant_sq(damping2.grid)
+        draws.append(damping2.grid.N)
     states = [_start_states(r, draws) for r in _point_generators(rng, len(zs))]
     bounds = [[_mode_bounds(z, damping.samples, beta1 + beta2, k_sq)(lam)
                for lam in lambdas] for z in zs]
 
     def run(i, k):
-        op = mode_operator(grid, lambdas[k], damping, zs[i])
+        op = mode_operator(lambdas[k], damping, zs[i])
         return [_mode_sobolev_norm(op, scaler, beta1, beta2, _generator(states[i][k]),
                                    upper=bounds[i][k])]
 
@@ -427,7 +424,7 @@ def norm_scan(z_list, beta1: int, beta2: int, damping: DampingProfile, grid: Gri
     def limited(i):
         best, _, k = maxima[i].best[0]
         upper2 = _mode_bounds(zs[i], damping2.samples, beta1 + beta2, k_sq2)(lambdas[k])
-        op2 = mode_operator(grid2, lambdas[k], damping2, zs[i])
+        op2 = mode_operator(lambdas[k], damping2, zs[i])
         sigma2, _ = _mode_sobolev_norm(op2, scaler2, beta1, beta2, _generator(states[i][-1]),
                                        upper=upper2)
         return abs(sigma2 - best) > TRUNCATION_GUARD_RTOL * best
@@ -455,9 +452,9 @@ class WaveBlockResolvent:
     w2 = R(z)^* (f + conj(z) g),  w1 = (conj(z) - ia) w2 + g.
     """
 
-    def __init__(self, z: complex, damping: DampingProfile, lam: float, grid: Grid1D):
+    def __init__(self, z: complex, damping: DampingProfile, lam: float):
         self.z = complex(z)
-        self.op = mode_operator(grid, lam, damping, self.z)
+        self.op = mode_operator(lam, damping, self.z)
         self._zb = np.conj(self.z)
         self._f_coef = 1j * damping.samples + self.z          # ia + z
         self._w2_coef = self._zb - 1j * damping.samples       # conj(z) - ia
@@ -486,17 +483,17 @@ class EnergyNormResolvent:
     order.  A P that is not positive definite raises SolveError.
     """
 
-    def __init__(self, grid: Grid1D, lam: float, damping: DampingProfile):
-        self.grid = grid
+    def __init__(self, lam: float, damping: DampingProfile):
         self.lam = float(lam)
         self.damping = damping
-        lap = laplacian_1d(grid)
-        self._chol = BandCholesky(lap, np.full(grid.N, self.lam - lap.coeffs[0]), dtype=complex)
+        lap = laplacian_1d(damping.grid)
+        self._chol = BandCholesky(lap, np.full(damping.grid.N, self.lam - lap.coeffs[0]),
+                                  dtype=complex)
 
     def op_norm(self, z: complex, rng: np.random.Generator) -> float:
-        n = self.grid.N
+        n = self.damping.grid.N
         chol = self._chol
-        block = WaveBlockResolvent(z, self.damping, self.lam, self.grid)
+        block = WaveBlockResolvent(z, self.damping, self.lam)
 
         def apply_op(x):
             u, v = block.apply(chol.solve_triangular(x[:n]), x[n:])
@@ -510,8 +507,7 @@ class EnergyNormResolvent:
         return sigma
 
 
-def energy_norm_scan(taus, damping: DampingProfile, grid: Grid1D, lambdas, *,
-                     rng, map=map) -> list[float]:
+def energy_norm_scan(taus, damping: DampingProfile, lambdas, *, rng, map=map) -> list[float]:
     """Energy norms of the first-order resolvent at real taus, max over the modes.
 
     One ``scan_modes`` task per (tau, mode) on ``map``, none skipped (no bound
@@ -520,8 +516,8 @@ def energy_norm_scan(taus, damping: DampingProfile, grid: Grid1D, lambdas, *,
     per point; each point draws one start vector per mode.
     """
     taus = [float(t) for t in taus]
-    helpers = [EnergyNormResolvent(grid, lam, damping) for lam in lambdas]
-    states = [_start_states(r, [2 * grid.N] * len(helpers))
+    helpers = [EnergyNormResolvent(lam, damping) for lam in lambdas]
+    states = [_start_states(r, [2 * damping.grid.N] * len(helpers))
               for r in _point_generators(rng, len(taus))]
 
     def run(i, k):
@@ -578,8 +574,8 @@ def _difference_block(op: ShiftedOperator, heat: ShiftedOperator | None, p, c, q
     return apply, adjoint
 
 
-def theta_probe(z_list, damping: DampingProfile, grid: Grid1D, lambdas,
-                delta1: float, delta2: float, *, rng: np.random.Generator) -> list[dict]:
+def theta_probe(z_list, damping: DampingProfile, lambdas, delta1: float, delta2: float, *,
+                rng: np.random.Generator) -> list[dict]:
     """Weighted norms of the blocks of (A - z)^{-1} - R_Heat(z), matrix-free.
 
     Each block is applied as banded mode and heat-model solves between the
@@ -587,15 +583,16 @@ def theta_probe(z_list, damping: DampingProfile, grid: Grid1D, lambdas,
     Blocks 1 and 2 are measured with the full gradient, as the stacked
     (2N, N) operator [wl G t wr ; sqrt(lam_k) wl t wr] with the centred
     stencil G (G^* = -G); blocks 3 and 4 as wl t wr.  Each norm is a seeded
-    Lanczos estimate, and the norm over the guide is the max over the lowest
-    ``THETA_PROBE_MODES`` modes, one ``scan_modes`` task per (z, mode).
+    Lanczos estimate, and the norm over the guide is the max over every mode
+    of ``lambdas``, one ``scan_modes`` task per (z, mode).
     ``structure_residual`` checks row 2 = z row 1 of the heat-model
     blocks on a seeded probe vector.  Per z, ``rng`` draws the probe and then
     the start vectors of the modes' blocks in order.  Requires Im z > 0 and
     |z| <= 1.
     """
     zs = [complex(z) for z in z_list]
-    lambdas = np.asarray(lambdas, dtype=float)[:THETA_PROBE_MODES]
+    lambdas = np.asarray(lambdas, dtype=float)
+    grid = damping.grid
     n = grid.N
     wl = weight(grid, -delta1)
     wr = weight(grid, -delta2)
@@ -610,7 +607,7 @@ def theta_probe(z_list, damping: DampingProfile, grid: Grid1D, lambdas,
 
     def run(i, k):
         z, lam = zs[i], float(lambdas[k])
-        op = mode_operator(grid, lam, damping, z)
+        op = mode_operator(lam, damping, z)
         heat = heat_model_operator(grid, z) if k == 0 else None
         runs = []
         for j, (p, c, q) in theta_blocks(z, damping.samples).items():
@@ -647,8 +644,7 @@ def _weighted(t, t_adj, wl, wr, grid: Grid1D, root_lam: float | None = None):
 # semiclassical scan
 
 
-def semiclassical_scan(h_list, damping: DampingProfile, grid: Grid1D, *,
-                       rng, map=map) -> list[dict]:
+def semiclassical_scan(h_list, damping: DampingProfile, *, rng, map=map) -> list[dict]:
     """h * ||(-h^2 d^2/dx^2 - i h a - 1)^{-1}|| per h on the truncated line.
 
     The operator equals h^2 times the mode resolvent at tau = 1/h, so the
@@ -659,7 +655,7 @@ def semiclassical_scan(h_list, damping: DampingProfile, grid: Grid1D, *,
     for h in hs:
         if not 0.0 < h <= 1.0:
             raise ValueError(f"semiclassical parameter must lie in (0, 1], got h={h}")
-    points = norm_scan([1.0 / h for h in hs], 0, 0, damping, grid, [0.0], rng=rng, map=map)
+    points = norm_scan([1.0 / h for h in hs], 0, 0, damping, [0.0], rng=rng, map=map)
     out = []
     for h, point in zip(hs, points):
         norm = point.norm_est / h ** 2

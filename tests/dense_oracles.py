@@ -69,12 +69,14 @@ def sqrt_energy_matrix(grid, lam):
     return vecs @ (np.sqrt(vals)[:, None] * vecs.T)
 
 
-def dense_energy_norm(grid, lam, damping, z):
+def dense_energy_norm(lam, damping, z):
     """||diag(P^1/2, I) (A - z)^{-1} diag(P^-1/2, I)|| by dense inverse and SVD.
 
     A = [[0, I], [P, -i a]] is the first-order operator on (u, i du/dt) of one
-    mode, assembled directly rather than through the block formula.
+    mode on the damping's grid, assembled directly rather than through the
+    block formula.
     """
+    grid = damping.grid
     n = grid.N
     p = -dense_laplacian(grid) + lam * np.eye(n)
     a_mat = np.zeros((2 * n, 2 * n), dtype=complex)

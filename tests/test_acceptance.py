@@ -180,7 +180,7 @@ def test_criterion_08_intermediate_frequencies():
     for kind, kw in (("constant", {}), ("longrange", {"rho": 2.0}),
                      ("hole", {"r": 5.0, "rho": 2.0})):
         dp = DampingProfile.build(g, kind, **kw)
-        pts = norm_scan([0.25, 0.5, 1.0, 2.0], 0, 0, dp, g, lambdas,
+        pts = norm_scan([0.25, 0.5, 1.0, 2.0], 0, 0, dp, lambdas,
                         rng=np.random.default_rng(3), truncation_guard=True)
         finite = all(np.isfinite(p.norm_est) for p in pts)
         stable = all(p.flag != "truncation-limited" for p in pts)
@@ -256,7 +256,7 @@ def test_criterion_13_oracle_equivalence(rng=None):
     comp[n:, :n] = lap
     comp[n:, n:] = -np.diag(a.samples)
     w_exact = expm(comp) @ np.concatenate([u0, np.zeros(n)])
-    stepper = Stepper(g, np.array([0.0]), a, dt=1e-2)
+    stepper = Stepper(np.array([0.0]), a, dt=1e-2)
     s = state
     for _ in range(100):
         s, _ = stepper.step(s)
@@ -270,8 +270,8 @@ def test_criterion_13_oracle_equivalence(rng=None):
     for kind in ("constant", "hole"):
         dp = DampingProfile.build(gv, kind, r=5.0, rho=2.0)
         for z, b1, b2 in ((4.0, 0, 0), (8.0, 1, 1), (0.5, 1, 0)):
-            sigma = norm_scan([z], b1, b2, dp, gv, [1.0], rng=sample_rng)[0].norm_est
-            oracle = dense_sobolev_norm(mode_operator(gv, 1.0, dp, z), b1, b2)
+            sigma = norm_scan([z], b1, b2, dp, [1.0], rng=sample_rng)[0].norm_est
+            oracle = dense_sobolev_norm(mode_operator(1.0, dp, z), b1, b2)
             worst = max(worst, abs(sigma - oracle) / oracle)
     ok = err <= 1e-6 and worst <= 0.01
     assert report(13, "oracle-equivalence", ok,

@@ -218,6 +218,11 @@ class TestConfig:
         ("init", {"family": "powerlaw", "params": {"sigma": 3.0}}, "init.params.sigma: unknown"),
         ("weights", {"delta9": 1.0}, "weights.delta9: unknown field"),
         ("mass", 2.0, "mass"),
+        ("scan", {"kind": "theta", "z_list": [[0.0, 0.1], [0.0, -0.1]]}, "scan.z_list.1"),
+        ("scan", {"kind": "theta", "z_list": [[2.0, 0.5]]}, "scan.z_list.0"),
+        ("scan", {"kind": "theta", "z_list": [0.5]}, "scan.z_list.0"),
+        ("scan", {"h_list": [0.5, 1.5]}, "scan.h_list.1"),
+        ("scan", {"h_list": [0.0]}, "scan.h_list.0"),
     ])
     def test_validation_reports_field_path(self, path, value, fragment):
         data = json.loads(json.dumps(TINY))
@@ -368,8 +373,7 @@ class TestCli:
             cfg = from_dict({**data, "mass": mass})
             points = cmd_resolvent(cfg, str(tmp_path / f"m{mass}"))["points"]
             norms[mass] = [p.norm_est for p in points]
-            grid = build_grid(cfg)
-            want = [norm_scan([z], 0, 0, build_damping(cfg, grid), grid, [mass ** 2],
+            want = [norm_scan([z], 0, 0, build_damping(cfg), [mass ** 2],
                               rng=np.random.default_rng([cfg.seed, i]))[0].norm_est
                     for i, z in enumerate((2.0, 4.0))]
             assert norms[mass] == want
@@ -444,12 +448,15 @@ class TestCli:
         assert artifacts[0] == artifacts[1]
 
     def test_missing_input_file_is_a_config_error(self, tmp_path, capsys):
-        missing = str(tmp_path / "nowhere")
-        for argv in (["evolve", f"{missing}.json", "--out", str(tmp_path / "o")],
-                     ["fit", f"{missing}.csv", "--column", "t"],
-                     ["plot", f"{missing}.csv"]):
-            assert main(argv) == 2
-            assert missing in capsys.readouterr().err
+        # an input file that is missing, or that is not UTF-8 text, exits 2 naming its path
+        (tmp_path / "latin1.json").write_bytes(b"\xff\xfe{}")
+        (tmp_path / "latin1.csv").write_bytes(b"t,y\n1,\xff\n")
+        for stem in (str(tmp_path / "nowhere"), str(tmp_path / "latin1")):
+            for argv in (["evolve", f"{stem}.json", "--out", str(tmp_path / "o")],
+                         ["fit", f"{stem}.csv", "--column", "t"],
+                         ["plot", f"{stem}.csv"]):
+                assert main(argv) == 2
+                assert stem in capsys.readouterr().err
 
     def test_fit_subcommand_and_assert_exit(self, tmp_path):
         cfgp = write_tiny(tmp_path)

@@ -117,7 +117,7 @@ class TestDamping:
             a = DampingProfile.build(g, "longrange", rho=rho)
             assert np.all(a.samples >= 0.5 - 1e-14)
             assert np.all(a.samples <= 1.0)
-            consts = a.hypothesis_constants(g)
+            consts = a.hypothesis_constants()
             assert consts["C0"] <= 4.0
             assert consts["C1"] <= 4.0
 
@@ -157,7 +157,7 @@ class TestDamping:
 
 class TestModeOperator:
     def test_substitution_z_eq_i(self, grid40, damping_const):
-        op = mode_operator(grid40, 0.0, damping_const, 1j)
+        op = mode_operator(0.0, damping_const, 1j)
         dense = dense_operator(op)
         assert np.max(np.abs(dense.imag)) <= 1e-14
         assert np.allclose(dense.real, -dense_laplacian(grid40) + 2.0 * np.eye(grid40.N))
@@ -165,13 +165,13 @@ class TestModeOperator:
         assert np.dot(u, dense.real @ u) > 0
 
     def test_lambda_shift_at_z0(self, grid40, damping_const):
-        op = mode_operator(grid40, 9.0, damping_const, 0.0)
+        op = mode_operator(9.0, damping_const, 0.0)
         assert np.allclose(dense_operator(op), -dense_laplacian(grid40) + 9.0 * np.eye(grid40.N))
 
     def test_shift_is_exactly_diagonal(self, grid40, damping_const):
         z = 0.3 + 0.7j
-        d = dense_operator(mode_operator(grid40, 4.0, damping_const, z)) \
-            - dense_operator(mode_operator(grid40, 4.0, damping_const, 0.0))
+        d = dense_operator(mode_operator(4.0, damping_const, z)) \
+            - dense_operator(mode_operator(4.0, damping_const, 0.0))
         expected = np.diag(-1j * z * damping_const.samples - z * z)
         off = d - np.diag(np.diag(d))
         assert np.max(np.abs(off)) == 0.0
@@ -181,17 +181,24 @@ class TestModeOperator:
         # Fourier multiplier oracle: inf_xi |xi^2 - tau^2 - i tau| = |tau|
         g = Grid1D(X=40.0, N=1024)
         a = DampingProfile.build(g, "constant")
-        op = mode_operator(g, 0.0, a, 10.0)
+        op = mode_operator(0.0, a, 10.0)
         smin = np.linalg.svd(dense_operator(op), compute_uv=False)[-1]
         assert smin == pytest.approx(10.0, rel=0.05)
 
-    def test_rejects_wrong_shape_damping(self, grid40, damping_const):
-        other = Grid1D(X=40.0, N=256)
-        with pytest.raises(ValueError):
-            mode_operator(other, 0.0, damping_const, 1j)
+    def test_rejects_wrong_shape_damping(self, grid40):
+        # a profile holds the grid it is sampled on, and mode_operator reads the grid
+        # from it: samples that are not one per node of that grid raise when the
+        # profile is made, so no operator can pair them with another grid
+        for shape in ((256,), (512, 1), (1, 512)):
+            with pytest.raises(ValueError, match=r"shape \(512,\)"):
+                DampingProfile(grid=grid40, kind="constant", rho=2.0, r=5.0, level=1.0,
+                               samples=np.ones(shape))
+        other = DampingProfile.build(Grid1D(X=20.0, N=256), "constant")
+        op = mode_operator(0.0, other, 1j)
+        assert op.grid is other.grid and op.diag.shape == (256,)
 
     def test_solve_residual_and_adjoint(self, grid40, damping_const, rng):
-        op = mode_operator(grid40, 1.0, damping_const, 0.5 + 0.2j)
+        op = mode_operator(1.0, damping_const, 0.5 + 0.2j)
         f = rng.standard_normal(grid40.N) + 1j * rng.standard_normal(grid40.N)
         u = op.solve(f)
         assert np.linalg.norm(op.apply(u) - f) <= 1e-10 * np.linalg.norm(f)
@@ -224,7 +231,7 @@ class TestCheckedSolve:
     def _case(order, kind, z):
         g = Grid1D(X=20.0, N=160, order=order)
         a = DampingProfile.build(g, kind, r=5.0, rho=2.0)
-        op = mode_operator(g, 1.0, a, z)
+        op = mode_operator(1.0, a, z)
         f = [1.0, 1j] @ np.random.default_rng(3).standard_normal((2, g.N))
         return op, f
 
@@ -290,16 +297,24 @@ def test_package_calls_no_dense_routine():
     assert calls == []
 
 
+def _functions():
+    """("path:line name", parameter names) of every function and lambda in the package."""
+    for path, node in _package_nodes():
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            names = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                     args.vararg, args.kwarg) if a is not None}
+            yield f"{path}:{node.lineno} {getattr(node, 'name', 'lambda')}", names
+
+
 @pytest.mark.parametrize("name", ["order", "mass"])
 def test_no_function_takes_a_parameter_named(name):
     # the stencil order is a field of the grid, Grid1D.order, and the Klein-Gordon
     # mass is in the eigenvalues pipeline.build_basis returns; nothing else holds either
-    takers = []
-    for path, node in _package_nodes():
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            args = node.args
-            names = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
-                                     args.vararg, args.kwarg) if a is not None]
-            if name in names:
-                takers.append(f"{path}:{node.lineno} {getattr(node, 'name', 'lambda')}")
-    assert takers == []
+    assert [where for where, names in _functions() if name in names] == []
+
+
+def test_no_function_takes_both_grid_and_damping():
+    # a damping profile carries the grid it is sampled on, DampingProfile.grid,
+    # so a function that takes a profile reads the grid from it
+    assert [where for where, names in _functions() if {"grid", "damping"} <= names] == []

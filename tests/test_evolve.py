@@ -47,7 +47,7 @@ def test_stacked_step_matches_per_mode_reference(k_count, n, kind, level, order,
     a = DampingProfile.build(g, kind, rho=1.5, r=3.0,
                              level=level if kind == "constant" else 1.0)
     lambdas = np.sort(rng.uniform(0.0, 20.0, k_count)) + mass ** 2
-    stepper = Stepper(g, lambdas, a, dt=dt)
+    stepper = Stepper(lambdas, a, dt=dt)
     state = WaveState(t=0.0, modes=rng.standard_normal((k_count, n)),
                       vmodes=rng.standard_normal((k_count, n)))
     for _ in range(3):
@@ -64,9 +64,10 @@ def test_stacked_step_matches_per_mode_reference(k_count, n, kind, level, order,
         state = new
 
 
-def reference_run(state0, grid, lambdas, damping, dt, t_end, t0, sample_ratio, delta1, R):
+def reference_run(state0, lambdas, damping, dt, t_end, t0, sample_ratio, delta1, R):
     """``run`` as a plain loop of ``Stepper`` steps and ``energy`` records."""
-    stepper = Stepper(grid, lambdas, damping, dt)
+    grid = damping.grid
+    stepper = Stepper(lambdas, damping, dt)
     schedule = geometric_schedule(t0, sample_ratio, t_end)
     state, diss_cum, max_res, idx = state0, 0.0, 0.0, 0
     records = [energy(state0, grid, lambdas, delta1=delta1, R=R)]
@@ -115,8 +116,8 @@ def test_compact_run_matches_full_block_reference(k_count, n, flavor, kind, leve
               R=g.X / 2 if half_window else None)
 
     samples = []
-    result = run(compact, g, lambdas[rows], a, on_sample=samples.append, **kw)
-    records, snapshots, max_res, cum_res = reference_run(full, g, lambdas, a, **kw)
+    result = run(compact, lambdas[rows], a, on_sample=samples.append, **kw)
+    records, snapshots, max_res, cum_res = reference_run(full, lambdas, a, **kw)
 
     # the compact block groups the sums of a record without the inert rows
     series = result.series()
@@ -187,13 +188,13 @@ def test_run_is_bit_identical_to_one_line_step(order, kind, mass, monkeypatch):
 
     monkeypatch.setattr(BandedLaplacian, "apply", counted_apply)
     samples = []
-    result = run(state0, g, lambdas, a, dt=dt, t_end=t_end, t0=t0,
+    result = run(state0, lambdas, a, dt=dt, t_end=t_end, t0=t0,
                  sample_ratio=ratio, on_sample=samples.append)
     monkeypatch.undo()
     # P u_0 for the identity baseline, P v_n and P u_{n+1} per step, one per record
     assert len(calls) == 1 + 2 * n_steps + len(result.records)
 
-    stepper = Stepper(g, lambdas, a, dt)
+    stepper = Stepper(lambdas, a, dt)
     schedule = geometric_schedule(t0, ratio, t_end)
     state, diss_cum, idx = state0, 0.0, 0
     records, snapshots = [energy(state0, g, lambdas)], [state0]
@@ -220,8 +221,8 @@ def test_step_bits_do_not_depend_on_the_energy_check():
     a = DampingProfile.build(g, "hole", rho=1.5, r=3.0)
     lambdas = np.array([0.0, 2.0]) + 0.5 ** 2
     rng = np.random.default_rng(5)
-    checked = Stepper(g, lambdas, a, dt=0.2)
-    unchecked = Stepper(g, lambdas, a, dt=0.2)
+    checked = Stepper(lambdas, a, dt=0.2)
+    unchecked = Stepper(lambdas, a, dt=0.2)
     other = WaveState(t=0.0, modes=rng.standard_normal((2, g.N)),
                       vmodes=rng.standard_normal((2, g.N)))
     state = WaveState(t=0.0, modes=rng.standard_normal((2, g.N)),
@@ -244,7 +245,7 @@ def test_step_bits_do_not_depend_on_the_energy_check():
 def test_step_rejects_non_finite_data(level, field, bad, checked):
     g = Grid1D(X=10.0, N=32)
     a = DampingProfile.build(g, "constant", level=level)
-    stepper = Stepper(g, np.array([0.0, 1.0]), a, dt=0.1)
+    stepper = Stepper(np.array([0.0, 1.0]), a, dt=0.1)
     rng = np.random.default_rng(0)
     data = {"modes": rng.standard_normal((2, g.N)), "vmodes": rng.standard_normal((2, g.N))}
     data[field][1, 7] = bad
@@ -268,7 +269,7 @@ def test_conservative_run_holds_energy(grid40):
     a0 = DampingProfile.build(grid40, "constant", level=0.0)
     lambdas = np.array([0.0, 1.0])
     state = make_state(grid40)
-    stepper = Stepper(grid40, lambdas, a0, dt=0.05)
+    stepper = Stepper(lambdas, a0, dt=0.05)
     e0 = stepper.mode_energies(state).sum()
     for _ in range(2000):
         state, diss = stepper.step(state)
@@ -279,7 +280,7 @@ def test_conservative_run_holds_energy(grid40):
 def test_energy_identity_exact_per_step(grid40, damping_const):
     lambdas = np.array([0.0, 1.0, 4.0])
     state = make_state(grid40, n_modes=3, u0={0: 1.0, 2: 0.4}, u1={1: 0.2})
-    result = run(state, grid40, lambdas, damping_const, dt=0.05, t_end=30.0)
+    result = run(state, lambdas, damping_const, dt=0.05, t_end=30.0)
     assert result.identity_max_step_residual <= 1e-12 * result.E0
     assert result.identity_cumulative_residual <= 1e-10 * result.E0
     e = [r.E_total for r in result.records]
@@ -290,7 +291,7 @@ def test_contraction_for_any_damping(grid40):
     lr = DampingProfile.build(grid40, "longrange", rho=1.5)
     lambdas = np.array([0.0])
     state = make_state(grid40, n_modes=1, u0={0: 1.0}, u1={})
-    result = run(state, grid40, lambdas, lr, dt=0.1, t_end=20.0)
+    result = run(state, lambdas, lr, dt=0.1, t_end=20.0)
     norms = [r.E_total for r in result.records]
     assert norms[-1] <= norms[0]
 
@@ -309,7 +310,7 @@ def test_matches_dense_exponential_oracle():
     w_exact = expm(comp) @ np.concatenate([u0, np.zeros(n)])
 
     def advance(dt, steps):
-        stepper = Stepper(g, np.array([0.0]), a, dt=dt)
+        stepper = Stepper(np.array([0.0]), a, dt=dt)
         s = state
         for _ in range(steps):
             s, _ = stepper.step(s)
@@ -343,7 +344,7 @@ def test_discrete_companion_roots_to_second_order():
     assert e1 / e2 == pytest.approx(4.0, rel=0.1)
     # and the stepper's actual action on the cap mode matches that 2x2 model
     dt = 0.02
-    stepper = Stepper(g, np.array([0.0]), a, dt=dt)
+    stepper = Stepper(np.array([0.0]), a, dt=dt)
     state = WaveState(t=0.0, modes=mode[None, :], vmodes=np.zeros((1, g.N)))
     s1, _ = stepper.step(state)
     b = np.array([[0.0, 1.0], [-nu, -1.0]])
@@ -397,7 +398,7 @@ def test_record_total_is_the_identity_energy(k_count, n, flavor, order, seed):
     lambdas = np.sort(rng.uniform(0.0, 20.0, k_count)) + mass ** 2
     state0 = WaveState(t=0.0, modes=rng.standard_normal((k_count, n)),
                        vmodes=rng.standard_normal((k_count, n)), flavor=flavor)
-    stepper = Stepper(g, lambdas, a, dt=0.1)
+    stepper = Stepper(lambdas, a, dt=0.1)
     assert (energy(state0, g, lambdas).E_total
             == float(np.sum(stepper.mode_energies(state0))))
 
@@ -405,7 +406,7 @@ def test_record_total_is_the_identity_energy(k_count, n, flavor, order, seed):
 def test_mode0_data_keeps_p0perp_zero(grid40, damping_const):
     lambdas = np.array([0.0, 1.0, 4.0])
     state = make_state(grid40, n_modes=3, u0={0: 1.0}, u1={0: 0.5})
-    result = run(state, grid40, lambdas, damping_const, dt=0.1, t_end=20.0)
+    result = run(state, lambdas, damping_const, dt=0.1, t_end=20.0)
     assert all(r.E_p0perp == 0.0 for r in result.records)
     assert all(r.E_p0 == r.E_total for r in result.records)
 
@@ -413,7 +414,7 @@ def test_mode0_data_keeps_p0perp_zero(grid40, damping_const):
 def test_cross_mode_leakage_is_zero(grid40, damping_const):
     lambdas = np.array([0.0, 1.0, 4.0])
     state = make_state(grid40, n_modes=3, u0={1: 1.0}, u1={})
-    stepper = Stepper(grid40, lambdas, damping_const, dt=0.1)
+    stepper = Stepper(lambdas, damping_const, dt=0.1)
     for _ in range(50):
         state, _ = stepper.step(state)
     assert np.max(np.abs(state.modes[[0, 2]])) <= 1e-12
@@ -424,8 +425,7 @@ def test_smoothing_stays_real_and_damps_gradients(grid40, damping_const, rng):
     lambdas = np.array([0.0, 1.0])
     rough = rng.standard_normal((2, grid40.N))
     state = WaveState(t=0.0, modes=rough, vmodes=np.zeros((2, grid40.N)))
-    m, v = smooth_initial_data(state.modes, state.vmodes, grid40, lambdas,
-                               damping_const, 2)
+    m, v = smooth_initial_data(state.modes, state.vmodes, lambdas, damping_const, 2)
     assert m.dtype == np.float64 and v.dtype == np.float64
     raw = energy(state, grid40, lambdas).E_total
     smoothed = energy(WaveState(t=0.0, modes=m, vmodes=v), grid40, lambdas).E_total
@@ -436,9 +436,9 @@ def test_run_validates_inputs_without_data(grid40, damping_const):
     # a state without data is stepped like any other, after the same checks
     state = make_state(grid40, n_modes=2, u0={}, u1={})
     with pytest.raises(ValueError, match="time step"):
-        run(state, grid40, np.array([0.0, 1.0]), damping_const, dt=0.0, t_end=1.0)
+        run(state, np.array([0.0, 1.0]), damping_const, dt=0.0, t_end=1.0)
     with pytest.raises(ValueError, match="eigenvalues"):
-        run(state, grid40, np.array([0.0]), damping_const, dt=0.1, t_end=1.0)
+        run(state, np.array([0.0]), damping_const, dt=0.1, t_end=1.0)
 
 
 def test_geometric_schedule():

@@ -35,45 +35,46 @@ def mode_cases(draw, n_z=1):
     """A small grid of either stencil order, a damping kind, ``n_z`` shifts z (real,
     upper or lower half-plane) and a mode eigenvalue lam, a mass^2 of 0 or 1 folded in,
     giving every z the coercivity constant c = lam - Re z^2 + min(Im z a) >= c_min > 0."""
-    g = Grid1D(X=draw(st.floats(2.0, 20.0)), N=draw(st.integers(16, 40)))
-    a = DampingProfile.build(g, draw(st.sampled_from(DAMPING_KINDS)), r=2.0, rho=2.0)
+    x, n = draw(st.floats(2.0, 20.0)), draw(st.integers(16, 40))
+    kind = draw(st.sampled_from(DAMPING_KINDS))
     half_plane = st.sampled_from([0.0, 1.0, -1.0])
     zs = [complex(draw(st.floats(-6.0, 6.0)), draw(half_plane) * draw(st.floats(0.05, 1.0)))
           for _ in range(n_z)]
     mass = draw(st.sampled_from([0.0, 1.0]))
     c_min = math.exp(draw(st.floats(math.log(0.01), math.log(50.0))))
+    # drawn last, so no other draw moves; the damping samples do not depend on the order
+    g = Grid1D(X=x, N=n, order=draw(st.sampled_from([2, 4])))
+    a = DampingProfile.build(g, kind, r=2.0, rho=2.0)
     lam = c_min - mass * mass + max((z * z).real - float(np.min(z.imag * a.samples))
                                     for z in zs)
-    # the damping samples do not depend on the stencil order
-    g = dataclasses.replace(g, order=draw(st.sampled_from([2, 4])))
     return g, a, zs, lam + mass * mass, c_min
 
 
-def rn_solve(z, damping, lam, grid, rhs):
+def rn_solve(z, damping, lam, rhs):
     """Solve (-d^2/dx^2 + lam - i z a - z^2) u = rhs on one mode."""
-    return mode_operator(grid, lam, damping, z).solve(rhs)
+    return mode_operator(lam, damping, z).solve(rhs)
 
 
-def wave_resolvent_apply(z, f, g, damping, lam, grid):
+def wave_resolvent_apply(z, f, g, damping, lam):
     """One-shot block-resolvent application (see WaveBlockResolvent)."""
-    return WaveBlockResolvent(z, damping, lam, grid).apply(f, g)
+    return WaveBlockResolvent(z, damping, lam).apply(f, g)
 
 
-def wave_apply(f, g, damping, lam, grid):
+def wave_apply(f, g, damping, lam):
     """The first-order operator itself: (f, g) -> (g, (-D2 + lam) f - i a g).
 
     This is the matrix acting on the pair (u, i du/dt); its lower-left block
     is minus the Laplacian.
     """
-    lap = laplacian_1d(grid)
+    lap = laplacian_1d(damping.grid)
     out2 = -lap.apply(np.asarray(f, dtype=complex)) + lam * f - 1j * damping.samples * g
     return np.asarray(g, dtype=complex), out2
 
 
-def resolvent_identity_residual(z1, z2, damping, lam, grid, f):
+def resolvent_identity_residual(z1, z2, damping, lam, f):
     """|| [R(z1) - R(z2) - (z1 - z2) R(z1)(ia + z1 + z2) R(z2)] f || / ||f||."""
-    op1 = mode_operator(grid, lam, damping, z1)
-    op2 = mode_operator(grid, lam, damping, z2)
+    op1 = mode_operator(lam, damping, z1)
+    op2 = mode_operator(lam, damping, z2)
     a = damping.samples
     r2f = op2.solve(np.asarray(f, dtype=complex))
     lhs = op1.solve(np.asarray(f, dtype=complex)) - r2f
@@ -101,7 +102,8 @@ class HeatModelResolvent:
     h22: np.ndarray = field(repr=False)
 
     @classmethod
-    def build(cls, z, damping, grid):
+    def build(cls, z, damping):
+        grid = damping.grid
         lap = dense_laplacian(grid)
         hres = np.linalg.inv(-lap - 1j * z * np.eye(grid.N))
         a = damping.samples
@@ -115,8 +117,9 @@ class HeatModelResolvent:
         return num / den
 
 
-def dense_theta_probe(z_list, damping, grid, lambdas, delta1, delta2):
+def dense_theta_probe(z_list, damping, lambdas, delta1, delta2):
     """Assembled blocks of (A - z)^{-1} - R_Heat(z) and full SVDs (test oracle)."""
+    grid = damping.grid
     wl = np.diag(weight(grid, -delta1))
     wr = np.diag(weight(grid, -delta2))
     gmat = _dense_gradient(grid)
@@ -124,11 +127,11 @@ def dense_theta_probe(z_list, damping, grid, lambdas, delta1, delta2):
     eye = np.eye(grid.N)
     out = []
     for z in z_list:
-        heat = HeatModelResolvent.build(z, damping, grid)
+        heat = HeatModelResolvent.build(z, damping)
         assert heat.structure_residual() <= 1e-12
         norms = {1: 0.0, 2: 0.0, 3: 0.0, 4: 0.0}
         for k, lam in enumerate(lambdas):
-            rmat = np.linalg.inv(dense_operator(mode_operator(grid, lam, damping, z)))
+            rmat = np.linalg.inv(dense_operator(mode_operator(lam, damping, z)))
             blocks = [rmat * (1j * a + z)[None, :], rmat,
                       eye + rmat * (1j * z * a + z * z)[None, :], z * rmat]
             if k == 0:
@@ -145,8 +148,8 @@ def dense_theta_probe(z_list, damping, grid, lambdas, delta1, delta2):
 class TestRnSolve:
     def test_against_dense_lu_oracle(self, grid40, damping_const, rng):
         f = rng.standard_normal(grid40.N) + 1j * rng.standard_normal(grid40.N)
-        u = rn_solve(1j, damping_const, 0.0, grid40, f)
-        dense = dense_operator(mode_operator(grid40, 0.0, damping_const, 1j))
+        u = rn_solve(1j, damping_const, 0.0, f)
+        dense = dense_operator(mode_operator(0.0, damping_const, 1j))
         u_oracle = np.linalg.solve(dense, f)
         assert np.linalg.norm(u - u_oracle) <= 1e-8 * np.linalg.norm(u_oracle)
 
@@ -154,14 +157,14 @@ class TestRnSolve:
         # Fourier multiplier oracle: ||R(tau)|| -> 1/tau as X -> infinity
         g = Grid1D(X=200.0, N=4096)
         a = DampingProfile.build(g, "constant")
-        op = mode_operator(g, 0.0, a, 10.0)
+        op = mode_operator(0.0, a, 10.0)
         sigma, _ = iterative_norm(op.solve, op.solve_adjoint, g.N, np.random.default_rng(0))
         assert sigma == pytest.approx(0.1, rel=0.05)
 
     def test_dirichlet_low_frequency_bound(self, grid40):
         a = DampingProfile.build(grid40, "hole", r=5.0, rho=2.0)
         for mu in (1e-1, 1e-2, 1e-3):
-            op = mode_operator(grid40, 1.0, a, 1j * mu)
+            op = mode_operator(1.0, a, 1j * mu)
             sigma, _ = iterative_norm(op.solve, op.solve_adjoint, grid40.N,
                                       np.random.default_rng(1))
             assert sigma <= 1.0 + 1e-6
@@ -173,7 +176,7 @@ class TestNormScan:
         a = DampingProfile.build(g, "constant")
         lambdas = np.array([0.0, 1.0, 4.0, 9.0])
         taus = [2.0, 4.0, 8.0]
-        pts = norm_scan(taus, 0, 0, a, g, lambdas, rng=np.random.default_rng(2))
+        pts = norm_scan(taus, 0, 0, a, lambdas, rng=np.random.default_rng(2))
         slope = np.polyfit(np.log(taus), np.log([p.norm_est for p in pts]), 1)[0]
         assert slope == pytest.approx(-1.0, abs=0.1)
         for p in pts:
@@ -185,17 +188,17 @@ class TestNormScan:
         g = Grid1D(X=40.0, N=256)
         a = DampingProfile.build(g, "hole", r=5.0, rho=2.0)
         lambdas = [0.0, 1.0]
-        pt = norm_scan([2.0], 1, 1, a, g, lambdas, rng=np.random.default_rng(3))[0]
+        pt = norm_scan([2.0], 1, 1, a, lambdas, rng=np.random.default_rng(3))[0]
         assert pt.flag == "ok"
-        dense = dense_sobolev_norm(mode_operator(g, lambdas[pt.k_argmax], a, 2.0), 1, 1)
+        dense = dense_sobolev_norm(mode_operator(lambdas[pt.k_argmax], a, 2.0), 1, 1)
         assert pt.norm_est == pytest.approx(dense, rel=0.01)
 
     def test_dense_method_matches_iterative(self):
         # the dense-SVD oracle, applied to the scanned mode, agrees with the scan
         g = Grid1D(X=40.0, N=256)
         a = DampingProfile.build(g, "longrange", rho=2.0)
-        it = norm_scan([1.5], 1, 0, a, g, [0.0], rng=np.random.default_rng(4))[0]
-        dense = dense_sobolev_norm(mode_operator(g, 0.0, a, 1.5), 1, 0)
+        it = norm_scan([1.5], 1, 0, a, [0.0], rng=np.random.default_rng(4))[0]
+        dense = dense_sobolev_norm(mode_operator(0.0, a, 1.5), 1, 0)
         assert it.norm_est == pytest.approx(dense, rel=0.01)
 
     @pytest.mark.parametrize("kind", ["constant", "hole"])
@@ -206,7 +209,7 @@ class TestNormScan:
         scaler = SobolevScaler(g)
         rng = np.random.default_rng(14)
         for z in (8.0, -3.0, 0.5 + 0.3j):
-            op = mode_operator(g, 1.0, a, z)
+            op = mode_operator(1.0, a, z)
             for b1, b2 in ((0, 0), (1, 0), (0, 1), (1, 1)):
                 sigma, _ = _mode_sobolev_norm(op, scaler, b1, b2, rng)
                 assert sigma == pytest.approx(dense_sobolev_norm(op, b1, b2), rel=1e-10)
@@ -216,7 +219,7 @@ class TestNormScan:
         # 1/(nu_1 + mu^2) with nu_1 ~ X^-2, so it moves with the box
         g = Grid1D(X=20.0, N=128)
         a0 = DampingProfile.build(g, "constant", level=0.0)
-        pts = norm_scan([0.05j], 0, 0, a0, g, [0.0], rng=np.random.default_rng(5),
+        pts = norm_scan([0.05j], 0, 0, a0, [0.0], rng=np.random.default_rng(5),
                         truncation_guard=True)
         assert pts[0].flag == "truncation-limited"
 
@@ -224,12 +227,12 @@ class TestNormScan:
         g = Grid1D(X=40.0, N=1024)
         a = DampingProfile.build(g, "constant")
         zs = [t for t in np.linspace(-32.0, 32.0, 17) if abs(t) > 1e-9] + [1e-6]
-        pts = norm_scan(zs, 0, 0, a, g, [1.0 ** 2], rng=np.random.default_rng(6))
+        pts = norm_scan(zs, 0, 0, a, [1.0 ** 2], rng=np.random.default_rng(6))
         assert max(p.norm_est for p in pts) <= 1.05
 
     def test_rejects_bad_sobolev_indices(self, grid40, damping_const):
         with pytest.raises(ValueError):
-            norm_scan([1.0], 2, 0, damping_const, grid40, [0.0], rng=np.random.default_rng(0))
+            norm_scan([1.0], 2, 0, damping_const, [0.0], rng=np.random.default_rng(0))
 
     def test_scan_passes_each_mode_bound(self, grid40, damping_const, monkeypatch):
         # every Lanczos run gets its mode's numerical-range bound as ``upper``,
@@ -245,7 +248,7 @@ class TestNormScan:
 
         monkeypatch.setattr(resolvent, "iterative_norm", recording)
         z = 2.0 + 0.1j
-        pt = norm_scan([z], 0, 0, damping_const, grid40, [9.0, 1.0], truncation_guard=True,
+        pt = norm_scan([z], 0, 0, damping_const, [9.0, 1.0], truncation_guard=True,
                        rng=np.random.default_rng(11))[0]
         s = 2.0 * 1.2
         want = [1.0 / math.hypot(max(lam - (z * z).real + 0.1, 0.0), s) for lam in (9.0, 1.0)]
@@ -253,7 +256,7 @@ class TestNormScan:
         assert uppers == pytest.approx(want + [want[1]], rel=1e-14)
 
     def test_points_carry_measured_residuals(self, grid40, damping_const):
-        pts = norm_scan([2.0, 4.0], 0, 0, damping_const, grid40, [0.0, 1.0],
+        pts = norm_scan([2.0, 4.0], 0, 0, damping_const, [0.0, 1.0],
                         rng=np.random.default_rng(11))
         for p in pts:
             assert p.residual != 1e-7
@@ -265,7 +268,7 @@ class TestNormScan:
 
         monkeypatch.setattr(resolvent, "LANCZOS_MAX_STEPS", 1)
         with pytest.raises(ConvergenceError, match=r"in 1 steps .*, 0\.5\]"):
-            norm_scan([2.0], 0, 0, damping_const, grid40, [0.0, 1.0],
+            norm_scan([2.0], 0, 0, damping_const, [0.0, 1.0],
                       rng=np.random.default_rng(11))
 
     @pytest.mark.parametrize("z, lam", [(1.0, 1.0), (2.0, 4.0)])
@@ -281,7 +284,7 @@ class TestNormScan:
         monkeypatch.setattr(resolvent, "power_iteration_norm", forbidden)
         g = Grid1D(X=200.0, N=2048)
         a = DampingProfile.build(g, "constant")
-        pt = norm_scan([z], 0, 0, a, g, [lam], rng=np.random.default_rng(3))[0]
+        pt = norm_scan([z], 0, 0, a, [lam], rng=np.random.default_rng(3))[0]
         exact = exact_mode_norm(g, lam, z, 1.0)
         assert exact - 1e-7 <= pt.norm_est <= exact * (1.0 + 1e-12)
         assert exact <= 1.0 / z
@@ -312,12 +315,12 @@ def lanczos_top_lists(normal, v0, rtol):
     return max(theta, 0.0), (residual / theta if theta > 0.0 else 0.0), converged
 
 
-def exhaustive_scan(zs, beta1, beta2, damping, grid, lambdas, rng):
+def exhaustive_scan(zs, beta1, beta2, damping, lambdas, rng):
     """(norm, argmax) per z from a Lanczos run on every mode, in the given order."""
-    scaler = SobolevScaler(grid)
+    scaler = SobolevScaler(damping.grid)
     out = []
     for z in zs:
-        sigmas = [_mode_sobolev_norm(mode_operator(grid, lam, damping, z), scaler,
+        sigmas = [_mode_sobolev_norm(mode_operator(lam, damping, z), scaler,
                                      beta1, beta2, rng)[0] for lam in lambdas]
         out.append((max(sigmas), int(np.argmax(sigmas))))
     return out
@@ -328,7 +331,7 @@ class TestCertifiedTailBound:
     @given(case=mode_cases())
     def test_bound_dominates_dense_norm(self, case):
         g, a, (z,), lam, c = case
-        op = mode_operator(g, lam, a, z)
+        op = mode_operator(lam, a, z)
         k_sq = sobolev_constant_sq(g)
         s = abs(z.real) * float(np.min(a.samples + 2.0 * z.imag))
         for b1, b2 in BETA_PAIRS:
@@ -348,7 +351,7 @@ class TestCertifiedTailBound:
         s = abs(z.real) * float(np.min(a.samples + 2.0 * z.imag))
         bound = mode_norm_bound(c, s, 0, 1.0)
         if math.isfinite(bound):
-            op = mode_operator(g, lam, a, z)
+            op = mode_operator(lam, a, z)
             assert dense_sobolev_norm(op, 0, 0) <= bound * (1.0 + 1e-10)
 
     def test_no_bound_without_coercivity(self):
@@ -384,8 +387,8 @@ class TestCertifiedTailBound:
         lambdas = np.arange(12, dtype=float) ** 2
         if shuffle:  # elliptic modes skipped before propagating ones are scanned
             lambdas = lambdas[[3, 10, 11, 0, 8, 1, 2, 9, 4, 5, 6, 7]]
-        pts = norm_scan(zs, *betas, a, g, lambdas, rng=np.random.default_rng(22))
-        want = exhaustive_scan(zs, *betas, a, g, lambdas, np.random.default_rng(22))
+        pts = norm_scan(zs, *betas, a, lambdas, rng=np.random.default_rng(22))
+        want = exhaustive_scan(zs, *betas, a, lambdas, np.random.default_rng(22))
         for pt, (norm, k) in zip(pts, want):
             assert (pt.norm_est, pt.k_argmax) == (norm, k)
             assert pt.modes_scanned < len(lambdas)
@@ -406,10 +409,10 @@ class TestScanWorkList:
         g = Grid1D(X=10.0, N=48)
         a = DampingProfile.build(g, "hole", r=3.0, rho=2.0)
         for z in (2.5, 1.5 + 0.3j, 0.7 - 0.2j):
-            want = dense_sobolev_norm(mode_operator(g, 1.0 + 0.5 ** 2, a, z), *betas)
-            mirror = dense_sobolev_norm(mode_operator(g, 1.0 + 0.5 ** 2, a, -np.conj(z)), *betas)
+            want = dense_sobolev_norm(mode_operator(1.0 + 0.5 ** 2, a, z), *betas)
+            mirror = dense_sobolev_norm(mode_operator(1.0 + 0.5 ** 2, a, -np.conj(z)), *betas)
             assert mirror == pytest.approx(want, rel=1e-12)
-            pts = norm_scan([-np.conj(z), z], *betas, a, g, [1.0 + 0.5 ** 2],
+            pts = norm_scan([-np.conj(z), z], *betas, a, [1.0 + 0.5 ** 2],
                             rng=np.random.default_rng(21))
             assert pts[0] == dataclasses.replace(pts[1], z=pts[0].z)
             assert pts[1].norm_est == pytest.approx(want, rel=1e-10)
@@ -420,18 +423,18 @@ class TestScanWorkList:
         a = DampingProfile.build(g, "hole", r=3.0, rho=2.0)
         for lam in (0.0, 2.0):
             for z in (3.0, 1.2 + 0.4j):
-                assert dense_energy_norm(g, lam, a, -np.conj(z)) == pytest.approx(
-                    dense_energy_norm(g, lam, a, z), rel=1e-12)
+                assert dense_energy_norm(lam, a, -np.conj(z)) == pytest.approx(
+                    dense_energy_norm(lam, a, z), rel=1e-12)
 
     def test_real_axis_rows_agree_in_reflected_pairs(self):
         g = Grid1D(X=20.0, N=96)
         a = DampingProfile.build(g, "hole", r=5.0, rho=2.0)
         lambdas = [0.0, 1.0]
         taus = [-2.0, -0.5, 0.0, 0.5, 2.0]
-        norms = energy_norm_scan(taus, a, g, lambdas, rng=np.random.default_rng(9))
+        norms = energy_norm_scan(taus, a, lambdas, rng=np.random.default_rng(9))
         assert (norms[0], norms[1]) == (norms[4], norms[3])
         for tau, norm in zip(taus, norms):
-            want = max(dense_energy_norm(g, lam, a, tau) for lam in lambdas)
+            want = max(dense_energy_norm(lam, a, tau) for lam in lambdas)
             assert norm == pytest.approx(want, rel=1e-10)
 
     @pytest.mark.parametrize("kind, betas, lambdas, guard", [
@@ -444,10 +447,10 @@ class TestScanWorkList:
         g = Grid1D(X=20.0, N=128)
         a = DampingProfile.build(g, kind, r=5.0, rho=2.0)
         zs = [2.0 + 0.1j, 3.0, -2.0 + 0.1j, 1.0]
-        serial = norm_scan(zs, *betas, a, g, lambdas, rng=np.random.default_rng(5),
+        serial = norm_scan(zs, *betas, a, lambdas, rng=np.random.default_rng(5),
                            truncation_guard=guard)
         with ThreadPoolExecutor(max_workers=3) as pool:
-            pooled = norm_scan(zs, *betas, a, g, lambdas, rng=np.random.default_rng(5),
+            pooled = norm_scan(zs, *betas, a, lambdas, rng=np.random.default_rng(5),
                                map=pool.map, truncation_guard=guard)
         assert pooled == serial
         assert serial[2] == dataclasses.replace(serial[0], z=serial[2].z)
@@ -457,15 +460,15 @@ class TestScanWorkList:
 class TestBlockResolvent:
     def test_zero_maps_to_zero(self, grid40, damping_const):
         u, v = wave_resolvent_apply(1j, np.zeros(grid40.N), np.zeros(grid40.N),
-                                    damping_const, 0.0, grid40)
+                                    damping_const, 0.0)
         assert np.max(np.abs(u)) == 0.0 and np.max(np.abs(v)) == 0.0
 
     @pytest.mark.parametrize("z", [1j, 2.0 + 0.0j, 0.5 + 0.3j])
     def test_identity_check(self, grid40, damping_const, rng, z):
         f = rng.standard_normal(grid40.N) + 1j * rng.standard_normal(grid40.N)
         g = rng.standard_normal(grid40.N) + 1j * rng.standard_normal(grid40.N)
-        u, v = wave_resolvent_apply(z, f, g, damping_const, 1.0, grid40)
-        w1, w2 = wave_apply(u, v, damping_const, 1.0, grid40)
+        u, v = wave_resolvent_apply(z, f, g, damping_const, 1.0)
+        w1, w2 = wave_apply(u, v, damping_const, 1.0)
         r1 = w1 - z * u
         r2 = w2 - z * v
         scale = math.sqrt(np.linalg.norm(f) ** 2 + np.linalg.norm(g) ** 2)
@@ -474,7 +477,7 @@ class TestBlockResolvent:
 
     def test_adjoint_consistency(self, grid40, damping_const, rng):
         z = 1.3 + 0.4j
-        block = WaveBlockResolvent(z, damping_const, 2.0, grid40)
+        block = WaveBlockResolvent(z, damping_const, 2.0)
         f1 = rng.standard_normal(grid40.N) + 1j * rng.standard_normal(grid40.N)
         f2 = rng.standard_normal(grid40.N) + 1j * rng.standard_normal(grid40.N)
         g1 = rng.standard_normal(grid40.N) + 1j * rng.standard_normal(grid40.N)
@@ -486,7 +489,7 @@ class TestBlockResolvent:
         assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
 
     def test_one_mode_solve_per_application(self, grid40, damping_const, rng, monkeypatch):
-        block = WaveBlockResolvent(1.3 + 0.4j, damping_const, 2.0, grid40)
+        block = WaveBlockResolvent(1.3 + 0.4j, damping_const, 2.0)
         calls = {"solve": 0, "solve_adjoint": 0}
         for name in calls:
             def counted(op, f, _solve=getattr(ShiftedOperator, name), _name=name):
@@ -503,8 +506,8 @@ class TestBlockResolvent:
         # triangle-inequality recomputation from component norms at real tau
         tau = 2.0
         lam = 1.0
-        dense_r = np.linalg.inv(dense_operator(mode_operator(grid40, lam, damping_const, tau)))
-        helper = EnergyNormResolvent(grid40, lam, damping_const)
+        dense_r = np.linalg.inv(dense_operator(mode_operator(lam, damping_const, tau)))
+        helper = EnergyNormResolvent(lam, damping_const)
         sqrt_p = sqrt_energy_matrix(grid40, lam)
         norm = lambda m: float(svdvals(m)[0])
         grad_r_grad = norm(sqrt_p @ dense_r @ sqrt_p)
@@ -525,22 +528,23 @@ class TestBlockResolvent:
         a = DampingProfile.build(g, kind, r=5.0, rho=2.0)
         rng = np.random.default_rng(15)
         for lam in (0.0, 1.0, 4.0):
-            helper = EnergyNormResolvent(g, lam, a)
+            helper = EnergyNormResolvent(lam, a)
             for tau in (0.0, -3.0, 0.5, 8.0):
-                want = dense_energy_norm(g, lam, a, tau)
+                want = dense_energy_norm(lam, a, tau)
                 assert helper.op_norm(tau, rng) == pytest.approx(want, rel=1e-10)
 
     def test_energy_norm_rejects_indefinite(self, grid40, damping_const):
         # -D2 - 1 has negative eigenvalues on this box: no Cholesky factor
         with pytest.raises(SolveError):
-            EnergyNormResolvent(dataclasses.replace(grid40, order=2), -1.0, damping_const)
+            EnergyNormResolvent(-1.0, DampingProfile.build(dataclasses.replace(grid40, order=2),
+                                                           "constant"))
 
     def test_solver_failure_reported(self):
         # undamped operator probed exactly at a cap eigenvalue is singular
         g = Grid1D(X=10.0, N=64, order=2)
         a0 = DampingProfile.build(g, "constant", level=0.0)
         nu1 = (2.0 - 2.0 * math.cos(math.pi / (g.N + 1))) / g.h ** 2
-        op = mode_operator(g, 0.0, a0, math.sqrt(nu1))
+        op = mode_operator(0.0, a0, math.sqrt(nu1))
         f = np.ones(g.N)
         with pytest.raises(SolveError):
             op.solve(f)
@@ -552,7 +556,7 @@ def test_resolvent_identity(case, seed):
     # R(z1) - R(z2) = R(z1) (A(z2) - A(z1)) R(z2), A(z2) - A(z1) = (z1 - z2)(ia + z1 + z2)
     g, a, (z1, z2), lam, _ = case
     f = [1.0, 1j] @ np.random.default_rng(seed).standard_normal((2, g.N))
-    res = resolvent_identity_residual(z1, z2, a, lam, g, f)
+    res = resolvent_identity_residual(z1, z2, a, lam, f)
     assert res <= 1e-8
 
 
@@ -562,8 +566,8 @@ def test_adjoint_reflection(case, seed):
     # R(z)^* = R(-conj z): the adjoint solve equals the solve at the reflected shift
     g, a, (z,), lam, _ = case
     f = [1.0, 1j] @ np.random.default_rng(seed).standard_normal((2, g.N))
-    adj = mode_operator(g, lam, a, z).solve_adjoint(f)
-    refl = mode_operator(g, lam, a, -np.conj(z)).solve(f)
+    adj = mode_operator(lam, a, z).solve_adjoint(f)
+    refl = mode_operator(lam, a, -np.conj(z)).solve(f)
     assert np.linalg.norm(adj - refl) <= 1e-10 * np.linalg.norm(refl)
 
 
@@ -572,7 +576,7 @@ def test_adjoint_reflection(case, seed):
 def test_banded_solve_matches_dense(case, seed):
     g, a, (z,), lam, _ = case
     f = [1.0, 1j] @ np.random.default_rng(seed).standard_normal((2, g.N))
-    op = mode_operator(g, lam, a, z)
+    op = mode_operator(lam, a, z)
     dense = -dense_laplacian(g) + np.diag(lam - 1j * z * a.samples - z * z)
     for got, mat in ((op.solve(f), dense), (op.solve_adjoint(f), dense.conj().T)):
         want = np.linalg.solve(mat, f)
@@ -602,7 +606,7 @@ class TestHeatModelResolvent:
     def test_heat_blocks_match_dense_oracle(self, grid40, rng):
         a = DampingProfile.build(grid40, "hole", r=5.0, rho=2.0)
         z = 0.3 + 0.4j
-        dense = HeatModelResolvent.build(z, a, grid40)
+        dense = HeatModelResolvent.build(z, a)
         heat = heat_model_operator(grid40, z)
         x = rng.standard_normal(grid40.N) + 1j * rng.standard_normal(grid40.N)
         for j, h in zip((1, 2, 3, 4), (dense.h11, dense.h12, dense.h21, dense.h22)):
@@ -616,9 +620,9 @@ class TestHeatModelResolvent:
         a = DampingProfile.build(g, kind, r=5.0, rho=2.0)
         zs = [0.1j, 0.01j, 0.3 + 0.4j]
         lambdas = [0.0, 1.0, 4.0]
-        rows = theta_probe(zs, a, g, lambdas, delta1=1.05, delta2=0.6,
+        rows = theta_probe(zs, a, lambdas, delta1=1.05, delta2=0.6,
                            rng=np.random.default_rng(12))
-        oracle = dense_theta_probe(zs, a, g, lambdas, delta1=1.05, delta2=0.6)
+        oracle = dense_theta_probe(zs, a, lambdas, delta1=1.05, delta2=0.6)
         for row, want in zip(rows, oracle):
             for j in (1, 2, 3, 4):
                 assert row[f"theta{j}"] == pytest.approx(want[j], rel=1e-10)
@@ -627,7 +631,7 @@ class TestHeatModelResolvent:
     def test_theta_probe_blocks_bounded(self):
         g = Grid1D(X=100.0, N=512)
         a = DampingProfile.build(g, "constant")
-        rows = theta_probe([0.1j, 0.01j], a, g, [0.0, 1.0], delta1=1.05, delta2=1.05,
+        rows = theta_probe([0.1j, 0.01j], a, [0.0, 1.0], delta1=1.05, delta2=1.05,
                            rng=np.random.default_rng(0))
         for j in (1, 2, 3):
             vals = [r[f"theta{j}"] for r in rows]
@@ -639,7 +643,7 @@ class TestHeatModelResolvent:
     def test_theta_probe_preconditions(self, grid40, damping_const):
         for z in (2.0 + 1j, 0.5 - 0.1j):
             with pytest.raises(ValueError):
-                theta_probe([z], damping_const, grid40, [0.0], 1.0, 1.0,
+                theta_probe([z], damping_const, [0.0], 1.0, 1.0,
                             rng=np.random.default_rng(0))
 
 
@@ -647,7 +651,7 @@ class TestSemiclassical:
     def test_constant_damping_matches_fourier_oracle(self):
         g = Grid1D(X=40.0, N=2048)
         a = DampingProfile.build(g, "constant")
-        rows = semiclassical_scan([0.2, 0.1], a, g, rng=np.random.default_rng(10))
+        rows = semiclassical_scan([0.2, 0.1], a, rng=np.random.default_rng(10))
         for row in rows:
             h = row["h"]
             xi = np.linspace(0.0, 4.0 / h, 400000)
@@ -662,7 +666,7 @@ class TestSemiclassical:
 
     def test_h_range_validated(self, grid40, damping_const):
         with pytest.raises(ValueError):
-            semiclassical_scan([1.5], damping_const, grid40, rng=np.random.default_rng(0))
+            semiclassical_scan([1.5], damping_const, rng=np.random.default_rng(0))
 
 
 class TestEstimators:
@@ -679,7 +683,7 @@ class TestEstimators:
         for kind in ("constant", "hole"):
             a = DampingProfile.build(g, kind, r=5.0, rho=2.0)
             for z, b1, b2 in ((4.0, 0, 0), (4.0, 1, 1), (0.5, 0, 1)):
-                op = mode_operator(g, 1.0, a, z)
+                op = mode_operator(1.0, a, z)
                 sigma, _ = _mode_sobolev_norm(op, scaler, b1, b2, rng)
                 oracle = dense_sobolev_norm(op, b1, b2)
                 assert sigma == pytest.approx(oracle, rel=0.01)
