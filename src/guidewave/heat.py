@@ -4,9 +4,9 @@ The comparison solution solves dv/dt = v_xx on the line with initial data
 equal to the cross-section mean of (a u0 + u1), and is evaluated by direct
 quadrature against the Gaussian kernel and its derivatives.  The quadrature
 sums are Toeplitz matrix-vector products and are computed by exact linear
-(zero-padded) FFT convolution at a fast FFT length; the weighted kernel norms
-apply the same circulant embedding, with complex transforms, inside a Lanczos
-operator-norm estimate.
+(zero-padded) FFT convolution at a power-of-two length; the weighted kernel
+norms apply the same circulant embedding, with complex transforms, inside a
+Lanczos operator-norm estimate.
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import fft, ifft, irfft, next_fast_len, rfft
+from numpy.fft import fft, ifft, irfft, rfft
 
+from . import resolvent
 from .discretize import Grid1D, gradient_1d, weight
 
 
@@ -33,6 +34,12 @@ def heat_kernel(t: float, xi: np.ndarray, derivative: str = "none") -> np.ndarra
     if derivative == "lap":
         return (xi ** 2 / (4.0 * t ** 2) - 1.0 / (2.0 * t)) * base
     raise ValueError(f"unknown kernel derivative {derivative!r}")
+
+
+def _convolution_length(n: int) -> int:
+    """The power of two >= 2n - 1: a circular convolution of that length holds
+    the linear one of two length-n sequences."""
+    return 1 << (2 * n - 2).bit_length()
 
 
 def _circulant_kernel(t: float, d: np.ndarray, derivative: str, length: int) -> np.ndarray:
@@ -52,13 +59,13 @@ def heat_apply(w0: np.ndarray, grid: Grid1D, t: float, derivative: str = "none")
 
     The quadrature is the Toeplitz product with the kernel at the node
     offsets, computed as a real circular convolution with the
-    ``_circulant_kernel`` at the fast FFT length L = next_fast_len(2N - 1).
+    ``_circulant_kernel`` at the length ``_convolution_length(N)``.
     """
     w0 = np.asarray(w0, dtype=float)
     n = grid.N
     if w0.shape != (n,):
         raise ValueError(f"expected data of shape ({n},), got {w0.shape}")
-    length = next_fast_len(2 * n - 1, real=True)
+    length = _convolution_length(n)
     kern = _circulant_kernel(t, grid.xs - grid.xs[0], derivative, length)
     conv = irfft(rfft(kern) * rfft(w0, n=length), n=length)
     return grid.h * conv[:n]
@@ -98,19 +105,20 @@ COMPARE_COLUMNS = ("t", "norm_grad_diff", "norm_dt_diff", "norm_grad_v", "norm_d
                    "ratio_grad", "ratio_dt")
 
 
-def compare(state, heat: HeatSolution, grid: Grid1D, lambdas: np.ndarray,
-            yfactor: float, delta1: float = 0.0) -> dict[str, float] | None:
+def compare(state, heat: HeatSolution, lambdas: np.ndarray, yfactor: float,
+            delta1: float = 0.0) -> dict[str, float] | None:
     """Difference norms between one wave state and the heat solution at its time.
 
     A state at t = 0 gives None (the kernel is singular there); any other
     gives one row, keyed by ``COMPARE_COLUMNS``.  The heat solution lives on
     mode 0, the mean mode (lambda_0 = 0); the gradient difference includes
     the transverse part of u, which v lacks.  Norms are over the guide,
-    weighted by <x>^(-delta1).
+    weighted by <x>^(-delta1), on the grid of ``heat``, which the state must
+    be sampled on.
     """
-    if state.modes.shape[1] != grid.N or heat.grid.N != grid.N:
-        raise ValueError(
-            f"state/heat grids do not match the comparison grid N={grid.N}")
+    grid = heat.grid
+    if state.modes.shape[1] != grid.N:
+        raise ValueError(f"state has {state.modes.shape[1]} nodes, the heat grid N={grid.N}")
     if state.t <= 0.0:
         return None
     w = weight(grid, -delta1)
@@ -156,7 +164,7 @@ def heat_weighted_norm(t: float, beta: int | str, s: float, s1: float, s2: float
     kernel quadrature on |x| <= xw, by default max(10 sqrt(t), 10), with at
     most ``WEIGHTED_NORM_MAX_NODES`` nodes, is applied as hw wl T wr, T the
     Toeplitz matrix K(x_i - x_j), by complex circular convolution with the
-    ``_circulant_kernel`` at next_fast_len(2n - 1); the kernel is real, so
+    ``_circulant_kernel`` at ``_convolution_length(n)``; the kernel is real, so
     the adjoint T^T convolves with the conjugate transform.  The top singular
     value is a Lanczos estimate from a fixed seeded start vector.
     """
@@ -191,7 +199,7 @@ def heat_weighted_norm(t: float, beta: int | str, s: float, s1: float, s2: float
 
     wl = (1.0 + xs ** 2) ** (-(kappa * s1 + s) / 2.0)
     wr = (1.0 + xs ** 2) ** (-(kappa * s2 + s) / 2.0)
-    length = next_fast_len(2 * n - 1)
+    length = _convolution_length(n)
     kern_f = fft(_circulant_kernel(t, xs - xs[0], derivative, length))
     kern_f_adj = np.conj(kern_f)
 
@@ -201,10 +209,5 @@ def heat_weighted_norm(t: float, beta: int | str, s: float, s1: float, s2: float
     def apply_adjoint(y):
         return hw * wr * ifft(kern_f_adj * fft(wl * y, n=length))[:n]
 
-    # imported here so that importing the package does not load the resolvent
-    # layer (the Lanczos estimator, the sine transforms) ahead of the modules
-    # that need it
-    from .resolvent import iterative_norm
-
-    sigma, _ = iterative_norm(apply_op, apply_adjoint, n, np.random.default_rng(0))
+    sigma, _ = resolvent.iterative_norm(apply_op, apply_adjoint, n, np.random.default_rng(0))
     return sigma

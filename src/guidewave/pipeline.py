@@ -270,8 +270,7 @@ def cmd_heat_compare(cfg: ExperimentConfig, out_base: str) -> dict:
         if heat is None:
             heat = HeatSolution(grid=damping.grid, w0=p0_heat_data(
                 state.modes, state.vmodes, damping.samples, yfactor))
-        rows.append(compare(state, heat, damping.grid, lambdas, yfactor,
-                            delta1=cfg.weight_spec().delta1))
+        rows.append(compare(state, heat, lambdas, yfactor, delta1=cfg.weight_spec().delta1))
 
     evolved = cmd_evolve(cfg, out_base, on_sample=on_sample)
     table = comparison_table(rows)

@@ -6,18 +6,19 @@ recurrence stores no basis, tests its top Ritz pair at every step, stops once
 the normal-operator residual is at most tol^2 sigma^2 and reports that
 measured residual.  A run that the step budget cuts short
 returns its Ritz value only when a certified upper bound pins it to within
-tol, and raises ``ConvergenceError`` otherwise.  Sobolev scalings
-(1 - d^2/dx^2)^(+-beta/2) are diagonal in the sine basis of the truncation
-box; since the orthonormal DST-I is its own inverse, a scan measures the mode
-solve in scaled sine coefficients, one transform per scaled side of each
-application.  A norm scan takes the max over transverse modes.  Each mode's
-numerical-range bound (``mode_norm_bound``) skips the mode when it is below
-the running max, which cuts the elliptic tail lam_k > tau^2, and certifies
-its estimate otherwise.  Every scan's max over modes is one work list
-(``scan_modes``) of seeded (point, mode) Lanczos runs, which a thread pool may
-run in any order; each reflection class {z, -conj z} is computed once.  The
-energy norm of the first-order operator uses the band Cholesky factor of
--D2 + lam (``EnergyNormResolvent``).  The dense
+tol, and raises ``ConvergenceError`` otherwise.  A Sobolev side is the
+form norm of M = 1 - D2, the operator the scan solves with: its band Cholesky
+factor M = U^T U has U = W M^{1/2} with W orthogonal, so a scan measures
+||U R U^T|| for ||M^{1/2} R M^{1/2}||, one band product per scaled side of
+each application and no transform (``SobolevScaler``).  A norm scan takes the
+max over transverse modes.  Each mode's numerical-range bound
+(``mode_norm_bound``) skips the mode when it is below the running max, which
+cuts the elliptic tail lam_k > tau^2, and certifies its estimate otherwise.
+Every scan's max over modes is one work list (``scan_modes``) of seeded
+(point, mode) Lanczos runs, which a thread pool may run in any order; each
+reflection class {z, -conj z} is computed once.  The energy norm of the
+first-order operator uses the band Cholesky factor of -D2 + lam
+(``EnergyNormResolvent``) the same way.  The dense
 oracles for these norms live in the tests.
 """
 
@@ -28,7 +29,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.fft import dst
 from scipy.linalg import get_lapack_funcs
 
 from .discretize import (BandCholesky, DampingProfile, Grid1D, ShiftedOperator,
@@ -190,57 +190,31 @@ def iterative_norm(apply_op, apply_adjoint, n: int, rng: np.random.Generator,
 
 
 class SobolevScaler:
-    """(1 - d^2/dx^2)^(beta/2) on the sine eigenbasis of the cap: S_beta = Q D^beta Q.
+    """The form norm of M = 1 - D2 on either side of an operator: M = U^T U.
 
-    Q, the orthonormal DST-I, is real, symmetric and its own inverse, so
-    ||S_b1 T S_b2|| = ||D^b1 Q T Q D^b2||: an operator between Sobolev
-    scalings is measured in scaled sine coefficients, with one transform on
-    each side that carries a scaling.  A side with beta = 0 keeps grid values;
-    leaving out an orthogonal factor there does not change the norm.
+    ``BandCholesky`` factors M once per grid.  Since U = W M^{1/2} with W
+    orthogonal, ||M^{b1/2} T M^{b2/2}|| = ||U^b1 T (U^T)^b2|| for b1, b2 in
+    {0, 1}: a scaled side is one band product, O(N) for either stencil order.
     """
 
     def __init__(self, grid: Grid1D):
-        m = np.arange(1, grid.N + 1)
-        self.nu = (m * math.pi / (2.0 * grid.X)) ** 2
-        self._powers = {}
+        lap = laplacian_1d(grid)
+        self._chol = BandCholesky(lap, np.full(grid.N, 1.0 - lap.coeffs[0]))
 
-    def _power(self, beta: float) -> np.ndarray:
-        """D^beta = (1 + nu)^(beta/2), computed once per beta."""
-        p = self._powers.get(beta)
-        if p is None:
-            p = self._powers[beta] = (1.0 + self.nu) ** (beta / 2.0)
-        return p
-
-    def apply(self, solve, x: np.ndarray, beta_out: float, beta_in: float) -> np.ndarray:
-        """D^beta_out Q solve(Q D^beta_in x); the side whose beta is 0 is not transformed."""
+    def apply(self, solve, x: np.ndarray, beta_out: int, beta_in: int) -> np.ndarray:
+        """U^beta_out solve((U^T)^beta_in x); a side whose beta is 0 is not scaled."""
         x = np.asarray(x, dtype=complex)
         if beta_in:
-            x = dst(x * self._power(beta_in), type=1, norm="ortho")
+            x = self._chol.mul(x, transpose=True)
         y = solve(x)
         if beta_out:
-            y = dst(y, type=1, norm="ortho") * self._power(beta_out)
+            y = self._chol.mul(y)
         return y
 
 
-def sobolev_constant_sq(grid: Grid1D) -> float:
-    """K^2 >= ||S_1 M^{-1/2}||^2 with M = 1 - D2, from the stencil's sine symbol.
-
-    For the 3- and 5-point stencils -D2 is the sine-diagonal Q diag(s/h^2) Q,
-    s(theta) = -(c_0 + 2 sum_m c_m cos(m theta)) at theta_m = m pi/(N+1), plus a
-    PSD term at the box ends (zero for order 2, (e_1 e_1^T + e_N e_N^T)/(12 h^2)
-    for order 4).  So M >= Q (1 + s/h^2) Q, and K^2 = max_m (1 + nu_m)/(1 + s_m/h^2),
-    widened by 1e-12 for rounding, bounds the generalized eigenvalues of (S_1^2, M).
-    """
-    lap = laplacian_1d(grid)
-    theta = np.arange(1, grid.N + 1) * math.pi / (grid.N + 1)
-    symbol = -lap.coeffs[0] - 2.0 * sum(c * np.cos(m * theta)  # s(theta_m) / h^2
-                                        for m, c in enumerate(lap.coeffs) if m)
-    nu = SobolevScaler(grid).nu
-    return (1.0 + 1e-12) * float(np.max((1.0 + nu) / (1.0 + symbol)))
-
-
-def mode_norm_bound(c: float, s: float, beta_sum: int, k_sq: float) -> float:
-    """Certified upper bound of ||S_b1 R S_b2||, b = b1 + b2 = ``beta_sum``, R = A^{-1}.
+def mode_norm_bound(c: float, s: float, beta_sum: int) -> float:
+    """Certified upper bound of ||M^{b1/2} R M^{b2/2}||, b = b1 + b2 = ``beta_sum``,
+    R = A^{-1} and M = 1 - D2.
 
     A = -D2 + lam - i z a - z^2 with z = x + iy, lam including any mass^2.  Its
     Hermitian part -D2 + lam - Re z^2 + y a is >= c, since -D2 >= 0, and its
@@ -248,12 +222,13 @@ def mode_norm_bound(c: float, s: float, beta_sum: int, k_sq: float) -> float:
     so |Im <A u, u>| >= s ||u||^2, s = |x| min(a + 2y) (``_mode_bounds``).
     Since ||A u|| ||u|| >= |<A u, u>|, the L^2 pair gets
     ||R|| <= 1 / hypot(max(c, 0), max(s, 0)), inf when both are <= 0.  For
-    b > 0 and c > 0, Re A >= m M with m = min(1, c) and M = 1 - D2.  With
-    u = R f, m ||M^{1/2} u||^2 <= Re <A u, u> <= ||f|| ||u|| and
-    ||u|| <= ||f|| / c give ||M^{1/2} R|| = ||R M^{1/2}|| <= (m c)^{-1/2} and
-    ||M^{1/2} R M^{1/2}|| <= 1/m; each S_1 costs at most K = ||S_1 M^{-1/2}||,
-    K^2 = ``k_sq`` (``sobolev_constant_sq``).  So the bound is
-    K^b / (m^(b/2) c^(1 - b/2)), for real and complex z alike, and inf when c <= 0.
+    b > 0 and c > 0, Re A >= m M with m = min(1, c).  With u = R f,
+    m ||M^{1/2} u||^2 <= Re <A u, u> <= ||f|| ||u|| and ||u|| <= ||f|| / c give
+    ||M^{1/2} R|| = ||R M^{1/2}|| <= (m c)^{-1/2} and ||M^{1/2} R M^{1/2}|| <= 1/m.
+    M is the operator whose factor ``SobolevScaler`` scales by, so no constant
+    enters: the bound is 1 / (m^(b/2) c^(1 - b/2)), for real and complex z
+    alike, and inf when c <= 0.  It is sharp (R = M^{-1} at z = 0, c = 1), so
+    it is widened by 1e-12 for the rounding of the norms it is compared with.
     """
     if beta_sum == 0:
         r = math.hypot(max(c, 0.0), max(s, 0.0))
@@ -261,19 +236,20 @@ def mode_norm_bound(c: float, s: float, beta_sum: int, k_sq: float) -> float:
     if c <= 0.0:
         return math.inf
     m = min(1.0, c)
-    return k_sq ** (beta_sum / 2.0) / (m ** (beta_sum / 2.0) * c ** (1.0 - beta_sum / 2.0))
+    return (1.0 + 1e-12) / (m ** (beta_sum / 2.0) * c ** (1.0 - beta_sum / 2.0))
 
 
-def _mode_bounds(z: complex, a: np.ndarray, beta_sum: int, k_sq: float):
+def _mode_bounds(z: complex, a: np.ndarray, beta_sum: int):
     """lam -> ``mode_norm_bound`` of mode lam at z, with c = lam + shift and s fixed."""
     shift = -(z * z).real + float(np.min(z.imag * a))
     s = abs(z.real) * float(np.min(a + 2.0 * z.imag))
-    return lambda lam: mode_norm_bound(lam + shift, s, beta_sum, k_sq)
+    return lambda lam: mode_norm_bound(lam + shift, s, beta_sum)
 
 
 def _mode_sobolev_norm(op: ShiftedOperator, scaler: SobolevScaler, beta1: int, beta2: int,
                        rng: np.random.Generator, upper: float = math.inf):
-    """||S_beta1 R S_beta2|| of the mode solve R, certified by ``upper`` at the step budget."""
+    """||M^{beta1/2} R M^{beta2/2}|| of the mode solve R, M = 1 - D2, certified by
+    ``upper`` at the step budget."""
     return iterative_norm(lambda c: scaler.apply(op.solve, c, beta1, beta2),
                           lambda c: scaler.apply(op.solve_adjoint, c, beta2, beta1),
                           op.grid.N, rng, upper=upper)
@@ -401,16 +377,14 @@ def norm_scan(z_list, beta1: int, beta2: int, damping: DampingProfile, lambdas, 
     lambdas = np.asarray(lambdas, dtype=float)
     grid = damping.grid
     scaler = SobolevScaler(grid)
-    k_sq = sobolev_constant_sq(grid)
     draws = [grid.N] * len(lambdas)
     if truncation_guard:
         damping2 = DampingProfile.build(grid.refine(1.5), kind=damping.kind, rho=damping.rho,
                                         r=damping.r, level=damping.level)
         scaler2 = SobolevScaler(damping2.grid)
-        k_sq2 = sobolev_constant_sq(damping2.grid)
         draws.append(damping2.grid.N)
     states = [_start_states(r, draws) for r in _point_generators(rng, len(zs))]
-    bounds = [[_mode_bounds(z, damping.samples, beta1 + beta2, k_sq)(lam)
+    bounds = [[_mode_bounds(z, damping.samples, beta1 + beta2)(lam)
                for lam in lambdas] for z in zs]
 
     def run(i, k):
@@ -423,7 +397,7 @@ def norm_scan(z_list, beta1: int, beta2: int, damping: DampingProfile, lambdas, 
 
     def limited(i):
         best, _, k = maxima[i].best[0]
-        upper2 = _mode_bounds(zs[i], damping2.samples, beta1 + beta2, k_sq2)(lambdas[k])
+        upper2 = _mode_bounds(zs[i], damping2.samples, beta1 + beta2)(lambdas[k])
         op2 = mode_operator(lambdas[k], damping2, zs[i])
         sigma2, _ = _mode_sobolev_norm(op2, scaler2, beta1, beta2, _generator(states[i][-1]),
                                        upper=upper2)

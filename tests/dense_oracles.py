@@ -11,10 +11,7 @@ and serves any N.  The heat-quadrature oracle is scipy's general Toeplitz
 product.
 """
 
-import math
-
 import numpy as np
-from scipy.fft import dst
 from scipy.linalg import eigvals_banded, matmul_toeplitz, svdvals, toeplitz
 
 from guidewave.discretize import laplacian_1d
@@ -44,11 +41,9 @@ def dense_operator(op):
 
 
 def sobolev_matrix(grid, beta):
-    """(1 - d^2/dx^2)^(beta/2) on the sine eigenbasis of the cap, assembled."""
-    m = np.arange(1, grid.N + 1)
-    nu = (m * math.pi / (2.0 * grid.X)) ** 2
-    basis = dst(np.eye(grid.N), type=1, norm="ortho", axis=0)
-    return basis.T @ ((1.0 + nu[:, None]) ** (beta / 2.0) * basis)
+    """(1 - D2)^(beta/2) for the stencil of ``grid``, from a dense eigendecomposition."""
+    vals, vecs = np.linalg.eigh(np.eye(grid.N) - dense_laplacian(grid))
+    return vecs @ (vals[:, None] ** (beta / 2.0) * vecs.T)
 
 
 def dense_sobolev_norm(op, beta1, beta2):

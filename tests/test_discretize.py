@@ -1,5 +1,7 @@
 import ast
 import math
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -318,3 +320,33 @@ def test_no_function_takes_both_grid_and_damping():
     # a damping profile carries the grid it is sampled on, DampingProfile.grid,
     # so a function that takes a profile reads the grid from it
     assert [where for where, names in _functions() if {"grid", "damping"} <= names] == []
+
+
+def test_no_function_takes_both_grid_and_heat():
+    # a heat solution carries the grid it is sampled on, HeatSolution.grid
+    assert [where for where, names in _functions() if {"grid", "heat"} <= names] == []
+
+
+def test_package_imports_no_scipy_fft():
+    # the heat convolutions run on numpy.fft, and no scan path calls a transform
+    imports = []
+    for path, node in _package_nodes():
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        if any(n == "scipy.fft" or n.startswith("scipy.fft.") for n in names):
+            imports.append(f"{path}:{node.lineno}")
+    assert imports == []
+
+
+def test_entry_points_load_neither_scipy_fft_nor_scipy_special():
+    # a fresh interpreter that imports the pipeline and the command line
+    src = str(Path(guidewave.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import guidewave.pipeline, guidewave.cli; "
+            "print(sorted(m for m in ('scipy.fft', 'scipy.special') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"

@@ -35,9 +35,10 @@ def test_layer_targets_resolve_on_the_package():
 
 
 def test_traced_pipeline_runs_call_through_every_wrapper(tmp_path):
-    # a tiny heat comparison, highfreq scan and heat-kernel norm under the
-    # tracer: a wrapper whose argument hook no longer fits its callable (the
-    # scan's z list, the norm's operator pair, the written text) fails here
+    # a tiny heat comparison, highfreq scan, Sobolev-pair scan and heat-kernel
+    # norm under the tracer: a wrapper whose argument hook no longer fits its
+    # callable (the scan's z list, the norm's operator pair, the written text)
+    # fails here
     tracing = load_tracing()
     tracer = tracing.Tracer()
     modules = {"config": config, "pipeline": pipeline, "evolve": evolve, "heat": heat,
@@ -50,12 +51,16 @@ def test_traced_pipeline_runs_call_through_every_wrapper(tmp_path):
         scan = config.load(str(configs / "highfreq_a1.json"),
                            ["grid.N=256", "domain.K=4", "scan.z_list=[16.0]"])
         pipeline.cmd_resolvent(scan, str(tmp_path / "scan"))
+        sobolev = config.load(str(configs / "highfreq_hole.json"),
+                              ["grid.N=256", "domain.K=4", "scan.z_list=[8.0]"])
+        pipeline.cmd_resolvent(sobolev, str(tmp_path / "sobolev"))
         heat.heat_weighted_norm(1.0, 1, 1.0, 0.0, 0.0, 1.2)
     names = {span.name for span in tracer.spans}
     assert {"config.load", "pipeline.cmd_heat_compare", "pipeline.cmd_evolve", "evolve.run",
             "evolve.stepper_init", "evolve.step", "evolve.mode_energies", "evolve.energy",
             "heat.compare", "heat.heat_apply", "pipeline.cmd_resolvent",
             "resolvent.norm_scan", "resolvent.iterative_norm", "resolvent.matvec",
-            "discretize.solve", "heat.weighted_norm", "pipeline.io", "fit"} <= names, names
+            "discretize.solve", "resolvent.sobolev_apply", "heat.weighted_norm", "pipeline.io",
+            "fit"} <= names, names
     assert tracer.counters["pipeline.io.bytes"] > 0
-    assert tracer.counters["resolvent.norm_scan.points"] == 1
+    assert tracer.counters["resolvent.norm_scan.points"] == 2

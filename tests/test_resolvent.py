@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import eigh, eigh_tridiagonal, svdvals
+from scipy.linalg import eigh_tridiagonal, svdvals
 
 from guidewave.discretize import (_D1_STENCILS, DampingProfile, Grid1D, ShiftedOperator,
                                   laplacian_1d, mode_operator, weight)
@@ -19,11 +19,10 @@ from guidewave.resolvent import (EnergyNormResolvent, SobolevScaler, WaveBlockRe
                                  heat_model_operator, heat_structure_residual, iterative_norm,
                                  mode_norm_bound, norm_scan, power_iteration_norm,
                                  pure_laplacian_control, reflection_classes,
-                                 semiclassical_scan, sobolev_constant_sq, theta_blocks,
-                                 theta_probe)
+                                 semiclassical_scan, theta_blocks, theta_probe)
 
 from dense_oracles import (dense_energy_norm, dense_laplacian, dense_operator,
-                           dense_sobolev_norm, exact_mode_norm, sobolev_matrix,
+                           dense_sobolev_norm, exact_mode_norm,
                            sqrt_energy_matrix)
 
 DAMPING_KINDS = ["constant", "longrange", "hole"]
@@ -203,7 +202,8 @@ class TestNormScan:
 
     @pytest.mark.parametrize("kind", ["constant", "hole"])
     def test_coefficient_space_norm_matches_dense_oracle(self, kind):
-        # ||S_b1 R S_b2||, measured as ||D_b1 Q R Q D_b2|| in sine coefficients
+        # ||M^{b1/2} R M^{b2/2}||, M = 1 - D2, measured as ||U^b1 R (U^T)^b2||
+        # through the band Cholesky factor M = U^T U
         g = Grid1D(X=20.0, N=160)
         a = DampingProfile.build(g, kind, r=5.0, rho=2.0)
         scaler = SobolevScaler(g)
@@ -332,10 +332,9 @@ class TestCertifiedTailBound:
     def test_bound_dominates_dense_norm(self, case):
         g, a, (z,), lam, c = case
         op = mode_operator(lam, a, z)
-        k_sq = sobolev_constant_sq(g)
         s = abs(z.real) * float(np.min(a.samples + 2.0 * z.imag))
         for b1, b2 in BETA_PAIRS:
-            assert dense_sobolev_norm(op, b1, b2) <= mode_norm_bound(c, s, b1 + b2, k_sq)
+            assert dense_sobolev_norm(op, b1, b2) <= mode_norm_bound(c, s, b1 + b2)
 
     @settings(max_examples=60, deadline=None)
     @given(x=st.floats(2.0, 20.0), n=st.integers(16, 40),
@@ -349,29 +348,33 @@ class TestCertifiedTailBound:
         z = complex(re_z, im_z)
         c = lam - (z * z).real + float(np.min(z.imag * a.samples))
         s = abs(z.real) * float(np.min(a.samples + 2.0 * z.imag))
-        bound = mode_norm_bound(c, s, 0, 1.0)
+        bound = mode_norm_bound(c, s, 0)
         if math.isfinite(bound):
             op = mode_operator(lam, a, z)
             assert dense_sobolev_norm(op, 0, 0) <= bound * (1.0 + 1e-10)
 
     def test_no_bound_without_coercivity(self):
-        assert mode_norm_bound(0.0, 5.0, 2, 2.0) == math.inf
-        assert mode_norm_bound(-3.0, 0.0, 0, 2.0) == math.inf
-        assert mode_norm_bound(-3.0, -1.0, 0, 2.0) == math.inf
-        assert mode_norm_bound(-3.0, 4.0, 0, 2.0) == 0.25
-        assert mode_norm_bound(3.0, 4.0, 0, 2.0) == 0.2
+        assert mode_norm_bound(0.0, 5.0, 2) == math.inf
+        assert mode_norm_bound(-3.0, 0.0, 0) == math.inf
+        assert mode_norm_bound(-3.0, -1.0, 0) == math.inf
+        assert mode_norm_bound(-3.0, 4.0, 0) == 0.25
+        assert mode_norm_bound(3.0, 4.0, 0) == 0.2
 
     @pytest.mark.parametrize("order", [2, 4])
-    @pytest.mark.parametrize("x, n", [(2.0, 16), (10.0, 33), (40.0, 64)])
-    def test_symbol_constant_dominates_generalized_eigenvalue(self, order, x, n):
-        # K^2 >= max eig of S_1^2 v = mu (1 - D2) v, tight (to the 1e-12 margin) for order 2
-        g = Grid1D(X=x, N=n, order=order)
-        s1 = sobolev_matrix(g, 1.0)
-        top = eigh(s1 @ s1, np.eye(n) - dense_laplacian(g), eigvals_only=True)[-1]
-        k_sq = sobolev_constant_sq(g)
-        assert top <= k_sq
-        if order == 2:
-            assert k_sq == pytest.approx(top, rel=1e-11)
+    def test_band_factor_norms_equal_square_root_forms(self, order):
+        # U = W M^{1/2}, W orthogonal: ||U R U^T||, ||U R|| and ||R U^T|| are the
+        # norms of the dense square-root forms, with U applied by the scaler
+        g = Grid1D(X=20.0, N=200, order=order)
+        a = DampingProfile.build(g, "hole", r=5.0, rho=2.0)
+        scaler = SobolevScaler(g)
+        eye = np.eye(g.N)
+        for z in (8.0, -3.0, 0.5 + 0.3j):
+            op = mode_operator(1.0, a, z)
+            r = np.linalg.inv(dense_operator(op))
+            for b1, b2 in BETA_PAIRS[1:]:
+                banded = np.column_stack([scaler.apply(lambda u: r @ u, e, b1, b2) for e in eye])
+                assert svdvals(banded)[0] == pytest.approx(dense_sobolev_norm(op, b1, b2),
+                                                           rel=1e-12)
 
     @pytest.mark.parametrize("betas, zs, shuffle", [
         ((0, 0), [4.0, 6.0], False),
@@ -851,9 +854,11 @@ class TestEstimators:
             iterative_norm(nan_op, nan_op, 16, rng)
 
     def test_sobolev_scaler_inverts(self, rng):
-        # D^-1 Q (identity) Q D = I, since the orthonormal DST-I is its own inverse
-        g = Grid1D(X=40.0, N=256)
-        scaler = SobolevScaler(g)
-        x = rng.standard_normal(g.N) + 1j * rng.standard_normal(g.N)
-        back = scaler.apply(lambda u: u, x, -1.0, 1.0)
-        assert np.linalg.norm(back - x) <= 1e-10 * np.linalg.norm(x)
+        # U M^{-1} U^T = I, since U^T U = M = 1 - D2, with M^{-1} from the dense matrix
+        for order in (2, 4):
+            g = Grid1D(X=40.0, N=256, order=order)
+            scaler = SobolevScaler(g)
+            m = np.eye(g.N) - dense_laplacian(g)
+            x = rng.standard_normal(g.N) + 1j * rng.standard_normal(g.N)
+            back = scaler.apply(lambda u: np.linalg.solve(m, u), x, 1, 1)
+            assert np.linalg.norm(back - x) <= 1e-10 * np.linalg.norm(x)
