@@ -2,13 +2,13 @@
 
 Every output file embeds the artifact version and the config hash; writes are
 atomic (temp file + rename).  The high-frequency, real-axis and semiclassical
-scans run as one work list of (point, mode) Lanczos tasks (``scan_modes``) on a
-thread pool of GUIDEWAVE_THREADS workers, the points with the most propagating
-modes first; each reflection class {z, -conj z} is computed once.  Point i
-draws its start vectors from a generator seeded by (seed, i), and each task
-regenerates its own from a saved generator state, so the start vectors depend
-only on the seed and results do not depend on the schedule.  The theta probe
-runs its (point, mode) tasks in the calling thread.
+scans hand their (point, mode) Lanczos tasks to a pool of GUIDEWAVE_THREADS
+threads as two batches (``scan_modes``): each point's modes of largest bound,
+then every other mode whose bound reaches the max those found.  Point i draws
+its start vectors from ``np.random.default_rng([seed, i])`` with the config's
+seed, and each task regenerates its own from a saved generator state, so
+results do not depend on the schedule.  The theta probe runs its tasks in the
+calling thread.
 """
 
 from __future__ import annotations
@@ -38,18 +38,17 @@ from .transverse import DIRICHLET, NEUMANN, transverse_eigenvalues
 
 
 def max_threads() -> int:
+    """GUIDEWAVE_THREADS, a positive integer, or the core count, at most 4."""
     env = os.environ.get("GUIDEWAVE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"GUIDEWAVE_THREADS must be an integer, got {env!r}") from exc
-    return min(4, os.cpu_count() or 1)
-
-
-def point_rngs(seed: int, n: int) -> list[np.random.Generator]:
-    """One generator per scan point, point i seeded by (seed, i)."""
-    return [np.random.default_rng([seed, i]) for i in range(n)]
+    if not env:
+        return min(4, os.cpu_count() or 1)
+    try:
+        threads = int(env)
+    except ValueError:
+        threads = 0  # reported below, with the integers below 1
+    if threads < 1:
+        raise ConfigError(f"GUIDEWAVE_THREADS must be a positive integer, got {env!r}")
+    return threads
 
 
 def atomic_write(path: str, text: str) -> None:
@@ -317,7 +316,7 @@ def cmd_resolvent(cfg: ExperimentConfig, out_base: str) -> dict:
         # threads (2 cores) the golden took 0.96-1.04 s against 0.48-0.66 s on one
         rows = theta_probe(zs, damping, lambdas,
                            delta1=cfg.weight_spec().delta1, delta2=cfg.weight_spec().delta2,
-                           rng=np.random.default_rng(cfg.seed))
+                           seed=cfg.seed)
         cols = {"re_z": [r["z"].real for r in rows], "im_z": [r["z"].imag for r in rows]}
         for j in (1, 2, 3, 4):
             cols[f"theta{j}"] = [r[f"theta{j}"] for r in rows]
@@ -331,8 +330,7 @@ def cmd_resolvent(cfg: ExperimentConfig, out_base: str) -> dict:
     elif kind == "realaxis":
         taus = [z.real for z in zs]
         with ThreadPoolExecutor(max_workers=max_threads()) as pool:
-            norms = energy_norm_scan(taus, damping, lambdas,
-                                     rng=point_rngs(cfg.seed, len(zs)), map=pool.map)
+            norms = energy_norm_scan(taus, damping, lambdas, seed=cfg.seed, map=pool.map)
         constants = [n / (1.0 + t * t) for n, t in zip(norms, taus)]
         cols = {"re_z": taus, "im_z": [0.0] * len(taus),
                 "beta1": [0.0] * len(taus), "beta2": [0.0] * len(taus),
@@ -345,7 +343,7 @@ def cmd_resolvent(cfg: ExperimentConfig, out_base: str) -> dict:
         # high/intermediate frequency norm scan, max over modes per point
         with ThreadPoolExecutor(max_workers=max_threads()) as pool:
             points = norm_scan(zs, cfg.scan.beta1, cfg.scan.beta2, damping, lambdas,
-                               rng=point_rngs(cfg.seed, len(zs)), map=pool.map,
+                               seed=cfg.seed, map=pool.map,
                                truncation_guard=cfg.scan.truncation_guard)
 
         cols = {"re_z": [p.z.real for p in points], "im_z": [p.z.imag for p in points],
@@ -382,7 +380,7 @@ def cmd_semiclassical(cfg: ExperimentConfig, out_base: str) -> dict:
         raise ConfigError("scan.h_list: semiclassical scan needs at least one h")
 
     with ThreadPoolExecutor(max_workers=max_threads()) as pool:
-        rows = semiclassical_scan(hs, damping, rng=point_rngs(cfg.seed, len(hs)), map=pool.map)
+        rows = semiclassical_scan(hs, damping, seed=cfg.seed, map=pool.map)
     control = pure_laplacian_control(hs, X=damping.grid.X)
     hnorms = [r["h_norm"] for r in rows]
     payload = {"command": "semiclassical", "points": rows, "control": control,

@@ -10,16 +10,18 @@ tol, and raises ``ConvergenceError`` otherwise.  A Sobolev side is the
 form norm of M = 1 - D2, the operator the scan solves with: its band Cholesky
 factor M = U^T U has U = W M^{1/2} with W orthogonal, so a scan measures
 ||U R U^T|| for ||M^{1/2} R M^{1/2}||, one band product per scaled side of
-each application and no transform (``SobolevScaler``).  A norm scan takes the
-max over transverse modes.  Each mode's numerical-range bound
-(``mode_norm_bound``) skips the mode when it is below the running max, which
-cuts the elliptic tail lam_k > tau^2, and certifies its estimate otherwise.
-Every scan's max over modes is one work list (``scan_modes``) of seeded
-(point, mode) Lanczos runs, which a thread pool may run in any order; each
+each application and no transform (``SobolevScaler``).  A norm scan's max over
+transverse modes is two batches, each one ``map`` call, of (point, mode)
+Lanczos runs (``scan_modes``): the modes of each point's largest
+numerical-range bound (``mode_norm_bound``), then every other mode whose bound
+reaches the max those found.  The bound skips the rest, which cuts the
+elliptic tail lam_k > tau^2, and certifies every run; a point counts its runs
+(``modes_scanned``) and keeps the largest bound not run (``tail_bound``).
+Point i draws its start vectors from ``default_rng([seed, i])``, and each
 reflection class {z, -conj z} is computed once.  The energy norm of the
 first-order operator uses the band Cholesky factor of -D2 + lam
-(``EnergyNormResolvent``) the same way.  The dense
-oracles for these norms live in the tests.
+(``EnergyNormResolvent``) the same way.  The dense oracles for these norms
+live in the tests.
 """
 
 from __future__ import annotations
@@ -272,11 +274,6 @@ def _generator(state: dict) -> np.random.Generator:
     return np.random.Generator(bit_generator)
 
 
-def _point_generators(rng, n: int) -> list[np.random.Generator]:
-    """One generator per point: ``rng`` itself, shared in point order, or one of a list."""
-    return [rng] * n if isinstance(rng, np.random.Generator) else list(rng)
-
-
 def reflection_classes(zs) -> list[int]:
     """Per point, the index of the point whose norms it takes: z and -conj z share them.
 
@@ -296,76 +293,76 @@ def reflection_classes(zs) -> list[int]:
 
 class ModeMax(NamedTuple):
     """A point's max over modes: per block the (sigma, residual, mode) of its
-    largest run, the largest bound of a skipped mode, and the modes run."""
+    largest run, the largest bound of a mode not run, and the modes run."""
     best: list
     tail_bound: float
     modes_scanned: int
 
 
 def scan_modes(zs, lambdas, bounds, run, *, rep=None, map=map) -> list[ModeMax]:
-    """The max over modes of every scan: one work list of (point, mode) Lanczos runs.
+    """The max over modes of every scan, as two batches of (point, mode) Lanczos runs.
 
     ``bounds[i][k]`` bounds every block of mode k at point zs[i] (inf when
     nothing does); ``run(i, k)`` runs them, one (sigma, residual) per block,
-    from start vectors that depend on (i, k) only, never on when they run.  The
-    result equals, bit for bit, the loop over the modes in order that skips
-    mode k when its bound is below the running max of every block: an estimate
-    never exceeds its mode's norm, so a skipped mode cannot raise a max.
-
-    The modes whose bound is their point's largest are never skipped: every
+    from start vectors that depend on (i, k) only, never on when they run.
+    Batch 1 is every point's modes whose bound is the point's largest: every
     propagating mode, lam <= Re z^2 (lam including any mass^2), whose bound is
-    1/s for the L^2 pair and inf for a Sobolev pair.  Their runs are handed to
-    ``map`` at once, so a thread pool's map runs them in parallel, the points
-    with the most propagating modes first.  The loop is then replayed in that order: it takes those
-    results as they come and hands ``map`` whatever else it does not skip.
-    Only the points with ``rep[i] == i`` are computed; point i takes the
-    result of point rep[i] (see ``reflection_classes``).
+    1/s for the L^2 pair and inf for a Sobolev pair; the points with the most
+    propagating modes go first.  Its runs give each point a floor, the
+    smallest over blocks of the block's max.  Batch 2 is every other mode
+    whose bound is at least its point's floor.  Each batch is one ``map``
+    call, so a thread pool's map runs it in parallel.  A mode in neither batch
+    has estimate <= bound < floor in every block, so it cannot reach the max:
+    folding the runs in mode order, ties going to the first mode, gives the
+    scan of every mode bit for bit.  Only the points with ``rep[i] == i`` are
+    computed; point i takes the result of point rep[i] (see
+    ``reflection_classes``).
     """
-    zs = [complex(z) for z in zs]
     lambdas = np.asarray(lambdas, dtype=float)
     rep = range(len(zs)) if rep is None else rep
     order = sorted(set(rep), key=lambda i: (-int(np.sum(lambdas <= (zs[i] * zs[i]).real)), i))
-    ahead = []
-    for i in order:
-        top = max(bounds[i])
-        ahead += [(i, k) for k, b in enumerate(bounds[i]) if b == top]
-    results = map(run, [i for i, _ in ahead], [k for _, k in ahead])
-    ahead = set(ahead)
+    top = {i: max(bounds[i]) for i in order}
+    runs = {}
+
+    def batch(tasks):
+        runs.update(zip(tasks, map(run, [i for i, _ in tasks], [k for _, k in tasks])))
+
+    def fold(i):
+        """The modes of point i run so far, and per block the (sigma, residual, mode) max."""
+        ran = [k for k in range(len(bounds[i])) if (i, k) in runs]
+        return ran, [max(block, key=lambda b: b[0])
+                     for block in zip(*([(s, r, k) for s, r in runs[i, k]] for k in ran))]
+
+    batch([(i, k) for i in order for k, b in enumerate(bounds[i]) if b == top[i]])
+    floor = {i: min(b[0] for b in fold(i)[1]) for i in order}
+    batch([(i, k) for i in order for k, b in enumerate(bounds[i]) if floor[i] <= b < top[i]])
     out = {}
     for i in order:
-        best, tail, scanned = [], 0.0, 0
-        for k, bound in enumerate(bounds[i]):
-            runs = next(results) if (i, k) in ahead else None
-            if bound < min((b[0] for b in best), default=0.0):
-                tail = max(tail, bound)
-                continue
-            if runs is None:
-                runs = next(map(run, [i], [k]))
-            scanned += 1
-            best = [(s, r, k) if s > b[0] else b
-                    for (s, r), b in zip(runs, best or [(0.0, 0.0, 0)] * len(runs))]
-        out[i] = ModeMax(best, tail, scanned)
+        ran, best = fold(i)
+        tail = max((b for k, b in enumerate(bounds[i]) if (i, k) not in runs), default=0.0)
+        out[i] = ModeMax(best, tail, len(ran))
     return [out[i] for i in rep]
 
 
 def norm_scan(z_list, beta1: int, beta2: int, damping: DampingProfile, lambdas, *,
-              rng, map=map, truncation_guard: bool = False) -> list[ScanPoint]:
+              seed: int, map=map, truncation_guard: bool = False) -> list[ScanPoint]:
     """Resolvent norms over the guide: max over transverse modes per z.
 
-    Each mode's certified bound (``mode_norm_bound``) does two jobs.  A mode
-    whose bound is already below the running max is skipped, with no solve:
-    the Lanczos estimate never exceeds the true norm, so it cannot raise the
-    max.  A scanned mode passes its bound to ``iterative_norm`` as ``upper``,
-    which certifies a Ritz value that the step budget cuts short, or raises.
-    ``tail_bound`` is the largest bound among the skipped modes (0 when none
-    is skipped) and ``modes_scanned`` counts the Lanczos runs.  The runs go
-    through ``scan_modes`` on ``map``; each reflection class {z, -conj z} is
-    computed once.
+    Each mode's certified bound (``mode_norm_bound``) does two jobs.  The
+    runs go through ``scan_modes`` on ``map`` as two batches: the modes of
+    each point's largest bound, then every other mode whose bound is at least
+    the max those runs found.  A mode whose bound is below that max is not
+    run: the Lanczos estimate never exceeds the true norm, so it cannot reach
+    the max.  A mode that is run passes its bound to ``iterative_norm`` as
+    ``upper``, which certifies a Ritz value that the step budget cuts short,
+    or raises.  ``modes_scanned`` counts a point's Lanczos runs and
+    ``tail_bound`` is the largest bound among the modes not run (0 when every
+    mode is run).  Each reflection class {z, -conj z} is computed once.
 
-    ``rng`` is one generator shared by the points in order, or one per point.
-    Each point draws the start vector of every mode, scanned or not, and then
-    the guard's, so the result equals that of a scan of every mode in the
-    given order, bit for bit, however the runs are scheduled.
+    Point i draws from ``np.random.default_rng([seed, i])`` the start vector of
+    every mode, run or not, and then the guard's, so the result equals that
+    of a scan of every mode in the given order, bit for bit, however the runs
+    are scheduled.
 
     With ``truncation_guard`` every point is recomputed on a 1.5X box, with
     the damping rebuilt on it and that box's bound, and flagged
@@ -383,7 +380,8 @@ def norm_scan(z_list, beta1: int, beta2: int, damping: DampingProfile, lambdas, 
                                         r=damping.r, level=damping.level)
         scaler2 = SobolevScaler(damping2.grid)
         draws.append(damping2.grid.N)
-    states = [_start_states(r, draws) for r in _point_generators(rng, len(zs))]
+    rep = reflection_classes(zs)
+    states = {i: _start_states(np.random.default_rng([seed, i]), draws) for i in set(rep)}
     bounds = [[_mode_bounds(z, damping.samples, beta1 + beta2)(lam)
                for lam in lambdas] for z in zs]
 
@@ -392,7 +390,6 @@ def norm_scan(z_list, beta1: int, beta2: int, damping: DampingProfile, lambdas, 
         return [_mode_sobolev_norm(op, scaler, beta1, beta2, _generator(states[i][k]),
                                    upper=bounds[i][k])]
 
-    rep = reflection_classes(zs)
     maxima = scan_modes(zs, lambdas, bounds, run, rep=rep, map=map)
 
     def limited(i):
@@ -481,24 +478,25 @@ class EnergyNormResolvent:
         return sigma
 
 
-def energy_norm_scan(taus, damping: DampingProfile, lambdas, *, rng, map=map) -> list[float]:
+def energy_norm_scan(taus, damping: DampingProfile, lambdas, *, seed: int, map=map) -> list[float]:
     """Energy norms of the first-order resolvent at real taus, max over the modes.
 
     One ``scan_modes`` task per (tau, mode) on ``map``, none skipped (no bound
     is known yet); each reflection pair {tau, -tau} is computed once, at
-    tau >= 0.  ``rng`` is one generator shared by the points in order, or one
-    per point; each point draws one start vector per mode.
+    tau >= 0.  Point i draws one start vector per mode from
+    ``np.random.default_rng([seed, i])``.
     """
     taus = [float(t) for t in taus]
     helpers = [EnergyNormResolvent(lam, damping) for lam in lambdas]
-    states = [_start_states(r, [2 * damping.grid.N] * len(helpers))
-              for r in _point_generators(rng, len(taus))]
+    rep = reflection_classes(taus)
+    states = {i: _start_states(np.random.default_rng([seed, i]),
+                               [2 * damping.grid.N] * len(helpers)) for i in set(rep)}
 
     def run(i, k):
         return [(helpers[k].op_norm(taus[i], _generator(states[i][k])), 0.0)]
 
     maxima = scan_modes(taus, lambdas, [[math.inf] * len(helpers)] * len(taus), run,
-                        rep=reflection_classes(taus), map=map)
+                        rep=rep, map=map)
     return [m.best[0][0] for m in maxima]
 
 
@@ -549,7 +547,7 @@ def _difference_block(op: ShiftedOperator, heat: ShiftedOperator | None, p, c, q
 
 
 def theta_probe(z_list, damping: DampingProfile, lambdas, delta1: float, delta2: float, *,
-                rng: np.random.Generator) -> list[dict]:
+                seed: int) -> list[dict]:
     """Weighted norms of the blocks of (A - z)^{-1} - R_Heat(z), matrix-free.
 
     Each block is applied as banded mode and heat-model solves between the
@@ -560,9 +558,9 @@ def theta_probe(z_list, damping: DampingProfile, lambdas, delta1: float, delta2:
     Lanczos estimate, and the norm over the guide is the max over every mode
     of ``lambdas``, one ``scan_modes`` task per (z, mode).
     ``structure_residual`` checks row 2 = z row 1 of the heat-model
-    blocks on a seeded probe vector.  Per z, ``rng`` draws the probe and then
-    the start vectors of the modes' blocks in order.  Requires Im z > 0 and
-    |z| <= 1.
+    blocks on a seeded probe vector.  One ``np.random.default_rng(seed)``
+    draws, per z in order, the probe and then the start vectors of the modes'
+    blocks in order.  Requires Im z > 0 and |z| <= 1.
     """
     zs = [complex(z) for z in z_list]
     lambdas = np.asarray(lambdas, dtype=float)
@@ -570,6 +568,7 @@ def theta_probe(z_list, damping: DampingProfile, lambdas, delta1: float, delta2:
     n = grid.N
     wl = weight(grid, -delta1)
     wr = weight(grid, -delta2)
+    rng = np.random.default_rng(seed)
     residuals, states = [], []
     for z in zs:
         if z.imag <= 0 or abs(z) > 1 + 1e-12:
@@ -618,18 +617,18 @@ def _weighted(t, t_adj, wl, wr, grid: Grid1D, root_lam: float | None = None):
 # semiclassical scan
 
 
-def semiclassical_scan(h_list, damping: DampingProfile, *, rng, map=map) -> list[dict]:
+def semiclassical_scan(h_list, damping: DampingProfile, *, seed: int, map=map) -> list[dict]:
     """h * ||(-h^2 d^2/dx^2 - i h a - 1)^{-1}|| per h on the truncated line.
 
     The operator equals h^2 times the mode resolvent at tau = 1/h, so the
     norm is h^{-2} ||R(1/h)||, the one-mode L^2 ``norm_scan`` at z = 1/h
-    (``rng`` and ``map`` are passed on to it).
+    (``seed`` and ``map`` are passed on to it).
     """
     hs = [float(h) for h in h_list]
     for h in hs:
         if not 0.0 < h <= 1.0:
             raise ValueError(f"semiclassical parameter must lie in (0, 1], got h={h}")
-    points = norm_scan([1.0 / h for h in hs], 0, 0, damping, [0.0], rng=rng, map=map)
+    points = norm_scan([1.0 / h for h in hs], 0, 0, damping, [0.0], seed=seed, map=map)
     out = []
     for h, point in zip(hs, points):
         norm = point.norm_est / h ** 2

@@ -373,10 +373,8 @@ class TestCli:
             cfg = from_dict({**data, "mass": mass})
             points = cmd_resolvent(cfg, str(tmp_path / f"m{mass}"))["points"]
             norms[mass] = [p.norm_est for p in points]
-            want = [norm_scan([z], 0, 0, build_damping(cfg), [mass ** 2],
-                              rng=np.random.default_rng([cfg.seed, i]))[0].norm_est
-                    for i, z in enumerate((2.0, 4.0))]
-            assert norms[mass] == want
+            want = norm_scan([2.0, 4.0], 0, 0, build_damping(cfg), [mass ** 2], seed=cfg.seed)
+            assert norms[mass] == [p.norm_est for p in want]
         assert norms[1.0] != norms[3.0]
 
     @pytest.mark.parametrize("command, kind", [("resolvent-scan", "theta"),
@@ -534,10 +532,12 @@ class TestCli:
                 norms = result["norms"]
                 assert (norms[0], norms[1]) == (norms[4], norms[3])
 
-    def test_threads_env_validated(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("GUIDEWAVE_THREADS", "two")
+    def test_threads_env_validated(self, tmp_path, monkeypatch, capsys):
         cfgp = write_tiny(tmp_path, scan={"kind": "highfreq", "z_list": [2.0]})
-        assert main(["resolvent-scan", cfgp, "--out", str(tmp_path / "o")]) == 2
+        for bad in ("two", "0", "-1"):
+            monkeypatch.setenv("GUIDEWAVE_THREADS", bad)
+            assert main(["resolvent-scan", cfgp, "--out", str(tmp_path / "o")]) == 2
+            assert "GUIDEWAVE_THREADS" in capsys.readouterr().err
         monkeypatch.setenv("GUIDEWAVE_THREADS", "2")
         assert main(["resolvent-scan", cfgp, "--out", str(tmp_path / "o2")]) == 0
 

@@ -27,6 +27,8 @@ from dense_oracles import (dense_energy_norm, dense_laplacian, dense_operator,
 
 DAMPING_KINDS = ["constant", "longrange", "hole"]
 BETA_PAIRS = [(0, 0), (1, 0), (0, 1), (1, 1)]
+SQUARES = np.arange(12, dtype=float) ** 2
+SHUFFLED_SQUARES = SQUARES[[3, 10, 11, 0, 8, 1, 2, 9, 4, 5, 6, 7]]
 
 
 @st.composite
@@ -175,7 +177,7 @@ class TestNormScan:
         a = DampingProfile.build(g, "constant")
         lambdas = np.array([0.0, 1.0, 4.0, 9.0])
         taus = [2.0, 4.0, 8.0]
-        pts = norm_scan(taus, 0, 0, a, lambdas, rng=np.random.default_rng(2))
+        pts = norm_scan(taus, 0, 0, a, lambdas, seed=2)
         slope = np.polyfit(np.log(taus), np.log([p.norm_est for p in pts]), 1)[0]
         assert slope == pytest.approx(-1.0, abs=0.1)
         for p in pts:
@@ -187,7 +189,7 @@ class TestNormScan:
         g = Grid1D(X=40.0, N=256)
         a = DampingProfile.build(g, "hole", r=5.0, rho=2.0)
         lambdas = [0.0, 1.0]
-        pt = norm_scan([2.0], 1, 1, a, lambdas, rng=np.random.default_rng(3))[0]
+        pt = norm_scan([2.0], 1, 1, a, lambdas, seed=3)[0]
         assert pt.flag == "ok"
         dense = dense_sobolev_norm(mode_operator(lambdas[pt.k_argmax], a, 2.0), 1, 1)
         assert pt.norm_est == pytest.approx(dense, rel=0.01)
@@ -196,7 +198,7 @@ class TestNormScan:
         # the dense-SVD oracle, applied to the scanned mode, agrees with the scan
         g = Grid1D(X=40.0, N=256)
         a = DampingProfile.build(g, "longrange", rho=2.0)
-        it = norm_scan([1.5], 1, 0, a, [0.0], rng=np.random.default_rng(4))[0]
+        it = norm_scan([1.5], 1, 0, a, [0.0], seed=4)[0]
         dense = dense_sobolev_norm(mode_operator(0.0, a, 1.5), 1, 0)
         assert it.norm_est == pytest.approx(dense, rel=0.01)
 
@@ -219,7 +221,7 @@ class TestNormScan:
         # 1/(nu_1 + mu^2) with nu_1 ~ X^-2, so it moves with the box
         g = Grid1D(X=20.0, N=128)
         a0 = DampingProfile.build(g, "constant", level=0.0)
-        pts = norm_scan([0.05j], 0, 0, a0, [0.0], rng=np.random.default_rng(5),
+        pts = norm_scan([0.05j], 0, 0, a0, [0.0], seed=5,
                         truncation_guard=True)
         assert pts[0].flag == "truncation-limited"
 
@@ -227,17 +229,18 @@ class TestNormScan:
         g = Grid1D(X=40.0, N=1024)
         a = DampingProfile.build(g, "constant")
         zs = [t for t in np.linspace(-32.0, 32.0, 17) if abs(t) > 1e-9] + [1e-6]
-        pts = norm_scan(zs, 0, 0, a, [1.0 ** 2], rng=np.random.default_rng(6))
+        pts = norm_scan(zs, 0, 0, a, [1.0 ** 2], seed=6)
         assert max(p.norm_est for p in pts) <= 1.05
 
     def test_rejects_bad_sobolev_indices(self, grid40, damping_const):
         with pytest.raises(ValueError):
-            norm_scan([1.0], 2, 0, damping_const, [0.0], rng=np.random.default_rng(0))
+            norm_scan([1.0], 2, 0, damping_const, [0.0], seed=0)
 
     def test_scan_passes_each_mode_bound(self, grid40, damping_const, monkeypatch):
         # every Lanczos run gets its mode's numerical-range bound as ``upper``,
         # the guard run the bound of the 1.5X box; a=1, z=2+0.1i gives
         # c = lam - 3.99 + 0.1 and s = 2 (1 + 0.2), so lam=1 is bounded through s only
+        # and is run alone; lam=9's bound is below its norm, so lam=9 is not run
         import guidewave.resolvent as resolvent
 
         uppers = []
@@ -249,15 +252,16 @@ class TestNormScan:
         monkeypatch.setattr(resolvent, "iterative_norm", recording)
         z = 2.0 + 0.1j
         pt = norm_scan([z], 0, 0, damping_const, [9.0, 1.0], truncation_guard=True,
-                       rng=np.random.default_rng(11))[0]
+                       seed=11)[0]
         s = 2.0 * 1.2
         want = [1.0 / math.hypot(max(lam - (z * z).real + 0.1, 0.0), s) for lam in (9.0, 1.0)]
-        assert (pt.modes_scanned, pt.k_argmax) == (2, 1)
-        assert uppers == pytest.approx(want + [want[1]], rel=1e-14)
+        assert (pt.modes_scanned, pt.k_argmax) == (1, 1)
+        assert pt.tail_bound == want[0]
+        assert uppers == pytest.approx([want[1], want[1]], rel=1e-14)
 
     def test_points_carry_measured_residuals(self, grid40, damping_const):
         pts = norm_scan([2.0, 4.0], 0, 0, damping_const, [0.0, 1.0],
-                        rng=np.random.default_rng(11))
+                        seed=11)
         for p in pts:
             assert p.residual != 1e-7
             assert 0.0 <= p.residual <= 1e-14
@@ -269,7 +273,7 @@ class TestNormScan:
         monkeypatch.setattr(resolvent, "LANCZOS_MAX_STEPS", 1)
         with pytest.raises(ConvergenceError, match=r"in 1 steps .*, 0\.5\]"):
             norm_scan([2.0], 0, 0, damping_const, [0.0, 1.0],
-                      rng=np.random.default_rng(11))
+                      seed=11)
 
     @pytest.mark.parametrize("z, lam", [(1.0, 1.0), (2.0, 4.0)])
     def test_dense_top_spectrum_is_certified(self, z, lam, monkeypatch):
@@ -284,7 +288,7 @@ class TestNormScan:
         monkeypatch.setattr(resolvent, "power_iteration_norm", forbidden)
         g = Grid1D(X=200.0, N=2048)
         a = DampingProfile.build(g, "constant")
-        pt = norm_scan([z], 0, 0, a, [lam], rng=np.random.default_rng(3))[0]
+        pt = norm_scan([z], 0, 0, a, [lam], seed=3)[0]
         exact = exact_mode_norm(g, lam, z, 1.0)
         assert exact - 1e-7 <= pt.norm_est <= exact * (1.0 + 1e-12)
         assert exact <= 1.0 / z
@@ -315,11 +319,13 @@ def lanczos_top_lists(normal, v0, rtol):
     return max(theta, 0.0), (residual / theta if theta > 0.0 else 0.0), converged
 
 
-def exhaustive_scan(zs, beta1, beta2, damping, lambdas, rng):
-    """(norm, argmax) per z from a Lanczos run on every mode, in the given order."""
+def exhaustive_scan(zs, beta1, beta2, damping, lambdas, seed):
+    """(norm, argmax) per z from a Lanczos run on every mode, in the given order,
+    point i drawing its start vectors from ``np.random.default_rng([seed, i])``."""
     scaler = SobolevScaler(damping.grid)
     out = []
-    for z in zs:
+    for i, z in enumerate(zs):
+        rng = np.random.default_rng([seed, i])
         sigmas = [_mode_sobolev_norm(mode_operator(lam, damping, z), scaler,
                                      beta1, beta2, rng)[0] for lam in lambdas]
         out.append((max(sigmas), int(np.argmax(sigmas))))
@@ -376,22 +382,24 @@ class TestCertifiedTailBound:
                 assert svdvals(banded)[0] == pytest.approx(dense_sobolev_norm(op, b1, b2),
                                                            rel=1e-12)
 
-    @pytest.mark.parametrize("betas, zs, shuffle", [
-        ((0, 0), [4.0, 6.0], False),
-        ((1, 1), [4.0, 6.0], False),
-        ((1, 1), [4.0], True),
-        ((0, 0), [4.0 + 0.5j], True),
+    # in the ids, False marks the squares in order and True the shuffled squares
+    @pytest.mark.parametrize("betas, zs, lambdas", [
+        pytest.param((0, 0), [4.0, 6.0], SQUARES, id="betas0-zs0-False"),
+        pytest.param((1, 1), [4.0, 6.0], SQUARES, id="betas1-zs1-False"),
+        # elliptic modes not run before propagating ones are run
+        pytest.param((1, 1), [4.0], SHUFFLED_SQUARES, id="betas2-zs2-True"),
+        pytest.param((0, 0), [4.0 + 0.5j], SHUFFLED_SQUARES, id="betas3-zs3-True"),
+        # bounds inf, inf, inf, 3.33, 1.67, 0.2: the second batch runs
+        # lam = 16.3 and 16.6, and lam = 16.3 attains the max
+        pytest.param((0, 0), [4.0], [0.0, 1.0, 4.0, 16.3, 16.6, 21.0], id="second-batch"),
     ])
-    def test_scan_equals_exhaustive_loop(self, betas, zs, shuffle):
-        # the skipped modes change neither the max, nor its mode, nor the random
-        # draws of the modes that are scanned
+    def test_scan_equals_exhaustive_loop(self, betas, zs, lambdas):
+        # the modes not run change neither the max, nor its mode, nor the random
+        # draws of the modes that are run
         g = Grid1D(X=20.0, N=256)
         a = DampingProfile.build(g, "hole", r=5.0, rho=2.0)
-        lambdas = np.arange(12, dtype=float) ** 2
-        if shuffle:  # elliptic modes skipped before propagating ones are scanned
-            lambdas = lambdas[[3, 10, 11, 0, 8, 1, 2, 9, 4, 5, 6, 7]]
-        pts = norm_scan(zs, *betas, a, lambdas, rng=np.random.default_rng(22))
-        want = exhaustive_scan(zs, *betas, a, lambdas, np.random.default_rng(22))
+        pts = norm_scan(zs, *betas, a, lambdas, seed=22)
+        want = exhaustive_scan(zs, *betas, a, lambdas, 22)
         for pt, (norm, k) in zip(pts, want):
             assert (pt.norm_est, pt.k_argmax) == (norm, k)
             assert pt.modes_scanned < len(lambdas)
@@ -416,7 +424,7 @@ class TestScanWorkList:
             mirror = dense_sobolev_norm(mode_operator(1.0 + 0.5 ** 2, a, -np.conj(z)), *betas)
             assert mirror == pytest.approx(want, rel=1e-12)
             pts = norm_scan([-np.conj(z), z], *betas, a, [1.0 + 0.5 ** 2],
-                            rng=np.random.default_rng(21))
+                            seed=21)
             assert pts[0] == dataclasses.replace(pts[1], z=pts[0].z)
             assert pts[1].norm_est == pytest.approx(want, rel=1e-10)
 
@@ -434,7 +442,7 @@ class TestScanWorkList:
         a = DampingProfile.build(g, "hole", r=5.0, rho=2.0)
         lambdas = [0.0, 1.0]
         taus = [-2.0, -0.5, 0.0, 0.5, 2.0]
-        norms = energy_norm_scan(taus, a, lambdas, rng=np.random.default_rng(9))
+        norms = energy_norm_scan(taus, a, lambdas, seed=9)
         assert (norms[0], norms[1]) == (norms[4], norms[3])
         for tau, norm in zip(taus, norms):
             want = max(dense_energy_norm(lam, a, tau) for lam in lambdas)
@@ -443,21 +451,40 @@ class TestScanWorkList:
     @pytest.mark.parametrize("kind, betas, lambdas, guard", [
         ("hole", (1, 1), [0.0, 1.0, 4.0, 9.0, 16.0], True),
         # at 2 + 0.1i the first mode, lam = 9, is elliptic: its bound is below the
-        # point's largest, so the replay runs it after the parallel runs
+        # max of the modes of the point's largest bound, so it is not run
         ("constant", (0, 0), [9.0, 1.0, 0.0, 16.0], False),
+        # at 2 + 0.1i lam = 4 has a bound just below lam = 0 and 1: the second
+        # batch runs it, and it attains the max
+        ("hole", (0, 0), [0.0, 1.0, 4.0, 16.3, 16.6, 21.0], False),
     ])
     def test_scan_on_a_pool_equals_the_serial_scan(self, kind, betas, lambdas, guard):
         g = Grid1D(X=20.0, N=128)
         a = DampingProfile.build(g, kind, r=5.0, rho=2.0)
         zs = [2.0 + 0.1j, 3.0, -2.0 + 0.1j, 1.0]
-        serial = norm_scan(zs, *betas, a, lambdas, rng=np.random.default_rng(5),
+        serial = norm_scan(zs, *betas, a, lambdas, seed=5,
                            truncation_guard=guard)
         with ThreadPoolExecutor(max_workers=3) as pool:
-            pooled = norm_scan(zs, *betas, a, lambdas, rng=np.random.default_rng(5),
+            pooled = norm_scan(zs, *betas, a, lambdas, seed=5,
                                map=pool.map, truncation_guard=guard)
         assert pooled == serial
         assert serial[2] == dataclasses.replace(serial[0], z=serial[2].z)
         assert any(p.modes_scanned < len(lambdas) for p in serial)
+
+    def test_a_scan_maps_at_most_two_batches(self):
+        # the elliptic modes come first, by ascending bound (0.2, 1.67, 3.33 at
+        # z = 4): a loop that skipped by the running max would run each alone
+        g = Grid1D(X=20.0, N=256)
+        a = DampingProfile.build(g, "hole", r=5.0, rho=2.0)
+        batches = []
+
+        def spy(fn, *args):
+            batches.append(list(zip(*args)))
+            return map(fn, *args)
+
+        pt = norm_scan([4.0], 0, 0, a, [21.0, 16.6, 16.3, 0.0, 1.0, 4.0], seed=22, map=spy)[0]
+        assert batches == [[(0, 3), (0, 4), (0, 5)], [(0, 1), (0, 2)]]
+        assert (pt.k_argmax, pt.modes_scanned) == (2, 5)
+        assert pt.tail_bound == pytest.approx(0.2, rel=1e-12)
 
 
 class TestBlockResolvent:
@@ -624,7 +651,7 @@ class TestHeatModelResolvent:
         zs = [0.1j, 0.01j, 0.3 + 0.4j]
         lambdas = [0.0, 1.0, 4.0]
         rows = theta_probe(zs, a, lambdas, delta1=1.05, delta2=0.6,
-                           rng=np.random.default_rng(12))
+                           seed=12)
         oracle = dense_theta_probe(zs, a, lambdas, delta1=1.05, delta2=0.6)
         for row, want in zip(rows, oracle):
             for j in (1, 2, 3, 4):
@@ -635,7 +662,7 @@ class TestHeatModelResolvent:
         g = Grid1D(X=100.0, N=512)
         a = DampingProfile.build(g, "constant")
         rows = theta_probe([0.1j, 0.01j], a, [0.0, 1.0], delta1=1.05, delta2=1.05,
-                           rng=np.random.default_rng(0))
+                           seed=0)
         for j in (1, 2, 3):
             vals = [r[f"theta{j}"] for r in rows]
             assert max(vals) <= 3.0 * vals[0]
@@ -647,14 +674,14 @@ class TestHeatModelResolvent:
         for z in (2.0 + 1j, 0.5 - 0.1j):
             with pytest.raises(ValueError):
                 theta_probe([z], damping_const, [0.0], 1.0, 1.0,
-                            rng=np.random.default_rng(0))
+                            seed=0)
 
 
 class TestSemiclassical:
     def test_constant_damping_matches_fourier_oracle(self):
         g = Grid1D(X=40.0, N=2048)
         a = DampingProfile.build(g, "constant")
-        rows = semiclassical_scan([0.2, 0.1], a, rng=np.random.default_rng(10))
+        rows = semiclassical_scan([0.2, 0.1], a, seed=10)
         for row in rows:
             h = row["h"]
             xi = np.linspace(0.0, 4.0 / h, 400000)
@@ -669,7 +696,7 @@ class TestSemiclassical:
 
     def test_h_range_validated(self, grid40, damping_const):
         with pytest.raises(ValueError):
-            semiclassical_scan([1.5], damping_const, rng=np.random.default_rng(0))
+            semiclassical_scan([1.5], damping_const, seed=0)
 
 
 class TestEstimators:
