@@ -2,8 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .discretize import (DampingProfile, Grid1D, WeightSpec, gradient_1d,
-                         laplacian_1d, mode_operator)
+from .discretize import DampingProfile, Grid1D, WeightSpec, gradient_1d, mode_operator
 from .errors import ConfigError, ConvergenceError, GuidewaveError, SolveError
 from .evolve import EnergyRecord, WaveState, energy, run
 from .fit import DecayFit, fit_exponential, fit_power, predict_exponent
@@ -14,7 +13,7 @@ __all__ = [
     "__version__",
     "ConfigError", "ConvergenceError", "GuidewaveError", "SolveError",
     "DampingProfile", "Grid1D", "WeightSpec",
-    "gradient_1d", "laplacian_1d", "mode_operator",
+    "gradient_1d", "mode_operator",
     "EnergyRecord", "WaveState", "energy", "run",
     "DecayFit", "fit_exponential", "fit_power", "predict_exponent",
     "HeatSolution", "heat_apply", "heat_weighted_norm",

@@ -3,11 +3,11 @@
 The unbounded axis is truncated to (-X, X) with a homogeneous cap at the
 ends; interior nodes carry the unknowns.  Shipped damping profiles keep the
 absorption effective in the outer part of the box so that outgoing energy is
-absorbed before it can reflect off the cap.  ``BandedLaplacian`` holds the
-Toeplitz stencil of D2, and ``BandCholesky`` is the one band Cholesky factor
-of diag + s(-D2) that the stepper, the smoother and the energy norm share.
-The stencil order, 2 or 4, is ``Grid1D.order`` (the pipeline sets it from
-the config's ``grid.order``); every operator built on a grid uses its stencil.
+absorbed before it can reflect off the cap.  A grid owns its D2 stencil,
+``Grid1D.laplacian``, of the grid's order (``Grid1D.order``, 2 or 4, from the
+config's ``grid.order``) and spacing; ``ShiftedOperator`` and ``BandCholesky``
+(the band factor the stepper, the smoother and the energy norm share) read it
+from their grid and take no stencil beside it.
 A ``DampingProfile`` carries the grid it is sampled on, so a function that
 takes a profile reads the grid from it and takes no grid beside it.
 No dense matrix is assembled here; the dense oracles that these banded
@@ -69,6 +69,12 @@ class Grid1D:
     @property
     def xs(self) -> np.ndarray:
         return -self.X + self.h * np.arange(1, self.N + 1)
+
+    @cached_property
+    def laplacian(self) -> BandedLaplacian:
+        """Banded discrete d^2/dx^2 on the interior nodes, homogeneous cap at +-X."""
+        h2 = self.h ** 2
+        return BandedLaplacian(coeffs=tuple(c / h2 for c in _D2_STENCILS[self.order]))
 
     def refine(self, factor: float) -> "Grid1D":
         """Wider box at (nearly) the same spacing, for truncation guards."""
@@ -198,23 +204,19 @@ class BandedLaplacian:
         return out
 
 
-def laplacian_1d(grid: Grid1D) -> BandedLaplacian:
-    """Banded discrete d^2/dx^2 on the interior nodes, homogeneous cap at +-X."""
-    h2 = grid.h ** 2
-    return BandedLaplacian(coeffs=tuple(c / h2 for c in _D2_STENCILS[grid.order]))
-
-
 class BandCholesky:
-    """Upper band Cholesky factor U of the SPD matrix diag + scale (-D2) = U^T U.
+    """Upper band Cholesky factor U of an SPD band matrix A = U^T U on ``grid``.
 
-    A (K, N) ``diag`` stacks K uncoupled blocks into one band matrix of order
-    K N; bands that would cross a block boundary stay zero.  ``ab`` holds U in
-    LAPACK upper band storage, as ``dtype``.  A matrix that is not positive
-    definite raises ``SolveError``.
+    A has diagonal ``diag`` (the caller folds in the stencil's centre) and the
+    off-diagonals of scale (-D2), D2 = ``grid.laplacian``.  A (K, N) ``diag``
+    stacks K uncoupled blocks into one band matrix of order K N; bands that
+    would cross a block boundary stay zero.  ``ab`` holds U in LAPACK upper band
+    storage, as ``dtype``.  A matrix that is not positive definite raises ``SolveError``.
     """
 
-    def __init__(self, lap: BandedLaplacian, diag, scale: float = 1.0, dtype=float):
+    def __init__(self, grid: Grid1D, diag, scale: float = 1.0, dtype=float):
         diag = np.asarray(diag, dtype=float)
+        lap = grid.laplacian
         hb = lap.halfbw
         ab = np.zeros((hb + 1,) + diag.shape)
         ab[hb] = diag
@@ -266,7 +268,7 @@ def gradient_1d(u: np.ndarray, grid: Grid1D) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ShiftedOperator:
-    """Discrete -d^2/dx^2 + diag acting on one mode.
+    """Discrete -d^2/dx^2 + diag acting on one mode, D2 the grid's stencil.
 
     ``mode_operator`` sets diag = lam - i z a(x) - z^2; the heat model of the
     theta probe uses diag = -i z.  Complex symmetric banded matrix.  The sparse LU factorization is computed
@@ -275,17 +277,16 @@ class ShiftedOperator:
     """
 
     grid: Grid1D
-    lap: BandedLaplacian
     z: complex
     diag: np.ndarray = field(repr=False)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        return self.diag * u - self.lap.apply(u)
+        return self.diag * u - self.grid.laplacian.apply(u)
 
     def apply_adjoint(self, u: np.ndarray) -> np.ndarray:
         """The conjugate transpose: the stencil is real and symmetric, only diag is conjugated."""
-        return self._diag_conj * u - self.lap.apply(u)
+        return self._diag_conj * u - self.grid.laplacian.apply(u)
 
     @cached_property
     def _diag_conj(self) -> np.ndarray:
@@ -295,9 +296,10 @@ class ShiftedOperator:
     def _factor(self):
         fac = self._cache.get("lu")
         if fac is None:
-            offsets = list(range(-self.lap.halfbw, self.lap.halfbw + 1))
-            bands = [np.full(self.grid.N - abs(off), -self.lap.coeffs[abs(off)], dtype=complex)
-                     if off else (self.diag - self.lap.coeffs[0]).astype(complex)
+            lap = self.grid.laplacian
+            offsets = list(range(-lap.halfbw, lap.halfbw + 1))
+            bands = [np.full(self.grid.N - abs(off), -lap.coeffs[abs(off)], dtype=complex)
+                     if off else (self.diag - lap.coeffs[0]).astype(complex)
                      for off in offsets]
             mat = sparse_diags(bands, offsets, format="csc")
             try:
@@ -337,8 +339,7 @@ def mode_operator(lam: float, damping: DampingProfile, z: complex) -> ShiftedOpe
     eigenvalue ``lam`` (m^2 included)."""
     z = complex(z)
     diag = lam - 1j * z * damping.samples - z * z
-    grid = damping.grid
-    return ShiftedOperator(grid=grid, lap=laplacian_1d(grid), z=z, diag=diag)
+    return ShiftedOperator(grid=damping.grid, z=z, diag=diag)
 
 
 def weight(grid: Grid1D, delta: float) -> np.ndarray:

@@ -32,8 +32,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .discretize import (BandCholesky, DampingProfile, Grid1D, gradient_1d,
-                         laplacian_1d, weight)
+from .discretize import BandCholesky, DampingProfile, Grid1D, gradient_1d, weight
 from .errors import SolveError
 
 WAVE_NEUMANN = "wave_neumann"
@@ -106,10 +105,9 @@ class Stepper:
         self.a = a = damping.samples
         self.lambdas = np.asarray(lambdas, dtype=float)
         self.lam_eff = self.lambdas[:, None]
-        self.lap = laplacian_1d(self.grid)
         t2 = self.tau ** 2
-        self._factor = BandCholesky(
-            self.lap, 1.0 + self.tau * a + t2 * (self.lam_eff - self.lap.coeffs[0]), t2)
+        c0 = self.grid.laplacian.coeffs[0]
+        self._factor = BandCholesky(self.grid, 1.0 + self.tau * a + t2 * (self.lam_eff - c0), t2)
         self._pu = (None, None)     # (u, P u) of the last form energy
 
     def step(self, state: WaveState):
@@ -119,9 +117,9 @@ class Stepper:
             raise ValueError(f"state has {k_count} modes, stepper was built for {len(self.lambdas)}")
         tau = self.tau
         u, v = state.modes, state.vmodes
-        pu = self._pu[1] if self._pu[0] is u else _apply_p(self.lam_eff, self.lap, u)
+        pu = self._pu[1] if self._pu[0] is u else _apply_p(self.lam_eff, self.grid, u)
         rhs = v - tau * (self.a * v)
-        rhs -= tau ** 2 * _apply_p(self.lam_eff, self.lap, v)
+        rhs -= tau ** 2 * _apply_p(self.lam_eff, self.grid, v)
         rhs -= 2.0 * tau * pu
         vp = self._factor.solve(rhs)
         vsum = v + vp
@@ -138,14 +136,14 @@ class Stepper:
         Keeps P u for the next ``step`` of this state.
         """
         u, v = state.modes, state.vmodes
-        pu = _apply_p(self.lam_eff, self.lap, u)
+        pu = _apply_p(self.lam_eff, self.grid, u)
         self._pu = (u, pu)
         return _form_energies(u, pu, v, self.grid.h)
 
 
-def _apply_p(lam_eff: np.ndarray, lap, u: np.ndarray) -> np.ndarray:
+def _apply_p(lam_eff: np.ndarray, grid: Grid1D, u: np.ndarray) -> np.ndarray:
     """(-D2 + lam_k) u_k for every mode k; lam u - D2 u rounds as -D2 u + lam u."""
-    return lam_eff * u - lap.apply(u)
+    return lam_eff * u - grid.laplacian.apply(u)
 
 
 def _form_energies(u: np.ndarray, pu: np.ndarray, v: np.ndarray, h: float) -> np.ndarray:
@@ -164,12 +162,11 @@ def smooth_initial_data(modes: np.ndarray, vmodes: np.ndarray, lambdas: np.ndarr
     """
     if k_applications < 0:
         raise ValueError(f"need k >= 0 applications, got {k_applications}")
-    lap = laplacian_1d(damping.grid)
     a = damping.samples
     u = np.array(modes, dtype=float, copy=True)
     v = np.array(vmodes, dtype=float, copy=True)
     lam_eff = np.asarray(lambdas, dtype=float)[:, None]
-    factor = BandCholesky(lap, lam_eff + a + 1.0 - lap.coeffs[0])
+    factor = BandCholesky(damping.grid, lam_eff + a + 1.0 - damping.grid.laplacian.coeffs[0])
     for _ in range(k_applications):
         u = factor.solve((a + 1.0) * u + v)
         v = np.zeros_like(u)
@@ -196,8 +193,7 @@ def energy(state: WaveState, grid: Grid1D, lambdas: np.ndarray,
     h = grid.h
     u, v = state.modes, state.vmodes
     lam_eff = np.asarray(lambdas, dtype=float)[:, None]
-    lap = laplacian_1d(grid)
-    per_mode = _form_energies(u, _apply_p(lam_eff, lap, u), v, h)
+    per_mode = _form_energies(u, _apply_p(lam_eff, grid, u), v, h)
     e_total = float(np.sum(per_mode))
 
     du = gradient_1d(u, grid)

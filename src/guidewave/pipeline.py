@@ -38,9 +38,11 @@ from .transverse import DIRICHLET, NEUMANN, transverse_eigenvalues
 
 
 def max_threads() -> int:
-    """GUIDEWAVE_THREADS, a positive integer, or the core count, at most 4."""
+    """GUIDEWAVE_THREADS, a positive integer, or the CPUs this process may run on, at most 4."""
     env = os.environ.get("GUIDEWAVE_THREADS")
     if not env:
+        if hasattr(os, "sched_getaffinity"):
+            return min(4, len(os.sched_getaffinity(0)))
         return min(4, os.cpu_count() or 1)
     try:
         threads = int(env)
@@ -308,6 +310,8 @@ def cmd_resolvent(cfg: ExperimentConfig, out_base: str) -> dict:
     if cfg.flavor == KLEIN_GORDON and kind != "highfreq":
         raise ConfigError(f"mass: scan kind {kind!r} has no mass term, got mass={cfg.mass}")
     zs = parse_scan_z(cfg.scan.z_list)
+    if not zs:
+        raise ConfigError(f"scan.z_list: {kind} scan needs at least one z")
     payload = {"command": "resolvent-scan", "kind": kind}
 
     if kind == "theta":

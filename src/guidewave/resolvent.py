@@ -34,7 +34,7 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .discretize import (BandCholesky, DampingProfile, Grid1D, ShiftedOperator,
-                         gradient_1d, laplacian_1d, mode_operator, weight)
+                         gradient_1d, mode_operator, weight)
 from .errors import ConvergenceError
 
 #: relative move of a norm on the 1.5X box that flags a point truncation-limited
@@ -200,8 +200,7 @@ class SobolevScaler:
     """
 
     def __init__(self, grid: Grid1D):
-        lap = laplacian_1d(grid)
-        self._chol = BandCholesky(lap, np.full(grid.N, 1.0 - lap.coeffs[0]))
+        self._chol = BandCholesky(grid, np.full(grid.N, 1.0 - grid.laplacian.coeffs[0]))
 
     def apply(self, solve, x: np.ndarray, beta_out: int, beta_in: int) -> np.ndarray:
         """U^beta_out solve((U^T)^beta_in x); a side whose beta is 0 is not scaled."""
@@ -457,8 +456,8 @@ class EnergyNormResolvent:
     def __init__(self, lam: float, damping: DampingProfile):
         self.lam = float(lam)
         self.damping = damping
-        lap = laplacian_1d(damping.grid)
-        self._chol = BandCholesky(lap, np.full(damping.grid.N, self.lam - lap.coeffs[0]),
+        grid = damping.grid
+        self._chol = BandCholesky(grid, np.full(grid.N, self.lam - grid.laplacian.coeffs[0]),
                                   dtype=complex)
 
     def op_norm(self, z: complex, rng: np.random.Generator) -> float:
@@ -507,8 +506,7 @@ def energy_norm_scan(taus, damping: DampingProfile, lambdas, *, seed: int, map=m
 def heat_model_operator(grid: Grid1D, z: complex) -> ShiftedOperator:
     """The banded heat-model operator -D2 - i z on mode 0: diagonal -i z."""
     z = complex(z)
-    return ShiftedOperator(grid=grid, lap=laplacian_1d(grid), z=z,
-                           diag=np.full(grid.N, -1j * z))
+    return ShiftedOperator(grid=grid, z=z, diag=np.full(grid.N, -1j * z))
 
 
 def theta_blocks(z: complex, a: np.ndarray) -> dict[int, tuple]:

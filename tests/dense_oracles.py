@@ -14,7 +14,6 @@ product.
 import numpy as np
 from scipy.linalg import eigvals_banded, matmul_toeplitz, svdvals, toeplitz
 
-from guidewave.discretize import laplacian_1d
 from guidewave.heat import heat_kernel
 
 
@@ -27,9 +26,9 @@ def toeplitz_heat_apply(w0, grid, t, derivative="none"):
 
 
 def dense_laplacian(grid):
-    """The banded D2 of ``laplacian_1d`` as an N x N symmetric Toeplitz matrix,
+    """The banded D2 of ``grid.laplacian`` as an N x N symmetric Toeplitz matrix,
     by the stencil of ``grid.order``."""
-    coeffs = laplacian_1d(grid).coeffs
+    coeffs = grid.laplacian.coeffs
     col = np.zeros(grid.N)
     col[:len(coeffs)] = coeffs
     return toeplitz(col)
@@ -95,7 +94,7 @@ def exact_mode_norm(grid, lam, z, level):
     1 / min |mu + lam - z^2 - i z level| over the eigenvalues mu of -D2,
     taken from the band by ``eigvals_banded``.
     """
-    coeffs = laplacian_1d(grid).coeffs
+    coeffs = grid.laplacian.coeffs
     bands = np.array([np.full(grid.N, -c) for c in coeffs])   # lower form of -D2
     mu = eigvals_banded(bands, lower=True)
     return float(1.0 / np.min(np.abs(mu + lam - z * z - 1j * z * level)))

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import pathlib
 import re
 import tracemalloc
@@ -20,7 +21,7 @@ from guidewave.discretize import WeightSpec
 from guidewave.errors import ConfigError
 from guidewave.evolve import gaussian_envelope, powerlaw_envelope
 from guidewave.pipeline import (build_damping, build_envelope, build_grid, cmd_resolvent,
-                                read_csv)
+                                max_threads, read_csv)
 from guidewave.resolvent import norm_scan
 
 CONFIG_DIR = resources.files(guidewave.configs)
@@ -540,6 +541,20 @@ class TestCli:
             assert "GUIDEWAVE_THREADS" in capsys.readouterr().err
         monkeypatch.setenv("GUIDEWAVE_THREADS", "2")
         assert main(["resolvent-scan", cfgp, "--out", str(tmp_path / "o2")]) == 0
+
+    def test_default_pool_size_counts_the_cpus_this_process_may_use(self, monkeypatch):
+        # pinned to one CPU of an eight-CPU machine, a process gets one pool thread
+        monkeypatch.delenv("GUIDEWAVE_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert max_threads() == 1
+
+    @pytest.mark.parametrize("kind", ["theta", "realaxis", "highfreq"])
+    def test_empty_z_list_is_a_config_error(self, tmp_path, capsys, kind):
+        # with no z a scan has no max to take and no row to write
+        cfgp = write_tiny(tmp_path, scan={"kind": kind, "z_list": []})
+        assert main(["resolvent-scan", cfgp, "--out", str(tmp_path / "o")]) == 2
+        assert "scan.z_list" in capsys.readouterr().err
 
 
 class TestGoldenStructuralChecks:

@@ -10,7 +10,7 @@ import pytest
 
 import guidewave
 from guidewave.discretize import (HOLE_EDGE_WIDTH, DampingProfile, Grid1D, WeightSpec,
-                                  gradient_1d, laplacian_1d, mode_operator)
+                                  gradient_1d, mode_operator)
 from guidewave.errors import SolveError
 
 from dense_oracles import dense_laplacian, dense_operator
@@ -48,25 +48,25 @@ class TestLaplacian:
         target = (math.pi / (2 * g.X)) ** 2
         mode = np.sin(math.pi * (g.xs + g.X) / (2 * g.X))
         for order in (2, 4):
-            lap = laplacian_1d(replace(g, order=order))
+            lap = replace(g, order=order).laplacian
             rq = -np.dot(mode, lap.apply(mode)) / np.dot(mode, mode)
             assert abs(rq - target) <= target * g.h ** 2
 
     def test_order2_cap_mode_is_exact_eigenvector(self):
         g = Grid1D(X=10.0, N=200, order=2)
-        lap = laplacian_1d(g)
+        lap = g.laplacian
         mode = np.sin(math.pi * (g.xs + g.X) / (2 * g.X))
         exact = -(2.0 - 2.0 * math.cos(math.pi / (g.N + 1))) / g.h ** 2
         assert np.allclose(lap.apply(mode), exact * mode, atol=1e-12)
 
     def test_constant_vector_interior_rows(self, grid40):
-        lap = laplacian_1d(grid40)
+        lap = grid40.laplacian
         out = lap.apply(np.ones(grid40.N))
         assert np.max(np.abs(out[2:-2])) <= 1e-10 / grid40.h ** 2 * 1e-2
 
     def test_plane_wave_symbol_order4(self):
         g = Grid1D(X=40.0, N=1599)  # h = 0.05
-        lap = laplacian_1d(g)
+        lap = g.laplacian
         u = np.exp(1j * g.xs)
         mid = g.N // 2
         err = abs((lap.apply(u) / u)[mid] + 1.0)
@@ -78,7 +78,7 @@ class TestLaplacian:
         mid = g.N // 2
         errs = {}
         for order in (2, 4):
-            lap = laplacian_1d(replace(g, order=order))
+            lap = replace(g, order=order).laplacian
             errs[order] = abs((lap.apply(u) / u)[mid] + 1.0)
         assert errs[4] < errs[2] / 50
 
@@ -87,7 +87,7 @@ class TestLaplacian:
         block = rng.standard_normal((3, grid40.N))
         for order in (2, 4):
             g = replace(grid40, order=order)
-            lap = laplacian_1d(g)
+            lap = g.laplacian
             assert np.array_equal(lap.apply(block), np.stack([lap.apply(r) for r in block]))
             assert np.array_equal(gradient_1d(block, g),
                                   np.stack([gradient_1d(r, g) for r in block]))
@@ -309,11 +309,19 @@ def _functions():
             yield f"{path}:{node.lineno} {getattr(node, 'name', 'lambda')}", names
 
 
-@pytest.mark.parametrize("name", ["order", "mass"])
+@pytest.mark.parametrize("name", ["order", "mass", "lap"])
 def test_no_function_takes_a_parameter_named(name):
-    # the stencil order is a field of the grid, Grid1D.order, and the Klein-Gordon
-    # mass is in the eigenvalues pipeline.build_basis returns; nothing else holds either
+    # the stencil order is a field of the grid, Grid1D.order, its D2 stencil is
+    # Grid1D.laplacian, and the Klein-Gordon mass is in the eigenvalues
+    # pipeline.build_basis returns; nothing else holds any of them
     assert [where for where, names in _functions() if name in names] == []
+
+
+def test_no_dataclass_has_a_lap_field():
+    # an operator on a grid reads grid.laplacian; a field would have to agree with it
+    fields = [f"{path}:{node.lineno}" for path, node in _package_nodes()
+              if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "lap"]
+    assert fields == []
 
 
 def test_no_function_takes_both_grid_and_damping():

@@ -156,7 +156,7 @@ def one_line_step(stepper, state):
     tau, u, v = stepper.tau, state.modes, state.vmodes
 
     def p(w):
-        return -elementwise_d2(stepper.lap, w) + stepper.lam_eff * w
+        return -elementwise_d2(stepper.grid.laplacian, w) + stepper.lam_eff * w
 
     rhs = v - tau * (stepper.a * v) - tau ** 2 * p(v) - 2.0 * tau * p(u)
     vp = cho_solve_banded((stepper._factor.ab, False), rhs.ravel()).reshape(v.shape)

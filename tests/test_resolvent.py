@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal, svdvals
 
 from guidewave.discretize import (_D1_STENCILS, DampingProfile, Grid1D, ShiftedOperator,
-                                  laplacian_1d, mode_operator, weight)
+                                  mode_operator, weight)
 from guidewave.errors import ConvergenceError, SolveError
 from guidewave.resolvent import (EnergyNormResolvent, SobolevScaler, WaveBlockResolvent,
                                  _lanczos_top, _mode_sobolev_norm,
@@ -67,7 +67,7 @@ def wave_apply(f, g, damping, lam):
     This is the matrix acting on the pair (u, i du/dt); its lower-left block
     is minus the Laplacian.
     """
-    lap = laplacian_1d(damping.grid)
+    lap = damping.grid.laplacian
     out2 = -lap.apply(np.asarray(f, dtype=complex)) + lam * f - 1j * damping.samples * g
     return np.asarray(g, dtype=complex), out2
 
