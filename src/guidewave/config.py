@@ -1,9 +1,9 @@
 """Experiment configuration: JSON schema, validation, hashing, overrides.
 
 The dataclass annotations are the schema: one builder walks the root and each
-section, and an unknown key or a value whose JSON type its annotation does not
-admit fails naming the dotted path.  ``validate`` adds the range and
-cross-field rules.
+section, and an unknown key, a value whose JSON type its annotation does not
+admit, or a ``float`` that is NaN or infinite fails naming the dotted path.
+``validate`` adds the range and cross-field rules.
 
 Configs round-trip byte-identically through ``canonical_json`` (sorted keys,
 repr floats); the first 12 hex digits of the sha256 of that form name the
@@ -129,10 +129,14 @@ _KINDS = {int: ("an integer", (int,)), float: ("a number", (int, float)),
 
 
 def _check(kind, value, path: str):
-    """``value``, if its type and each entry's (``dict[str, T]``, ``list[T]``) is exact."""
+    """``value``, if its type and each entry's (``dict[str, T]``, ``list[T]``) is exact
+    and a ``float`` is finite."""
     name, types = _KINDS[typing.get_origin(kind) or kind]
     if type(value) not in types:
         raise ConfigError(f"{path}: must be {name}, got {value!r}")
+    if type(value) is float and not math.isfinite(value):
+        # JSON admits NaN and Infinity, and a NaN passes every `x <= 0` rule of ``validate``
+        raise ConfigError(f"{path}: must be a finite number, got {value!r}")
     if args := typing.get_args(kind):
         for key, entry in (value.items() if type(value) is dict else enumerate(value)):
             _check(args[-1], entry, f"{path}.{key}")
@@ -272,12 +276,14 @@ def read_input(path) -> str:
 
 
 def parse_scan_z(entries) -> list[complex]:
-    """z entries are reals or [re, im] pairs; a bool is no number."""
+    """z entries are finite reals or [re, im] pairs of them; a bool is no number."""
     out = []
     for i, e in enumerate(entries):
         parts = e if isinstance(e, (list, tuple)) and len(e) == 2 else [e]
         if not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in parts):
             raise ConfigError(f"scan.z_list.{i}: must be a number or an [re, im] pair, got {e!r}")
+        if not all(math.isfinite(p) for p in parts):
+            raise ConfigError(f"scan.z_list.{i}: must be finite, got {e!r}")
         out.append(complex(*parts))
     return out
 

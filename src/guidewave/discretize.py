@@ -11,7 +11,9 @@ from their grid and take no stencil beside it.
 A ``DampingProfile`` carries the grid it is sampled on, so a function that
 takes a profile reads the grid from it and takes no grid beside it.
 No dense matrix is assembled here; the dense oracles that these banded
-paths are checked against live in ``tests/dense_oracles.py``.
+paths are checked against live in ``tests/dense_oracles.py``.  The evolution
+path (``BandCholesky``, LAPACK band routines) loads no sparse LU: SuperLU is
+imported by ``ShiftedOperator``'s first factorization, so only the scans load it.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import LinAlgError, cholesky_banded, get_lapack_funcs
-from scipy.sparse import diags as sparse_diags
-from scipy.sparse.linalg import splu
 
 from .errors import SolveError
 
@@ -271,9 +271,10 @@ class ShiftedOperator:
     """Discrete -d^2/dx^2 + diag acting on one mode, D2 the grid's stencil.
 
     ``mode_operator`` sets diag = lam - i z a(x) - z^2; the heat model of the
-    theta probe uses diag = -i z.  Complex symmetric banded matrix.  The sparse LU factorization is computed
-    on the first solve and cached; the adjoint solve reuses it with the
-    conjugate-transpose triangular sweeps.
+    theta probe uses diag = -i z.  Complex symmetric banded matrix.  The
+    SuperLU factorization, with one-column panels, is computed on the first
+    solve and cached; the adjoint solve reuses it with the conjugate-transpose
+    triangular sweeps.  SuperLU is imported there, not with the module.
     """
 
     grid: Grid1D
@@ -296,6 +297,10 @@ class ShiftedOperator:
     def _factor(self):
         fac = self._cache.get("lu")
         if fac is None:
+            # imported here: the evolution commands factor no shifted mode and never load it
+            from scipy.sparse import diags as sparse_diags
+            from scipy.sparse.linalg import splu
+
             lap = self.grid.laplacian
             offsets = list(range(-lap.halfbw, lap.halfbw + 1))
             bands = [np.full(self.grid.N - abs(off), -lap.coeffs[abs(off)], dtype=complex)
@@ -303,7 +308,8 @@ class ShiftedOperator:
                      for off in offsets]
             mat = sparse_diags(bands, offsets, format="csc")
             try:
-                fac = splu(mat)
+                # a band of half-width <= 2 has no wide supernode for a wider panel to block
+                fac = splu(mat, panel_size=1)
             except Exception as exc:  # singular factorization
                 raise SolveError(f"sparse factorization failed at z={self.z}: {exc}") from exc
             self._cache["lu"] = fac

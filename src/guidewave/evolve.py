@@ -174,11 +174,13 @@ def smooth_initial_data(modes: np.ndarray, vmodes: np.ndarray, lambdas: np.ndarr
 
 
 def energy(state: WaveState, grid: Grid1D, lambdas: np.ndarray,
-           delta1: float = 0.0, R: float | None = None,
+           w2: np.ndarray | float = 1.0, R: float | None = None,
            dissipation_cum: float = 0.0) -> EnergyRecord:
     """Assemble the energy record of a state at its time.
 
     ``lambdas`` are the eigenvalues of the state's modes; row 0 is mode 0.
+    ``w2`` is the squared weight of E_w, grad_w and dtu_w, formed once per run
+    as ``weight(grid, -delta1) ** 2``; the default 1.0 leaves them unweighted.
     E_total is the form energy, summed over the modes of
     ``Stepper.mode_energies`` by the same expression, so it is bit for bit
     the quantity the identity check of ``run`` tracks.  E_local windows a
@@ -198,7 +200,6 @@ def energy(state: WaveState, grid: Grid1D, lambdas: np.ndarray,
 
     du = gradient_1d(u, grid)
     grad_dens = du ** 2 + lam_eff * u ** 2
-    w2 = weight(grid, -delta1) ** 2
     grad_w_sq = h * float(np.sum(w2 * grad_dens))
     dtu_w_sq = h * float(np.sum(w2 * v ** 2))
     if R >= grid.X - 0.5 * h:
@@ -264,10 +265,11 @@ def run(state0: WaveState, lambdas: np.ndarray, damping: DampingProfile, dt: flo
         raise ValueError(f"state has {state0.modes.shape[0]} modes, got {lambdas.size} eigenvalues")
     stepper = Stepper(lambdas, damping, dt)
     schedule = geometric_schedule(t0, sample_ratio, t_end)
+    w2 = weight(damping.grid, -delta1) ** 2
     records = []
 
     def sample(state: WaveState, diss_cum: float) -> None:
-        records.append(energy(state, damping.grid, lambdas, delta1=delta1, R=R,
+        records.append(energy(state, damping.grid, lambdas, w2=w2, R=R,
                               dissipation_cum=diss_cum))
         if on_sample is not None:
             on_sample(state)

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.fft import fft, ifft, irfft, rfft
 
 from . import resolvent
-from .discretize import Grid1D, gradient_1d, weight
+from .discretize import Grid1D, gradient_1d
 
 
 def heat_kernel(t: float, xi: np.ndarray, derivative: str = "none") -> np.ndarray:
@@ -106,22 +106,22 @@ COMPARE_COLUMNS = ("t", "norm_grad_diff", "norm_dt_diff", "norm_grad_v", "norm_d
 
 
 def compare(state, heat: HeatSolution, lambdas: np.ndarray, yfactor: float,
-            delta1: float = 0.0) -> dict[str, float] | None:
+            w: np.ndarray | float = 1.0) -> dict[str, float] | None:
     """Difference norms between one wave state and the heat solution at its time.
 
     A state at t = 0 gives None (the kernel is singular there); any other
     gives one row, keyed by ``COMPARE_COLUMNS``.  The heat solution lives on
     mode 0, the mean mode (lambda_0 = 0); the gradient difference includes
     the transverse part of u, which v lacks.  Norms are over the guide,
-    weighted by <x>^(-delta1), on the grid of ``heat``, which the state must
-    be sampled on.
+    weighted by ``w``, the samples of <x>^(-delta1) formed once per run as
+    ``weight(heat.grid, -delta1)`` (the default 1.0 leaves them unweighted),
+    on the grid of ``heat``, which the state must be sampled on.
     """
     grid = heat.grid
     if state.modes.shape[1] != grid.N:
         raise ValueError(f"state has {state.modes.shape[1]} nodes, the heat grid N={grid.N}")
     if state.t <= 0.0:
         return None
-    w = weight(grid, -delta1)
     h = grid.h
     lambdas = np.asarray(lambdas, dtype=float)
 

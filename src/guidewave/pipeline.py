@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .config import (INIT_FAMILIES, ExperimentConfig, canonical_json, config_hash,
                      parse_scan_z, read_input)
-from .discretize import DampingProfile, Grid1D
+from .discretize import DampingProfile, Grid1D, weight
 from .errors import ConfigError
 from .evolve import (KLEIN_GORDON, WAVE_DIRICHLET, WAVE_EUCLIDEAN, WAVE_NEUMANN,
                      assemble_initial_state, gaussian_envelope,
@@ -261,6 +261,7 @@ def cmd_heat_compare(cfg: ExperimentConfig, out_base: str) -> dict:
     damping = build_damping(cfg)
     lambdas, yfactor = build_basis(cfg)
     lambdas = lambdas[evolved_modes(cfg)]
+    w = weight(damping.grid, -cfg.weight_spec().delta1)
     heat = None
     rows = []
 
@@ -271,7 +272,7 @@ def cmd_heat_compare(cfg: ExperimentConfig, out_base: str) -> dict:
         if heat is None:
             heat = HeatSolution(grid=damping.grid, w0=p0_heat_data(
                 state.modes, state.vmodes, damping.samples, yfactor))
-        rows.append(compare(state, heat, lambdas, yfactor, delta1=cfg.weight_spec().delta1))
+        rows.append(compare(state, heat, lambdas, yfactor, w=w))
 
     evolved = cmd_evolve(cfg, out_base, on_sample=on_sample)
     table = comparison_table(rows)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import pathlib
 import re
@@ -170,6 +171,27 @@ def test_every_schema_path_rejects_a_wrong_json_type(data):
             from_dict(config)
 
 
+#: (field path, checked path, wrap) of every float field and every float dict or list entry
+FLOAT_PATHS = [(field, checked, wrap) for field, checked, json_type, wrap in SCHEMA_PATHS
+               if json_type is float]
+
+
+@settings(max_examples=60, deadline=None)
+@given(where=st.sampled_from(FLOAT_PATHS), value=st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_float_fields_and_entries_reject_non_finite_numbers(where, value):
+    # JSON parses NaN, Infinity and -Infinity as floats, and NaN and Infinity pass `x <= 0`
+    assert {checked for _, checked, _ in FLOAT_PATHS} >= set(FLOAT_FIELDS)
+    field, checked, wrap = where
+    data = json.loads(json.dumps(TINY))
+    *keys, last = field.split(".")
+    node = data
+    for key in keys:
+        node = node.setdefault(key, {})
+    node[last] = wrap(value)
+    with pytest.raises(ConfigError, match=f"^{re.escape(checked)}: must be a finite number"):
+        from_dict(json.loads(json.dumps(data)))
+
+
 class TestConfig:
     def test_roundtrip_is_byte_identical(self):
         cfg = from_dict(json.loads(json.dumps(TINY)))
@@ -258,7 +280,8 @@ class TestConfig:
 
     def test_parse_scan_z(self):
         assert parse_scan_z([1.0, [0.0, 0.5]]) == [complex(1.0), 0.5j]
-        for bad in (["one"], [True], [[1.0, False]], [["a", 1.0]]):
+        for bad in (["one"], [True], [[1.0, False]], [["a", 1.0]], [math.nan],
+                    [[1.0, math.inf]], [[-math.inf, 0.5]]):
             with pytest.raises(ConfigError, match=r"scan\.z_list\.0"):
                 parse_scan_z(bad)
 
@@ -426,7 +449,16 @@ class TestCli:
                                   ("evolve", "init.u1_modes.01=5.0"),
                                   ("evolve", "init.u1_modes.+1=5.0"),
                                   ("semiclassical", 'scan.h_list=["a"]'),
-                                  ("resolvent-scan", "scan.z_list=[true]")):
+                                  ("resolvent-scan", "scan.z_list=[true]"),
+                                  # JSON's NaN and Infinity: a NaN radius ran with
+                                  # E_local = 0, the others failed as numerical (exit 3)
+                                  ("evolve", "local_radius=NaN"),
+                                  ("evolve", "grid.X=NaN"),
+                                  ("evolve", "time.dt=NaN"),
+                                  ("evolve", "damping.level=NaN"),
+                                  ("evolve", "init.params.sigma=NaN"),
+                                  ("evolve", "time.t_end=Infinity"),
+                                  ("resolvent-scan", "scan.z_list=[[2.0, NaN]]")):
             capsys.readouterr()
             assert main([command, cfgp, "--set", override, "--out", str(tmp_path / "o")]) == 2
             assert override.split("=")[0] in capsys.readouterr().err

@@ -12,6 +12,7 @@ import guidewave
 from guidewave.discretize import (HOLE_EDGE_WIDTH, DampingProfile, Grid1D, WeightSpec,
                                   gradient_1d, mode_operator)
 from guidewave.errors import SolveError
+from guidewave.resolvent import heat_model_operator
 
 from dense_oracles import dense_laplacian, dense_operator
 
@@ -245,6 +246,18 @@ class TestCheckedSolve:
             want = mat @ u
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
+    @pytest.mark.parametrize("order, kind, z", CHECKED_CASES + [
+        (order, "heat model", z) for order in (2, 4) for z in (3.0, 0.6 + 0.4j)])
+    def test_solves_match_dense_oracle(self, order, kind, z):
+        # the banded LU and its adjoint sweeps against a dense solve, far inside SOLVE_RTOL
+        op, f = self._case(order, "constant" if kind == "heat model" else kind, z)
+        if kind == "heat model":
+            op = heat_model_operator(op.grid, z)
+        dense = dense_operator(op)
+        for got, mat in ((op.solve(f), dense), (op.solve_adjoint(f), dense.conj().T)):
+            want = np.linalg.solve(mat, f)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
     @pytest.mark.parametrize("fault", ["perturbed", "nan"])
     @pytest.mark.parametrize("order, kind, z", CHECKED_CASES)
     def test_wrong_answer_raises(self, order, kind, z, fault):
@@ -350,11 +363,35 @@ def test_package_imports_no_scipy_fft():
     assert imports == []
 
 
+#: run in a fresh interpreter: import the entry points, run a tiny evolution and heat
+#: comparison, then a one-point highfreq scan, printing the scipy modules loaded after each
+_IMPORT_BOUNDARY = """
+import sys, tempfile
+sys.path.insert(0, sys.argv[1])
+import guidewave.pipeline as p, guidewave.cli
+from guidewave.config import from_dict
+
+def loaded():
+    print(sorted(m for m in ("scipy.fft", "scipy.special", "scipy.sparse.linalg")
+                 if m in sys.modules))
+
+tiny = {"grid": {"X": 20.0, "N": 64}, "domain": {"K": 2},
+        "init": {"params": {"sigma": 2.0}, "smoothing_k": 1},
+        "time": {"t_end": 4.0, "dt": 0.1, "t0": 1.0, "sample_ratio": 1.5},
+        "fit_window": [1.0, 4.0], "local_radius": 5.0}
+loaded()
+with tempfile.TemporaryDirectory() as out:
+    p.cmd_evolve(from_dict(tiny), out)
+    p.cmd_heat_compare(from_dict(tiny), out)
+    loaded()
+    p.cmd_resolvent(from_dict(dict(tiny, scan={"kind": "highfreq", "z_list": [2.0]})), out)
+    loaded()
+"""
+
+
 def test_entry_points_load_neither_scipy_fft_nor_scipy_special():
-    # a fresh interpreter that imports the pipeline and the command line
+    # the evolution commands load no sparse LU; a scan factors with SuperLU and does
     src = str(Path(guidewave.__file__).resolve().parents[1])
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import guidewave.pipeline, guidewave.cli; "
-            "print(sorted(m for m in ('scipy.fft', 'scipy.special') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
-                         check=True)
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", _IMPORT_BOUNDARY, src], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split("\n")[:3] == ["[]", "[]", "['scipy.sparse.linalg']"]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_solve_banded, expm
 
-from guidewave.discretize import BandedLaplacian, DampingProfile, Grid1D
+from guidewave.discretize import BandedLaplacian, DampingProfile, Grid1D, weight
 from guidewave.errors import SolveError
 from guidewave.evolve import (FLAVORS, KLEIN_GORDON, WAVE_NEUMANN, EnergyRecord, Stepper,
                               WaveState, assemble_initial_state, energy, gaussian_envelope,
@@ -70,7 +70,8 @@ def reference_run(state0, lambdas, damping, dt, t_end, t0, sample_ratio, delta1,
     stepper = Stepper(lambdas, damping, dt)
     schedule = geometric_schedule(t0, sample_ratio, t_end)
     state, diss_cum, max_res, idx = state0, 0.0, 0.0, 0
-    records = [energy(state0, grid, lambdas, delta1=delta1, R=R)]
+    w2 = weight(grid, -delta1) ** 2
+    records = [energy(state0, grid, lambdas, w2=w2, R=R)]
     snapshots = [state0]
     e0 = e_prev = float(np.sum(stepper.mode_energies(state0)))
     for _ in range(int(round(t_end / dt))):
@@ -80,7 +81,7 @@ def reference_run(state0, lambdas, damping, dt, t_end, t0, sample_ratio, delta1,
         max_res = max(max_res, abs(e_now - e_prev + diss))
         e_prev = e_now
         while idx < len(schedule) and state.t >= schedule[idx] - 1e-9:
-            records.append(energy(state, grid, lambdas, delta1=delta1, R=R,
+            records.append(energy(state, grid, lambdas, w2=w2, R=R,
                                   dissipation_cum=diss_cum))
             snapshots.append(state)
             idx += 1
