@@ -128,15 +128,24 @@ _KINDS = {int: ("an integer", (int,)), float: ("a number", (int, float)),
           dict: ("an object", (dict,)), list: ("a list", (list,))}
 
 
+def _finite(x) -> bool:
+    """Whether a JSON number is a finite float; an integer whose ``float`` overflows is not."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def _check(kind, value, path: str):
     """``value``, if its type and each entry's (``dict[str, T]``, ``list[T]``) is exact
-    and a ``float`` is finite."""
+    and a ``float`` field's number is finite."""
     name, types = _KINDS[typing.get_origin(kind) or kind]
     if type(value) not in types:
         raise ConfigError(f"{path}: must be {name}, got {value!r}")
-    if type(value) is float and not math.isfinite(value):
+    if kind is float and not _finite(value):
         # JSON admits NaN and Infinity, and a NaN passes every `x <= 0` rule of ``validate``
-        raise ConfigError(f"{path}: must be a finite number, got {value!r}")
+        shown = repr(value) if type(value) is float else "an integer beyond the float range"
+        raise ConfigError(f"{path}: must be a finite number, got {shown}")
     if args := typing.get_args(kind):
         for key, entry in (value.items() if type(value) is dict else enumerate(value)):
             _check(args[-1], entry, f"{path}.{key}")
@@ -239,8 +248,7 @@ def validate(cfg: ExperimentConfig) -> None:
     for i, h in enumerate(cfg.scan.h_list):
         if not 0.0 < h <= 1.0:
             raise ConfigError(f"scan.h_list.{i}: semiclassical h must lie in (0, 1], got {h}")
-    if not (len(cfg.fit_window) == 2 and 1.0 <= cfg.fit_window[0] < cfg.fit_window[1]):
-        raise ConfigError(f"fit_window: need [t_min >= 1, t_max > t_min], got {cfg.fit_window}")
+    check_fit_window(cfg.fit_window, "fit_window")
     if cfg.local_radius <= 0:
         raise ConfigError(f"local_radius: must be positive, got {cfg.local_radius}")
     if cfg.local_radius > cfg.grid.X:
@@ -259,7 +267,7 @@ def load(path, overrides=()) -> ExperimentConfig:
     """Read a JSON config, apply ``--set``-style ``overrides``, build and validate."""
     try:
         data = json.loads(read_input(path))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # also an integer literal beyond Python's digit limit
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     return from_dict(apply_overrides(data, overrides))
 
@@ -282,10 +290,16 @@ def parse_scan_z(entries) -> list[complex]:
         parts = e if isinstance(e, (list, tuple)) and len(e) == 2 else [e]
         if not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in parts):
             raise ConfigError(f"scan.z_list.{i}: must be a number or an [re, im] pair, got {e!r}")
-        if not all(math.isfinite(p) for p in parts):
+        if not all(_finite(p) for p in parts):
             raise ConfigError(f"scan.z_list.{i}: must be finite, got {e!r}")
         out.append(complex(*parts))
     return out
+
+
+def check_fit_window(window, path: str) -> None:
+    """A fit window is [t_min >= 1, t_max > t_min]; a NaN fails both comparisons."""
+    if not (len(window) == 2 and 1.0 <= window[0] < window[1]):
+        raise ConfigError(f"{path}: need [t_min >= 1, t_max > t_min], got {list(window)}")
 
 
 def apply_overrides(data: dict, overrides: list[str]) -> dict:
@@ -296,7 +310,7 @@ def apply_overrides(data: dict, overrides: list[str]) -> dict:
         path, raw = item.split("=", 1)
         try:
             value = json.loads(raw)
-        except json.JSONDecodeError:
+        except ValueError:      # also an integer literal beyond Python's digit limit
             value = raw
         node = data
         keys = path.split(".")

@@ -12,10 +12,9 @@ with the form energy E = sum_k h (<(-D2 + lam_k) u_k, u_k> + ||v_k||^2),
 
 up to roundoff, which makes dissipation bookkeeping a hard invariant.  The
 modes do not couple, so every operation acts on a whole block of mode
-coefficients at once.  A state holds only the modes it evolves, and the
-eigenvalues passed alongside it name them; row 0 is mode 0.  A mode with no
-data stays exactly zero, so a caller evolves mode 0 and the modes that carry
-data.
+coefficients at once.  A state holds only the modes it evolves, with their
+eigenvalues; row 0 is mode 0.  A mode with no data stays exactly zero, so a
+caller evolves mode 0 and the modes that carry data.
 
 A step together with its identity check applies P = -D2 + lam_k twice:
 to v_n in the midpoint right-hand side, and to u_{n+1} in the check's form
@@ -45,18 +44,25 @@ FLAVORS = (WAVE_NEUMANN, WAVE_DIRICHLET, WAVE_EUCLIDEAN, KLEIN_GORDON)
 
 @dataclass(frozen=True)
 class WaveState:
-    """Mode-coefficient snapshot (u, v = du/dt) at time t."""
+    """Mode-coefficient snapshot (u, v = du/dt) at time t, sampled on ``grid``.
+
+    ``lambdas`` are the eigenvalues of its rows; row 0 is mode 0.
+    """
 
     t: float
+    grid: Grid1D
+    lambdas: np.ndarray = field(repr=False)  # (K,)
     modes: np.ndarray = field(repr=False)    # (K, N)
     vmodes: np.ndarray = field(repr=False)   # (K, N)
     flavor: str = WAVE_NEUMANN
 
     def __post_init__(self):
-        if self.modes.shape != self.vmodes.shape or self.modes.ndim != 2:
-            raise ValueError(
-                f"u and v coefficient grids must share a (K, N) shape, got "
-                f"{self.modes.shape} and {self.vmodes.shape}")
+        # a float array passes as itself, so ``replace`` keeps the very same array
+        object.__setattr__(self, "lambdas", np.asarray(self.lambdas, dtype=float))
+        shape = (len(self.lambdas), self.grid.N)
+        if self.modes.shape != shape or self.vmodes.shape != shape:
+            raise ValueError(f"u and v must have shape (eigenvalues, grid.N) = {shape}, got "
+                             f"{self.modes.shape} and {self.vmodes.shape}")
         if self.flavor not in FLAVORS:
             raise ValueError(f"unknown flavor {self.flavor!r}")
 
@@ -112,9 +118,9 @@ class Stepper:
 
     def step(self, state: WaveState):
         """Advance one dt.  Returns (new_state, dissipation_increment)."""
-        k_count = state.modes.shape[0]
-        if k_count != len(self.lambdas):
-            raise ValueError(f"state has {k_count} modes, stepper was built for {len(self.lambdas)}")
+        # a run's states carry the stepper's own array (``replace`` keeps it): an O(1) test
+        if state.lambdas is not self.lambdas and not np.array_equal(state.lambdas, self.lambdas):
+            raise ValueError(f"state has eigenvalues {state.lambdas}, the stepper {self.lambdas}")
         tau = self.tau
         u, v = state.modes, state.vmodes
         pu = self._pu[1] if self._pu[0] is u else _apply_p(self.lam_eff, self.grid, u)
@@ -151,8 +157,8 @@ def _form_energies(u: np.ndarray, pu: np.ndarray, v: np.ndarray, h: float) -> np
     return h * (np.vecdot(u, pu) + np.vecdot(v, v))
 
 
-def smooth_initial_data(modes: np.ndarray, vmodes: np.ndarray, lambdas: np.ndarray,
-                        damping: DampingProfile, k_applications: int):
+def smooth_initial_data(state: WaveState, damping: DampingProfile,
+                        k_applications: int) -> WaveState:
     """Apply the resolvent at z = i repeatedly to emulate extra regularity.
 
     Each application maps u to u' = (-D2 + lam + a + 1)^{-1} [(a+1) u + v],
@@ -162,25 +168,23 @@ def smooth_initial_data(modes: np.ndarray, vmodes: np.ndarray, lambdas: np.ndarr
     """
     if k_applications < 0:
         raise ValueError(f"need k >= 0 applications, got {k_applications}")
-    a = damping.samples
-    u = np.array(modes, dtype=float, copy=True)
-    v = np.array(vmodes, dtype=float, copy=True)
-    lam_eff = np.asarray(lambdas, dtype=float)[:, None]
-    factor = BandCholesky(damping.grid, lam_eff + a + 1.0 - damping.grid.laplacian.coeffs[0])
+    if state.grid != damping.grid:
+        raise ValueError(f"state is sampled on {state.grid}, the damping on {damping.grid}")
+    a, u, v = damping.samples, state.modes, state.vmodes
+    factor = BandCholesky(damping.grid, state.lambdas[:, None] + a + 1.0
+                          - damping.grid.laplacian.coeffs[0])
     for _ in range(k_applications):
         u = factor.solve((a + 1.0) * u + v)
         v = np.zeros_like(u)
-    return u, v
+    return replace(state, modes=u, vmodes=v)
 
 
-def energy(state: WaveState, grid: Grid1D, lambdas: np.ndarray,
-           w2: np.ndarray | float = 1.0, R: float | None = None,
+def energy(state: WaveState, w2: np.ndarray | float = 1.0, R: float | None = None,
            dissipation_cum: float = 0.0) -> EnergyRecord:
     """Assemble the energy record of a state at its time.
 
-    ``lambdas`` are the eigenvalues of the state's modes; row 0 is mode 0.
     ``w2`` is the squared weight of E_w, grad_w and dtu_w, formed once per run
-    as ``weight(grid, -delta1) ** 2``; the default 1.0 leaves them unweighted.
+    as ``weight(state.grid, -delta1) ** 2``; the default 1.0 leaves them unweighted.
     E_total is the form energy, summed over the modes of
     ``Stepper.mode_energies`` by the same expression, so it is bit for bit
     the quantity the identity check of ``run`` tracks.  E_local windows a
@@ -188,13 +192,14 @@ def energy(state: WaveState, grid: Grid1D, lambdas: np.ndarray,
     the full window there are no excluded nodes and the local energy
     coincides with E_total by construction.
     """
+    grid = state.grid
     if R is None:
         R = grid.X
     if R > grid.X:
         raise ValueError(f"local-energy radius R={R} exceeds the box X={grid.X}")
     h = grid.h
     u, v = state.modes, state.vmodes
-    lam_eff = np.asarray(lambdas, dtype=float)[:, None]
+    lam_eff = state.lambdas[:, None]
     per_mode = _form_energies(u, _apply_p(lam_eff, grid, u), v, h)
     e_total = float(np.sum(per_mode))
 
@@ -244,14 +249,12 @@ def geometric_schedule(t0: float, ratio: float, t_end: float) -> np.ndarray:
     return ts[ts <= t_end * (1 + 1e-12)]
 
 
-def run(state0: WaveState, lambdas: np.ndarray, damping: DampingProfile, dt: float,
-        t_end: float, t0: float = 1.0, sample_ratio: float = 1.1, delta1: float = 0.0,
+def run(state0: WaveState, damping: DampingProfile, dt: float, t_end: float,
+        t0: float = 1.0, sample_ratio: float = 1.1, delta1: float = 0.0,
         R: float | None = None,
         on_sample: Callable[[WaveState], None] | None = None) -> RunResult:
     """Evolve to t_end, sampling energies on a geometric schedule.
 
-    The state lives on the damping's grid, ``damping.grid``, and ``lambdas``
-    are the eigenvalues of its modes; row 0 is mode 0.
     Every step advances all rows of ``state0`` by one ``Stepper``.  At each
     schedule time the energy record is taken, and ``on_sample``, when given,
     receives the state; it receives ``state0`` first.  ``run`` keeps none of
@@ -260,17 +263,15 @@ def run(state0: WaveState, lambdas: np.ndarray, damping: DampingProfile, dt: flo
     per-step and cumulative residuals are returned for assertion by the
     caller.
     """
-    lambdas = np.asarray(lambdas, dtype=float)
-    if lambdas.shape != state0.modes.shape[:1]:
-        raise ValueError(f"state has {state0.modes.shape[0]} modes, got {lambdas.size} eigenvalues")
-    stepper = Stepper(lambdas, damping, dt)
+    if state0.grid != damping.grid:
+        raise ValueError(f"state is sampled on {state0.grid}, the damping on {damping.grid}")
+    stepper = Stepper(state0.lambdas, damping, dt)
     schedule = geometric_schedule(t0, sample_ratio, t_end)
     w2 = weight(damping.grid, -delta1) ** 2
     records = []
 
     def sample(state: WaveState, diss_cum: float) -> None:
-        records.append(energy(state, damping.grid, lambdas, w2=w2, R=R,
-                              dissipation_cum=diss_cum))
+        records.append(energy(state, w2=w2, R=R, dissipation_cum=diss_cum))
         if on_sample is not None:
             on_sample(state)
 
@@ -303,18 +304,17 @@ def powerlaw_envelope(grid: Grid1D, q: float, amplitude: float) -> np.ndarray:
     return amplitude * (1.0 + grid.xs ** 2) ** (-q / 2.0)
 
 
-def assemble_initial_state(grid: Grid1D, n_modes: int, envelope: np.ndarray,
+def assemble_initial_state(grid: Grid1D, lambdas: np.ndarray, envelope: np.ndarray,
                            u0_modes: dict[int, float], u1_modes: dict[int, float],
                            flavor: str = WAVE_NEUMANN) -> WaveState:
-    """Mode-mixed data u0 = sum_k c_k phi_k (x) envelope, likewise u1."""
-    modes = np.zeros((n_modes, grid.N))
-    vmodes = np.zeros((n_modes, grid.N))
-    for k, c in u0_modes.items():
-        if not 0 <= int(k) < n_modes:
-            raise ValueError(f"u0 mode index {k} outside 0..{n_modes - 1}")
-        modes[int(k)] = c * envelope
-    for k, c in u1_modes.items():
-        if not 0 <= int(k) < n_modes:
-            raise ValueError(f"u1 mode index {k} outside 0..{n_modes - 1}")
-        vmodes[int(k)] = c * envelope
-    return WaveState(t=0.0, modes=modes, vmodes=vmodes, flavor=flavor)
+    """Mode-mixed data u0 = sum_k c_k phi_k (x) envelope, likewise u1, on the
+    rows whose eigenvalues are ``lambdas``."""
+    n_modes = len(lambdas)
+    modes, vmodes = np.zeros((n_modes, grid.N)), np.zeros((n_modes, grid.N))
+    for name, rows, coeffs in (("u0", modes, u0_modes), ("u1", vmodes, u1_modes)):
+        for k, c in coeffs.items():
+            if not 0 <= int(k) < n_modes:
+                raise ValueError(f"{name} mode index {k} outside 0..{n_modes - 1}")
+            rows[int(k)] = c * envelope
+    return WaveState(t=0.0, grid=grid, lambdas=lambdas, modes=modes, vmodes=vmodes,
+                     flavor=flavor)

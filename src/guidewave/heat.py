@@ -105,7 +105,7 @@ COMPARE_COLUMNS = ("t", "norm_grad_diff", "norm_dt_diff", "norm_grad_v", "norm_d
                    "ratio_grad", "ratio_dt")
 
 
-def compare(state, heat: HeatSolution, lambdas: np.ndarray, yfactor: float,
+def compare(state, heat: HeatSolution, yfactor: float,
             w: np.ndarray | float = 1.0) -> dict[str, float] | None:
     """Difference norms between one wave state and the heat solution at its time.
 
@@ -114,16 +114,14 @@ def compare(state, heat: HeatSolution, lambdas: np.ndarray, yfactor: float,
     mode 0, the mean mode (lambda_0 = 0); the gradient difference includes
     the transverse part of u, which v lacks.  Norms are over the guide,
     weighted by ``w``, the samples of <x>^(-delta1) formed once per run as
-    ``weight(heat.grid, -delta1)`` (the default 1.0 leaves them unweighted),
-    on the grid of ``heat``, which the state must be sampled on.
+    ``weight(heat.grid, -delta1)`` (the default 1.0 leaves them unweighted).
     """
     grid = heat.grid
-    if state.modes.shape[1] != grid.N:
-        raise ValueError(f"state has {state.modes.shape[1]} nodes, the heat grid N={grid.N}")
+    if state.grid != grid:
+        raise ValueError(f"state is sampled on {state.grid}, the heat solution on {grid}")
     if state.t <= 0.0:
         return None
     h = grid.h
-    lambdas = np.asarray(lambdas, dtype=float)
 
     def wsq(f):
         """Weighted squared norm along x, per mode for a (K, N) block."""
@@ -135,7 +133,7 @@ def compare(state, heat: HeatSolution, lambdas: np.ndarray, yfactor: float,
     du[0] -= yfactor * vx
     dv = state.vmodes.copy()
     dv[0] -= yfactor * vt
-    grad_diff = math.sqrt(float(np.sum(wsq(du) + lambdas * wsq(state.modes))))
+    grad_diff = math.sqrt(float(np.sum(wsq(du) + state.lambdas * wsq(state.modes))))
     dt_diff = math.sqrt(float(np.sum(wsq(dv))))
     norm_grad_v = yfactor * math.sqrt(wsq(vx))
     norm_dt_v = yfactor * math.sqrt(wsq(vt))

@@ -13,7 +13,6 @@ calling thread.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import os
@@ -23,8 +22,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__
-from .config import (INIT_FAMILIES, ExperimentConfig, canonical_json, config_hash,
-                     parse_scan_z, read_input)
+from .config import (INIT_FAMILIES, ExperimentConfig, canonical_json, check_fit_window,
+                     config_hash, parse_scan_z, read_input)
 from .discretize import DampingProfile, Grid1D, weight
 from .errors import ConfigError
 from .evolve import (KLEIN_GORDON, WAVE_DIRICHLET, WAVE_EUCLIDEAN, WAVE_NEUMANN,
@@ -160,17 +159,17 @@ def evolved_modes(cfg: ExperimentConfig) -> np.ndarray:
     return np.array(sorted(named | {0}))
 
 
-def build_initial_state(cfg: ExperimentConfig, lambdas, damping: DampingProfile):
-    """The initial state on ``damping.grid`` and the ``evolved_modes``, eigenvalues ``lambdas``."""
+def build_initial_state(cfg: ExperimentConfig, damping: DampingProfile):
+    """The initial state on ``damping.grid`` and the ``evolved_modes``."""
     env = build_envelope(cfg, damping.grid)
-    row = {k: i for i, k in enumerate(evolved_modes(cfg))}
+    evolved = evolved_modes(cfg)
+    row = {k: i for i, k in enumerate(evolved)}
     u0 = {row[int(k)]: float(v) for k, v in cfg.init.u0_modes.items()}
     u1 = {row[int(k)]: float(v) for k, v in cfg.init.u1_modes.items()}
-    state = assemble_initial_state(damping.grid, len(row), env, u0, u1, flavor=cfg.flavor)
+    state = assemble_initial_state(damping.grid, build_basis(cfg)[0][evolved], env, u0, u1,
+                                   flavor=cfg.flavor)
     if cfg.init.smoothing_k > 0:
-        modes, vmodes = smooth_initial_data(state.modes, state.vmodes, lambdas, damping,
-                                            cfg.init.smoothing_k)
-        state = dataclasses.replace(state, modes=modes, vmodes=vmodes)
+        state = smooth_initial_data(state, damping, cfg.init.smoothing_k)
     return state
 
 
@@ -214,9 +213,8 @@ def _fit_entry(cfg: ExperimentConfig, series: str, model: str, t, y,
 def cmd_evolve(cfg: ExperimentConfig, out_base: str, on_sample=None) -> dict:
     """Evolve the config's initial state; ``on_sample`` is passed on to ``run``."""
     damping = build_damping(cfg)
-    lambdas = build_basis(cfg)[0][evolved_modes(cfg)]
-    state0 = build_initial_state(cfg, lambdas, damping)
-    result = run(state0, lambdas, damping, dt=cfg.time.dt, t_end=cfg.time.t_end,
+    state0 = build_initial_state(cfg, damping)
+    result = run(state0, damping, dt=cfg.time.dt, t_end=cfg.time.t_end,
                  t0=cfg.time.t0, sample_ratio=cfg.time.sample_ratio,
                  delta1=cfg.weight_spec().delta1, R=cfg.local_radius, on_sample=on_sample)
     series = result.series()
@@ -259,8 +257,7 @@ def cmd_heat_compare(cfg: ExperimentConfig, out_base: str) -> dict:
     if cfg.flavor not in (WAVE_NEUMANN, WAVE_EUCLIDEAN):
         raise ConfigError(f"flavor: heat comparison needs wave_neumann or wave_euclidean, got {cfg.flavor!r}")
     damping = build_damping(cfg)
-    lambdas, yfactor = build_basis(cfg)
-    lambdas = lambdas[evolved_modes(cfg)]
+    yfactor = build_basis(cfg)[1]
     w = weight(damping.grid, -cfg.weight_spec().delta1)
     heat = None
     rows = []
@@ -272,7 +269,7 @@ def cmd_heat_compare(cfg: ExperimentConfig, out_base: str) -> dict:
         if heat is None:
             heat = HeatSolution(grid=damping.grid, w0=p0_heat_data(
                 state.modes, state.vmodes, damping.samples, yfactor))
-        rows.append(compare(state, heat, lambdas, yfactor, w=w))
+        rows.append(compare(state, heat, yfactor, w=w))
 
     evolved = cmd_evolve(cfg, out_base, on_sample=on_sample)
     table = comparison_table(rows)
@@ -404,13 +401,11 @@ def cmd_fit(csv_path: str, column: str, model: str, window: tuple[float, float],
         raise ConfigError(f"{csv_path}: no column {column!r} (have {sorted(data)})")
     if "t" not in data:
         raise ConfigError(f"{csv_path}: no t column")
+    check_fit_window(window, "--window")
     fitter = fit_power if model == "power" else fit_exponential
     f = fitter(data["t"], data[column], window=window, predicted=predicted)
-    report = {"experiment_id": os.path.basename(csv_path), "series": column,
-              "model": f.model, "exponent": f.exponent, "stderr": f.stderr,
-              "predicted": predicted, "verdict": f.verdict(),
-              "window": list(f.window), "curvature": f.curvature,
-              "artifact_version": __version__}
+    report = _fit_record(column, f, f.verdict(), experiment_id=os.path.basename(csv_path),
+                         artifact_version=__version__)
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if out_path:
         atomic_write(out_path, text)

@@ -248,7 +248,7 @@ def test_criterion_13_oracle_equivalence(rng=None):
     g = Grid1D(X=20.0, N=64)
     a = DampingProfile.build(g, "constant", level=1.0)
     u0 = gaussian_envelope(g, sigma=3.0, center=0.0, amplitude=1.0)
-    state = WaveState(t=0.0, modes=u0[None, :], vmodes=np.zeros((1, g.N)))
+    state = WaveState(t=0.0, grid=g, lambdas=[0.0], modes=u0[None, :], vmodes=np.zeros((1, g.N)))
     lap = dense_laplacian(g)
     n = g.N
     comp = np.zeros((2 * n, 2 * n))

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import guidewave.configs
+from guidewave import __version__
 from guidewave.cli import main
 from guidewave.config import (FIELD_TYPES, FLOAT_FIELDS, INTEGER_FIELDS, ExperimentConfig,
                               apply_overrides, canonical_json, config_hash, from_dict, load,
@@ -21,6 +22,7 @@ from guidewave.config import (FIELD_TYPES, FLOAT_FIELDS, INTEGER_FIELDS, Experim
 from guidewave.discretize import WeightSpec
 from guidewave.errors import ConfigError
 from guidewave.evolve import gaussian_envelope, powerlaw_envelope
+from guidewave.fit import fit_power
 from guidewave.pipeline import (build_damping, build_envelope, build_grid, cmd_resolvent,
                                 max_threads, read_csv)
 from guidewave.resolvent import norm_scan
@@ -509,6 +511,55 @@ class TestCli:
         csv.write_text("t,y\n" + "\n".join(f"{t},0.0" for t in range(1, 40)) + "\n")
         code = main(["fit", str(csv), "--column", "y", "--window", "1", "40"])
         assert code == 3
+
+    @pytest.mark.parametrize("window", [("0.5", "10"), ("5", "2"), ("nan", "10")])
+    def test_fit_window_follows_the_config_rule(self, tmp_path, capsys, window):
+        # the config's fit_window rule, t_min >= 1 and t_max > t_min: these exited 3
+        csv = tmp_path / "decay.csv"
+        csv.write_text("t,y\n" + "\n".join(f"{t},{1.0 / t}" for t in range(1, 40)) + "\n")
+        assert main(["fit", str(csv), "--column", "y", "--window", *window]) == 2
+        assert "--window" in capsys.readouterr().err
+
+    def test_fit_report_is_the_fit_record(self, tmp_path):
+        # the report is _fit_record's fields plus the file name and the version, in the
+        # bytes of the report that listed those fields by hand; t_max = inf is allowed
+        ts = np.arange(1.0, 60.0)
+        ys = ts ** -0.7 * (1.0 + 0.01 * np.sin(ts))
+        csv = tmp_path / "decay.csv"
+        csv.write_text("t,y\n" + "".join(f"{t!r},{y!r}\n" for t, y in zip(ts.tolist(), ys.tolist())))
+        out = tmp_path / "fit.json"
+        assert main(["fit", str(csv), "--column", "y", "--window", "2", "inf",
+                     "--predicted", "-0.5", "--out", str(out)]) == 0
+        f = fit_power(ts, ys, window=(2.0, math.inf), predicted=-0.5)
+        expected = {"experiment_id": "decay.csv", "series": "y", "model": f.model,
+                    "exponent": f.exponent, "stderr": f.stderr, "predicted": -0.5,
+                    "verdict": f.verdict(), "window": list(f.window),
+                    "curvature": f.curvature, "artifact_version": __version__}
+        assert out.read_text() == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("override, path", [("grid.X={big}", "grid.X"),
+                                                ("scan.z_list=[{big}]", "scan.z_list.0"),
+                                                ("fit_window=[2.0, {big}]", "fit_window.1")])
+    def test_integers_beyond_the_float_range_are_config_errors(self, tmp_path, capsys,
+                                                               override, path):
+        # JSON integers have no size limit; these exited 3 or ran under a new hash
+        big = 10 ** 400
+        assert main(["resolvent-scan", str(CONFIG_DIR / "highfreq_a1.json"), "--set",
+                     override.format(big=big), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: must be " in err and "finite" in err
+
+    def test_integer_literals_beyond_the_digit_limit_are_config_errors(self, tmp_path, capsys):
+        # Python parses at most 4300 digits of an integer literal; json.loads raises
+        # ValueError, not JSONDecodeError, beyond that, which exited 3
+        digits = "1" + "0" * 5000
+        cfgp = tmp_path / "big.json"
+        cfgp.write_text('{"grid": {"X": ' + digits + "}}")
+        assert main(["evolve", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+        assert "invalid JSON" in capsys.readouterr().err
+        assert main(["evolve", str(CONFIG_DIR / "conservative_a0.json"), "--set",
+                     f"time.dt={digits}", "--out", str(tmp_path / "o")]) == 2
+        assert "time.dt: must be a number" in capsys.readouterr().err
 
     def test_plot_svg_deterministic_and_errors(self, tmp_path):
         cfgp = write_tiny(tmp_path)

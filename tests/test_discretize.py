@@ -343,6 +343,14 @@ def test_no_function_takes_both_grid_and_damping():
     assert [where for where, names in _functions() if {"grid", "damping"} <= names] == []
 
 
+@pytest.mark.parametrize("state", ["state", "state0"])
+def test_no_function_takes_a_state_beside_its_grid_or_eigenvalues(state):
+    # a wave state carries its grid and the eigenvalues of its rows,
+    # WaveState.grid and WaveState.lambdas, checked once as it is built
+    assert [where for where, names in _functions()
+            if state in names and names & {"grid", "lambdas"}] == []
+
+
 def test_no_function_takes_both_grid_and_heat():
     # a heat solution carries the grid it is sampled on, HeatSolution.grid
     assert [where for where, names in _functions() if {"grid", "heat"} <= names] == []

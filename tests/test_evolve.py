@@ -48,7 +48,7 @@ def test_stacked_step_matches_per_mode_reference(k_count, n, kind, level, order,
                              level=level if kind == "constant" else 1.0)
     lambdas = np.sort(rng.uniform(0.0, 20.0, k_count)) + mass ** 2
     stepper = Stepper(lambdas, a, dt=dt)
-    state = WaveState(t=0.0, modes=rng.standard_normal((k_count, n)),
+    state = WaveState(t=0.0, grid=g, lambdas=lambdas, modes=rng.standard_normal((k_count, n)),
                       vmodes=rng.standard_normal((k_count, n)))
     for _ in range(3):
         ref_u, ref_v, ref_diss = reference_step(stepper, state)
@@ -64,14 +64,13 @@ def test_stacked_step_matches_per_mode_reference(k_count, n, kind, level, order,
         state = new
 
 
-def reference_run(state0, lambdas, damping, dt, t_end, t0, sample_ratio, delta1, R):
+def reference_run(state0, damping, dt, t_end, t0, sample_ratio, delta1, R):
     """``run`` as a plain loop of ``Stepper`` steps and ``energy`` records."""
-    grid = damping.grid
-    stepper = Stepper(lambdas, damping, dt)
+    stepper = Stepper(state0.lambdas, damping, dt)
     schedule = geometric_schedule(t0, sample_ratio, t_end)
     state, diss_cum, max_res, idx = state0, 0.0, 0.0, 0
-    w2 = weight(grid, -delta1) ** 2
-    records = [energy(state0, grid, lambdas, w2=w2, R=R)]
+    w2 = weight(damping.grid, -delta1) ** 2
+    records = [energy(state0, w2=w2, R=R)]
     snapshots = [state0]
     e0 = e_prev = float(np.sum(stepper.mode_energies(state0)))
     for _ in range(int(round(t_end / dt))):
@@ -81,8 +80,7 @@ def reference_run(state0, lambdas, damping, dt, t_end, t0, sample_ratio, delta1,
         max_res = max(max_res, abs(e_now - e_prev + diss))
         e_prev = e_now
         while idx < len(schedule) and state.t >= schedule[idx] - 1e-9:
-            records.append(energy(state, grid, lambdas, w2=w2, R=R,
-                                  dissipation_cum=diss_cum))
+            records.append(energy(state, w2=w2, R=R, dissipation_cum=diss_cum))
             snapshots.append(state)
             idx += 1
     return records, snapshots, max_res, abs(e_prev - e0 + diss_cum)
@@ -110,15 +108,15 @@ def test_compact_run_matches_full_block_reference(k_count, n, flavor, kind, leve
     modes, vmodes = np.zeros((k_count, n)), np.zeros((k_count, n))
     modes[sorted(u_rows)] = rng.standard_normal((len(u_rows), n))
     vmodes[sorted(v_rows)] = rng.standard_normal((len(v_rows), n))
-    full = WaveState(t=0.0, modes=modes, vmodes=vmodes, flavor=flavor)
+    full = WaveState(t=0.0, grid=g, lambdas=lambdas, modes=modes, vmodes=vmodes, flavor=flavor)
     rows = sorted({0} | u_rows | v_rows)
-    compact = replace(full, modes=modes[rows], vmodes=vmodes[rows])
+    compact = replace(full, lambdas=lambdas[rows], modes=modes[rows], vmodes=vmodes[rows])
     kw = dict(dt=dt, t_end=12 * dt, t0=dt, sample_ratio=1.3, delta1=delta1,
               R=g.X / 2 if half_window else None)
 
     samples = []
-    result = run(compact, lambdas[rows], a, on_sample=samples.append, **kw)
-    records, snapshots, max_res, cum_res = reference_run(full, lambdas, a, **kw)
+    result = run(compact, a, on_sample=samples.append, **kw)
+    records, snapshots, max_res, cum_res = reference_run(full, a, **kw)
 
     # the compact block groups the sums of a record without the inert rows
     series = result.series()
@@ -174,7 +172,7 @@ def test_run_is_bit_identical_to_one_line_step(order, kind, mass, monkeypatch):
     a = DampingProfile.build(g, kind, rho=1.5, r=3.0)
     lambdas = np.array([0.0, 1.0, 4.0]) + mass ** 2
     rng = np.random.default_rng(order + 10 * int(mass))
-    state0 = WaveState(t=0.0, modes=rng.standard_normal((3, g.N)),
+    state0 = WaveState(t=0.0, grid=g, lambdas=lambdas, modes=rng.standard_normal((3, g.N)),
                        vmodes=rng.standard_normal((3, g.N)),
                        flavor=KLEIN_GORDON if mass else WAVE_NEUMANN)
     dt, t_end, t0, ratio = 0.1, 3.0, 0.1, 1.3
@@ -189,7 +187,7 @@ def test_run_is_bit_identical_to_one_line_step(order, kind, mass, monkeypatch):
 
     monkeypatch.setattr(BandedLaplacian, "apply", counted_apply)
     samples = []
-    result = run(state0, lambdas, a, dt=dt, t_end=t_end, t0=t0,
+    result = run(state0, a, dt=dt, t_end=t_end, t0=t0,
                  sample_ratio=ratio, on_sample=samples.append)
     monkeypatch.undo()
     # P u_0 for the identity baseline, P v_n and P u_{n+1} per step, one per record
@@ -198,12 +196,12 @@ def test_run_is_bit_identical_to_one_line_step(order, kind, mass, monkeypatch):
     stepper = Stepper(lambdas, a, dt)
     schedule = geometric_schedule(t0, ratio, t_end)
     state, diss_cum, idx = state0, 0.0, 0
-    records, snapshots = [energy(state0, g, lambdas)], [state0]
+    records, snapshots = [energy(state0)], [state0]
     for _ in range(n_steps):
         state, diss = one_line_step(stepper, state)
         diss_cum += diss
         while idx < len(schedule) and state.t >= schedule[idx] - 1e-9:
-            records.append(energy(state, g, lambdas, dissipation_cum=diss_cum))
+            records.append(energy(state, dissipation_cum=diss_cum))
             snapshots.append(state)
             idx += 1
 
@@ -224,9 +222,9 @@ def test_step_bits_do_not_depend_on_the_energy_check():
     rng = np.random.default_rng(5)
     checked = Stepper(lambdas, a, dt=0.2)
     unchecked = Stepper(lambdas, a, dt=0.2)
-    other = WaveState(t=0.0, modes=rng.standard_normal((2, g.N)),
+    other = WaveState(t=0.0, grid=g, lambdas=lambdas, modes=rng.standard_normal((2, g.N)),
                       vmodes=rng.standard_normal((2, g.N)))
-    state = WaveState(t=0.0, modes=rng.standard_normal((2, g.N)),
+    state = WaveState(t=0.0, grid=g, lambdas=lambdas, modes=rng.standard_normal((2, g.N)),
                       vmodes=rng.standard_normal((2, g.N)))
     for n in range(6):
         # every other step, the last form energy was of another state
@@ -250,27 +248,26 @@ def test_step_rejects_non_finite_data(level, field, bad, checked):
     rng = np.random.default_rng(0)
     data = {"modes": rng.standard_normal((2, g.N)), "vmodes": rng.standard_normal((2, g.N))}
     data[field][1, 7] = bad
-    state = WaveState(t=0.0, **data)
+    state = WaveState(t=0.0, grid=g, lambdas=stepper.lambdas, **data)
     with np.errstate(all="ignore"), pytest.raises(SolveError):
         if checked:     # the step then takes P u from the form energy
             stepper.mode_energies(state)
         stepper.step(state)
 
 
-def make_state(grid, n_modes=2, u0=None, u1=None, **kw):
+def make_state(grid, lambdas=(0.0, 1.0), u0=None, u1=None, **kw):
     env = gaussian_envelope(grid, sigma=3.0, center=0.0, amplitude=1.0)
     if u0 is None:
         u0 = {0: 1.0, 1: 0.5}
     if u1 is None:
         u1 = {0: 0.3}
-    return assemble_initial_state(grid, n_modes, env, u0, u1, **kw)
+    return assemble_initial_state(grid, np.array(lambdas), env, u0, u1, **kw)
 
 
 def test_conservative_run_holds_energy(grid40):
     a0 = DampingProfile.build(grid40, "constant", level=0.0)
-    lambdas = np.array([0.0, 1.0])
     state = make_state(grid40)
-    stepper = Stepper(lambdas, a0, dt=0.05)
+    stepper = Stepper(state.lambdas, a0, dt=0.05)
     e0 = stepper.mode_energies(state).sum()
     for _ in range(2000):
         state, diss = stepper.step(state)
@@ -279,9 +276,8 @@ def test_conservative_run_holds_energy(grid40):
 
 
 def test_energy_identity_exact_per_step(grid40, damping_const):
-    lambdas = np.array([0.0, 1.0, 4.0])
-    state = make_state(grid40, n_modes=3, u0={0: 1.0, 2: 0.4}, u1={1: 0.2})
-    result = run(state, lambdas, damping_const, dt=0.05, t_end=30.0)
+    state = make_state(grid40, [0.0, 1.0, 4.0], u0={0: 1.0, 2: 0.4}, u1={1: 0.2})
+    result = run(state, damping_const, dt=0.05, t_end=30.0)
     assert result.identity_max_step_residual <= 1e-12 * result.E0
     assert result.identity_cumulative_residual <= 1e-10 * result.E0
     e = [r.E_total for r in result.records]
@@ -290,9 +286,8 @@ def test_energy_identity_exact_per_step(grid40, damping_const):
 
 def test_contraction_for_any_damping(grid40):
     lr = DampingProfile.build(grid40, "longrange", rho=1.5)
-    lambdas = np.array([0.0])
-    state = make_state(grid40, n_modes=1, u0={0: 1.0}, u1={})
-    result = run(state, lambdas, lr, dt=0.1, t_end=20.0)
+    state = make_state(grid40, [0.0], u0={0: 1.0}, u1={})
+    result = run(state, lr, dt=0.1, t_end=20.0)
     norms = [r.E_total for r in result.records]
     assert norms[-1] <= norms[0]
 
@@ -301,7 +296,7 @@ def test_matches_dense_exponential_oracle():
     g = Grid1D(X=20.0, N=64)
     a = DampingProfile.build(g, "constant", level=1.0)
     u0 = gaussian_envelope(g, sigma=3.0, center=0.0, amplitude=1.0)
-    state = WaveState(t=0.0, modes=u0[None, :], vmodes=np.zeros((1, g.N)))
+    state = WaveState(t=0.0, grid=g, lambdas=[0.0], modes=u0[None, :], vmodes=np.zeros((1, g.N)))
     lap = dense_laplacian(g)
     n = g.N
     comp = np.zeros((2 * n, 2 * n))
@@ -346,7 +341,8 @@ def test_discrete_companion_roots_to_second_order():
     # and the stepper's actual action on the cap mode matches that 2x2 model
     dt = 0.02
     stepper = Stepper(np.array([0.0]), a, dt=dt)
-    state = WaveState(t=0.0, modes=mode[None, :], vmodes=np.zeros((1, g.N)))
+    state = WaveState(t=0.0, grid=g, lambdas=[0.0], modes=mode[None, :],
+                      vmodes=np.zeros((1, g.N)))
     s1, _ = stepper.step(state)
     b = np.array([[0.0, 1.0], [-nu, -1.0]])
     amp = np.linalg.solve(np.eye(2) - dt / 2 * b, np.eye(2) + dt / 2 * b)
@@ -360,31 +356,33 @@ def test_discrete_companion_roots_to_second_order():
 class TestEnergyRecord:
     def test_zero_state(self, grid40):
         lambdas = np.array([0.0, 1.0])
-        state = WaveState(t=0.0, modes=np.zeros((2, grid40.N)), vmodes=np.zeros((2, grid40.N)))
-        rec = energy(state, grid40, lambdas)
+        state = WaveState(t=0.0, grid=grid40, lambdas=lambdas, modes=np.zeros((2, grid40.N)),
+                          vmodes=np.zeros((2, grid40.N)))
+        rec = energy(state)
         assert rec.E_total == 0.0 and rec.E_local == 0.0 and rec.grad_w == 0.0
 
     def test_mode1_energy_identity(self, grid40):
         # u = phi_1 (x) g, v = 0, L = pi: E = ||g'||^2 + ||g||^2
         lambdas = np.array([0.0, 1.0])
         g = gaussian_envelope(grid40, sigma=2.0, center=0.0, amplitude=1.0)
-        state = WaveState(t=0.0, modes=np.stack([np.zeros(grid40.N), g]),
-                          vmodes=np.zeros((2, grid40.N)))
-        rec = energy(state, grid40, lambdas)
+        state = WaveState(t=0.0, grid=grid40, lambdas=lambdas,
+                          modes=np.stack([np.zeros(grid40.N), g]), vmodes=np.zeros((2, grid40.N)))
+        rec = energy(state)
         dg = -grid40.xs / 4.0 * g
         expected = grid40.h * (np.sum(dg ** 2) + np.sum(g ** 2))
         assert rec.E_total == pytest.approx(expected, rel=1e-6)
 
     def test_full_window_local_equals_total(self, grid40, rng):
         lambdas = np.array([0.0, 1.0])
-        state = WaveState(t=0.0, modes=rng.standard_normal((2, grid40.N)),
+        state = WaveState(t=0.0, grid=grid40, lambdas=lambdas,
+                          modes=rng.standard_normal((2, grid40.N)),
                           vmodes=rng.standard_normal((2, grid40.N)))
-        rec = energy(state, grid40, lambdas, R=grid40.X)
+        rec = energy(state, R=grid40.X)
         assert rec.E_local == rec.E_total
-        rec_half = energy(state, grid40, lambdas, R=grid40.X / 2)
+        rec_half = energy(state, R=grid40.X / 2)
         assert 0.0 < rec_half.E_local < rec.E_total
         with pytest.raises(ValueError):
-            energy(state, grid40, lambdas, R=2 * grid40.X)
+            energy(state, R=2 * grid40.X)
 
 
 @settings(max_examples=60, deadline=None)
@@ -397,25 +395,23 @@ def test_record_total_is_the_identity_energy(k_count, n, flavor, order, seed):
     a = DampingProfile.build(g, "hole", rho=1.5, r=3.0)
     mass = 1.3 if flavor == KLEIN_GORDON else 0.0
     lambdas = np.sort(rng.uniform(0.0, 20.0, k_count)) + mass ** 2
-    state0 = WaveState(t=0.0, modes=rng.standard_normal((k_count, n)),
+    state0 = WaveState(t=0.0, grid=g, lambdas=lambdas, modes=rng.standard_normal((k_count, n)),
                        vmodes=rng.standard_normal((k_count, n)), flavor=flavor)
     stepper = Stepper(lambdas, a, dt=0.1)
-    assert (energy(state0, g, lambdas).E_total
+    assert (energy(state0).E_total
             == float(np.sum(stepper.mode_energies(state0))))
 
 
 def test_mode0_data_keeps_p0perp_zero(grid40, damping_const):
-    lambdas = np.array([0.0, 1.0, 4.0])
-    state = make_state(grid40, n_modes=3, u0={0: 1.0}, u1={0: 0.5})
-    result = run(state, lambdas, damping_const, dt=0.1, t_end=20.0)
+    state = make_state(grid40, [0.0, 1.0, 4.0], u0={0: 1.0}, u1={0: 0.5})
+    result = run(state, damping_const, dt=0.1, t_end=20.0)
     assert all(r.E_p0perp == 0.0 for r in result.records)
     assert all(r.E_p0 == r.E_total for r in result.records)
 
 
 def test_cross_mode_leakage_is_zero(grid40, damping_const):
-    lambdas = np.array([0.0, 1.0, 4.0])
-    state = make_state(grid40, n_modes=3, u0={1: 1.0}, u1={})
-    stepper = Stepper(lambdas, damping_const, dt=0.1)
+    state = make_state(grid40, [0.0, 1.0, 4.0], u0={1: 1.0}, u1={})
+    stepper = Stepper(state.lambdas, damping_const, dt=0.1)
     for _ in range(50):
         state, _ = stepper.step(state)
     assert np.max(np.abs(state.modes[[0, 2]])) <= 1e-12
@@ -423,23 +419,22 @@ def test_cross_mode_leakage_is_zero(grid40, damping_const):
 
 
 def test_smoothing_stays_real_and_damps_gradients(grid40, damping_const, rng):
-    lambdas = np.array([0.0, 1.0])
     rough = rng.standard_normal((2, grid40.N))
-    state = WaveState(t=0.0, modes=rough, vmodes=np.zeros((2, grid40.N)))
-    m, v = smooth_initial_data(state.modes, state.vmodes, lambdas, damping_const, 2)
-    assert m.dtype == np.float64 and v.dtype == np.float64
-    raw = energy(state, grid40, lambdas).E_total
-    smoothed = energy(WaveState(t=0.0, modes=m, vmodes=v), grid40, lambdas).E_total
-    assert smoothed < 0.1 * raw
+    state = WaveState(t=0.0, grid=grid40, lambdas=[0.0, 1.0], modes=rough,
+                      vmodes=np.zeros((2, grid40.N)))
+    smoothed = smooth_initial_data(state, damping_const, 2)
+    assert smoothed.modes.dtype == np.float64 and smoothed.vmodes.dtype == np.float64
+    assert smoothed.lambdas is state.lambdas
+    assert energy(smoothed).E_total < 0.1 * energy(state).E_total
 
 
 def test_run_validates_inputs_without_data(grid40, damping_const):
     # a state without data is stepped like any other, after the same checks
-    state = make_state(grid40, n_modes=2, u0={}, u1={})
+    state = make_state(grid40, u0={}, u1={})
     with pytest.raises(ValueError, match="time step"):
-        run(state, np.array([0.0, 1.0]), damping_const, dt=0.0, t_end=1.0)
+        run(state, damping_const, dt=0.0, t_end=1.0)
     with pytest.raises(ValueError, match="eigenvalues"):
-        run(state, np.array([0.0]), damping_const, dt=0.1, t_end=1.0)
+        replace(state, lambdas=np.array([0.0]))
 
 
 def test_geometric_schedule():
@@ -462,11 +457,39 @@ def test_powerlaw_envelope_tail():
 def test_assemble_rejects_bad_mode_index(grid40):
     env = gaussian_envelope(grid40, sigma=4.0, center=0.0, amplitude=1.0)
     with pytest.raises(ValueError):
-        assemble_initial_state(grid40, 2, env, {5: 1.0}, {})
+        assemble_initial_state(grid40, np.array([0.0, 1.0]), env, {5: 1.0}, {})
 
 
 def test_state_shape_validation(grid40):
+    n, lambdas = grid40.N, np.array([0.0, 1.0])
     with pytest.raises(ValueError):
-        WaveState(t=0.0, modes=np.zeros((2, 10)), vmodes=np.zeros((3, 10)))
+        WaveState(t=0.0, grid=grid40, lambdas=lambdas, modes=np.zeros((2, n)),
+                  vmodes=np.zeros((3, n)))
     with pytest.raises(ValueError):
-        WaveState(t=0.0, modes=np.zeros((2, 10)), vmodes=np.zeros((2, 10)), flavor="maxwell")
+        WaveState(t=0.0, grid=grid40, lambdas=lambdas, modes=np.zeros((2, n)),
+                  vmodes=np.zeros((2, n)), flavor="maxwell")
+    # the rows are the eigenvalues' modes and the columns the grid's nodes
+    for shape in ((3, n), (2, n - 1)):
+        with pytest.raises(ValueError, match="eigenvalues, grid.N"):
+            WaveState(t=0.0, grid=grid40, lambdas=lambdas, modes=np.zeros(shape),
+                      vmodes=np.zeros(shape))
+
+
+def test_state_meets_a_damping_only_on_its_own_grid(grid40, damping_const):
+    # same N, another X: the node count agrees, the nodes do not
+    other = Grid1D(X=2 * grid40.X, N=grid40.N)
+    state = make_state(other)
+    with pytest.raises(ValueError, match="sampled on"):
+        run(state, damping_const, dt=0.1, t_end=1.0)
+    with pytest.raises(ValueError, match="sampled on"):
+        smooth_initial_data(state, damping_const, 1)
+
+
+def test_step_rejects_a_state_with_other_eigenvalues(grid40, damping_const):
+    state = make_state(grid40, [0.0, 1.0])
+    stepper = Stepper(np.array([0.0, 4.0]), damping_const, dt=0.1)
+    with pytest.raises(ValueError, match="eigenvalues"):
+        stepper.step(state)
+    # equal eigenvalues in another array are the same modes
+    new, _ = Stepper(np.array([0.0, 1.0]), damping_const, dt=0.1).step(state)
+    assert new.lambdas is state.lambdas

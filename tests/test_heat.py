@@ -164,7 +164,7 @@ class TestCompare:
             vmodes = np.zeros((len(lambdas), grid.N))
             modes[0] = yfactor * heat.value(t)
             vmodes[0] = yfactor * heat.dt(t)
-            snaps.append(WaveState(t=t, modes=modes, vmodes=vmodes))
+            snaps.append(WaveState(t=t, grid=grid, lambdas=lambdas, modes=modes, vmodes=vmodes))
         return snaps
 
     def test_identical_fields_give_zero(self):
@@ -174,7 +174,7 @@ class TestCompare:
         lambdas = np.array([0.0, 1.0])
         yfactor = math.sqrt(math.pi)
         snaps = self._snapshots_from_heat(grid, heat, lambdas, yfactor, [1.0, 4.0, 16.0])
-        table = comparison_table(compare(s, heat, lambdas, yfactor) for s in snaps)
+        table = comparison_table(compare(s, heat, yfactor) for s in snaps)
         # u is built from v itself; only the FD-vs-kernel gradient error remains
         assert np.max(table["norm_dt_diff"]) <= 1e-12
         assert np.max(table["norm_grad_diff"] / table["norm_grad_v"]) <= 1e-5
@@ -186,9 +186,8 @@ class TestCompare:
         g = np.exp(-grid.xs ** 2 / 4.0)
         modes = np.stack([np.zeros(grid.N), g])
         vmodes = np.stack([np.zeros(grid.N), 0.5 * g])
-        snaps = [WaveState(t=2.0, modes=modes, vmodes=vmodes)]
-        table = comparison_table(compare(s, heat, lambdas, math.sqrt(math.pi))
-                                 for s in snaps)
+        snaps = [WaveState(t=2.0, grid=grid, lambdas=lambdas, modes=modes, vmodes=vmodes)]
+        table = comparison_table(compare(s, heat, math.sqrt(math.pi)) for s in snaps)
         expected_dt = math.sqrt(grid.h * np.sum((0.5 * g) ** 2))
         assert table["norm_dt_diff"][0] == pytest.approx(expected_dt, rel=1e-12)
         assert np.isinf(table["ratio_dt"][0])
@@ -203,17 +202,20 @@ class TestCompare:
         assert np.allclose(w0, (np.cos(grid.xs) + 0.5) / yf)
 
     def test_reads_the_grid_of_the_heat_solution(self):
-        # the norms use heat.grid; a state sampled on another N is rejected
+        # the norms use heat.grid; a state sampled on another grid is rejected,
+        # also one with the same N and another X
         grid = Grid1D(X=20.0, N=128)
         heat = HeatSolution(grid=grid, w0=np.exp(-grid.xs ** 2))
-        state = WaveState(t=1.0, modes=np.zeros((1, 64)), vmodes=np.zeros((1, 64)))
-        with pytest.raises(ValueError, match="64 nodes"):
-            compare(state, heat, np.array([0.0]), 1.0)
+        for other in (Grid1D(X=20.0, N=64), Grid1D(X=40.0, N=128)):
+            state = WaveState(t=1.0, grid=other, lambdas=[0.0], modes=np.zeros((1, other.N)),
+                              vmodes=np.zeros((1, other.N)))
+            with pytest.raises(ValueError, match="sampled on"):
+                compare(state, heat, 1.0)
 
     def test_skips_t_zero(self):
         grid = Grid1D(X=20.0, N=128)
         heat = HeatSolution(grid=grid, w0=np.exp(-grid.xs ** 2))
-        snaps = [WaveState(t=0.0, modes=np.zeros((1, grid.N)), vmodes=np.zeros((1, grid.N))),
-                 WaveState(t=1.0, modes=np.zeros((1, grid.N)), vmodes=np.zeros((1, grid.N)))]
-        table = comparison_table(compare(s, heat, np.array([0.0]), 1.0) for s in snaps)
+        snaps = [WaveState(t=t, grid=grid, lambdas=[0.0], modes=np.zeros((1, grid.N)),
+                           vmodes=np.zeros((1, grid.N))) for t in (0.0, 1.0)]
+        table = comparison_table(compare(s, heat, 1.0) for s in snaps)
         assert table["t"].tolist() == [1.0]
