@@ -24,6 +24,12 @@ from .errors import ConfigError
 from .evolve import FLAVORS, KLEIN_GORDON, WAVE_DIRICHLET, WAVE_NEUMANN
 
 DAMPING_KINDS = ("constant", "longrange", "hole")
+#: The input budget: a run keeps about one complex vector of grid.N nodes, 16
+#: bytes a node, per transverse mode (an evolved state's rows, a real-axis scan's
+#: band factors).  N <= 2**20 (16 MiB a vector) and K * N <= 2**24 (256 MiB), so
+#: a typo of a few digits fails at load, not after filling the memory.
+MAX_NODES = 2 ** 20
+MAX_MODE_NODES = 2 ** 24
 #: envelope family -> the parameters it takes, with their defaults
 INIT_FAMILIES = {"gaussian": {"sigma": 4.0, "center": 0.0, "amplitude": 1.0},
                  "powerlaw": {"q": 0.5, "amplitude": 1.0}}
@@ -183,10 +189,11 @@ def validate(cfg: ExperimentConfig) -> None:
                           f"other, got {cfg.mass} for {cfg.flavor!r}")
     if cfg.domain.L <= 0:
         raise ConfigError(f"domain.L: must be positive, got {cfg.domain.L}")
-    if cfg.domain.K < 1:
-        raise ConfigError(f"domain.K: need at least one mode, got {cfg.domain.K}")
-    if cfg.grid.N < 16:
-        raise ConfigError(f"grid.N: need N >= 16, got {cfg.grid.N}")
+    if not 16 <= cfg.grid.N <= MAX_NODES:
+        raise ConfigError(f"grid.N: need 16 <= N <= {MAX_NODES}, got {cfg.grid.N}")
+    if not 1 <= cfg.domain.K <= MAX_MODE_NODES // cfg.grid.N:
+        raise ConfigError(f"domain.K: need 1 <= K <= {MAX_MODE_NODES} / grid.N = "
+                          f"{MAX_MODE_NODES // cfg.grid.N}, got {cfg.domain.K}")
     if cfg.grid.X <= 0:
         raise ConfigError(f"grid.X: must be positive, got {cfg.grid.X}")
     if cfg.grid.order not in (2, 4):
@@ -253,6 +260,10 @@ def validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"local_radius: must be positive, got {cfg.local_radius}")
     if cfg.local_radius > cfg.grid.X:
         raise ConfigError(f"local_radius: {cfg.local_radius} exceeds grid.X={cfg.grid.X}")
+    if cfg.seed < 0:
+        # a scan keys its start vectors by [seed, point, mode, block], and numpy
+        # takes only non-negative integers as a key
+        raise ConfigError(f"seed: must be >= 0, got {cfg.seed}")
 
 
 def canonical_json(cfg: ExperimentConfig) -> str:

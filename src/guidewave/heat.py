@@ -164,7 +164,7 @@ def heat_weighted_norm(t: float, beta: int | str, s: float, s1: float, s2: float
     Toeplitz matrix K(x_i - x_j), by complex circular convolution with the
     ``_circulant_kernel`` at ``_convolution_length(n)``; the kernel is real, so
     the adjoint T^T convolves with the conjugate transform.  The top singular
-    value is a Lanczos estimate from a fixed seeded start vector.
+    value is a Lanczos estimate from the start vector of key 0.
     """
     if beta == "lap":
         derivative = "lap"
@@ -207,5 +207,5 @@ def heat_weighted_norm(t: float, beta: int | str, s: float, s1: float, s2: float
     def apply_adjoint(y):
         return hw * wr * ifft(kern_f_adj * fft(wl * y, n=length))[:n]
 
-    sigma, _ = resolvent.iterative_norm(apply_op, apply_adjoint, n, np.random.default_rng(0))
+    sigma, _ = resolvent.iterative_norm(apply_op, apply_adjoint, n, 0)
     return sigma

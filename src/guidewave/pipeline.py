@@ -4,11 +4,11 @@ Every output file embeds the artifact version and the config hash; writes are
 atomic (temp file + rename).  The high-frequency, real-axis and semiclassical
 scans hand their (point, mode) Lanczos tasks to a pool of GUIDEWAVE_THREADS
 threads as two batches (``scan_modes``): each point's modes of largest bound,
-then every other mode whose bound reaches the max those found.  Point i draws
-its start vectors from ``np.random.default_rng([seed, i])`` with the config's
-seed, and each task regenerates its own from a saved generator state, so
-results do not depend on the schedule.  The theta probe runs its tasks in the
-calling thread.
+then every other mode whose bound reaches the max those found.  Each task
+draws its start vector from ``np.random.default_rng(key)`` with the key
+[seed, point, mode, block], the config's seed first, so a start vector
+depends on its key alone and results do not depend on the schedule.  The
+theta probe runs its tasks in the calling thread.
 """
 
 from __future__ import annotations

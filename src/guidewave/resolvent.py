@@ -17,7 +17,8 @@ numerical-range bound (``mode_norm_bound``), then every other mode whose bound
 reaches the max those found.  The bound skips the rest, which cuts the
 elliptic tail lam_k > tau^2, and certifies every run; a point counts its runs
 (``modes_scanned``) and keeps the largest bound not run (``tail_bound``).
-Point i draws its start vectors from ``default_rng([seed, i])``, and each
+A run's start vector is drawn from ``default_rng(key)``, its key naming the
+run, [seed, point, mode, block] in every scan (``_start_vector``), and each
 reflection class {z, -conj z} is computed once.  The energy norm of the
 first-order operator uses the band Cholesky factor of -D2 + lam
 (``EnergyNormResolvent``) the same way.  The dense oracles for these norms
@@ -96,8 +97,12 @@ def power_iteration_norm(apply_op, apply_adjoint, n: int, rng: np.random.Generat
         f"power iteration did not converge in {maxit} steps (last rel change {res:.2e})")
 
 
-def _start_vector(rng: np.random.Generator, m: int) -> np.ndarray:
-    """Seeded complex Lanczos start vector: m real parts, then m imaginary parts."""
+def _start_vector(key, m: int) -> np.ndarray:
+    """The start vector of the run named ``key``, an integer or a list of them: m
+    real parts, then m imaginary parts, from ``np.random.default_rng(key)``.  numpy
+    pads a short key with zeros ([s, i] draws what [s, i, 0] draws), so the keys
+    of one scan all have one length."""
+    rng = np.random.default_rng(key)
     return rng.standard_normal(m) + 1j * rng.standard_normal(m)
 
 
@@ -162,13 +167,13 @@ def _lanczos_top(normal, v0: np.ndarray, rtol: float):
     return max(theta, 0.0), (residual / theta if theta > 0.0 else 0.0), converged
 
 
-def iterative_norm(apply_op, apply_adjoint, n: int, rng: np.random.Generator,
+def iterative_norm(apply_op, apply_adjoint, n: int, key,
                    tol: float = 1e-7, upper: float = math.inf) -> tuple[float, float]:
-    """Largest singular value, matrix-free, with a seeded start vector.
+    """Largest singular value, matrix-free, from the start vector of ``key``.
 
     ``n`` is the dimension of the domain of T, which may have more rows than
-    columns.  Lanczos runs on the normal operator N = T^*T from a start vector
-    drawn from ``rng``, and stops once its top Ritz pair (theta, y) has
+    columns.  Lanczos runs on the normal operator N = T^*T from
+    ``_start_vector(key, n)``, and stops once its top Ritz pair (theta, y) has
     ||N y - theta y|| <= tol**2 theta.
     So ``tol`` bounds the normal-operator residual relative to sigma^2 (the
     test ``svds(tol=tol)`` hands to ARPACK), and theta then lies within
@@ -182,7 +187,7 @@ def iterative_norm(apply_op, apply_adjoint, n: int, rng: np.random.Generator,
     output raises ``ConvergenceError``.
     """
     theta, residual, converged = _lanczos_top(lambda x: apply_adjoint(apply_op(x)),
-                                              _start_vector(rng, n), tol * tol)
+                                              _start_vector(key, n), tol * tol)
     sigma = math.sqrt(theta)
     if not (converged or sigma >= (1.0 - tol) * upper):
         raise ConvergenceError(
@@ -248,29 +253,12 @@ def _mode_bounds(z: complex, a: np.ndarray, beta_sum: int):
 
 
 def _mode_sobolev_norm(op: ShiftedOperator, scaler: SobolevScaler, beta1: int, beta2: int,
-                       rng: np.random.Generator, upper: float = math.inf):
-    """||M^{beta1/2} R M^{beta2/2}|| of the mode solve R, M = 1 - D2, certified by
-    ``upper`` at the step budget."""
+                       key, upper: float = math.inf):
+    """||M^{beta1/2} R M^{beta2/2}|| of the mode solve R, M = 1 - D2, from the start
+    vector of ``key``, certified by ``upper`` at the step budget."""
     return iterative_norm(lambda c: scaler.apply(op.solve, c, beta1, beta2),
                           lambda c: scaler.apply(op.solve_adjoint, c, beta2, beta1),
-                          op.grid.N, rng, upper=upper)
-
-
-def _start_states(rng: np.random.Generator, sizes) -> list[dict]:
-    """The bit-generator state before each of the start vectors of these sizes,
-    drawn in order and dropped; ``rng`` is left after the last one."""
-    states = []
-    for m in sizes:
-        states.append(rng.bit_generator.state)
-        _start_vector(rng, m)
-    return states
-
-
-def _generator(state: dict) -> np.random.Generator:
-    """A generator that draws what the one whose state was saved drew next."""
-    bit_generator = getattr(np.random, state["bit_generator"])()
-    bit_generator.state = state
-    return np.random.Generator(bit_generator)
+                          op.grid.N, key, upper=upper)
 
 
 def reflection_classes(zs) -> list[int]:
@@ -303,7 +291,7 @@ def scan_modes(zs, lambdas, bounds, run, *, rep=None, map=map) -> list[ModeMax]:
 
     ``bounds[i][k]`` bounds every block of mode k at point zs[i] (inf when
     nothing does); ``run(i, k)`` runs them, one (sigma, residual) per block,
-    from start vectors that depend on (i, k) only, never on when they run.
+    from start vectors keyed by (i, k) and the block, never by when they run.
     Batch 1 is every point's modes whose bound is the point's largest: every
     propagating mode, lam <= Re z^2 (lam including any mass^2), whose bound is
     1/s for the L^2 pair and inf for a Sobolev pair; the points with the most
@@ -358,14 +346,14 @@ def norm_scan(z_list, beta1: int, beta2: int, damping: DampingProfile, lambdas, 
     ``tail_bound`` is the largest bound among the modes not run (0 when every
     mode is run).  Each reflection class {z, -conj z} is computed once.
 
-    Point i draws from ``np.random.default_rng([seed, i])`` the start vector of
-    every mode, run or not, and then the guard's, so the result equals that
-    of a scan of every mode in the given order, bit for bit, however the runs
-    are scheduled.
+    The run of mode k at point i starts from the vector of key
+    [seed, i, k, 0], so the result equals that of a scan of every mode in the
+    given order, bit for bit, however the runs are scheduled.
 
     With ``truncation_guard`` every point is recomputed on a 1.5X box, with
     the damping rebuilt on it and that box's bound, and flagged
     "truncation-limited" when the norm moves by more than ``TRUNCATION_GUARD_RTOL``.
+    The guard reruns the argmax mode k alone, from key [seed, i, k, 1].
     """
     if beta1 not in (0, 1) or beta2 not in (0, 1):
         raise ValueError(f"Sobolev indices must lie in {{0,1}}, got beta1={beta1}, beta2={beta2}")
@@ -373,20 +361,17 @@ def norm_scan(z_list, beta1: int, beta2: int, damping: DampingProfile, lambdas, 
     lambdas = np.asarray(lambdas, dtype=float)
     grid = damping.grid
     scaler = SobolevScaler(grid)
-    draws = [grid.N] * len(lambdas)
     if truncation_guard:
         damping2 = DampingProfile.build(grid.refine(1.5), kind=damping.kind, rho=damping.rho,
                                         r=damping.r, level=damping.level)
         scaler2 = SobolevScaler(damping2.grid)
-        draws.append(damping2.grid.N)
     rep = reflection_classes(zs)
-    states = {i: _start_states(np.random.default_rng([seed, i]), draws) for i in set(rep)}
     bounds = [[_mode_bounds(z, damping.samples, beta1 + beta2)(lam)
                for lam in lambdas] for z in zs]
 
     def run(i, k):
         op = mode_operator(lambdas[k], damping, zs[i])
-        return [_mode_sobolev_norm(op, scaler, beta1, beta2, _generator(states[i][k]),
+        return [_mode_sobolev_norm(op, scaler, beta1, beta2, [seed, i, k, 0],
                                    upper=bounds[i][k])]
 
     maxima = scan_modes(zs, lambdas, bounds, run, rep=rep, map=map)
@@ -395,7 +380,7 @@ def norm_scan(z_list, beta1: int, beta2: int, damping: DampingProfile, lambdas, 
         best, _, k = maxima[i].best[0]
         upper2 = _mode_bounds(zs[i], damping2.samples, beta1 + beta2)(lambdas[k])
         op2 = mode_operator(lambdas[k], damping2, zs[i])
-        sigma2, _ = _mode_sobolev_norm(op2, scaler2, beta1, beta2, _generator(states[i][-1]),
+        sigma2, _ = _mode_sobolev_norm(op2, scaler2, beta1, beta2, [seed, i, k, 1],
                                        upper=upper2)
         return abs(sigma2 - best) > TRUNCATION_GUARD_RTOL * best
 
@@ -460,7 +445,8 @@ class EnergyNormResolvent:
         self._chol = BandCholesky(grid, np.full(grid.N, self.lam - grid.laplacian.coeffs[0]),
                                   dtype=complex)
 
-    def op_norm(self, z: complex, rng: np.random.Generator) -> float:
+    def op_norm(self, z: complex, key) -> float:
+        """The energy norm of the block resolvent at z, from the start vector of ``key``."""
         n = self.damping.grid.N
         chol = self._chol
         block = WaveBlockResolvent(z, self.damping, self.lam)
@@ -473,7 +459,7 @@ class EnergyNormResolvent:
             w1, w2 = block.apply_adjoint(chol.mul(x[:n], transpose=True), x[n:])
             return np.concatenate([chol.solve_triangular(w1, transpose=True), w2])
 
-        sigma, _ = iterative_norm(apply_op, apply_adj, 2 * n, rng)
+        sigma, _ = iterative_norm(apply_op, apply_adj, 2 * n, key)
         return sigma
 
 
@@ -482,17 +468,15 @@ def energy_norm_scan(taus, damping: DampingProfile, lambdas, *, seed: int, map=m
 
     One ``scan_modes`` task per (tau, mode) on ``map``, none skipped (no bound
     is known yet); each reflection pair {tau, -tau} is computed once, at
-    tau >= 0.  Point i draws one start vector per mode from
-    ``np.random.default_rng([seed, i])``.
+    tau >= 0.  The run of mode k at point i starts from the vector of key
+    [seed, i, k, 0].
     """
     taus = [float(t) for t in taus]
     helpers = [EnergyNormResolvent(lam, damping) for lam in lambdas]
     rep = reflection_classes(taus)
-    states = {i: _start_states(np.random.default_rng([seed, i]),
-                               [2 * damping.grid.N] * len(helpers)) for i in set(rep)}
 
     def run(i, k):
-        return [(helpers[k].op_norm(taus[i], _generator(states[i][k])), 0.0)]
+        return [(helpers[k].op_norm(taus[i], [seed, i, k, 0]), 0.0)]
 
     maxima = scan_modes(taus, lambdas, [[math.inf] * len(helpers)] * len(taus), run,
                         rep=rep, map=map)
@@ -556,9 +540,9 @@ def theta_probe(z_list, damping: DampingProfile, lambdas, delta1: float, delta2:
     Lanczos estimate, and the norm over the guide is the max over every mode
     of ``lambdas``, one ``scan_modes`` task per (z, mode).
     ``structure_residual`` checks row 2 = z row 1 of the heat-model
-    blocks on a seeded probe vector.  One ``np.random.default_rng(seed)``
-    draws, per z in order, the probe and then the start vectors of the modes'
-    blocks in order.  Requires Im z > 0 and |z| <= 1.
+    blocks on a probe vector.  Block j of mode k at z_i starts from the
+    vector of key [seed, i, k, j], and z_i's probe is the vector of key
+    [seed, i, 0, 0].  Requires Im z > 0 and |z| <= 1.
     """
     zs = [complex(z) for z in z_list]
     lambdas = np.asarray(lambdas, dtype=float)
@@ -566,15 +550,13 @@ def theta_probe(z_list, damping: DampingProfile, lambdas, delta1: float, delta2:
     n = grid.N
     wl = weight(grid, -delta1)
     wr = weight(grid, -delta2)
-    rng = np.random.default_rng(seed)
-    residuals, states = [], []
-    for z in zs:
+    residuals = []
+    for i, z in enumerate(zs):
         if z.imag <= 0 or abs(z) > 1 + 1e-12:
             raise ValueError(f"theta probe needs Im z > 0 and |z| <= 1, got z={z}")
-        probe = _start_vector(rng, n)
         residuals.append(heat_structure_residual(heat_model_operator(grid, z),
-                                                 theta_blocks(z, damping.samples), probe))
-        states.append(_start_states(rng, [n] * (4 * len(lambdas))))
+                                                 theta_blocks(z, damping.samples),
+                                                 _start_vector([seed, i, 0, 0], n)))
 
     def run(i, k):
         z, lam = zs[i], float(lambdas[k])
@@ -585,8 +567,7 @@ def theta_probe(z_list, damping: DampingProfile, lambdas, delta1: float, delta2:
             t, t_adj = _difference_block(op, heat, p, c, q)
             apply_op, apply_adj = _weighted(t, t_adj, wl, wr, grid,
                                             math.sqrt(lam) if j <= 2 else None)
-            runs.append(iterative_norm(apply_op, apply_adj, n,
-                                       _generator(states[i][4 * k + j - 1])))
+            runs.append(iterative_norm(apply_op, apply_adj, n, [seed, i, k, j]))
         return runs
 
     bounds = [[math.inf] * len(lambdas)] * len(zs)

@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 import guidewave.configs
 from guidewave import __version__
 from guidewave.cli import main
-from guidewave.config import (FIELD_TYPES, FLOAT_FIELDS, INTEGER_FIELDS, ExperimentConfig,
-                              apply_overrides, canonical_json, config_hash, from_dict, load,
-                              parse_scan_z)
+from guidewave.config import (FIELD_TYPES, FLOAT_FIELDS, INTEGER_FIELDS, MAX_MODE_NODES,
+                              MAX_NODES, ExperimentConfig, apply_overrides, canonical_json,
+                              config_hash, from_dict, load, parse_scan_z)
 from guidewave.discretize import WeightSpec
 from guidewave.errors import ConfigError
 from guidewave.evolve import gaussian_envelope, powerlaw_envelope
@@ -248,6 +248,7 @@ class TestConfig:
         ("scan", {"kind": "theta", "z_list": [0.5]}, "scan.z_list.0"),
         ("scan", {"h_list": [0.5, 1.5]}, "scan.h_list.1"),
         ("scan", {"h_list": [0.0]}, "scan.h_list.0"),
+        ("seed", -1, "seed: must be >= 0"),
     ])
     def test_validation_reports_field_path(self, path, value, fragment):
         data = json.loads(json.dumps(TINY))
@@ -257,6 +258,18 @@ class TestConfig:
             data[path] = value
         with pytest.raises(ConfigError, match=fragment.replace(".", r"\.")):
             from_dict(data)
+
+    def test_budget_bounds_nodes_and_modes(self):
+        # the largest N, and the largest K at that N, load; one more fails
+        data = json.loads(json.dumps(TINY))
+        data["grid"]["N"] = MAX_NODES
+        data["domain"]["K"] = MAX_MODE_NODES // MAX_NODES
+        from_dict(json.loads(json.dumps(data)))
+        for path, key in (("grid", "N"), ("domain", "K")):
+            bad = json.loads(json.dumps(data))
+            bad[path][key] += 1
+            with pytest.raises(ConfigError, match=f"{path}\\.{key}: need"):
+                from_dict(bad)
 
     def test_unknown_fields_rejected(self):
         data = json.loads(json.dumps(TINY))
@@ -460,7 +473,15 @@ class TestCli:
                                   ("evolve", "damping.level=NaN"),
                                   ("evolve", "init.params.sigma=NaN"),
                                   ("evolve", "time.t_end=Infinity"),
-                                  ("resolvent-scan", "scan.z_list=[[2.0, NaN]]")):
+                                  ("resolvent-scan", "scan.z_list=[[2.0, NaN]]"),
+                                  # numpy takes no negative seed: a scan exited 3, and
+                                  # an evolution ran under a new hash
+                                  ("resolvent-scan", "seed=-1"),
+                                  ("evolve", "seed=-1"),
+                                  # beyond the input budget: the K eigenvalues were
+                                  # built until stopped, and N exited 3
+                                  ("evolve", "domain.K=1" + "0" * 30),
+                                  ("evolve", "grid.N=1" + "0" * 30)):
             capsys.readouterr()
             assert main([command, cfgp, "--set", override, "--out", str(tmp_path / "o")]) == 2
             assert override.split("=")[0] in capsys.readouterr().err
@@ -592,9 +613,10 @@ class TestCli:
         assert da != db
 
     def test_scan_artifacts_do_not_depend_on_the_pool_size(self, tmp_path, monkeypatch):
-        # every task regenerates its start vectors from the seed's streams, so one
-        # pool thread and three write the same bytes; the highfreq scan skips
-        # elliptic modes and both it and the real-axis scan have reflected pairs
+        # every task draws its start vector from its own key [seed, point, mode,
+        # block], so one pool thread and three write the same bytes; the highfreq
+        # scan skips elliptic modes and both it and the real-axis scan have
+        # reflected pairs
         scans = {"highfreq": {"kind": "highfreq", "z_list": [2.0, 3.0, -2.0, [1.0, 0.5]],
                               "beta1": 1, "beta2": 1},
                  "realaxis": {"kind": "realaxis", "z_list": [-2.0, -0.5, 0.0, 0.5, 2.0]},

@@ -300,15 +300,18 @@ def _package_nodes():
             yield path.relative_to(package), node
 
 
+def _called(node) -> str | None:
+    """The name a call node calls: ``f`` of ``f(...)`` and of ``a.b.f(...)``."""
+    func = node.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
 def test_package_calls_no_dense_routine():
     # every production path is banded or matrix-free; dense oracles live in tests/
     calls = []
     for path, node in _package_nodes():
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if name in DENSE_ROUTINES:
-                calls.append(f"{path}:{node.lineno} {name}")
+        if isinstance(node, ast.Call) and _called(node) in DENSE_ROUTINES:
+            calls.append(f"{path}:{node.lineno} {_called(node)}")
     assert calls == []
 
 
@@ -354,6 +357,39 @@ def test_no_function_takes_a_state_beside_its_grid_or_eigenvalues(state):
 def test_no_function_takes_both_grid_and_heat():
     # a heat solution carries the grid it is sampled on, HeatSolution.grid
     assert [where for where, names in _functions() if {"grid", "heat"} <= names] == []
+
+
+def _lines_of(module: str, function: str) -> range:
+    """The source lines of the top-level ``function`` of ``module``."""
+    for path, node in _package_nodes():
+        if str(path) == module and isinstance(node, ast.FunctionDef) and node.name == function:
+            return range(node.lineno, node.end_lineno + 1)
+    raise LookupError(f"{module} defines no {function}")
+
+
+def test_only_the_start_vector_makes_a_generator():
+    # a Lanczos start vector is drawn from default_rng(key), the key naming its run,
+    # in resolvent._start_vector alone: no generator, saved generator state or
+    # shared stream is kept or passed
+    start = _lines_of("resolvent.py", "_start_vector")
+    calls = [(str(path), node.lineno) for path, node in _package_nodes()
+             if isinstance(node, ast.Call) and _called(node) == "default_rng"]
+    assert len(calls) == 1 and calls[0][0] == "resolvent.py" and calls[0][1] in start
+    package = Path(guidewave.__file__).parent
+    assert [p.name for p in package.rglob("*.py") if "bit_generator" in p.read_text()] == []
+
+
+def test_no_function_takes_a_generator():
+    # power_iteration_norm is exempt: nothing calls it, and the benchmark's tracer
+    # still looks it up by name
+    exempt = _lines_of("resolvent.py", "power_iteration_norm")
+    found = []
+    for path, node in _package_nodes():
+        if isinstance(node, (ast.Attribute, ast.Name)) and "Generator" in (
+                getattr(node, "attr", None), getattr(node, "id", None)):
+            if not (str(path) == "resolvent.py" and node.lineno in exempt):
+                found.append(f"{path}:{node.lineno}")
+    assert found == []
 
 
 def test_package_imports_no_scipy_fft():

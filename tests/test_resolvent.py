@@ -159,15 +159,14 @@ class TestRnSolve:
         g = Grid1D(X=200.0, N=4096)
         a = DampingProfile.build(g, "constant")
         op = mode_operator(0.0, a, 10.0)
-        sigma, _ = iterative_norm(op.solve, op.solve_adjoint, g.N, np.random.default_rng(0))
+        sigma, _ = iterative_norm(op.solve, op.solve_adjoint, g.N, 0)
         assert sigma == pytest.approx(0.1, rel=0.05)
 
     def test_dirichlet_low_frequency_bound(self, grid40):
         a = DampingProfile.build(grid40, "hole", r=5.0, rho=2.0)
         for mu in (1e-1, 1e-2, 1e-3):
             op = mode_operator(1.0, a, 1j * mu)
-            sigma, _ = iterative_norm(op.solve, op.solve_adjoint, grid40.N,
-                                      np.random.default_rng(1))
+            sigma, _ = iterative_norm(op.solve, op.solve_adjoint, grid40.N, 1)
             assert sigma <= 1.0 + 1e-6
 
 
@@ -209,11 +208,10 @@ class TestNormScan:
         g = Grid1D(X=20.0, N=160)
         a = DampingProfile.build(g, kind, r=5.0, rho=2.0)
         scaler = SobolevScaler(g)
-        rng = np.random.default_rng(14)
         for z in (8.0, -3.0, 0.5 + 0.3j):
             op = mode_operator(1.0, a, z)
             for b1, b2 in ((0, 0), (1, 0), (0, 1), (1, 1)):
-                sigma, _ = _mode_sobolev_norm(op, scaler, b1, b2, rng)
+                sigma, _ = _mode_sobolev_norm(op, scaler, b1, b2, [14, b1, b2])
                 assert sigma == pytest.approx(dense_sobolev_norm(op, b1, b2), rel=1e-10)
 
     def test_truncation_guard_flags_unstable_points(self):
@@ -321,13 +319,13 @@ def lanczos_top_lists(normal, v0, rtol):
 
 def exhaustive_scan(zs, beta1, beta2, damping, lambdas, seed):
     """(norm, argmax) per z from a Lanczos run on every mode, in the given order,
-    point i drawing its start vectors from ``np.random.default_rng([seed, i])``."""
+    mode k at point i starting from the vector of key [seed, i, k, 0]."""
     scaler = SobolevScaler(damping.grid)
     out = []
     for i, z in enumerate(zs):
-        rng = np.random.default_rng([seed, i])
         sigmas = [_mode_sobolev_norm(mode_operator(lam, damping, z), scaler,
-                                     beta1, beta2, rng)[0] for lam in lambdas]
+                                     beta1, beta2, [seed, i, k, 0])[0]
+                  for k, lam in enumerate(lambdas)]
         out.append((max(sigmas), int(np.argmax(sigmas))))
     return out
 
@@ -470,6 +468,37 @@ class TestScanWorkList:
         assert serial[2] == dataclasses.replace(serial[0], z=serial[2].z)
         assert any(p.modes_scanned < len(lambdas) for p in serial)
 
+    @pytest.mark.parametrize("scan", ["norm_scan", "energy_norm_scan", "theta_probe"])
+    def test_scan_keys_are_distinct_and_of_one_length(self, scan, monkeypatch):
+        # numpy pads a short key with zeros, so [s, i] would draw what [s, i, 0]
+        # draws: within a scan every start vector's key, those iterative_norm
+        # receives, the truncation guard's and the theta probe's, is its own and
+        # all have one length
+        import guidewave.resolvent as resolvent
+
+        keys = []
+
+        def spy(key, m, _start_vector=resolvent._start_vector):
+            keys.append(tuple(key))
+            return _start_vector(key, m)
+
+        monkeypatch.setattr(resolvent, "_start_vector", spy)
+        g = Grid1D(X=20.0, N=64)
+        a = DampingProfile.build(g, "hole", r=5.0, rho=2.0)
+        lambdas = [0.0, 1.0, 4.0]
+        if scan == "norm_scan":
+            pts = norm_scan([2.0, 3.0 + 0.1j, 0.5], 0, 0, a, lambdas, seed=7,
+                            truncation_guard=True)
+            assert len(keys) == sum(p.modes_scanned for p in pts) + len(pts)
+        elif scan == "energy_norm_scan":
+            energy_norm_scan([0.5, 2.0, 3.0], a, lambdas, seed=7)
+            assert len(keys) == 3 * len(lambdas)
+        else:
+            theta_probe([0.1j, 0.3 + 0.4j], a, lambdas, delta1=1.05, delta2=0.6, seed=7)
+            assert len(keys) == 2 * (1 + 4 * len(lambdas))
+        assert len(set(keys)) == len(keys)
+        assert {len(key) for key in keys} == {4}
+
     def test_a_scan_maps_at_most_two_batches(self):
         # the elliptic modes come first, by ascending bound (0.2, 1.67, 3.33 at
         # z = 4): a loop that skipped by the running max would run each alone
@@ -546,7 +575,7 @@ class TestBlockResolvent:
         r_plain = norm(dense_r)
         bound = (1.0 / tau + grad_r_grad / tau + grad_r
                  + r_grad + tau * r_plain)
-        measured = helper.op_norm(tau, np.random.default_rng(7))
+        measured = helper.op_norm(tau, 7)
         assert measured <= bound * (1 + 1e-6)
 
     @pytest.mark.parametrize("order", [2, 4])
@@ -556,12 +585,11 @@ class TestBlockResolvent:
         # lam = 0 is Neumann mode 0
         g = Grid1D(X=20.0, N=160, order=order)
         a = DampingProfile.build(g, kind, r=5.0, rho=2.0)
-        rng = np.random.default_rng(15)
-        for lam in (0.0, 1.0, 4.0):
+        for k, lam in enumerate((0.0, 1.0, 4.0)):
             helper = EnergyNormResolvent(lam, a)
-            for tau in (0.0, -3.0, 0.5, 8.0):
+            for i, tau in enumerate((0.0, -3.0, 0.5, 8.0)):
                 want = dense_energy_norm(lam, a, tau)
-                assert helper.op_norm(tau, rng) == pytest.approx(want, rel=1e-10)
+                assert helper.op_norm(tau, [15, i, k]) == pytest.approx(want, rel=1e-10)
 
     def test_energy_norm_rejects_indefinite(self, grid40, damping_const):
         # -D2 - 1 has negative eigenvalues on this box: no Cholesky factor
@@ -707,18 +735,18 @@ class TestEstimators:
                                              lambda x: mat.conj().T @ x, 40, rng)
         assert sigma == pytest.approx(svdvals(mat)[0], rel=1e-6)
 
-    def test_iterative_vs_dense_within_one_percent(self, rng):
+    def test_iterative_vs_dense_within_one_percent(self):
         g = Grid1D(X=40.0, N=384)
         scaler = SobolevScaler(g)
         for kind in ("constant", "hole"):
             a = DampingProfile.build(g, kind, r=5.0, rho=2.0)
-            for z, b1, b2 in ((4.0, 0, 0), (4.0, 1, 1), (0.5, 0, 1)):
+            for i, (z, b1, b2) in enumerate(((4.0, 0, 0), (4.0, 1, 1), (0.5, 0, 1))):
                 op = mode_operator(1.0, a, z)
-                sigma, _ = _mode_sobolev_norm(op, scaler, b1, b2, rng)
+                sigma, _ = _mode_sobolev_norm(op, scaler, b1, b2, [1234, i])
                 oracle = dense_sobolev_norm(op, b1, b2)
                 assert sigma == pytest.approx(oracle, rel=0.01)
 
-    def test_operator_errors_propagate(self, rng):
+    def test_operator_errors_propagate(self):
         # a solver failure inside the operator is not retried, even when a
         # retry would succeed
         mat = np.diag(np.linspace(1.0, 2.0, 64)).astype(complex)
@@ -731,9 +759,9 @@ class TestEstimators:
             return mat @ x
 
         with pytest.raises(SolveError):
-            iterative_norm(flaky, flaky, 64, rng)
+            iterative_norm(flaky, flaky, 64, 0)
 
-    def test_budget_exhausted_without_bound_raises(self, rng, monkeypatch):
+    def test_budget_exhausted_without_bound_raises(self, monkeypatch):
         import guidewave.resolvent as resolvent
 
         monkeypatch.setattr(resolvent, "LANCZOS_MAX_STEPS", 1)
@@ -741,31 +769,31 @@ class TestEstimators:
         mat[0, 0] = 5.0
         for kwargs in ({}, {"upper": math.inf}):
             with pytest.raises(ConvergenceError, match=r"in 1 steps .*, inf\]"):
-                iterative_norm(lambda x: mat @ x, lambda x: mat @ x, 64, rng, **kwargs)
+                iterative_norm(lambda x: mat @ x, lambda x: mat @ x, 64, 0, **kwargs)
 
     def test_rectangular_matches_svdvals(self, rng):
         n = 48
         mat = rng.standard_normal((2 * n, n)) + 1j * rng.standard_normal((2 * n, n))
-        sigma, _ = iterative_norm(lambda x: mat @ x, lambda y: mat.conj().T @ y, n, rng)
+        sigma, _ = iterative_norm(lambda x: mat @ x, lambda y: mat.conj().T @ y, n, 0)
         assert sigma == pytest.approx(svdvals(mat)[0], rel=1e-12)
 
-    def test_rectangular_operator_errors_propagate(self, rng):
+    def test_rectangular_operator_errors_propagate(self):
         mat = np.vstack([np.eye(32), np.diag(np.linspace(1.0, 2.0, 32))]).astype(complex)
 
         def failing(x):
             raise SolveError("near-singular solve")
 
         with pytest.raises(SolveError):
-            iterative_norm(failing, lambda y: mat.conj().T @ y, 32, rng)
+            iterative_norm(failing, lambda y: mat.conj().T @ y, 32, 0)
 
-    def test_rectangular_budget_exhausted_without_bound_raises(self, rng, monkeypatch):
+    def test_rectangular_budget_exhausted_without_bound_raises(self, monkeypatch):
         import guidewave.resolvent as resolvent
 
         monkeypatch.setattr(resolvent, "LANCZOS_MAX_STEPS", 1)
         mat = np.vstack([np.eye(32), np.diag(np.linspace(1.0, 2.0, 32))]).astype(complex)
         mat[0, 0] = 5.0
         with pytest.raises(ConvergenceError, match="in 1 steps"):
-            iterative_norm(lambda x: mat @ x, lambda y: mat.conj().T @ y, 32, rng)
+            iterative_norm(lambda x: mat @ x, lambda y: mat.conj().T @ y, 32, 0)
 
     @settings(max_examples=40, deadline=None)
     @given(shape=st.sampled_from(["square", "tall"]), n=st.integers(1, 40),
@@ -775,7 +803,8 @@ class TestEstimators:
         rows = {"square": n, "tall": 2 * n}[shape]
         gen = np.random.default_rng(seed)
         mat = gen.standard_normal((rows, n)) + 1j * gen.standard_normal((rows, n))
-        sigma, residual = iterative_norm(lambda x: mat @ x, lambda y: mat.conj().T @ y, n, gen)
+        sigma, residual = iterative_norm(lambda x: mat @ x, lambda y: mat.conj().T @ y, n,
+                                         [seed, 1])
         assert residual <= 1e-14
         assert sigma == pytest.approx(svdvals(mat)[0], rel=1e-12)
 
@@ -783,12 +812,12 @@ class TestEstimators:
         mat = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
         for tol in (1e-7, 1e-4):
             _, residual = iterative_norm(lambda x: mat @ x, lambda y: mat.conj().T @ y,
-                                         64, rng, tol=tol)
+                                         64, 0, tol=tol)
             assert 0.0 <= residual <= tol ** 2
             assert residual != tol
 
     @pytest.mark.parametrize("budget", [None, 20])
-    def test_clustered_top_values_never_unconverged_lanczos(self, rng, monkeypatch, budget):
+    def test_clustered_top_values_never_unconverged_lanczos(self, monkeypatch, budget):
         # top singular values 1e-9 apart (relative) inside a tight cluster:
         # a converged Lanczos run, or ConvergenceError when the budget cuts it
         # short and no bound is given
@@ -800,9 +829,9 @@ class TestEstimators:
         d = np.concatenate([[1.0, 1.0 - 1e-9], np.linspace(0.99, 0.999, n - 2)]).astype(complex)
         if budget is not None:
             with pytest.raises(ConvergenceError, match=f"in {budget} steps"):
-                iterative_norm(lambda x: d * x, lambda y: d * y, n, rng)
+                iterative_norm(lambda x: d * x, lambda y: d * y, n, 0)
             return
-        sigma, residual = iterative_norm(lambda x: d * x, lambda y: d * y, n, rng)
+        sigma, residual = iterative_norm(lambda x: d * x, lambda y: d * y, n, 0)
         assert residual <= 1e-14
         assert sigma == pytest.approx(1.0, rel=2e-9)
 
@@ -815,18 +844,16 @@ class TestEstimators:
         monkeypatch.setattr(resolvent, "LANCZOS_MAX_STEPS", 20)
         n = 400
         d = np.concatenate([[1.0, 1.0 - 1e-9], np.linspace(0.99, 0.999, n - 2)]).astype(complex)
-        # iterative_norm draws its start vector from a generator seeded 8 as well
+        # iterative_norm draws its start vector from the generator of key 8 as well
         gen = np.random.default_rng(8)
         v0 = gen.standard_normal(n) + 1j * gen.standard_normal(n)
         theta, _, converged = _lanczos_top(lambda x: d * (d * x), v0, 1e-14)
         assert not converged
         if not closes:
             with pytest.raises(ConvergenceError, match=r"in 20 steps .*1\.000001\]"):
-                iterative_norm(lambda x: d * x, lambda y: d * y, n, np.random.default_rng(8),
-                               upper=upper)
+                iterative_norm(lambda x: d * x, lambda y: d * y, n, 8, upper=upper)
             return
-        sigma, residual = iterative_norm(lambda x: d * x, lambda y: d * y, n,
-                                         np.random.default_rng(8), upper=upper)
+        sigma, residual = iterative_norm(lambda x: d * x, lambda y: d * y, n, 8, upper=upper)
         assert sigma == math.sqrt(theta)
         assert (1.0 - 1e-7) * upper <= sigma <= 1.0
         assert residual > 1e-14
@@ -873,12 +900,12 @@ class TestEstimators:
             assert theta == w[0]
             assert abs(s_last) == pytest.approx(abs(s[-1, 0]), rel=1e-12, abs=1e-15)
 
-    def test_non_finite_operator_output_raises(self, rng):
+    def test_non_finite_operator_output_raises(self):
         def nan_op(x):
             return np.full_like(x, np.nan)
 
         with pytest.raises(ConvergenceError):
-            iterative_norm(nan_op, nan_op, 16, rng)
+            iterative_norm(nan_op, nan_op, 16, 0)
 
     def test_sobolev_scaler_inverts(self, rng):
         # U M^{-1} U^T = I, since U^T U = M = 1 - D2, with M^{-1} from the dense matrix
