@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky_banded, get_lapack_funcs
+from scipy.linalg import LinAlgError, cholesky_banded, eig_banded, get_lapack_funcs
 
 from .errors import SolveError
 
@@ -75,6 +75,29 @@ class Grid1D:
         """Banded discrete d^2/dx^2 on the interior nodes, homogeneous cap at +-X."""
         h2 = self.h ** 2
         return BandedLaplacian(coeffs=tuple(c / h2 for c in _D2_STENCILS[self.order]))
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """The eigenvalues mu_j of -D2, ascending, by LAPACK's symmetric band
+        eigensolver (``eig_banded``, eigenvalues only), each within
+        ``spectrum_error`` of the exact one."""
+        bands = np.array([np.full(self.N, -c) for c in self.laplacian.coeffs])
+        return eig_banded(bands, lower=True, eigvals_only=True)
+
+    @property
+    def spectrum_error(self) -> float:
+        """delta = 10 N eps ||D2||_inf, a bound of |mu_j - computed mu_j|.
+
+        The eigensolver is backward stable: it returns the exact eigenvalues of
+        -D2 + E with ||E||_2 <= p(N) eps ||D2||_2, p(N) a modestly growing
+        function of N (LAPACK Users' Guide, section 4.7), linear for the
+        Householder band reduction; p(N) = 10 N here, and ||D2||_2 <= ||D2||_inf
+        for a symmetric matrix.  Weyl's inequality moves each eigenvalue by at
+        most ||E||_2.
+        """
+        coeffs = self.laplacian.coeffs
+        norm = abs(coeffs[0]) + 2.0 * sum(abs(c) for c in coeffs[1:])
+        return 10.0 * self.N * float(np.finfo(float).eps) * norm
 
     def refine(self, factor: float) -> "Grid1D":
         """Wider box at (nearly) the same spacing, for truncation guards."""
@@ -273,14 +296,14 @@ class ShiftedOperator:
     ``mode_operator`` sets diag = lam - i z a(x) - z^2; the heat model of the
     theta probe uses diag = -i z.  Complex symmetric banded matrix.  The
     SuperLU factorization, with one-column panels, is computed on the first
-    solve and cached; the adjoint solve reuses it with the conjugate-transpose
-    triangular sweeps.  SuperLU is imported there, not with the module.
+    solve and kept (``_lu``); the adjoint solve reuses it with the
+    conjugate-transpose triangular sweeps.  SuperLU is imported there, not
+    with the module.
     """
 
     grid: Grid1D
     z: complex
     diag: np.ndarray = field(repr=False)
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         return self.diag * u - self.grid.laplacian.apply(u)
@@ -294,26 +317,24 @@ class ShiftedOperator:
         """conj(diag), formed on the first adjoint application and kept."""
         return np.conj(self.diag)
 
-    def _factor(self):
-        fac = self._cache.get("lu")
-        if fac is None:
-            # imported here: the evolution commands factor no shifted mode and never load it
-            from scipy.sparse import diags as sparse_diags
-            from scipy.sparse.linalg import splu
+    @cached_property
+    def _lu(self):
+        """The SuperLU factorization of the operator, formed on the first solve and kept."""
+        # imported here: the evolution commands factor no shifted mode and never load it
+        from scipy.sparse import diags as sparse_diags
+        from scipy.sparse.linalg import splu
 
-            lap = self.grid.laplacian
-            offsets = list(range(-lap.halfbw, lap.halfbw + 1))
-            bands = [np.full(self.grid.N - abs(off), -lap.coeffs[abs(off)], dtype=complex)
-                     if off else (self.diag - lap.coeffs[0]).astype(complex)
-                     for off in offsets]
-            mat = sparse_diags(bands, offsets, format="csc")
-            try:
-                # a band of half-width <= 2 has no wide supernode for a wider panel to block
-                fac = splu(mat, panel_size=1)
-            except Exception as exc:  # singular factorization
-                raise SolveError(f"sparse factorization failed at z={self.z}: {exc}") from exc
-            self._cache["lu"] = fac
-        return fac
+        lap = self.grid.laplacian
+        offsets = list(range(-lap.halfbw, lap.halfbw + 1))
+        bands = [np.full(self.grid.N - abs(off), -lap.coeffs[abs(off)], dtype=complex)
+                 if off else (self.diag - lap.coeffs[0]).astype(complex)
+                 for off in offsets]
+        mat = sparse_diags(bands, offsets, format="csc")
+        try:
+            # a band of half-width <= 2 has no wide supernode for a wider panel to block
+            return splu(mat, panel_size=1)
+        except Exception as exc:  # singular factorization
+            raise SolveError(f"sparse factorization failed at z={self.z}: {exc}") from exc
 
     def _checked(self, u: np.ndarray, f: np.ndarray, adjoint: bool) -> np.ndarray:
         """u if ||T u - f|| <= ``SOLVE_RTOL`` ||f||, T^* u for ``adjoint``; raises otherwise."""
@@ -331,12 +352,12 @@ class ShiftedOperator:
 
     def solve(self, f: np.ndarray) -> np.ndarray:
         f = np.asarray(f, dtype=complex)
-        u = self._factor().solve(f)
+        u = self._lu.solve(f)
         return self._checked(u, f, False)
 
     def solve_adjoint(self, f: np.ndarray) -> np.ndarray:
         f = np.asarray(f, dtype=complex)
-        u = self._factor().solve(f, trans="H")
+        u = self._lu.solve(f, trans="H")
         return self._checked(u, f, True)
 
 

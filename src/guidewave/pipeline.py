@@ -1,14 +1,12 @@
 """Experiment runner: builds module objects from a config and emits artifacts.
 
 Every output file embeds the artifact version and the config hash; writes are
-atomic (temp file + rename).  The high-frequency, real-axis and semiclassical
-scans hand their (point, mode) Lanczos tasks to a pool of GUIDEWAVE_THREADS
-threads as two batches (``scan_modes``): each point's modes of largest bound,
-then every other mode whose bound reaches the max those found.  Each task
-draws its start vector from ``np.random.default_rng(key)`` with the key
-[seed, point, mode, block], the config's seed first, so a start vector
-depends on its key alone and results do not depend on the schedule.  The
-theta probe runs its tasks in the calling thread.
+atomic (temp file + rename).  Every scan runs serially in the calling
+thread (``scan_modes``): each point runs its modes by decreasing certified
+bound, exact with constant damping, and skips the modes whose bound is below
+the max its runs found.  Each Lanczos run draws its start vector from
+``np.random.default_rng(key)`` with the key [seed, point, mode, block], the
+config's seed first, so a start vector depends on its key alone.
 """
 
 from __future__ import annotations
@@ -17,6 +15,7 @@ import json
 import math
 import os
 import tempfile
+# no longer used; kept while perfbench/tracing.py looks it up by name
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -36,20 +35,10 @@ from .resolvent import (energy_norm_scan, norm_scan, pure_laplacian_control,
 from .transverse import DIRICHLET, NEUMANN, transverse_eigenvalues
 
 
+# the scans run in one thread; kept while perfbench/run.py looks it up by name
 def max_threads() -> int:
-    """GUIDEWAVE_THREADS, a positive integer, or the CPUs this process may run on, at most 4."""
-    env = os.environ.get("GUIDEWAVE_THREADS")
-    if not env:
-        if hasattr(os, "sched_getaffinity"):
-            return min(4, len(os.sched_getaffinity(0)))
-        return min(4, os.cpu_count() or 1)
-    try:
-        threads = int(env)
-    except ValueError:
-        threads = 0  # reported below, with the integers below 1
-    if threads < 1:
-        raise ConfigError(f"GUIDEWAVE_THREADS must be a positive integer, got {env!r}")
-    return threads
+    """The threads a scan runs on: always 1."""
+    return 1
 
 
 def atomic_write(path: str, text: str) -> None:
@@ -313,9 +302,6 @@ def cmd_resolvent(cfg: ExperimentConfig, out_base: str) -> dict:
     payload = {"command": "resolvent-scan", "kind": kind}
 
     if kind == "theta":
-        # the theta tasks run in this thread: their N = 1024 Lanczos runs are
-        # short numpy calls that release and retake the GIL, and on two pool
-        # threads (2 cores) the golden took 0.96-1.04 s against 0.48-0.66 s on one
         rows = theta_probe(zs, damping, lambdas,
                            delta1=cfg.weight_spec().delta1, delta2=cfg.weight_spec().delta2,
                            seed=cfg.seed)
@@ -331,8 +317,7 @@ def cmd_resolvent(cfg: ExperimentConfig, out_base: str) -> dict:
 
     elif kind == "realaxis":
         taus = [z.real for z in zs]
-        with ThreadPoolExecutor(max_workers=max_threads()) as pool:
-            norms = energy_norm_scan(taus, damping, lambdas, seed=cfg.seed, map=pool.map)
+        norms = energy_norm_scan(taus, damping, lambdas, seed=cfg.seed)
         constants = [n / (1.0 + t * t) for n, t in zip(norms, taus)]
         cols = {"re_z": taus, "im_z": [0.0] * len(taus),
                 "beta1": [0.0] * len(taus), "beta2": [0.0] * len(taus),
@@ -343,10 +328,8 @@ def cmd_resolvent(cfg: ExperimentConfig, out_base: str) -> dict:
 
     else:
         # high/intermediate frequency norm scan, max over modes per point
-        with ThreadPoolExecutor(max_workers=max_threads()) as pool:
-            points = norm_scan(zs, cfg.scan.beta1, cfg.scan.beta2, damping, lambdas,
-                               seed=cfg.seed, map=pool.map,
-                               truncation_guard=cfg.scan.truncation_guard)
+        points = norm_scan(zs, cfg.scan.beta1, cfg.scan.beta2, damping, lambdas,
+                           seed=cfg.seed, truncation_guard=cfg.scan.truncation_guard)
 
         cols = {"re_z": [p.z.real for p in points], "im_z": [p.z.imag for p in points],
                 "beta1": [float(p.beta1) for p in points],
@@ -381,8 +364,7 @@ def cmd_semiclassical(cfg: ExperimentConfig, out_base: str) -> dict:
     if not hs:
         raise ConfigError("scan.h_list: semiclassical scan needs at least one h")
 
-    with ThreadPoolExecutor(max_workers=max_threads()) as pool:
-        rows = semiclassical_scan(hs, damping, seed=cfg.seed, map=pool.map)
+    rows = semiclassical_scan(hs, damping, seed=cfg.seed)
     control = pure_laplacian_control(hs, X=damping.grid.X)
     hnorms = [r["h_norm"] for r in rows]
     payload = {"command": "semiclassical", "points": rows, "control": control,

@@ -10,12 +10,14 @@ tol, and raises ``ConvergenceError`` otherwise.  A Sobolev side is the
 form norm of M = 1 - D2, the operator the scan solves with: its band Cholesky
 factor M = U^T U has U = W M^{1/2} with W orthogonal, so a scan measures
 ||U R U^T|| for ||M^{1/2} R M^{1/2}||, one band product per scaled side of
-each application and no transform (``SobolevScaler``).  A norm scan's max over
-transverse modes is two batches, each one ``map`` call, of (point, mode)
-Lanczos runs (``scan_modes``): the modes of each point's largest
-numerical-range bound (``mode_norm_bound``), then every other mode whose bound
-reaches the max those found.  The bound skips the rest, which cuts the
-elliptic tail lam_k > tau^2, and certifies every run; a point counts its runs
+each application and no transform (``SobolevScaler``).  A norm scan takes its
+max over transverse modes one point after another, in this thread
+(``scan_modes``): each point runs its modes by decreasing certified bound
+(``_mode_bounds``) and skips every mode whose bound is below the max its runs
+found.  With constant damping the bound is the exact spectral norm of a normal
+operator, so the mode that attains the max is the one run; otherwise it is the
+numerical-range bound (``mode_norm_bound``), which cuts the elliptic tail
+lam_k > tau^2.  The bound also certifies every run; a point counts its runs
 (``modes_scanned``) and keeps the largest bound not run (``tail_bound``).
 A run's start vector is drawn from ``default_rng(key)``, its key naming the
 run, [seed, point, mode, block] in every scan (``_start_vector``), and each
@@ -219,8 +221,9 @@ class SobolevScaler:
 
 
 def mode_norm_bound(c: float, s: float, beta_sum: int) -> float:
-    """Certified upper bound of ||M^{b1/2} R M^{b2/2}||, b = b1 + b2 = ``beta_sum``,
-    R = A^{-1} and M = 1 - D2.
+    """Numerical-range upper bound of ||M^{b1/2} R M^{b2/2}||, b = b1 + b2 =
+    ``beta_sum``, R = A^{-1} and M = 1 - D2, for any damping; ``_mode_bounds``
+    uses it where the damping is not constant.
 
     A = -D2 + lam - i z a - z^2 with z = x + iy, lam including any mass^2.  Its
     Hermitian part -D2 + lam - Re z^2 + y a is >= c, since -D2 >= 0, and its
@@ -245,8 +248,31 @@ def mode_norm_bound(c: float, s: float, beta_sum: int) -> float:
     return (1.0 + 1e-12) / (m ** (beta_sum / 2.0) * c ** (1.0 - beta_sum / 2.0))
 
 
-def _mode_bounds(z: complex, a: np.ndarray, beta_sum: int):
-    """lam -> ``mode_norm_bound`` of mode lam at z, with c = lam + shift and s fixed."""
+def _mode_bounds(z: complex, damping: DampingProfile, beta_sum: int):
+    """lam -> a certified upper bound of ||M^{b1/2} R M^{b2/2}|| of mode lam at z,
+    b = b1 + b2 = ``beta_sum``.
+
+    With constant damping samples a the mode operator A = -D2 + w,
+    w = lam - i z a - z^2, is a polynomial in the real symmetric -D2, so it is
+    normal and commutes with M = 1 - D2 (Trefethen & Embree, Spectra and
+    Pseudospectra, 2005): the norm is max_j (1 + mu_j)^(b/2) / |mu_j + w| over
+    the eigenvalues mu_j of -D2.  ``Grid1D.spectrum`` gives each mu_j to within
+    delta (``Grid1D.spectrum_error``), so the bound takes
+    (1 + mu_j + delta)^(b/2) / (|mu_j + w| - delta), inf when a distance is
+    <= delta, widened by 1e-12 for rounding as ``mode_norm_bound`` is.  w is
+    formed as ``mode_operator`` forms its diagonal.  Otherwise the bound is
+    ``mode_norm_bound`` of c = lam + shift and a fixed s.
+    """
+    a = damping.samples
+    if a.min() == a.max():
+        mu, delta, a0 = damping.grid.spectrum, damping.grid.spectrum_error, float(a[0])
+        scale = (1.0 + mu + delta) ** (beta_sum / 2.0)
+
+        def exact(lam):
+            dist = np.abs(mu + (lam - 1j * z * a0 - z * z)) - delta
+            return (1.0 + 1e-12) * float(np.max(scale / dist)) if dist.min() > 0.0 else math.inf
+
+        return exact
     shift = -(z * z).real + float(np.min(z.imag * a))
     s = abs(z.real) * float(np.min(a + 2.0 * z.imag))
     return lambda lam: mode_norm_bound(lam + shift, s, beta_sum)
@@ -286,69 +312,56 @@ class ModeMax(NamedTuple):
     modes_scanned: int
 
 
-def scan_modes(zs, lambdas, bounds, run, *, rep=None, map=map) -> list[ModeMax]:
-    """The max over modes of every scan, as two batches of (point, mode) Lanczos runs.
+def scan_modes(bounds, run, *, rep=None) -> list[ModeMax]:
+    """The max over modes at every point, one point after another, in this thread.
 
-    ``bounds[i][k]`` bounds every block of mode k at point zs[i] (inf when
-    nothing does); ``run(i, k)`` runs them, one (sigma, residual) per block,
-    from start vectors keyed by (i, k) and the block, never by when they run.
-    Batch 1 is every point's modes whose bound is the point's largest: every
-    propagating mode, lam <= Re z^2 (lam including any mass^2), whose bound is
-    1/s for the L^2 pair and inf for a Sobolev pair; the points with the most
-    propagating modes go first.  Its runs give each point a floor, the
-    smallest over blocks of the block's max.  Batch 2 is every other mode
-    whose bound is at least its point's floor.  Each batch is one ``map``
-    call, so a thread pool's map runs it in parallel.  A mode in neither batch
-    has estimate <= bound < floor in every block, so it cannot reach the max:
-    folding the runs in mode order, ties going to the first mode, gives the
-    scan of every mode bit for bit.  Only the points with ``rep[i] == i`` are
-    computed; point i takes the result of point rep[i] (see
-    ``reflection_classes``).
+    ``bounds[i][k]`` bounds every block of mode k at point i (inf when nothing
+    does); ``run(i, k)`` runs them, one (sigma, residual) per block, from start
+    vectors keyed by (i, k) and the block, never by when they run.  A point
+    visits its modes by decreasing bound, ties by index, and stops at the first
+    mode whose bound is below its running floor, the smallest over blocks of
+    the block's max so far; every later mode's bound is lower still.  A mode
+    not run has estimate <= bound < floor in every block, so it cannot reach
+    the max: folding the runs in mode order, ties going to the first mode,
+    gives the scan of every mode bit for bit.  Only the points with
+    ``rep[i] == i`` are computed; point i takes the result of point rep[i]
+    (see ``reflection_classes``).
     """
-    lambdas = np.asarray(lambdas, dtype=float)
-    rep = range(len(zs)) if rep is None else rep
-    order = sorted(set(rep), key=lambda i: (-int(np.sum(lambdas <= (zs[i] * zs[i]).real)), i))
-    top = {i: max(bounds[i]) for i in order}
-    runs = {}
-
-    def batch(tasks):
-        runs.update(zip(tasks, map(run, [i for i, _ in tasks], [k for _, k in tasks])))
-
-    def fold(i):
-        """The modes of point i run so far, and per block the (sigma, residual, mode) max."""
-        ran = [k for k in range(len(bounds[i])) if (i, k) in runs]
-        return ran, [max(block, key=lambda b: b[0])
-                     for block in zip(*([(s, r, k) for s, r in runs[i, k]] for k in ran))]
-
-    batch([(i, k) for i in order for k, b in enumerate(bounds[i]) if b == top[i]])
-    floor = {i: min(b[0] for b in fold(i)[1]) for i in order}
-    batch([(i, k) for i in order for k, b in enumerate(bounds[i]) if floor[i] <= b < top[i]])
+    rep = range(len(bounds)) if rep is None else rep
     out = {}
-    for i in order:
-        ran, best = fold(i)
-        tail = max((b for k, b in enumerate(bounds[i]) if (i, k) not in runs), default=0.0)
-        out[i] = ModeMax(best, tail, len(ran))
+    for i in sorted(set(rep)):
+        runs, tops, tail = {}, None, 0.0
+        for k in sorted(range(len(bounds[i])), key=lambda k: (-bounds[i][k], k)):
+            if tops is not None and bounds[i][k] < min(tops):
+                tail = bounds[i][k]
+                break
+            runs[k] = run(i, k)
+            sigmas = [sigma for sigma, _ in runs[k]]
+            tops = sigmas if tops is None else [max(t, s) for t, s in zip(tops, sigmas)]
+        best = [max(block, key=lambda b: b[0])
+                for block in zip(*([(s, r, k) for s, r in runs[k]] for k in sorted(runs)))]
+        out[i] = ModeMax(best, tail, len(runs))
     return [out[i] for i in rep]
 
 
 def norm_scan(z_list, beta1: int, beta2: int, damping: DampingProfile, lambdas, *,
-              seed: int, map=map, truncation_guard: bool = False) -> list[ScanPoint]:
+              seed: int, truncation_guard: bool = False) -> list[ScanPoint]:
     """Resolvent norms over the guide: max over transverse modes per z.
 
-    Each mode's certified bound (``mode_norm_bound``) does two jobs.  The
-    runs go through ``scan_modes`` on ``map`` as two batches: the modes of
-    each point's largest bound, then every other mode whose bound is at least
-    the max those runs found.  A mode whose bound is below that max is not
-    run: the Lanczos estimate never exceeds the true norm, so it cannot reach
-    the max.  A mode that is run passes its bound to ``iterative_norm`` as
-    ``upper``, which certifies a Ritz value that the step budget cuts short,
-    or raises.  ``modes_scanned`` counts a point's Lanczos runs and
-    ``tail_bound`` is the largest bound among the modes not run (0 when every
-    mode is run).  Each reflection class {z, -conj z} is computed once.
+    Each mode's certified bound (``_mode_bounds``: exact for constant damping,
+    the numerical range otherwise) does two jobs.  ``scan_modes`` runs each
+    point's modes by decreasing bound and skips a mode whose bound is below
+    the max its runs found: the Lanczos estimate never exceeds the true norm,
+    so it cannot reach the max.  A mode that is run passes its bound to
+    ``iterative_norm`` as ``upper``, which certifies a Ritz value that the
+    step budget cuts short, or raises.  ``modes_scanned`` counts a point's
+    Lanczos runs and ``tail_bound`` is the largest bound among the modes not
+    run (0 when every mode is run).  Each reflection class {z, -conj z} is
+    computed once.
 
     The run of mode k at point i starts from the vector of key
     [seed, i, k, 0], so the result equals that of a scan of every mode in the
-    given order, bit for bit, however the runs are scheduled.
+    given order, bit for bit, whichever modes are skipped.
 
     With ``truncation_guard`` every point is recomputed on a 1.5X box, with
     the damping rebuilt on it and that box's bound, and flagged
@@ -366,28 +379,25 @@ def norm_scan(z_list, beta1: int, beta2: int, damping: DampingProfile, lambdas, 
                                         r=damping.r, level=damping.level)
         scaler2 = SobolevScaler(damping2.grid)
     rep = reflection_classes(zs)
-    bounds = [[_mode_bounds(z, damping.samples, beta1 + beta2)(lam)
-               for lam in lambdas] for z in zs]
+    bounds = [[bound(lam) for lam in lambdas]
+              for bound in (_mode_bounds(z, damping, beta1 + beta2) for z in zs)]
 
     def run(i, k):
         op = mode_operator(lambdas[k], damping, zs[i])
         return [_mode_sobolev_norm(op, scaler, beta1, beta2, [seed, i, k, 0],
                                    upper=bounds[i][k])]
 
-    maxima = scan_modes(zs, lambdas, bounds, run, rep=rep, map=map)
+    maxima = scan_modes(bounds, run, rep=rep)
 
     def limited(i):
         best, _, k = maxima[i].best[0]
-        upper2 = _mode_bounds(zs[i], damping2.samples, beta1 + beta2)(lambdas[k])
+        upper2 = _mode_bounds(zs[i], damping2, beta1 + beta2)(lambdas[k])
         op2 = mode_operator(lambdas[k], damping2, zs[i])
         sigma2, _ = _mode_sobolev_norm(op2, scaler2, beta1, beta2, [seed, i, k, 1],
                                        upper=upper2)
         return abs(sigma2 - best) > TRUNCATION_GUARD_RTOL * best
 
-    flags = {}
-    if truncation_guard:
-        computed = sorted(set(rep))
-        flags = dict(zip(computed, map(limited, computed)))
+    flags = {i: limited(i) for i in sorted(set(rep))} if truncation_guard else {}
     return [ScanPoint(z=z, beta1=beta1, beta2=beta2, norm_est=m.best[0][0],
                       residual=m.best[0][1], k_argmax=m.best[0][2],
                       flag="truncation-limited" if flags.get(r) else "ok",
@@ -463,11 +473,11 @@ class EnergyNormResolvent:
         return sigma
 
 
-def energy_norm_scan(taus, damping: DampingProfile, lambdas, *, seed: int, map=map) -> list[float]:
+def energy_norm_scan(taus, damping: DampingProfile, lambdas, *, seed: int) -> list[float]:
     """Energy norms of the first-order resolvent at real taus, max over the modes.
 
-    One ``scan_modes`` task per (tau, mode) on ``map``, none skipped (no bound
-    is known yet); each reflection pair {tau, -tau} is computed once, at
+    One ``scan_modes`` run per (tau, mode), none skipped (no bound is known
+    yet); each reflection pair {tau, -tau} is computed once, at
     tau >= 0.  The run of mode k at point i starts from the vector of key
     [seed, i, k, 0].
     """
@@ -478,8 +488,7 @@ def energy_norm_scan(taus, damping: DampingProfile, lambdas, *, seed: int, map=m
     def run(i, k):
         return [(helpers[k].op_norm(taus[i], [seed, i, k, 0]), 0.0)]
 
-    maxima = scan_modes(taus, lambdas, [[math.inf] * len(helpers)] * len(taus), run,
-                        rep=rep, map=map)
+    maxima = scan_modes([[math.inf] * len(helpers)] * len(taus), run, rep=rep)
     return [m.best[0][0] for m in maxima]
 
 
@@ -538,7 +547,7 @@ def theta_probe(z_list, damping: DampingProfile, lambdas, delta1: float, delta2:
     (2N, N) operator [wl G t wr ; sqrt(lam_k) wl t wr] with the centred
     stencil G (G^* = -G); blocks 3 and 4 as wl t wr.  Each norm is a seeded
     Lanczos estimate, and the norm over the guide is the max over every mode
-    of ``lambdas``, one ``scan_modes`` task per (z, mode).
+    of ``lambdas``, one ``scan_modes`` run per (z, mode).
     ``structure_residual`` checks row 2 = z row 1 of the heat-model
     blocks on a probe vector.  Block j of mode k at z_i starts from the
     vector of key [seed, i, k, j], and z_i's probe is the vector of key
@@ -570,8 +579,7 @@ def theta_probe(z_list, damping: DampingProfile, lambdas, delta1: float, delta2:
             runs.append(iterative_norm(apply_op, apply_adj, n, [seed, i, k, j]))
         return runs
 
-    bounds = [[math.inf] * len(lambdas)] * len(zs)
-    maxima = scan_modes(zs, lambdas, bounds, run)
+    maxima = scan_modes([[math.inf] * len(lambdas)] * len(zs), run)
     return [{"z": z, **{f"theta{j}": m.best[j - 1][0] for j in (1, 2, 3, 4)},
              "structure_residual": res} for z, m, res in zip(zs, maxima, residuals)]
 
@@ -596,18 +604,18 @@ def _weighted(t, t_adj, wl, wr, grid: Grid1D, root_lam: float | None = None):
 # semiclassical scan
 
 
-def semiclassical_scan(h_list, damping: DampingProfile, *, seed: int, map=map) -> list[dict]:
+def semiclassical_scan(h_list, damping: DampingProfile, *, seed: int) -> list[dict]:
     """h * ||(-h^2 d^2/dx^2 - i h a - 1)^{-1}|| per h on the truncated line.
 
     The operator equals h^2 times the mode resolvent at tau = 1/h, so the
     norm is h^{-2} ||R(1/h)||, the one-mode L^2 ``norm_scan`` at z = 1/h
-    (``seed`` and ``map`` are passed on to it).
+    (``seed`` is passed on to it).
     """
     hs = [float(h) for h in h_list]
     for h in hs:
         if not 0.0 < h <= 1.0:
             raise ValueError(f"semiclassical parameter must lie in (0, 1], got h={h}")
-    points = norm_scan([1.0 / h for h in hs], 0, 0, damping, [0.0], seed=seed, map=map)
+    points = norm_scan([1.0 / h for h in hs], 0, 0, damping, [0.0], seed=seed)
     out = []
     for h, point in zip(hs, points):
         norm = point.norm_est / h ** 2

@@ -1,8 +1,6 @@
 import dataclasses
 import json
 import math
-import os
-import pathlib
 import re
 import tracemalloc
 import typing
@@ -24,7 +22,7 @@ from guidewave.errors import ConfigError
 from guidewave.evolve import gaussian_envelope, powerlaw_envelope
 from guidewave.fit import fit_power
 from guidewave.pipeline import (build_damping, build_envelope, build_grid, cmd_resolvent,
-                                max_threads, read_csv)
+                                read_csv)
 from guidewave.resolvent import norm_scan
 
 CONFIG_DIR = resources.files(guidewave.configs)
@@ -612,48 +610,6 @@ class TestCli:
         db = {p.name for p in (tmp_path / "b").iterdir()}
         assert da != db
 
-    def test_scan_artifacts_do_not_depend_on_the_pool_size(self, tmp_path, monkeypatch):
-        # every task draws its start vector from its own key [seed, point, mode,
-        # block], so one pool thread and three write the same bytes; the highfreq
-        # scan skips elliptic modes and both it and the real-axis scan have
-        # reflected pairs
-        scans = {"highfreq": {"kind": "highfreq", "z_list": [2.0, 3.0, -2.0, [1.0, 0.5]],
-                              "beta1": 1, "beta2": 1},
-                 "realaxis": {"kind": "realaxis", "z_list": [-2.0, -0.5, 0.0, 0.5, 2.0]},
-                 "theta": {"kind": "theta", "z_list": [[0.0, 0.1], [0.3, 0.4]]}}
-        for kind, scan in scans.items():
-            cfg = from_dict({**TINY, "domain": {"K": 8}, "grid": {"X": 20.0, "N": 96},
-                             "damping": {"kind": "hole", "r": 5.0, "rho": 2.0}, "scan": scan})
-            artifacts = []
-            for threads in ("1", "3"):
-                monkeypatch.setenv("GUIDEWAVE_THREADS", threads)
-                result = cmd_resolvent(cfg, str(tmp_path / threads))
-                artifacts.append({p.name: p.read_bytes()
-                                  for p in sorted(pathlib.Path(result["outdir"]).iterdir())})
-            assert artifacts[0] == artifacts[1], kind
-            if kind == "highfreq":
-                assert any(p.modes_scanned < 8 for p in result["points"])
-                assert result["points"][0].norm_est == result["points"][2].norm_est
-            if kind == "realaxis":
-                norms = result["norms"]
-                assert (norms[0], norms[1]) == (norms[4], norms[3])
-
-    def test_threads_env_validated(self, tmp_path, monkeypatch, capsys):
-        cfgp = write_tiny(tmp_path, scan={"kind": "highfreq", "z_list": [2.0]})
-        for bad in ("two", "0", "-1"):
-            monkeypatch.setenv("GUIDEWAVE_THREADS", bad)
-            assert main(["resolvent-scan", cfgp, "--out", str(tmp_path / "o")]) == 2
-            assert "GUIDEWAVE_THREADS" in capsys.readouterr().err
-        monkeypatch.setenv("GUIDEWAVE_THREADS", "2")
-        assert main(["resolvent-scan", cfgp, "--out", str(tmp_path / "o2")]) == 0
-
-    def test_default_pool_size_counts_the_cpus_this_process_may_use(self, monkeypatch):
-        # pinned to one CPU of an eight-CPU machine, a process gets one pool thread
-        monkeypatch.delenv("GUIDEWAVE_THREADS", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert max_threads() == 1
-
     @pytest.mark.parametrize("kind", ["theta", "realaxis", "highfreq"])
     def test_empty_z_list_is_a_config_error(self, tmp_path, capsys, kind):
         # with no z a scan has no max to take and no row to write
@@ -663,6 +619,16 @@ class TestCli:
 
 
 class TestGoldenStructuralChecks:
+    def test_highfreq_a1_runs_one_mode_per_point(self, tmp_path):
+        # constant damping: each mode's spectral bound exceeds its norm by at most a
+        # relative 7e-8 (2 delta / |Im w|, delta = 1.3e-7, |Im w| = tau >= 4), so the
+        # run of the mode of largest bound finds a max above every other mode's
+        # bound, and no other mode runs
+        points = cmd_resolvent(load(str(CONFIG_DIR / "highfreq_a1.json")),
+                               str(tmp_path))["points"]
+        assert [p.modes_scanned for p in points] == [1] * len(points)
+        assert all(0.0 < p.tail_bound < p.norm_est for p in points)
+
     def test_heat_zero_data_golden(self, tmp_path):
         from guidewave.pipeline import cmd_heat_compare
         cfg = load(str(CONFIG_DIR / "heat_zero_data.json"))

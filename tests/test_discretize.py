@@ -265,7 +265,7 @@ class TestCheckedSolve:
         op, f = self._case(order, kind, z)
         for solve in (op.solve, op.solve_adjoint):
             solve(f)
-        op._cache["lu"] = _WrongLU(op._cache["lu"], fault)
+        op.__dict__["_lu"] = _WrongLU(op._lu, fault)
         for solve in (op.solve, op.solve_adjoint):
             with pytest.raises(SolveError, match="near-singular"):
                 solve(f)
@@ -325,11 +325,12 @@ def _functions():
             yield f"{path}:{node.lineno} {getattr(node, 'name', 'lambda')}", names
 
 
-@pytest.mark.parametrize("name", ["order", "mass", "lap"])
+@pytest.mark.parametrize("name", ["order", "mass", "lap", "map"])
 def test_no_function_takes_a_parameter_named(name):
     # the stencil order is a field of the grid, Grid1D.order, its D2 stencil is
     # Grid1D.laplacian, and the Klein-Gordon mass is in the eigenvalues
-    # pipeline.build_basis returns; nothing else holds any of them
+    # pipeline.build_basis returns; nothing else holds any of them; and every
+    # scan runs in the calling thread, so none takes a ``map`` to run it on
     assert [where for where, names in _functions() if name in names] == []
 
 
@@ -377,6 +378,17 @@ def test_only_the_start_vector_makes_a_generator():
     assert len(calls) == 1 and calls[0][0] == "resolvent.py" and calls[0][1] in start
     package = Path(guidewave.__file__).parent
     assert [p.name for p in package.rglob("*.py") if "bit_generator" in p.read_text()] == []
+
+
+def test_no_module_starts_a_thread():
+    # every scan runs serially in the calling thread: the package builds no
+    # executor or thread and reads no thread count from the environment
+    calls = [f"{path}:{node.lineno}" for path, node in _package_nodes()
+             if isinstance(node, ast.Call)
+             and _called(node) in {"ThreadPoolExecutor", "ProcessPoolExecutor", "Thread"}]
+    assert calls == []
+    package = Path(guidewave.__file__).parent
+    assert [p.name for p in package.rglob("*.py") if "GUIDEWAVE_THREADS" in p.read_text()] == []
 
 
 def test_no_function_takes_a_generator():

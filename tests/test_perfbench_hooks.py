@@ -1,7 +1,8 @@
 """The benchmark's layer trace (perfbench/tracing.py) looks up every traced
-callable by name, and some of its hooks read the callable's arguments; a
-refactor that renames or removes one, or changes the arguments a hook reads,
-must fail here rather than in a ``perfbench --trace 1`` run."""
+callable by name, and some of its hooks read the callable's arguments; its
+runner (perfbench/run.py) records ``pipeline.max_threads()`` with every
+result.  A refactor that renames or removes one, or changes the arguments a
+hook reads, must fail here rather than in a benchmark run."""
 
 import importlib.util
 import pathlib
@@ -10,7 +11,8 @@ from importlib import resources
 import guidewave.configs
 from guidewave import config, discretize, evolve, heat, pipeline, resolvent
 
-TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def load_tracing():
@@ -18,6 +20,15 @@ def load_tracing():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_machine_record_reads_the_pipeline(monkeypatch):
+    # run.py imports its sibling modules by their plain names, as it does when run
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    assert run.machine_record(pipeline)["pool_size"] == 1
 
 
 def test_layer_targets_resolve_on_the_package():

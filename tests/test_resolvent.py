@@ -1,24 +1,23 @@
 import cmath
 import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal, svdvals
 
 from guidewave.discretize import (_D1_STENCILS, DampingProfile, Grid1D, ShiftedOperator,
                                   mode_operator, weight)
 from guidewave.errors import ConvergenceError, SolveError
-from guidewave.resolvent import (EnergyNormResolvent, SobolevScaler, WaveBlockResolvent,
-                                 _lanczos_top, _mode_sobolev_norm,
+from guidewave.resolvent import (EnergyNormResolvent, ModeMax, SobolevScaler, WaveBlockResolvent,
+                                 _lanczos_top, _mode_bounds, _mode_sobolev_norm,
                                  _top_eigenpair_tridiagonal, energy_norm_scan,
                                  heat_model_operator, heat_structure_residual, iterative_norm,
                                  mode_norm_bound, norm_scan, power_iteration_norm,
-                                 pure_laplacian_control, reflection_classes,
+                                 pure_laplacian_control, reflection_classes, scan_modes,
                                  semiclassical_scan, theta_blocks, theta_probe)
 
 from dense_oracles import (dense_energy_norm, dense_laplacian, dense_operator,
@@ -234,11 +233,12 @@ class TestNormScan:
         with pytest.raises(ValueError):
             norm_scan([1.0], 2, 0, damping_const, [0.0], seed=0)
 
-    def test_scan_passes_each_mode_bound(self, grid40, damping_const, monkeypatch):
+    def test_scan_passes_each_mode_bound(self, grid40, monkeypatch):
         # every Lanczos run gets its mode's numerical-range bound as ``upper``,
-        # the guard run the bound of the 1.5X box; a=1, z=2+0.1i gives
-        # c = lam - 3.99 + 0.1 and s = 2 (1 + 0.2), so lam=1 is bounded through s only
-        # and is run alone; lam=9's bound is below its norm, so lam=9 is not run
+        # the guard run the bound of the 1.5X box; a hole (a = 0 near x = 0 on
+        # both boxes) at z=2+0.1i gives c = lam - 3.99 + 0 and s = 2 (0 + 0.2), so
+        # lam=1 is bounded through s only and is run alone; lam=9's bound is below
+        # lam=1's norm, so lam=9 is not run
         import guidewave.resolvent as resolvent
 
         uppers = []
@@ -249,10 +249,11 @@ class TestNormScan:
 
         monkeypatch.setattr(resolvent, "iterative_norm", recording)
         z = 2.0 + 0.1j
-        pt = norm_scan([z], 0, 0, damping_const, [9.0, 1.0], truncation_guard=True,
+        hole = DampingProfile.build(grid40, "hole", r=5.0, rho=2.0)
+        pt = norm_scan([z], 0, 0, hole, [9.0, 1.0], truncation_guard=True,
                        seed=11)[0]
-        s = 2.0 * 1.2
-        want = [1.0 / math.hypot(max(lam - (z * z).real + 0.1, 0.0), s) for lam in (9.0, 1.0)]
+        s = 2.0 * 0.2
+        want = [1.0 / math.hypot(max(lam - (z * z).real + 0.0, 0.0), s) for lam in (9.0, 1.0)]
         assert (pt.modes_scanned, pt.k_argmax) == (1, 1)
         assert pt.tail_bound == want[0]
         assert uppers == pytest.approx([want[1], want[1]], rel=1e-14)
@@ -264,13 +265,16 @@ class TestNormScan:
             assert p.residual != 1e-7
             assert 0.0 <= p.residual <= 1e-14
 
-    def test_open_bound_raises_at_budget(self, grid40, damping_const, monkeypatch):
-        # one step leaves the Ritz value far below the mode bound 1/|z| = 0.5
+    def test_open_bound_raises_at_budget(self, grid40, monkeypatch):
+        # one step leaves the Ritz value far below the numerical-range bound of both
+        # propagating modes of a hole (min a = 0) at z = 2 + 0.5i, 1/s = 0.5 with
+        # s = 2 (0 + 2 * 0.5)
         import guidewave.resolvent as resolvent
 
         monkeypatch.setattr(resolvent, "LANCZOS_MAX_STEPS", 1)
+        hole = DampingProfile.build(grid40, "hole", r=5.0, rho=2.0)
         with pytest.raises(ConvergenceError, match=r"in 1 steps .*, 0\.5\]"):
-            norm_scan([2.0], 0, 0, damping_const, [0.0, 1.0],
+            norm_scan([2.0 + 0.5j], 0, 0, hole, [0.0, 1.0],
                       seed=11)
 
     @pytest.mark.parametrize("z, lam", [(1.0, 1.0), (2.0, 4.0)])
@@ -356,6 +360,35 @@ class TestCertifiedTailBound:
         if math.isfinite(bound):
             op = mode_operator(lam, a, z)
             assert dense_sobolev_norm(op, 0, 0) <= bound * (1.0 + 1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(x=st.floats(2.0, 20.0), n=st.integers(16, 40), order=st.sampled_from([2, 4]),
+           level=st.floats(0.1, 2.0), re_z=st.floats(-6.0, 6.0),
+           im_z=st.sampled_from([0.0, 1.0, -1.0]), im_scale=st.floats(0.05, 1.0),
+           lam=st.floats(0.0, 40.0))
+    def test_constant_damping_bound_is_the_norm_within_its_margin(self, x, n, order, level,
+                                                                 re_z, im_z, im_scale, lam):
+        # constant damping makes the mode operator -D2 + w normal: the spectral bound
+        # dominates the dense norm, propagating modes included, and exceeds it by at
+        # most its stated factor (1 + 1e-12)(1 + 2 delta)^(b/2)(1 + 2 delta / (d - delta)),
+        # d the smallest computed |mu_j + w|; the 1e-10 allows for the dense oracles'
+        # roundoff, which the conditioning assumption keeps far below it
+        g = Grid1D(X=x, N=n, order=order)
+        a = DampingProfile.build(g, "constant", level=level)
+        z = complex(re_z, im_z * im_scale)
+        op = mode_operator(lam, a, z)
+        dist = np.abs(g.spectrum + op.diag[0])
+        assume(dist.min() >= 1e-3 * dist.max())
+        delta = g.spectrum_error
+        for b1, b2 in BETA_PAIRS:
+            bound = _mode_bounds(z, a, b1 + b2)(lam)
+            norm = dense_sobolev_norm(op, b1, b2)
+            margin = ((1.0 + 1e-12) * (1.0 + 2.0 * delta) ** ((b1 + b2) / 2.0)
+                      * (1.0 + 2.0 * delta / (dist.min() - delta)))
+            assert norm <= bound * (1.0 + 1e-10)
+            assert bound <= norm * margin * (1.0 + 1e-10)
+        exact = exact_mode_norm(g, lam, z, level)
+        assert exact <= _mode_bounds(z, a, 0)(lam) <= exact * (1.0 + 1e-10)
 
     def test_no_bound_without_coercivity(self):
         assert mode_norm_bound(0.0, 5.0, 2) == math.inf
@@ -448,25 +481,30 @@ class TestScanWorkList:
 
     @pytest.mark.parametrize("kind, betas, lambdas, guard", [
         ("hole", (1, 1), [0.0, 1.0, 4.0, 9.0, 16.0], True),
-        # at 2 + 0.1i the first mode, lam = 9, is elliptic: its bound is below the
-        # max of the modes of the point's largest bound, so it is not run
+        # constant damping: the exact bounds single out the argmax mode at every
+        # point, and it is the one mode run
         ("constant", (0, 0), [9.0, 1.0, 0.0, 16.0], False),
-        # at 2 + 0.1i lam = 4 has a bound just below lam = 0 and 1: the second
-        # batch runs it, and it attains the max
+        # at 2 + 0.1i lam = 4 has a bound just below lam = 0 and 1: it is run
+        # after them, and it attains the max
         ("hole", (0, 0), [0.0, 1.0, 4.0, 16.3, 16.6, 21.0], False),
     ])
-    def test_scan_on_a_pool_equals_the_serial_scan(self, kind, betas, lambdas, guard):
+    def test_scan_on_a_pool_equals_the_serial_scan(self, kind, betas, lambdas, guard,
+                                                   monkeypatch):
+        # the scan over certified bounds against the same scan over bounds of inf,
+        # which runs every mode: only modes_scanned and tail_bound may differ
+        import guidewave.resolvent as resolvent
+
         g = Grid1D(X=20.0, N=128)
         a = DampingProfile.build(g, kind, r=5.0, rho=2.0)
         zs = [2.0 + 0.1j, 3.0, -2.0 + 0.1j, 1.0]
-        serial = norm_scan(zs, *betas, a, lambdas, seed=5,
-                           truncation_guard=guard)
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            pooled = norm_scan(zs, *betas, a, lambdas, seed=5,
-                               map=pool.map, truncation_guard=guard)
-        assert pooled == serial
-        assert serial[2] == dataclasses.replace(serial[0], z=serial[2].z)
-        assert any(p.modes_scanned < len(lambdas) for p in serial)
+        skipping = norm_scan(zs, *betas, a, lambdas, seed=5, truncation_guard=guard)
+        monkeypatch.setattr(resolvent, "_mode_bounds", lambda z, damping, b: lambda lam: math.inf)
+        every = norm_scan(zs, *betas, a, lambdas, seed=5, truncation_guard=guard)
+        assert [p.modes_scanned for p in every] == [len(lambdas)] * len(zs)
+        assert [dataclasses.replace(p, tail_bound=0.0, modes_scanned=len(lambdas))
+                for p in skipping] == every
+        assert skipping[2] == dataclasses.replace(skipping[0], z=skipping[2].z)
+        assert any(p.modes_scanned < len(lambdas) for p in skipping)
 
     @pytest.mark.parametrize("scan", ["norm_scan", "energy_norm_scan", "theta_probe"])
     def test_scan_keys_are_distinct_and_of_one_length(self, scan, monkeypatch):
@@ -500,20 +538,23 @@ class TestScanWorkList:
         assert {len(key) for key in keys} == {4}
 
     def test_a_scan_maps_at_most_two_batches(self):
-        # the elliptic modes come first, by ascending bound (0.2, 1.67, 3.33 at
-        # z = 4): a loop that skipped by the running max would run each alone
-        g = Grid1D(X=20.0, N=256)
-        a = DampingProfile.build(g, "hole", r=5.0, rho=2.0)
-        batches = []
+        # a point runs its modes by decreasing bound, ties by index, and stops at the
+        # first bound below its floor, the smallest over blocks of the block's max
+        # (a bound equal to the floor is run); the runs fold in mode order, ties
+        # going to the first mode, and point 2 takes point 0's result
+        bounds = [[0.2, math.inf, 3.0, math.inf, 3.0, 1.0, 1.5], [2.0, 2.0, 1.0]]
+        sigmas = {(0, 1): (1.0, 2.0), (0, 2): (2.5, 0.4), (0, 3): (2.5, 0.5), (0, 4): (0.1, 3.0),
+                  (1, 0): (2.0, 2.0), (1, 1): (1.5, 1.0)}
+        calls = []
 
-        def spy(fn, *args):
-            batches.append(list(zip(*args)))
-            return map(fn, *args)
+        def run(i, k):
+            calls.append((i, k))
+            return [(sigma, k / 100.0) for sigma in sigmas[i, k]]
 
-        pt = norm_scan([4.0], 0, 0, a, [21.0, 16.6, 16.3, 0.0, 1.0, 4.0], seed=22, map=spy)[0]
-        assert batches == [[(0, 3), (0, 4), (0, 5)], [(0, 1), (0, 2)]]
-        assert (pt.k_argmax, pt.modes_scanned) == (2, 5)
-        assert pt.tail_bound == pytest.approx(0.2, rel=1e-12)
+        first, second, third = scan_modes(bounds, run, rep=[0, 1, 0])
+        assert calls == [(0, 1), (0, 3), (0, 2), (0, 4), (1, 0), (1, 1)]
+        assert first == ModeMax([(2.5, 0.02, 2), (3.0, 0.04, 4)], 1.5, 4) and third == first
+        assert second == ModeMax([(2.0, 0.0, 0), (2.0, 0.0, 0)], 1.0, 2)
 
 
 class TestBlockResolvent:
