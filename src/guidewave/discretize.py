@@ -78,22 +78,50 @@ class Grid1D:
 
     @cached_property
     def spectrum(self) -> np.ndarray:
-        """The eigenvalues mu_j of -D2, ascending, by LAPACK's symmetric band
-        eigensolver (``eig_banded``, eigenvalues only), each within
-        ``spectrum_error`` of the exact one."""
-        bands = np.array([np.full(self.N, -c) for c in self.laplacian.coeffs])
-        return eig_banded(bands, lower=True, eigvals_only=True)
+        """The eigenvalues mu_j of -D2, ascending, each within ``spectrum_error``
+        of the exact one.
+
+        -D2 is symmetric Toeplitz with a zero cap at +-X, so it commutes with the
+        reflection x -> -x, and the orthogonal change to its even and odd vectors
+        splits it into two blocks of half the order and the same half-width
+        (Cantoni & Butler, Linear Algebra Appl. 13, 1976).  With a_d the d-th
+        diagonal of -D2 (zero beyond the band) and m = N // 2, the blocks are
+        a_|i-k| +- a_(N-1-i-k) on i, k < m; for odd N the even block has one more
+        row, the middle node: sqrt(2) a_(m-k) off the diagonal, a_0 on it.  Each
+        block goes to LAPACK's symmetric band eigensolver (``eig_banded``,
+        eigenvalues only), and the union of the two is the spectrum.
+        """
+        a = [-c for c in self.laplacian.coeffs]
+        hb, n, m = len(a) - 1, self.N, self.N // 2
+        halves = []
+        for sign, size in ((1.0, n - m), (-1.0, m)):
+            bands = np.empty((hb + 1, size))
+            for d in range(hb + 1):
+                bands[d] = a[d]
+                # entry (i, k) = (j + d, j) of the corner where N - 1 - i - k <= hb
+                for j in range((n - hb - d) // 2, m - d):
+                    bands[d, j] += sign * a[n - 1 - 2 * j - d]
+                if size > m and d > 0:
+                    # row m, the middle node of odd N, couples to both its sides
+                    bands[d, m - d] = math.sqrt(2.0) * a[d]
+            halves.append(eig_banded(bands, lower=True, eigvals_only=True))
+        mu = np.concatenate(halves)
+        mu.sort()
+        return mu
 
     @property
     def spectrum_error(self) -> float:
         """delta = 10 N eps ||D2||_inf, a bound of |mu_j - computed mu_j|.
 
-        The eigensolver is backward stable: it returns the exact eigenvalues of
-        -D2 + E with ||E||_2 <= p(N) eps ||D2||_2, p(N) a modestly growing
-        function of N (LAPACK Users' Guide, section 4.7), linear for the
-        Householder band reduction; p(N) = 10 N here, and ||D2||_2 <= ||D2||_inf
-        for a symmetric matrix.  Weyl's inequality moves each eigenvalue by at
-        most ||E||_2.
+        The eigensolver is backward stable: on a block of order n it returns the
+        exact eigenvalues of the block + E with ||E||_2 <= p(n) eps ||block||_2,
+        p(n) a modestly growing function of n (LAPACK Users' Guide, section 4.7),
+        linear for the Householder band reduction.  ``spectrum`` splits -D2 by an
+        orthogonal similarity, so each block has order at most (N + 1) / 2 and
+        2-norm at most ||D2||_2, and the spectrum of -D2 is the union of theirs;
+        rounding the folded corner and middle entries adds a few eps ||D2||_2.  All
+        of it lies within p(N) = 10 N, and ||D2||_2 <= ||D2||_inf for a symmetric
+        matrix.  Weyl's inequality moves each eigenvalue by at most ||E||_2.
         """
         coeffs = self.laplacian.coeffs
         norm = abs(coeffs[0]) + 2.0 * sum(abs(c) for c in coeffs[1:])

@@ -266,11 +266,16 @@ def _mode_bounds(z: complex, damping: DampingProfile, beta_sum: int):
     a = damping.samples
     if a.min() == a.max():
         mu, delta, a0 = damping.grid.spectrum, damping.grid.spectrum_error, float(a[0])
-        scale = (1.0 + mu + delta) ** (beta_sum / 2.0)
+        scale = (1.0 + mu + delta) ** (beta_sum / 2.0) if beta_sum else None
 
         def exact(lam):
             dist = np.abs(mu + (lam - 1j * z * a0 - z * z)) - delta
-            return (1.0 + 1e-12) * float(np.max(scale / dist)) if dist.min() > 0.0 else math.inf
+            nearest = float(dist.min())
+            if nearest <= 0.0:
+                return math.inf
+            # the L^2 pair's max of 1 / dist is 1 / its min: fl(1 / d) is monotone in d
+            top = 1.0 / nearest if scale is None else float(np.max(scale / dist))
+            return (1.0 + 1e-12) * top
 
         return exact
     shift = -(z * z).real + float(np.min(z.imag * a))

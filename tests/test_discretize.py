@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import guidewave
+from guidewave import discretize
 from guidewave.discretize import (HOLE_EDGE_WIDTH, DampingProfile, Grid1D, WeightSpec,
                                   gradient_1d, mode_operator)
 from guidewave.errors import SolveError
@@ -106,6 +107,35 @@ class TestLaplacian:
         for order in (3, 6):
             with pytest.raises(ValueError, match="stencil order must be 2 or 4"):
                 Grid1D(X=40.0, N=512, order=order)
+
+
+class TestSpectrum:
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("grid", [Grid1D(X=20.0, N=16), Grid1D(X=20.0, N=17),
+                                      Grid1D(X=20.0, N=64), Grid1D(X=20.0, N=65),
+                                      Grid1D(X=20.0, N=128).refine(1.5)],
+                             ids=lambda g: f"N{g.N}")
+    def test_matches_dense_oracle_within_its_error(self, grid, order):
+        g = replace(grid, order=order)
+        mu = g.spectrum
+        assert mu.shape == (g.N,)
+        assert np.all(np.diff(mu) >= 0.0)
+        exact = np.sort(-np.linalg.eigvalsh(dense_laplacian(g)))
+        assert np.max(np.abs(mu - exact)) <= g.spectrum_error
+
+    @pytest.mark.parametrize("n, orders", [(4096, [2048, 2048]), (6145, [3073, 3072])])
+    def test_solves_two_half_size_blocks(self, n, orders, monkeypatch):
+        # the reflection x -> -x halves the band eigensolve; one solve of order N
+        # would cost about twice as much
+        calls = []
+
+        def spy(bands, lower, eigvals_only):
+            calls.append(bands.shape[1])
+            return np.zeros(bands.shape[1])
+
+        monkeypatch.setattr(discretize, "eig_banded", spy)
+        assert Grid1D(X=20.0, N=n).spectrum.shape == (n,)
+        assert calls == orders
 
 
 class TestDamping:
