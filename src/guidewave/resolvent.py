@@ -21,10 +21,13 @@ lam_k > tau^2.  The bound also certifies every run; a point counts its runs
 (``modes_scanned``) and keeps the largest bound not run (``tail_bound``).
 A run's start vector is drawn from ``default_rng(key)``, its key naming the
 run, [seed, point, mode, block] in every scan (``_start_vector``), and each
-reflection class {z, -conj z} is computed once.  The energy norm of the
-first-order operator uses the band Cholesky factor of -D2 + lam
-(``EnergyNormResolvent``) the same way.  The dense oracles for these norms
-live in the tests.
+reflection class {z, -conj z} is computed once.  The truncation guard reruns
+a point's argmax mode on a 1.5X box through the scan's own norm helper.  The
+energy norm of the first-order operator uses the band Cholesky factor of
+-D2 + lam (``EnergyNormResolvent``) the same way, and reports its measured
+residual too.  The theta probe builds each point's heat-model factor and
+block table once, shared by its structure check and mode 0.  The dense
+oracles for these norms live in the tests.
 """
 
 from __future__ import annotations
@@ -64,39 +67,9 @@ class ScanPoint:
             raise ValueError(f"operator norm estimate must be positive, got {self.norm_est}")
 
 
-# no longer called; kept while perfbench/tracing.py looks it up by name
-def power_iteration_norm(apply_op, apply_adjoint, n: int, rng: np.random.Generator,
-                         tol: float = 1e-5, maxit: int = 500,
-                         raise_tol: float = 1e-3) -> tuple[float, float, int]:
-    """Largest singular value of T via power iteration on T^*T.
-
-    Returns (sigma, relative residual at termination, iterations).  When the
-    top singular values cluster the Rayleigh quotient keeps creeping without
-    ever meeting a tight tolerance while the estimate is already within the
-    cluster width of the true norm, so slow convergence only raises once the
-    last relative change exceeds ``raise_tol``.
-    """
-    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    x /= np.linalg.norm(x)
-    sigma_old = math.inf
-    for it in range(1, maxit + 1):
-        y = apply_op(x)
-        sigma = float(np.linalg.norm(y))
-        if sigma == 0.0:
-            return 0.0, 0.0, it
-        x = apply_adjoint(y)
-        nx = float(np.linalg.norm(x))
-        if nx == 0.0:
-            return sigma, 0.0, it
-        x /= nx
-        res = abs(sigma - sigma_old) / sigma
-        if res < tol:
-            return sigma, res, it
-        sigma_old = sigma
-    if res <= raise_tol:
-        return sigma, res, maxit
-    raise ConvergenceError(
-        f"power iteration did not converge in {maxit} steps (last rel change {res:.2e})")
+# retired: kept only because the benchmark's tracer wraps this name (ROADMAP item 5 deletes it)
+def power_iteration_norm(*args, **kwargs):
+    raise NotImplementedError("power iteration is retired; iterative_norm is the estimator")
 
 
 def _start_vector(key, m: int) -> np.ndarray:
@@ -371,7 +344,9 @@ def norm_scan(z_list, beta1: int, beta2: int, damping: DampingProfile, lambdas, 
     With ``truncation_guard`` every point is recomputed on a 1.5X box, with
     the damping rebuilt on it and that box's bound, and flagged
     "truncation-limited" when the norm moves by more than ``TRUNCATION_GUARD_RTOL``.
-    The guard reruns the argmax mode k alone, from key [seed, i, k, 1].
+    The guard reruns the argmax mode k alone, from key [seed, i, k, 1],
+    through the scan's own norm helper (``mode_norm``), given the box's
+    damping, scaler and bound.
     """
     if beta1 not in (0, 1) or beta2 not in (0, 1):
         raise ValueError(f"Sobolev indices must lie in {{0,1}}, got beta1={beta1}, beta2={beta2}")
@@ -387,19 +362,17 @@ def norm_scan(z_list, beta1: int, beta2: int, damping: DampingProfile, lambdas, 
     bounds = [[bound(lam) for lam in lambdas]
               for bound in (_mode_bounds(z, damping, beta1 + beta2) for z in zs)]
 
-    def run(i, k):
+    def mode_norm(damping, scaler, i, k, block, upper):
         op = mode_operator(lambdas[k], damping, zs[i])
-        return [_mode_sobolev_norm(op, scaler, beta1, beta2, [seed, i, k, 0],
-                                   upper=bounds[i][k])]
+        return _mode_sobolev_norm(op, scaler, beta1, beta2, [seed, i, k, block], upper=upper)
 
-    maxima = scan_modes(bounds, run, rep=rep)
+    maxima = scan_modes(bounds, lambda i, k: [mode_norm(damping, scaler, i, k, 0, bounds[i][k])],
+                        rep=rep)
 
     def limited(i):
         best, _, k = maxima[i].best[0]
         upper2 = _mode_bounds(zs[i], damping2, beta1 + beta2)(lambdas[k])
-        op2 = mode_operator(lambdas[k], damping2, zs[i])
-        sigma2, _ = _mode_sobolev_norm(op2, scaler2, beta1, beta2, [seed, i, k, 1],
-                                       upper=upper2)
+        sigma2, _ = mode_norm(damping2, scaler2, i, k, 1, upper2)
         return abs(sigma2 - best) > TRUNCATION_GUARD_RTOL * best
 
     flags = {i: limited(i) for i in sorted(set(rep))} if truncation_guard else {}
@@ -460,8 +433,9 @@ class EnergyNormResolvent:
         self._chol = BandCholesky(grid, np.full(grid.N, self.lam - grid.laplacian.coeffs[0]),
                                   dtype=complex)
 
-    def op_norm(self, z: complex, key) -> float:
-        """The energy norm of the block resolvent at z, from the start vector of ``key``."""
+    def op_norm(self, z: complex, key) -> tuple[float, float]:
+        """The energy norm of the block resolvent at z, from the start vector of
+        ``key``: (sigma, residual), as ``iterative_norm`` measures them."""
         n = self.damping.grid.N
         chol = self._chol
         block = WaveBlockResolvent(z, self.damping, self.lam)
@@ -474,8 +448,7 @@ class EnergyNormResolvent:
             w1, w2 = block.apply_adjoint(chol.mul(x[:n], transpose=True), x[n:])
             return np.concatenate([chol.solve_triangular(w1, transpose=True), w2])
 
-        sigma, _ = iterative_norm(apply_op, apply_adj, 2 * n, key)
-        return sigma
+        return iterative_norm(apply_op, apply_adj, 2 * n, key)
 
 
 def energy_norm_scan(taus, damping: DampingProfile, lambdas, *, seed: int) -> list[float]:
@@ -491,7 +464,7 @@ def energy_norm_scan(taus, damping: DampingProfile, lambdas, *, seed: int) -> li
     rep = reflection_classes(taus)
 
     def run(i, k):
-        return [(helpers[k].op_norm(taus[i], [seed, i, k, 0]), 0.0)]
+        return [helpers[k].op_norm(taus[i], [seed, i, k, 0])]
 
     maxima = scan_modes([[math.inf] * len(helpers)] * len(taus), run, rep=rep)
     return [m.best[0][0] for m in maxima]
@@ -529,19 +502,6 @@ def heat_structure_residual(heat: ShiftedOperator, blocks: dict, x: np.ndarray) 
     return num / max(den, 1e-300)
 
 
-def _difference_block(op: ShiftedOperator, heat: ShiftedOperator | None, p, c, q):
-    """t x = R(p x) + c x - H(q x) and its adjoint conj(p) R^* y + conj(c) y - conj(q) H^* y."""
-    def apply(x):
-        y = op.solve(p * x) + c * x
-        return y if heat is None else y - heat.solve(q * x)
-
-    def adjoint(y):
-        x = np.conj(p) * op.solve_adjoint(y) + np.conj(c) * y
-        return x if heat is None else x - np.conj(q) * heat.solve_adjoint(y)
-
-    return apply, adjoint
-
-
 def theta_probe(z_list, damping: DampingProfile, lambdas, delta1: float, delta2: float, *,
                 seed: int) -> list[dict]:
     """Weighted norms of the blocks of (A - z)^{-1} - R_Heat(z), matrix-free.
@@ -552,11 +512,13 @@ def theta_probe(z_list, damping: DampingProfile, lambdas, delta1: float, delta2:
     (2N, N) operator [wl G t wr ; sqrt(lam_k) wl t wr] with the centred
     stencil G (G^* = -G); blocks 3 and 4 as wl t wr.  Each norm is a seeded
     Lanczos estimate, and the norm over the guide is the max over every mode
-    of ``lambdas``, one ``scan_modes`` run per (z, mode).
-    ``structure_residual`` checks row 2 = z row 1 of the heat-model
-    blocks on a probe vector.  Block j of mode k at z_i starts from the
-    vector of key [seed, i, k, j], and z_i's probe is the vector of key
-    [seed, i, 0, 0].  Requires Im z > 0 and |z| <= 1.
+    of ``lambdas``, one ``scan_modes`` run per (z, mode).  A point's
+    heat-model operator (one shifted factorization) and block table are built
+    once, before the scan: ``structure_residual`` checks row 2 = z row 1 of
+    the heat-model blocks with them on a probe vector, and mode 0's four
+    blocks (``_weighted``) solve with the same factor.  Block j of mode k at
+    z_i starts from the vector of key [seed, i, k, j], and z_i's probe is the
+    vector of key [seed, i, 0, 0].  Requires Im z > 0 and |z| <= 1.
     """
     zs = [complex(z) for z in z_list]
     lambdas = np.asarray(lambdas, dtype=float)
@@ -564,43 +526,55 @@ def theta_probe(z_list, damping: DampingProfile, lambdas, delta1: float, delta2:
     n = grid.N
     wl = weight(grid, -delta1)
     wr = weight(grid, -delta2)
-    residuals = []
+    heats, blocks, residuals = [], [], []
     for i, z in enumerate(zs):
         if z.imag <= 0 or abs(z) > 1 + 1e-12:
             raise ValueError(f"theta probe needs Im z > 0 and |z| <= 1, got z={z}")
-        residuals.append(heat_structure_residual(heat_model_operator(grid, z),
-                                                 theta_blocks(z, damping.samples),
+        heats.append(heat_model_operator(grid, z))
+        blocks.append(theta_blocks(z, damping.samples))
+        residuals.append(heat_structure_residual(heats[i], blocks[i],
                                                  _start_vector([seed, i, 0, 0], n)))
 
     def run(i, k):
-        z, lam = zs[i], float(lambdas[k])
-        op = mode_operator(lam, damping, z)
-        heat = heat_model_operator(grid, z) if k == 0 else None
-        runs = []
-        for j, (p, c, q) in theta_blocks(z, damping.samples).items():
-            t, t_adj = _difference_block(op, heat, p, c, q)
-            apply_op, apply_adj = _weighted(t, t_adj, wl, wr, grid,
-                                            math.sqrt(lam) if j <= 2 else None)
-            runs.append(iterative_norm(apply_op, apply_adj, n, [seed, i, k, j]))
-        return runs
+        lam = float(lambdas[k])
+        op = mode_operator(lam, damping, zs[i])
+        heat = heats[i] if k == 0 else None
+        return [iterative_norm(*_weighted(op, heat, block, wl, wr,
+                                          math.sqrt(lam) if j <= 2 else None),
+                               n, [seed, i, k, j])
+                for j, block in blocks[i].items()]
 
     maxima = scan_modes([[math.inf] * len(lambdas)] * len(zs), run)
     return [{"z": z, **{f"theta{j}": m.best[j - 1][0] for j in (1, 2, 3, 4)},
              "structure_residual": res} for z, m, res in zip(zs, maxima, residuals)]
 
 
-def _weighted(t, t_adj, wl, wr, grid: Grid1D, root_lam: float | None = None):
-    """wl t wr, or [wl G t wr ; root_lam wl t wr] (G^* = -G): apply and adjoint."""
+def _weighted(op: ShiftedOperator, heat: ShiftedOperator | None, block, wl, wr,
+              root_lam: float | None = None):
+    """wl t wr, or [wl G t wr ; root_lam wl t wr] (G^* = -G), of the theta block
+    t x = R(p x) + c x - H(q x), (p, c, q) = ``block``, with R the solve of ``op``
+    and H that of ``heat`` (none when it is None): apply and adjoint.  The
+    adjoint of t is conj(p) R^* y + conj(c) y - conj(q) H^* y."""
+    p, c, q = block
+    grid = op.grid
+
+    def t(x):
+        y = op.solve(p * x) + c * x
+        return y if heat is None else y - heat.solve(q * x)
+
+    def t_adj(y):
+        x = np.conj(p) * op.solve_adjoint(y) + np.conj(c) * y
+        return x if heat is None else x - np.conj(q) * heat.solve_adjoint(y)
+
     if root_lam is None:
         return (lambda x: wl * t(wr * x)), (lambda y: wr * t_adj(wl * y))
-    n = grid.N
 
     def apply(x):
         u = t(wr * x)
         return np.concatenate([wl * gradient_1d(u, grid), root_lam * wl * u])
 
     def adjoint(y):
-        return wr * t_adj(-gradient_1d(wl * y[:n], grid) + root_lam * wl * y[n:])
+        return wr * t_adj(-gradient_1d(wl * y[:grid.N], grid) + root_lam * wl * y[grid.N:])
 
     return apply, adjoint
 

@@ -144,7 +144,9 @@ def render_plot(x: np.ndarray, series: dict[str, np.ndarray], mode: str = "loglo
         else:
             anchor = ys[0]
             yg = lambda xv: anchor + guide_slope * (xv - xs[0])
-        pts = " ".join(f"{_fmt(ax.px(a))},{_fmt(ax.py(max(yg(a), 1e-300)))}"
+        # a log axis cannot place y <= 0; a linear one draws the guide as it is
+        clamp = (lambda y: max(y, 1e-300)) if ylog else (lambda y: y)
+        pts = " ".join(f"{_fmt(ax.px(a))},{_fmt(ax.py(clamp(yg(a))))}"
                        for a in (xs[0], xs[-1]))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="gray" '
                      f'stroke-width="1" stroke-dasharray="2,3"/>')

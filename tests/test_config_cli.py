@@ -24,6 +24,7 @@ from guidewave.fit import fit_power
 from guidewave.pipeline import (build_damping, build_envelope, build_grid, cmd_resolvent,
                                 read_csv)
 from guidewave.resolvent import norm_scan
+from guidewave.svgplot import render_plot
 
 CONFIG_DIR = resources.files(guidewave.configs)
 
@@ -601,6 +602,15 @@ class TestCli:
         malformed = tmp_path / "bad.csv"
         malformed.write_text("t,y\n1.0\n")
         assert main(["plot", str(malformed)]) == 2
+
+    def test_linear_plot_draws_a_guide_that_crosses_zero(self):
+        # y = 5 - 0.3 x spans [2, 5] over x in [0, 10], so the y axis maps 2 to
+        # pixel 430 and 5 to 36; the slope -1 guide from (0, 5) ends at y = -5,
+        # pixel 430 + 7/3 * 394, below the frame, not clamped flat onto y = 0
+        x = np.linspace(0.0, 10.0, 11)
+        svg = render_plot(x, {"y": 5.0 - 0.3 * x}, mode="linear", guide_slope=-1.0)
+        guide = re.search(r'<polyline points="([^"]*)"[^>]*stroke="gray"', svg).group(1)
+        assert guide == "70.000,36.000 700.000,1349.333"
 
     def test_set_override_changes_output_dir(self, tmp_path):
         cfgp = write_tiny(tmp_path)

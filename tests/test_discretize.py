@@ -422,15 +422,11 @@ def test_no_module_starts_a_thread():
 
 
 def test_no_function_takes_a_generator():
-    # power_iteration_norm is exempt: nothing calls it, and the benchmark's tracer
-    # still looks it up by name
-    exempt = _lines_of("resolvent.py", "power_iteration_norm")
-    found = []
-    for path, node in _package_nodes():
-        if isinstance(node, (ast.Attribute, ast.Name)) and "Generator" in (
-                getattr(node, "attr", None), getattr(node, "id", None)):
-            if not (str(path) == "resolvent.py" and node.lineno in exempt):
-                found.append(f"{path}:{node.lineno}")
+    # every draw is from its run's key (resolvent._start_vector), so no
+    # function names a Generator, not even a retired one
+    found = [f"{path}:{node.lineno}" for path, node in _package_nodes()
+             if isinstance(node, (ast.Attribute, ast.Name)) and "Generator" in (
+                 getattr(node, "attr", None), getattr(node, "id", None))]
     assert found == []
 
 
