@@ -25,6 +25,10 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_VERDICT = 4
 
+#: run command -> the pipeline function that runs a config and writes its artifacts
+COMMANDS = {"evolve": cmd_evolve, "heat-compare": cmd_heat_compare,
+            "resolvent-scan": cmd_resolvent, "semiclassical": cmd_semiclassical}
+
 
 def _check_verdicts(fits) -> bool:
     return all(f.get("verdict", "informative") != "fail" for f in fits if isinstance(f, dict))
@@ -45,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"guidewave {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    for name in ("evolve", "heat-compare", "resolvent-scan", "semiclassical"):
+    for name in COMMANDS:
         _add_run_args(sub.add_parser(name))
 
     fp = sub.add_parser("fit", help="fit a decay model to a series CSV column")
@@ -103,21 +107,10 @@ def main(argv=None) -> int:
             return EXIT_OK
 
         cfg = load(args.config, args.set)
-        if args.command == "evolve":
-            out = cmd_evolve(cfg, args.out)
-            fits = out["fits"]
-        elif args.command == "heat-compare":
-            out = cmd_heat_compare(cfg, args.out)
-            fits = out["fits"]
-        elif args.command == "resolvent-scan":
-            out = cmd_resolvent(cfg, args.out)
-            fits = []
-        else:
-            out = cmd_semiclassical(cfg, args.out)
-            fits = []
+        out = COMMANDS[args.command](cfg, args.out)
         print(json.dumps({"outdir": out["outdir"], "config_hash": config_hash(cfg)},
                          sort_keys=True))
-        if args.assert_verdicts and not _check_verdicts(fits):
+        if args.assert_verdicts and not _check_verdicts(out.get("fits", [])):
             return EXIT_VERDICT
         return EXIT_OK
     except ConfigError as exc:

@@ -165,21 +165,6 @@ def from_dict(data: dict) -> ExperimentConfig:
     return cfg
 
 
-def _leaves(cls, prefix: str = ""):
-    for name, kind in _hints(cls).items():
-        if is_dataclass(kind):
-            yield from _leaves(kind, f"{prefix}{name}.")
-        else:
-            yield f"{prefix}{name}", kind
-
-
-#: dotted path -> annotation of every field that is not a section: the schema ``_build`` checks
-FIELD_TYPES = dict(_leaves(ExperimentConfig))
-#: the fields that take a JSON integer, and those that take any JSON number
-INTEGER_FIELDS = tuple(path for path, kind in FIELD_TYPES.items() if kind is int)
-FLOAT_FIELDS = tuple(path for path, kind in FIELD_TYPES.items() if kind is float)
-
-
 def validate(cfg: ExperimentConfig) -> None:
     """The range and cross-field rules; the types were checked as the config was built."""
     if cfg.flavor not in FLAVORS:

@@ -88,9 +88,6 @@ class HeatSolution:
     grid: Grid1D
     w0: np.ndarray = field(repr=False)
 
-    def value(self, t: float) -> np.ndarray:
-        return heat_apply(self.w0, self.grid, t, "none")
-
     def dx(self, t: float) -> np.ndarray:
         return heat_apply(self.w0, self.grid, t, "dx")
 
@@ -106,21 +103,19 @@ COMPARE_COLUMNS = ("t", "norm_grad_diff", "norm_dt_diff", "norm_grad_v", "norm_d
 
 
 def compare(state, heat: HeatSolution, yfactor: float,
-            w: np.ndarray | float = 1.0) -> dict[str, float] | None:
+            w: np.ndarray | float = 1.0) -> dict[str, float]:
     """Difference norms between one wave state and the heat solution at its time.
 
-    A state at t = 0 gives None (the kernel is singular there); any other
-    gives one row, keyed by ``COMPARE_COLUMNS``.  The heat solution lives on
-    mode 0, the mean mode (lambda_0 = 0); the gradient difference includes
-    the transverse part of u, which v lacks.  Norms are over the guide,
-    weighted by ``w``, the samples of <x>^(-delta1) formed once per run as
-    ``weight(heat.grid, -delta1)`` (the default 1.0 leaves them unweighted).
+    One row, keyed by ``COMPARE_COLUMNS``; at t = 0 the heat kernel, singular
+    there, raises ``ValueError``.  The heat solution lives on mode 0, the mean
+    mode (lambda_0 = 0); the gradient difference includes the transverse part
+    of u, which v lacks.  Norms are over the guide, weighted by ``w``, the
+    samples of <x>^(-delta1) formed once per run as ``weight(heat.grid,
+    -delta1)`` (the default 1.0 leaves them unweighted).
     """
     grid = heat.grid
     if state.grid != grid:
         raise ValueError(f"state is sampled on {state.grid}, the heat solution on {grid}")
-    if state.t <= 0.0:
-        return None
     h = grid.h
 
     def wsq(f):
@@ -144,8 +139,8 @@ def compare(state, heat: HeatSolution, yfactor: float,
 
 
 def comparison_table(rows) -> dict[str, np.ndarray]:
-    """Columns of the ``compare`` rows, in order; the None of t = 0 is skipped."""
-    rows = [r for r in rows if r is not None]
+    """Columns of the ``compare`` rows, in order."""
+    rows = list(rows)
     return {k: np.array([r[k] for r in rows]) for k in COMPARE_COLUMNS}
 
 

@@ -1,12 +1,15 @@
 """Experiment runner: builds module objects from a config and emits artifacts.
 
-Every output file embeds the artifact version and the config hash; writes are
-atomic (temp file + rename).  Every scan runs serially in the calling
-thread (``scan_modes``): each point runs its modes by decreasing certified
-bound, exact with constant damping, and skips the modes whose bound is below
-the max its runs found.  Each Lanczos run draws its start vector from
-``np.random.default_rng(key)`` with the key [seed, point, mode, block], the
-config's seed first, so a start vector depends on its key alone.
+Each run command writes its files through ``write_artifacts`` into a directory
+named by the config hash: every CSV and JSON file there names the artifact
+version, the config hash and the experiment id, and ``config.json`` is the
+canonical config the hash is taken of.  Writes are atomic (temp file +
+rename).  Every scan runs serially in the calling thread (``scan_modes``):
+each point runs its modes by decreasing certified bound, exact with constant
+damping, and skips the modes whose bound is below the max its runs found.
+Each Lanczos run draws its start vector from ``np.random.default_rng(key)``
+with the key [seed, point, mode, block], the config's seed first, so a start
+vector depends on its key alone.
 """
 
 from __future__ import annotations
@@ -88,26 +91,28 @@ def read_csv(path: str) -> dict[str, np.ndarray]:
     return {name: data[:, j] for j, name in enumerate(names)}
 
 
-def _header(cfg: ExperimentConfig) -> list[str]:
-    return [f"guidewave {__version__}", f"config {config_hash(cfg)}",
-            f"experiment {cfg.experiment_id}"]
+def write_artifacts(cfg: ExperimentConfig, out_base: str, files: dict) -> str:
+    """Write ``files``, in order, and then ``config.json`` into
+    ``out_base/<config_hash>``; return that directory.
 
-
-def _json_report(cfg: ExperimentConfig, payload: dict) -> str:
-    body = {"artifact_version": __version__, "config_hash": config_hash(cfg),
-            "experiment_id": cfg.experiment_id}
-    body.update(payload)
-    return json.dumps(body, sort_keys=True, indent=2, default=_json_default) + "\n"
-
-
-def _json_default(obj):
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+    ``files`` maps a file name to CSV columns (``.csv``), written under three
+    ``#`` lines, or to a JSON payload (``.json``), written inside an envelope;
+    both name the artifact version, the config hash and the experiment id.
+    ``config.json`` is ``canonical_json(cfg)``, the form the hash is taken of.
+    """
+    digest = config_hash(cfg)
+    outdir = os.path.join(out_base, digest)
+    header = [f"guidewave {__version__}", f"config {digest}", f"experiment {cfg.experiment_id}"]
+    envelope = {"artifact_version": __version__, "config_hash": digest,
+                "experiment_id": cfg.experiment_id}
+    for name, content in files.items():
+        if name.endswith(".csv"):
+            text = format_csv(content, header)
+        else:
+            text = json.dumps({**envelope, **content}, sort_keys=True, indent=2) + "\n"
+        atomic_write(os.path.join(outdir, name), text)
+    atomic_write(os.path.join(outdir, "config.json"), canonical_json(cfg) + "\n")
+    return outdir
 
 
 # ---------------------------------------------------------------------------
@@ -228,17 +233,14 @@ def cmd_evolve(cfg: ExperimentConfig, out_base: str, on_sample=None) -> dict:
             except ValueError as exc:
                 fits.append({"series": "E_p0perp", "model": "exponential", "error": str(exc)})
 
-    outdir = os.path.join(out_base, config_hash(cfg))
-    atomic_write(os.path.join(outdir, "series.csv"), format_csv(series, _header(cfg)))
-    atomic_write(os.path.join(outdir, "fits.json"), _json_report(cfg, {
+    outdir = write_artifacts(cfg, out_base, {"series.csv": series, "fits.json": {
         "command": "evolve",
         "fits": fits,
         "E0": result.E0,
         "identity_max_step_residual": result.identity_max_step_residual,
         "identity_cumulative_residual": result.identity_cumulative_residual,
         "damping_hypothesis_constants": damping.hypothesis_constants(),
-    }))
-    atomic_write(os.path.join(outdir, "config.json"), canonical_json(cfg) + "\n")
+    }})
     return {"outdir": outdir, "result": result, "series": series, "fits": fits}
 
 
@@ -252,13 +254,14 @@ def cmd_heat_compare(cfg: ExperimentConfig, out_base: str) -> dict:
     rows = []
 
     def on_sample(state):
-        # each sampled state is compared as it comes and then dropped; the
-        # first one is the smoothed initial state, which the heat data needs
+        # the first sample is the smoothed initial state, which the heat data
+        # needs; each later one is compared as it comes and then dropped
         nonlocal heat
         if heat is None:
             heat = HeatSolution(grid=damping.grid, w0=p0_heat_data(
                 state.modes, state.vmodes, damping.samples, yfactor))
-        rows.append(compare(state, heat, yfactor, w=w))
+        else:
+            rows.append(compare(state, heat, yfactor, w=w))
 
     evolved = cmd_evolve(cfg, out_base, on_sample=on_sample)
     table = comparison_table(rows)
@@ -278,9 +281,7 @@ def cmd_heat_compare(cfg: ExperimentConfig, out_base: str) -> dict:
         tail = ratios[ts >= 50.0]
         payload["ratio_dt_monotone_tail"] = bool(np.all(np.diff(tail) < 0)) if tail.size > 1 else False
 
-    outdir = evolved["outdir"]
-    atomic_write(os.path.join(outdir, "compare.csv"), format_csv(table, _header(cfg)))
-    atomic_write(os.path.join(outdir, "compare_fits.json"), _json_report(cfg, payload))
+    outdir = write_artifacts(cfg, out_base, {"compare.csv": table, "compare_fits.json": payload})
     return {"outdir": outdir, "table": table, "fits": fits, "heat": heat,
             "payload": payload, "evolved": evolved}
 
@@ -349,10 +350,7 @@ def cmd_resolvent(cfg: ExperimentConfig, out_base: str) -> dict:
             payload["bound_constant"] = max(p.norm_est / abs(p.z.real) ** power for p in ok)
         result = {"points": points}
 
-    outdir = os.path.join(out_base, config_hash(cfg))
-    atomic_write(os.path.join(outdir, "scan.csv"), format_csv(cols, _header(cfg)))
-    atomic_write(os.path.join(outdir, "scan.json"), _json_report(cfg, payload))
-    atomic_write(os.path.join(outdir, "config.json"), canonical_json(cfg) + "\n")
+    outdir = write_artifacts(cfg, out_base, {"scan.csv": cols, "scan.json": payload})
     return {"outdir": outdir, "payload": payload, **result}
 
 
@@ -370,9 +368,7 @@ def cmd_semiclassical(cfg: ExperimentConfig, out_base: str) -> dict:
     payload = {"command": "semiclassical", "points": rows, "control": control,
                "max_h_norm": max(hnorms), "variation": max(hnorms) / min(hnorms),
                "control_growth": max(c["norm"] for c in control) / min(c["norm"] for c in control)}
-    outdir = os.path.join(out_base, config_hash(cfg))
-    atomic_write(os.path.join(outdir, "semiclassical.json"), _json_report(cfg, payload))
-    atomic_write(os.path.join(outdir, "config.json"), canonical_json(cfg) + "\n")
+    outdir = write_artifacts(cfg, out_base, {"semiclassical.json": payload})
     return {"outdir": outdir, "payload": payload}
 
 

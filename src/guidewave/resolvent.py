@@ -3,8 +3,8 @@
 Every operator norm is the top singular value of a matrix-free operator, by
 the Lanczos three-term recurrence on T^*T from a seeded start vector.  The
 recurrence stores no basis, tests its top Ritz pair at every step, stops once
-the normal-operator residual is at most tol^2 sigma^2 and reports that
-measured residual.  A run that the step budget cuts short
+the normal-operator residual is at most tol^2 sigma^2, tol = ``LANCZOS_TOL``,
+and reports that measured residual.  A run that the step budget cuts short
 returns its Ritz value only when a certified upper bound pins it to within
 tol, and raises ``ConvergenceError`` otherwise.  A Sobolev side is the
 form norm of M = 1 - D2, the operator the scan solves with: its band Cholesky
@@ -48,6 +48,9 @@ TRUNCATION_GUARD_RTOL = 0.05
 #: Lanczos steps (two operator applications each) before ``iterative_norm``
 #: needs a certified upper bound to accept its Ritz value
 LANCZOS_MAX_STEPS = 1500
+#: ``iterative_norm`` stops once the normal-operator residual is at most
+#: LANCZOS_TOL**2 sigma**2, and a bound certifies a Ritz value within LANCZOS_TOL
+LANCZOS_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -143,14 +146,14 @@ def _lanczos_top(normal, v0: np.ndarray, rtol: float):
 
 
 def iterative_norm(apply_op, apply_adjoint, n: int, key,
-                   tol: float = 1e-7, upper: float = math.inf) -> tuple[float, float]:
+                   upper: float = math.inf) -> tuple[float, float]:
     """Largest singular value, matrix-free, from the start vector of ``key``.
 
     ``n`` is the dimension of the domain of T, which may have more rows than
     columns.  Lanczos runs on the normal operator N = T^*T from
     ``_start_vector(key, n)``, and stops once its top Ritz pair (theta, y) has
-    ||N y - theta y|| <= tol**2 theta.
-    So ``tol`` bounds the normal-operator residual relative to sigma^2 (the
+    ||N y - theta y|| <= tol**2 theta, tol = ``LANCZOS_TOL``.
+    So tol bounds the normal-operator residual relative to sigma^2 (the
     test ``svds(tol=tol)`` hands to ARPACK), and theta then lies within
     tol**2 theta of an eigenvalue of N.  Returns (sigma, residual): sqrt(theta)
     and the measured ||N y - theta y|| / theta.  When ``LANCZOS_MAX_STEPS``
@@ -161,6 +164,7 @@ def iterative_norm(apply_op, apply_adjoint, n: int, key,
     interval.  Errors raised by the operator propagate; a non-finite operator
     output raises ``ConvergenceError``.
     """
+    tol = LANCZOS_TOL
     theta, residual, converged = _lanczos_top(lambda x: apply_adjoint(apply_op(x)),
                                               _start_vector(key, n), tol * tol)
     sigma = math.sqrt(theta)

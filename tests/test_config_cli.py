@@ -14,9 +14,8 @@ from hypothesis import strategies as st
 import guidewave.configs
 from guidewave import __version__
 from guidewave.cli import main
-from guidewave.config import (FIELD_TYPES, FLOAT_FIELDS, INTEGER_FIELDS, MAX_MODE_NODES,
-                              MAX_NODES, ExperimentConfig, apply_overrides, canonical_json,
-                              config_hash, from_dict, load, parse_scan_z)
+from guidewave.config import (MAX_MODE_NODES, MAX_NODES, ExperimentConfig, apply_overrides,
+                              canonical_json, config_hash, from_dict, load, parse_scan_z)
 from guidewave.discretize import WeightSpec
 from guidewave.errors import ConfigError
 from guidewave.evolve import gaussian_envelope, powerlaw_envelope
@@ -95,6 +94,22 @@ def test_set_overrides_round_trip(overrides):
     again = from_dict(json.loads(text))
     assert canonical_json(again) == text
     assert config_hash(again) == config_hash(cfg)
+
+
+def leaves(cls=ExperimentConfig, prefix=""):
+    """(dotted path, annotation) of every field below ``cls`` that is not a section."""
+    for name, kind in typing.get_type_hints(cls).items():
+        if dataclasses.is_dataclass(kind):
+            yield from leaves(kind, f"{prefix}{name}.")
+        else:
+            yield f"{prefix}{name}", kind
+
+
+#: dotted path -> annotation of every field that is not a section: the schema ``from_dict`` checks
+FIELD_TYPES = dict(leaves())
+#: the fields that take a JSON integer, and those that take any JSON number
+INTEGER_FIELDS = tuple(path for path, kind in FIELD_TYPES.items() if kind is int)
+FLOAT_FIELDS = tuple(path for path, kind in FIELD_TYPES.items() if kind is float)
 
 
 @settings(max_examples=100, deadline=None)
@@ -348,17 +363,41 @@ class TestCli:
         for fname in ("series.csv", "fits.json", "config.json"):
             assert (run1 / fname).read_bytes() == (run2 / fname).read_bytes()
 
-    def test_outputs_embed_hash_and_version(self, tmp_path):
-        cfgp = write_tiny(tmp_path)
-        assert main(["evolve", cfgp, "--out", str(tmp_path / "out")]) == 0
+    @pytest.mark.parametrize("command, mutations, files", [
+        pytest.param("evolve", {}, ["series.csv", "fits.json"], id="evolve"),
+        pytest.param("heat-compare", {},
+                     ["series.csv", "fits.json", "compare.csv", "compare_fits.json"],
+                     id="heat-compare"),
+        pytest.param("resolvent-scan", {"grid": {"X": 20.0, "N": 128, "order": 4},
+                                        "scan": {"kind": "highfreq", "z_list": [2.0, 4.0]}},
+                     ["scan.csv", "scan.json"], id="resolvent-scan"),
+        pytest.param("semiclassical", {"grid": {"X": 20.0, "N": 256, "order": 4},
+                                       "scan": {"kind": "highfreq", "h_list": [0.2, 0.1]}},
+                     ["semiclassical.json"], id="semiclassical"),
+    ])
+    def test_outputs_embed_hash_and_version(self, tmp_path, command, mutations, files):
+        # one hash directory holding the command's files and config.json; every
+        # CSV's three header lines and every JSON envelope name the version, the
+        # hash and the experiment id
+        cfgp = write_tiny(tmp_path, **mutations)
+        assert main([command, cfgp, "--out", str(tmp_path / "out")]) == 0
         cfg = load(cfgp)
-        rundir = tmp_path / "out" / config_hash(cfg)
-        head = (rundir / "series.csv").read_text().splitlines()[:3]
-        assert head[0].startswith("# guidewave ")
-        assert config_hash(cfg) in head[1]
-        fits = json.loads((rundir / "fits.json").read_text())
-        assert fits["config_hash"] == config_hash(cfg)
-        assert fits["artifact_version"]
+        digest = config_hash(cfg)
+        assert [p.name for p in (tmp_path / "out").iterdir()] == [digest]
+        rundir = tmp_path / "out" / digest
+        assert sorted(p.name for p in rundir.iterdir()) == sorted(files + ["config.json"])
+        header = [f"# guidewave {__version__}", f"# config {digest}",
+                  f"# experiment {cfg.experiment_id}"]
+        envelope = {"artifact_version": __version__, "config_hash": digest,
+                    "experiment_id": cfg.experiment_id}
+        for name in files:
+            text = (rundir / name).read_text()
+            if name.endswith(".csv"):
+                assert text.splitlines()[:3] == header
+            else:
+                report = json.loads(text)
+                assert {key: report[key] for key in envelope} == envelope
+        assert (rundir / "config.json").read_text() == canonical_json(cfg) + "\n"
 
     def test_series_csv_schema(self, tmp_path):
         cfgp = write_tiny(tmp_path)

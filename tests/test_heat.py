@@ -162,7 +162,7 @@ class TestCompare:
         for t in times:
             modes = np.zeros((len(lambdas), grid.N))
             vmodes = np.zeros((len(lambdas), grid.N))
-            modes[0] = yfactor * heat.value(t)
+            modes[0] = yfactor * heat_apply(heat.w0, grid, t)
             vmodes[0] = yfactor * heat.dt(t)
             snaps.append(WaveState(t=t, grid=grid, lambdas=lambdas, modes=modes, vmodes=vmodes))
         return snaps
@@ -212,10 +212,11 @@ class TestCompare:
             with pytest.raises(ValueError, match="sampled on"):
                 compare(state, heat, 1.0)
 
-    def test_skips_t_zero(self):
+    def test_raises_at_t_zero(self):
+        # the kernel is singular at t = 0; the pipeline compares only later states
         grid = Grid1D(X=20.0, N=128)
         heat = HeatSolution(grid=grid, w0=np.exp(-grid.xs ** 2))
-        snaps = [WaveState(t=t, grid=grid, lambdas=[0.0], modes=np.zeros((1, grid.N)),
-                           vmodes=np.zeros((1, grid.N))) for t in (0.0, 1.0)]
-        table = comparison_table(compare(s, heat, 1.0) for s in snaps)
-        assert table["t"].tolist() == [1.0]
+        state = WaveState(t=0.0, grid=grid, lambdas=[0.0], modes=np.zeros((1, grid.N)),
+                          vmodes=np.zeros((1, grid.N)))
+        with pytest.raises(ValueError, match="t > 0"):
+            compare(state, heat, 1.0)

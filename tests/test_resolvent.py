@@ -193,7 +193,7 @@ class TestNormScan:
         dense = dense_sobolev_norm(mode_operator(lambdas[pt.k_argmax], a, 2.0), 1, 1)
         assert pt.norm_est == pytest.approx(dense, rel=0.01)
 
-    def test_dense_method_matches_iterative(self):
+    def test_longrange_scan_matches_dense_oracle(self):
         # the dense-SVD oracle, applied to the scanned mode, agrees with the scan
         g = Grid1D(X=40.0, N=256)
         a = DampingProfile.build(g, "longrange", rho=2.0)
@@ -421,9 +421,9 @@ class TestCertifiedTailBound:
         # elliptic modes not run before propagating ones are run
         pytest.param((1, 1), [4.0], SHUFFLED_SQUARES, id="betas2-zs2-True"),
         pytest.param((0, 0), [4.0 + 0.5j], SHUFFLED_SQUARES, id="betas3-zs3-True"),
-        # bounds inf, inf, inf, 3.33, 1.67, 0.2: the second batch runs
-        # lam = 16.3 and 16.6, and lam = 16.3 attains the max
-        pytest.param((0, 0), [4.0], [0.0, 1.0, 4.0, 16.3, 16.6, 21.0], id="second-batch"),
+        # bounds inf, inf, inf, 3.33, 1.67, 0.2: after the three unbounded modes
+        # lam = 16.3 and 16.6 are run too, and lam = 16.3 attains the max
+        pytest.param((0, 0), [4.0], [0.0, 1.0, 4.0, 16.3, 16.6, 21.0], id="finite-bounds-run"),
     ])
     def test_scan_equals_exhaustive_loop(self, betas, zs, lambdas):
         # the modes not run change neither the max, nor its mode, nor the random
@@ -489,8 +489,8 @@ class TestScanWorkList:
         # after them, and it attains the max
         ("hole", (0, 0), [0.0, 1.0, 4.0, 16.3, 16.6, 21.0], False),
     ])
-    def test_scan_on_a_pool_equals_the_serial_scan(self, kind, betas, lambdas, guard,
-                                                   monkeypatch):
+    def test_skipping_scan_equals_the_scan_of_every_mode(self, kind, betas, lambdas, guard,
+                                                         monkeypatch):
         # the scan over certified bounds against the same scan over bounds of inf,
         # which runs every mode: only modes_scanned and tail_bound may differ
         import guidewave.resolvent as resolvent
@@ -538,7 +538,7 @@ class TestScanWorkList:
         assert len(set(keys)) == len(keys)
         assert {len(key) for key in keys} == {4}
 
-    def test_a_scan_maps_at_most_two_batches(self):
+    def test_scan_modes_runs_by_decreasing_bound_to_the_floor(self):
         # a point runs its modes by decreasing bound, ties by index, and stops at the
         # first bound below its floor, the smallest over blocks of the block's max
         # (a bound equal to the floor is run); the runs fold in mode order, ties
@@ -867,11 +867,13 @@ class TestEstimators:
         assert residual <= 1e-14
         assert sigma == pytest.approx(svdvals(mat)[0], rel=1e-12)
 
-    def test_residual_is_measured_not_requested(self, rng):
+    def test_residual_is_measured_not_requested(self, rng, monkeypatch):
+        import guidewave.resolvent as resolvent
+
         mat = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
         for tol in (1e-7, 1e-4):
-            _, residual = iterative_norm(lambda x: mat @ x, lambda y: mat.conj().T @ y,
-                                         64, 0, tol=tol)
+            monkeypatch.setattr(resolvent, "LANCZOS_TOL", tol)
+            _, residual = iterative_norm(lambda x: mat @ x, lambda y: mat.conj().T @ y, 64, 0)
             assert 0.0 <= residual <= tol ** 2
             assert residual != tol
 
